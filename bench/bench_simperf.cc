@@ -250,13 +250,11 @@ BM_PmoWorkloadStep(benchmark::State &state)
 }
 BENCHMARK(BM_PmoWorkloadStep)->Unit(benchmark::kMillisecond);
 
-/// One simulated thread of the engine-scaling workload: MMU-heavy steps
-/// against its own process's address space (share-nothing, so every
-/// process is its own shard and the epoch-parallel engine can run all
-/// eight without cross-shard traffic).
-class ScalingWorker final : public sim::SimThread {
+/// One simulated thread of the share-nothing engine workload: MMU-heavy
+/// steps against its own process's address space.
+class ShareNothingWorker final : public sim::SimThread {
   public:
-    ScalingWorker(hw::Vpn base, std::size_t pages, std::size_t steps)
+    ShareNothingWorker(hw::Vpn base, std::size_t pages, std::size_t steps)
         : base_(base), pages_(pages), remaining_(steps)
     {
     }
@@ -282,13 +280,9 @@ class ScalingWorker final : public sim::SimThread {
 };
 
 void
-BM_EngineParallelScaling(benchmark::State &state)
+BM_EngineShareNothing(benchmark::State &state)
 {
-    // Eight single-threaded processes pinned to eight simulated cores;
-    // Arg = engine host threads (1 = serial engine, >= 2 = epoch mode).
-    // Simulated cycles and telemetry are byte-identical across Args
-    // (tests/test_engine_parallel.cc); only wall-clock may change.
-    const std::size_t host_threads = static_cast<std::size_t>(state.range(0));
+    // Eight single-threaded processes pinned to eight simulated cores.
     const std::size_t sim_cores = 8;
     const std::size_t pages = 64;
     const std::size_t steps = 2000;
@@ -297,9 +291,8 @@ BM_EngineParallelScaling(benchmark::State &state)
         state.PauseTiming();
         hw::Machine machine(hw::ArchParams::x86(sim_cores));
         std::vector<std::unique_ptr<kernel::Process>> procs;
-        std::vector<std::unique_ptr<ScalingWorker>> workers;
+        std::vector<std::unique_ptr<ShareNothingWorker>> workers;
         sim::Engine engine(machine, nullptr, 4'000'000);
-        engine.set_host_threads(host_threads);
         for (std::size_t c = 0; c < sim_cores; ++c) {
             procs.push_back(std::make_unique<kernel::Process>(machine));
             kernel::Process &proc = *procs.back();
@@ -311,7 +304,7 @@ BM_EngineParallelScaling(benchmark::State &state)
                                    base + i);
             machine.core(c).reset();
             workers.push_back(
-                std::make_unique<ScalingWorker>(base, pages, steps));
+                std::make_unique<ShareNothingWorker>(base, pages, steps));
             workers.back()->set_task(proc, task);
             engine.add_thread(workers.back().get(), static_cast<int>(c));
         }
@@ -322,12 +315,7 @@ BM_EngineParallelScaling(benchmark::State &state)
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(total_steps));
 }
-BENCHMARK(BM_EngineParallelScaling)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_EngineShareNothing)->Unit(benchmark::kMillisecond);
 
 /// ConsoleReporter that also mirrors every run into the --json report
 /// (real/cpu nanoseconds per iteration, matching the schema of the

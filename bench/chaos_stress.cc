@@ -305,63 +305,6 @@ flag_set(int argc, char **argv, const char *flag)
 /// Strict CLI validation: a typo like `--swep` must not silently run the
 /// default churn.  Returns false (after printing usage) on any unknown
 /// flag or a value flag missing its argument.
-/// --apps-parallel N: runs every app workload under armed faults on both
-/// arches with the epoch-parallel engine at N host threads AND serially,
-/// and fails unless completion/fault/invariant results are identical —
-/// the determinism contract under a thread sanitizer's scheduling noise.
-int
-run_apps_parallel(BenchReport &report, std::size_t host_threads,
-                  bool quick, std::uint64_t seed)
-{
-    int rc = 0;
-    for (hw::ArchKind arch : {hw::ArchKind::kX86, hw::ArchKind::kArm}) {
-        for (auto workload : {sim::ChaosAppsConfig::Workload::kHttpd,
-                              sim::ChaosAppsConfig::Workload::kMysql,
-                              sim::ChaosAppsConfig::Workload::kPmo}) {
-            sim::ChaosAppsConfig cfg;
-            cfg.arch = arch;
-            cfg.workload = workload;
-            cfg.work_items = quick ? 100 : 400;
-            cfg.seed = seed;
-            cfg.faults = all_sites_armed();
-            cfg.host_threads = 1;
-            sim::ChaosAppsResult serial = sim::run_chaos_apps(cfg);
-            cfg.host_threads = host_threads;
-            sim::ChaosAppsResult parallel = sim::run_chaos_apps(cfg);
-            bool same = serial.completed == parallel.completed &&
-                        serial.faults_injected == parallel.faults_injected &&
-                        serial.elapsed == parallel.elapsed &&
-                        serial.ok() && parallel.ok();
-            std::printf(
-                "  %s workload %d: completed %llu/%llu faults %llu/%llu "
-                "-> %s\n",
-                hw::arch_name(arch), static_cast<int>(workload),
-                static_cast<unsigned long long>(serial.completed),
-                static_cast<unsigned long long>(parallel.completed),
-                static_cast<unsigned long long>(serial.faults_injected),
-                static_cast<unsigned long long>(parallel.faults_injected),
-                same ? "identical" : "MISMATCH");
-            if (!same)
-                rc = 1;
-            report.add()
-                .config("arch", hw::arch_name(arch))
-                .config("workload", static_cast<std::uint64_t>(workload))
-                .config("host_threads",
-                        static_cast<std::uint64_t>(host_threads))
-                .metric("completed_serial",
-                        static_cast<double>(serial.completed))
-                .metric("completed_parallel",
-                        static_cast<double>(parallel.completed))
-                .metric("faults_serial",
-                        static_cast<double>(serial.faults_injected))
-                .metric("faults_parallel",
-                        static_cast<double>(parallel.faults_injected))
-                .metric("identical", same ? 1 : 0);
-        }
-    }
-    return rc;
-}
-
 bool
 validate_args(int argc, char **argv)
 {
@@ -369,8 +312,7 @@ validate_args(int argc, char **argv)
         std::string arg = argv[i];
         if (arg == "--quick" || arg == "--sweep" || arg == "--crash-sweep")
             continue;
-        if (arg == "--seed" || arg == "--json" || arg == "--postmortem" ||
-            arg == "--apps-parallel") {
+        if (arg == "--seed" || arg == "--json" || arg == "--postmortem") {
             if (i + 1 >= argc) {
                 std::fprintf(stderr, "chaos_stress: %s requires a value\n",
                              arg.c_str());
@@ -392,7 +334,7 @@ usage()
     std::fprintf(stderr,
                  "usage: chaos_stress [--quick] [--sweep] [--crash-sweep] "
                  "[--seed N]\n"
-                 "                    [--apps-parallel N] [--json out.json] "
+                 "                    [--json out.json] "
                  "[--postmortem bundle.json]\n");
 }
 
@@ -415,19 +357,9 @@ main(int argc, char **argv)
 
     std::string postmortem = bench::arg_value(argc, argv, "--postmortem");
 
-    std::string apps_parallel =
-        bench::arg_value(argc, argv, "--apps-parallel");
-
     BenchReport report("chaos_stress", argc, argv);
     int rc = 0;
-    if (!apps_parallel.empty()) {
-        std::size_t host_threads = std::strtoull(
-            apps_parallel.c_str(), nullptr, 10);
-        std::printf("chaos_stress: app workloads, serial vs %zu host "
-                    "threads (seed %llu)\n",
-                    host_threads, static_cast<unsigned long long>(seed));
-        rc = run_apps_parallel(report, host_threads, quick, seed);
-    } else if (crash_sweep) {
+    if (crash_sweep) {
         std::printf("chaos_stress: exhaustive crash-point recovery sweep "
                     "(seed %llu)\n",
                     static_cast<unsigned long long>(seed));

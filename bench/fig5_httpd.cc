@@ -23,10 +23,6 @@
 namespace vdom::bench {
 namespace {
 
-/// --host-threads N: engine host workers (>= 2 = epoch-parallel mode;
-/// throughput numbers are byte-identical, only wall-clock changes).
-std::size_t g_host_threads = 1;
-
 double
 run_one(hw::ArchKind arch, const std::string &kind, std::size_t cores,
         std::size_t clients, std::size_t file_kb, std::size_t requests,
@@ -55,7 +51,6 @@ run_one(hw::ArchKind arch, const std::string &kind, std::size_t cores,
         apps::HttpdConfig::for_arch(arch, clients, file_kb);
     cfg.workers = 40;
     cfg.total_requests = requests;
-    cfg.host_threads = g_host_threads;
     telemetry::MetricsRegistry registry(cores);
     std::optional<telemetry::ScopedMetrics> attach;
     if (report && report->enabled())
@@ -170,9 +165,6 @@ int
 main(int argc, char **argv)
 {
     bool quick = vdom::bench::quick_mode(argc, argv);
-    std::string ht = vdom::bench::arg_value(argc, argv, "--host-threads");
-    if (!ht.empty())
-        vdom::bench::g_host_threads = std::stoul(ht);
     vdom::bench::BenchReport report("fig5_httpd", argc, argv);
     vdom::bench::run(quick ? 800 : 4000, quick, report);
     report.write();

@@ -20,10 +20,6 @@
 namespace vdom::bench {
 namespace {
 
-/// --host-threads N: engine host workers (>= 2 = epoch-parallel mode;
-/// throughput numbers are byte-identical, only wall-clock changes).
-std::size_t g_host_threads = 1;
-
 double
 run_one(hw::ArchKind arch, const std::string &kind, std::size_t cores,
         std::size_t connections, std::size_t queries, BenchReport *report)
@@ -46,7 +42,6 @@ run_one(hw::ArchKind arch, const std::string &kind, std::size_t cores,
         strat = std::make_unique<apps::LibmpkStrategy>(world.proc, *mpk);
     }
     apps::MysqlConfig cfg = apps::MysqlConfig::for_arch(arch, connections);
-    cfg.host_threads = g_host_threads;
     // Fixed-duration steady-state measurement (sysbench-style): queries
     // here sets the target duration in query-equivalents.
     cfg.duration = static_cast<hw::Cycles>(queries) * 1'000'000.0;
@@ -136,9 +131,6 @@ int
 main(int argc, char **argv)
 {
     bool quick = vdom::bench::quick_mode(argc, argv);
-    std::string ht = vdom::bench::arg_value(argc, argv, "--host-threads");
-    if (!ht.empty())
-        vdom::bench::g_host_threads = std::stoul(ht);
     vdom::bench::BenchReport report("fig6_mysql", argc, argv);
     vdom::bench::run(quick ? 600 : 3000, quick, report);
     report.write();

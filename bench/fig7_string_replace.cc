@@ -24,10 +24,6 @@
 namespace vdom::bench {
 namespace {
 
-/// --host-threads N: engine host workers (>= 2 = epoch-parallel mode;
-/// throughput numbers are byte-identical, only wall-clock changes).
-std::size_t g_host_threads = 1;
-
 double
 run_one(hw::ArchKind arch, const std::string &kind, std::size_t cores,
         std::size_t threads, std::size_t ops, BenchReport *report)
@@ -55,7 +51,6 @@ run_one(hw::ArchKind arch, const std::string &kind, std::size_t cores,
         strat = std::make_unique<apps::LibmpkStrategy>(world.proc, *mpk);
     }
     apps::PmoConfig cfg = apps::PmoConfig::for_arch(arch, threads);
-    cfg.host_threads = g_host_threads;
     cfg.ops_per_thread = ops;
     cfg.huge_pages = huge;
     telemetry::MetricsRegistry registry(cores);
@@ -151,9 +146,6 @@ int
 main(int argc, char **argv)
 {
     bool quick = vdom::bench::quick_mode(argc, argv);
-    std::string ht = vdom::bench::arg_value(argc, argv, "--host-threads");
-    if (!ht.empty())
-        vdom::bench::g_host_threads = std::stoul(ht);
     vdom::bench::BenchReport report("fig7_string_replace", argc, argv);
     vdom::bench::run(quick ? 6'000 : 40'000, quick, report);
     report.write();

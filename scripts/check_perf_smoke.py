@@ -17,46 +17,7 @@ intent is to catch an accidental return to O(n)/hashed hot paths, not
 """
 
 import json
-import os
 import sys
-
-
-def check_scaling(ref, records, failures):
-    """Parallel-engine scaling gate (reference key "scaling").
-
-    Compares *wall-clock* time per iteration of BM_EngineParallelScaling
-    at its widest host-thread arm against the 1-thread arm.  The bound is
-    host-CPU-aware: on a multi-core runner the parallel arm must not be
-    slower than max_ratio * serial (it should be faster); on a 1-2 CPU
-    host there is no parallelism to win, so only a looser
-    no-pessimization bound (max_ratio_low_cpu) applies.
-    """
-    spec = ref.get("scaling")
-    if spec is None:
-        return
-    bench = spec["bench"]
-    real = {}
-    for rec in records:
-        case = rec.get("config", {}).get("case", "")
-        ns = rec.get("metrics", {}).get("real_time_ns_per_iter")
-        if case.startswith(bench + "/") and ns is not None:
-            real[int(case.rsplit("/", 1)[1])] = float(ns)
-    arms = sorted(real)
-    if 1 not in real or len(arms) < 2:
-        failures.append(f"{bench}: scaling arms missing (got {arms})")
-        return
-    cpus = os.cpu_count() or 1
-    wide = arms[-1]
-    ratio = real[wide] / real[1]
-    limit = float(spec["max_ratio"] if cpus >= 4
-                  else spec["max_ratio_low_cpu"])
-    verdict = "ok" if ratio <= limit else "FAIL"
-    print(f"{bench}: t1={real[1] / 1e6:.2f}ms t{wide}={real[wide] / 1e6:.2f}ms"
-          f" ratio {ratio:.2f} (limit {limit}, host_cpus {cpus}) {verdict}")
-    if ratio > limit:
-        failures.append(
-            f"{bench}: {wide}-thread wall time is {ratio:.2f}x serial "
-            f"(limit {limit} on a {cpus}-CPU host)")
 
 
 def main(argv):
@@ -91,8 +52,6 @@ def main(argv):
             failures.append(
                 f"{case}: {got:.2f} ns/op exceeds {limit:.2f} "
                 f"({ref_ns} * {threshold})")
-
-    check_scaling(ref, records, failures)
 
     if failures:
         sys.exit("perf-smoke regression:\n  " + "\n  ".join(failures))

@@ -24,7 +24,7 @@ for arg in "$@"; do
     esac
 done
 
-cmake -B build -G Ninja
+cmake -B build
 cmake --build build
 mkdir -p results results/json
 
@@ -132,41 +132,6 @@ out = pathlib.Path("BENCH_PR5.json")
 out.write_text(json.dumps({"bench": "bench_simperf", "cases": cases},
                           indent=2) + "\n")
 print(f"wrote {out} ({len(cases)} cases)")
-EOF
-
-# PR9 scaling snapshot: wall-clock time of the epoch-parallel engine at
-# 1/2/4/8 host threads plus derived speedups.  host_cpus is recorded
-# because the numbers are only meaningful relative to it -- a 1-CPU
-# container cannot show speedup, only the absence of pessimization.
-python3 - <<'EOF'
-import json, os, pathlib
-
-records = json.loads(
-    pathlib.Path("results/json/bench_simperf.json").read_text())
-arms = {}
-for rec in records:
-    case = rec["config"]["case"]
-    if case.startswith("BM_EngineParallelScaling/"):
-        arms[int(case.rsplit("/", 1)[1])] = \
-            rec["metrics"]["real_time_ns_per_iter"]
-if arms:
-    serial = arms[1]
-    out = pathlib.Path("BENCH_PR9.json")
-    out.write_text(json.dumps({
-        "bench": "BM_EngineParallelScaling",
-        "comment": "Wall-clock of the epoch-parallel engine; simulated "
-                   "results are byte-identical at every arm. Speedup is "
-                   "bounded by host_cpus -- a 1-CPU host can only show "
-                   "absence of pessimization.",
-        "host_cpus": os.cpu_count(),
-        "arms": {
-            str(t): {
-                "wall_ms_per_iter": round(ns / 1e6, 3),
-                "speedup_vs_serial": round(serial / ns, 3),
-            } for t, ns in sorted(arms.items())
-        },
-    }, indent=2) + "\n")
-    print(f"wrote {out} ({len(arms)} host-thread arms)")
 EOF
 
 # Aggregate every bench's records into one summary document.

@@ -272,7 +272,6 @@ run_httpd(hw::Machine &machine, kernel::Process &proc, Strategy &strategy,
 
     std::vector<std::unique_ptr<HttpdWorker>> workers;
     sim::Engine engine(machine, &proc, /*time_slice=*/4'000'000);
-    engine.set_host_threads(config.host_threads);
     for (std::size_t w = 0; w < config.workers; ++w) {
         workers.push_back(
             std::make_unique<HttpdWorker>(shared, strategy, proc, w));

@@ -51,10 +51,6 @@ struct HttpdConfig {
     hw::Cycles per_kb_cycles = 0;    ///< Encryption + copy per KB.
     std::size_t chunk_kb = 16;       ///< Transfer chunk granularity.
 
-    /// Host worker threads driving the engine (>= 2 selects the
-    /// epoch-parallel mode; results are byte-identical either way).
-    std::size_t host_threads = 1;
-
     /// Calibrated defaults per architecture.
     static HttpdConfig for_arch(hw::ArchKind kind, std::size_t clients,
                                 std::size_t file_kb);

@@ -247,7 +247,6 @@ run_mysql(hw::Machine &machine, kernel::Process &proc, Strategy &strategy,
 
     std::vector<std::unique_ptr<MysqlConn>> conns;
     sim::Engine engine(machine, &proc, 250'000);
-    engine.set_host_threads(config.host_threads);
     bool timed = config.duration > 0;
     std::size_t per_conn = timed
         ? std::numeric_limits<std::size_t>::max() / 2

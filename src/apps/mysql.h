@@ -48,10 +48,6 @@ struct MysqlConfig {
     hw::Cycles client_delay = 0;     ///< Client turnaround between queries.
     std::size_t rows_touched = 8;    ///< Data-page touches per query.
 
-    /// Host worker threads driving the engine (>= 2 selects the
-    /// epoch-parallel mode; results are byte-identical either way).
-    std::size_t host_threads = 1;
-
     static MysqlConfig for_arch(hw::ArchKind kind, std::size_t connections);
 };
 

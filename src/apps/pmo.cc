@@ -117,7 +117,6 @@ run_pmo(hw::Machine &machine, kernel::Process &proc, Strategy &strategy,
 
     std::vector<std::unique_ptr<PmoWorker>> workers;
     sim::Engine engine(machine, &proc, 4'000'000);
-    engine.set_host_threads(config.host_threads);
     for (std::size_t t = 0; t < config.threads; ++t) {
         workers.push_back(
             std::make_unique<PmoWorker>(shared, strategy, t));

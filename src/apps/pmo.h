@@ -34,10 +34,6 @@ struct PmoConfig {
     hw::Cycles replace_cycles = 3'000;  ///< Replacement write-back.
     bool huge_pages = false;            ///< Map PMOs with 2MB pages.
 
-    /// Host worker threads driving the engine (>= 2 selects the
-    /// epoch-parallel mode; results are byte-identical either way).
-    std::size_t host_threads = 1;
-
     static PmoConfig
     for_arch(hw::ArchKind kind, std::size_t threads)
     {

@@ -13,9 +13,9 @@
 namespace vdom::kernel {
 
 namespace {
-// Atomic so block reservation and the (rare) block-exhaustion fallback
-// stay race-free under the epoch-parallel engine; serial behaviour and
-// the values handed out are unchanged.
+// Process-global: every world built in this OS process draws from it,
+// and reset_unique_asids() restarts it.  The simulator runs on one host
+// thread, so the atomic is not needed for correctness.
 std::atomic<hw::Asid> g_asid_counter{0};
 }  // namespace
 
@@ -29,24 +29,6 @@ void
 reset_unique_asids()
 {
     g_asid_counter.store(0, std::memory_order_relaxed);
-}
-
-hw::Asid
-reserve_asid_block(std::uint32_t count)
-{
-    return g_asid_counter.fetch_add(count, std::memory_order_relaxed);
-}
-
-hw::Asid
-AsidAllocator::next_tag()
-{
-    if (block_size_ != 0 && block_used_ < block_size_)
-        return block_base_ + ++block_used_;
-    // Block exhausted (or never set): fall back to the shared counter.
-    // Tags stay unique either way; only cross-thread-count determinism
-    // of the raw values is lost, and the engine sizes blocks so this
-    // never happens in practice.
-    return next_unique_asid();
 }
 
 std::unique_ptr<AsidAllocator>
@@ -114,7 +96,7 @@ X86PcidAllocator::assign(std::size_t core, std::uint64_t ctx_id)
         telemetry::metric_add(telemetry::Metric::kAsidRecycle, 1, core);
     }
     victim->ctx_id = ctx_id;
-    victim->asid = next_tag();
+    victim->asid = next_unique_asid();
     victim->lru = tick_;
     return {victim->asid, recycled, false,
             recycled ? telemetry::flight_new_flow() : 0};
@@ -144,12 +126,12 @@ ArmAsidAllocator::assign(std::size_t core, std::uint64_t ctx_id)
         used_ = 0;
         ++flushes_;
         telemetry::metric_add(telemetry::Metric::kAsidRollover);
-        hw::Asid asid = next_tag();
+        hw::Asid asid = next_unique_asid();
         active_[ctx_id] = asid;
         ++used_;
         return {asid, false, true, telemetry::flight_new_flow()};
     }
-    hw::Asid asid = next_tag();
+    hw::Asid asid = next_unique_asid();
     active_[ctx_id] = asid;
     ++used_;
     return {asid, false, false};

@@ -49,32 +49,6 @@ class AsidAllocator {
 
     /// Number of hardware invalidations this policy has implied so far.
     virtual std::uint64_t flush_count() const = 0;
-
-    /// Routes unique-tag allocation through a private block reserved from
-    /// the machine-wide counter (reserve_asid_block).  The epoch-parallel
-    /// engine gives every process its own block so host workers never
-    /// contend on — or nondeterministically interleave — the shared
-    /// counter; without a block the allocator draws from the global
-    /// counter exactly as before.
-    void
-    set_tag_block(hw::Asid base, std::uint32_t count)
-    {
-        block_base_ = base;
-        block_size_ = count;
-        block_used_ = 0;
-    }
-
-    bool has_tag_block() const { return block_size_ != 0; }
-
-  protected:
-    /// The next machine-unique TLB tag (private block when set, else the
-    /// shared counter).
-    hw::Asid next_tag();
-
-  private:
-    hw::Asid block_base_ = 0;
-    std::uint32_t block_size_ = 0;
-    std::uint32_t block_used_ = 0;
 };
 
 /// X86 PCID-slot cache (Linux-style dynamic ASIDs + TLB generations).
@@ -109,14 +83,6 @@ hw::Asid next_unique_asid();
 /// thus flight records / post-mortem bundles) byte-identical; never call
 /// while a machine built under the old counter is still in use.
 void reset_unique_asids();
-
-/// Reserves \p count consecutive tags from the machine-wide counter and
-/// returns the base: the holder hands out base+1 .. base+count.  The
-/// epoch-parallel engine reserves one block per process (in deterministic
-/// process order) so tag values are independent of host-thread count —
-/// and, for the first reservation after setup, identical to the values
-/// the serial engine would have drawn.
-hw::Asid reserve_asid_block(std::uint32_t count);
 
 /// ARM global ASID allocator with generation rollover.
 class ArmAsidAllocator final : public AsidAllocator {

@@ -14,15 +14,13 @@ MmStruct::MmStruct(const hw::ArchParams &params, ShootdownManager *shootdown)
       shootdown_(shootdown),
       shadow_(params.pmd_span_pages)
 {
-    vdses_.push_back(
-        std::make_unique<Vds>(next_vds_id_++, params, next_ctx()));
+    vdses_.push_back(std::make_unique<Vds>(next_vds_id_++, params));
 }
 
 Vds *
 MmStruct::create_vds()
 {
-    vdses_.push_back(
-        std::make_unique<Vds>(next_vds_id_++, *params_, next_ctx()));
+    vdses_.push_back(std::make_unique<Vds>(next_vds_id_++, *params_));
     telemetry::metric_set(telemetry::Metric::kVdsCount, vdses_.size());
     return vdses_.back().get();
 }

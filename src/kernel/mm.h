@@ -55,21 +55,6 @@ class MmStruct {
     const VmaTree &vmas() const { return vmas_; }
     hw::PageTable &shadow() { return shadow_; }
 
-    /// Routes future VDS context ids through a private block reserved
-    /// from the shared counter (Vds::reserve_ctx_block).  Set by the
-    /// epoch-parallel engine, one block per process, so runtime VDS
-    /// allocation never touches — or nondeterministically interleaves —
-    /// the machine-wide counter from host workers.
-    void
-    set_ctx_block(std::uint64_t base, std::uint64_t count)
-    {
-        ctx_block_base_ = base;
-        ctx_block_size_ = count;
-        ctx_block_used_ = 0;
-    }
-
-    bool has_ctx_block() const { return ctx_block_size_ != 0; }
-
     // --- VDS management ---------------------------------------------------
 
     /// The initial VDS every thread starts in.
@@ -148,17 +133,6 @@ class MmStruct {
     /// the process (eager revocation paths: munmap, vdom assignment).
     void flush_everywhere(hw::Core &core);
 
-    /// Draws the next VDS context id: from the private block when one is
-    /// reserved (epoch-parallel engine), else 0 = let Vds draw from the
-    /// shared counter.
-    std::uint64_t
-    next_ctx()
-    {
-        if (ctx_block_size_ != 0 && ctx_block_used_ < ctx_block_size_)
-            return ctx_block_base_ + ctx_block_used_++;
-        return 0;
-    }
-
     const hw::ArchParams *params_;
     ShootdownManager *shootdown_;
     Journal journal_;
@@ -169,9 +143,6 @@ class MmStruct {
     std::vector<std::unique_ptr<Vds>> vdses_;
     std::uint32_t next_vds_id_ = 0;
     hw::Vpn next_vpn_ = 0x1000;  ///< Bump allocator for fresh mappings.
-    std::uint64_t ctx_block_base_ = 0;
-    std::uint64_t ctx_block_size_ = 0;
-    std::uint64_t ctx_block_used_ = 0;
 };
 
 }  // namespace vdom::kernel

@@ -14,7 +14,6 @@
 
 #include "hw/arch.h"
 #include "hw/machine.h"
-#include "sim/exec_context.h"
 #include "sim/fault.h"
 #include "sim/trace.h"
 #include "telemetry/flightrec.h"
@@ -88,7 +87,6 @@ class ShootdownManager {
             }
         }
         hw::Cycles last_done = start;
-        sim::ExecContext *ctx = sim::exec_context();
         for (std::size_t c = 0; c < machine_->num_cores(); ++c) {
             if (c == initiator.id() || !(cpu_bitmap & (1ULL << c)))
                 continue;
@@ -122,22 +120,6 @@ class ShootdownManager {
                      static_cast<std::uint32_t>(initiator.id()), 0,
                      static_cast<std::uint64_t>(initiator.now()), use_flow,
                      static_cast<std::uint64_t>(attempt), c});
-            }
-            if (ctx && !ctx->owns(c)) {
-                // Epoch-parallel: the target core belongs to another
-                // shard, so its half of the shootdown (ipi_handle + the
-                // flush) cannot run here without racing that shard's
-                // worker.  The initiator-side cost stays charged in-line
-                // (post + wait, plus any retries above); the target-side
-                // half is buffered and applied by the engine at the epoch
-                // barrier in deterministic shard order.
-                ctx->deferred->push_back(
-                    {initiator.id(), c, static_cast<std::uint8_t>(kind),
-                     asid, vpn, count, target_current_asid, use_flow});
-                initiator.charge(hw::CostKind::kShootdown,
-                                 costs.ipi_post + costs.ipi_wait);
-                ++ipis;
-                continue;
             }
             target.charge(hw::CostKind::kShootdown, costs.ipi_handle);
             telemetry::flight_record(
@@ -210,30 +192,6 @@ class ShootdownManager {
 
     const ShootdownStats &stats() const { return stats_; }
     void reset_stats() { stats_ = ShootdownStats{}; }
-
-    /// Applies the target-side half of a deferred cross-shard shootdown
-    /// (sim::RemoteFlush) on \p target: ipi_handle + the flush, with the
-    /// receive/flush flight records stamped at the target's current
-    /// clock.  Called by the epoch-parallel engine at the barrier, after
-    /// remapping \p flow to a real causality id.
-    static void
-    apply_remote(hw::Core &target, FlushKind kind, hw::Asid asid,
-                 hw::Vpn vpn, std::uint64_t count, bool target_current_asid,
-                 std::uint64_t flow)
-    {
-        target.charge(hw::CostKind::kShootdown, target.costs().ipi_handle);
-        telemetry::flight_record(
-            {telemetry::FlightEvent::kIpiReceive,
-             static_cast<std::uint32_t>(target.id()), 0,
-             static_cast<std::uint64_t>(target.now()), flow});
-        hw::Asid use = target_current_asid ? target.asid() : asid;
-        apply_flush(target, kind, use, vpn, count);
-        telemetry::flight_record(
-            {telemetry::FlightEvent::kRemoteFlush,
-             static_cast<std::uint32_t>(target.id()), 0,
-             static_cast<std::uint64_t>(target.now()), flow, use,
-             static_cast<std::uint64_t>(kind)});
-    }
 
   private:
     /// Re-post budget per target; the delivery after the last retry

@@ -18,18 +18,9 @@ Vds::reset_ctx_ids()
     g_next_ctx_id.store(1, std::memory_order_relaxed);
 }
 
-std::uint64_t
-Vds::reserve_ctx_block(std::uint64_t count)
-{
-    return g_next_ctx_id.fetch_add(count, std::memory_order_relaxed);
-}
-
-Vds::Vds(std::uint32_t id, const hw::ArchParams &params,
-         std::uint64_t ctx_id)
+Vds::Vds(std::uint32_t id, const hw::ArchParams &params)
     : id_(id),
-      ctx_id_(ctx_id != 0
-                  ? ctx_id
-                  : g_next_ctx_id.fetch_add(1, std::memory_order_relaxed)),
+      ctx_id_(g_next_ctx_id.fetch_add(1, std::memory_order_relaxed)),
       params_(&params),
       pgd_(params.pmd_span_pages),
       first_usable_(static_cast<hw::Pdom>(params.num_reserved_pdoms)),

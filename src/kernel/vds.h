@@ -31,11 +31,8 @@ class Vds {
         hw::Cycles last_use = 0;  ///< LRU tick for HLRU eviction.
     };
 
-    /// \param ctx_id explicit context id (epoch-parallel engine: drawn
-    ///        from the owning process's private block); 0 draws from the
-    ///        shared machine-wide counter.
-    Vds(std::uint32_t id, const hw::ArchParams &params,
-        std::uint64_t ctx_id = 0);
+    /// Draws the context id from the machine-wide counter.
+    Vds(std::uint32_t id, const hw::ArchParams &params);
 
     std::uint32_t id() const { return id_; }
 
@@ -48,12 +45,6 @@ class Vds {
     /// Restarts the context-id counter (pairs with reset_unique_asids():
     /// only for harnesses rebuilding same-seed worlds in one process).
     static void reset_ctx_ids();
-
-    /// Reserves \p count consecutive context ids from the shared counter
-    /// and returns the base (the holder hands out base+0 .. base+count-1).
-    /// The epoch-parallel engine reserves one block per process so ctx
-    /// ids are independent of host-thread count.
-    static std::uint64_t reserve_ctx_block(std::uint64_t count);
 
     // --- domain map -------------------------------------------------------
     //
@@ -243,8 +234,7 @@ class Vds {
     std::uint64_t tlb_gen_ = 1;
     std::vector<std::uint64_t> core_seen_gen_;
 
-    // (shared context-id counter lives in vds.cc; atomic so the
-    // epoch-parallel block-exhaustion fallback stays race-free)
+    // (the shared context-id counter lives in vds.cc)
 };
 
 }  // namespace vdom::kernel

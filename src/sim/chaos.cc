@@ -883,7 +883,7 @@ CrashSweepHarness::make_script() const
         ops.push_back({.kind = Kind::kMprotect, .dom = i, .region = i});
     ops.push_back({.kind = Kind::kAccess, .task = 0, .write = true});
     ops.push_back({.kind = Kind::kAccess, .task = 1 % config_.threads,
-                   .region = d > 1 ? 1 : 0});
+                   .region = d > 1 ? 1u : 0u});
 
     // The other WAL-covered entry points: secure-pool growth (the arena
     // ctor allocates the vdom, the first allocate grows the pool) and the
@@ -1389,7 +1389,6 @@ run_chaos_apps(const ChaosAppsConfig &config)
             apps::HttpdConfig cfg =
                 apps::HttpdConfig::for_arch(config.arch, config.clients, 1);
             cfg.total_requests = config.work_items;
-            cfg.host_threads = config.host_threads;
             apps::HttpdResult r =
                 apps::run_httpd(machine, proc, strat, cfg);
             result.completed = r.completed;
@@ -1400,7 +1399,6 @@ run_chaos_apps(const ChaosAppsConfig &config)
             apps::MysqlConfig cfg =
                 apps::MysqlConfig::for_arch(config.arch, config.clients);
             cfg.total_queries = config.work_items;
-            cfg.host_threads = config.host_threads;
             apps::MysqlResult r =
                 apps::run_mysql(machine, proc, strat, cfg);
             result.completed = r.completed;
@@ -1413,7 +1411,6 @@ run_chaos_apps(const ChaosAppsConfig &config)
             cfg.ops_per_thread = config.work_items;
             cfg.pmos = 16;
             cfg.pmo_pages = 8;
-            cfg.host_threads = config.host_threads;
             apps::PmoResult r = apps::run_pmo(machine, proc, strat, cfg);
             result.completed = r.completed;
             result.elapsed = r.elapsed;

@@ -318,9 +318,6 @@ struct ChaosAppsConfig {
     std::size_t work_items = 200;
     std::size_t clients = 8;  ///< Clients / connections / threads.
     std::uint64_t seed = 1;
-    /// Host worker threads for the engine (>= 2 = epoch-parallel mode;
-    /// digests stay byte-identical across any value).
-    std::size_t host_threads = 1;
     /// Sites to arm (graceful sites only — the app models retry through
     /// transient statuses; kCrash needs the CrashSweepHarness).
     std::vector<std::pair<FaultSite, FaultSpec>> faults;

@@ -109,7 +109,7 @@ struct FaultSpec {
 /// not counted and consume nothing.
 class FaultPlan {
   public:
-    explicit FaultPlan(std::uint64_t seed = 1) : rng_(seed), seed_(seed) {}
+    explicit FaultPlan(std::uint64_t seed = 1) : rng_(seed) {}
 
     void
     arm(FaultSite site, const FaultSpec &spec)
@@ -178,43 +178,6 @@ class FaultPlan {
         total_fires_ = 0;
     }
 
-    // --- per-shard plans (epoch-parallel engine) -------------------------
-    //
-    // Each shard of the parallel engine injects faults from a private
-    // plan so workers never share the RNG: same armed specs, zeroed
-    // counters, and a stream derived deterministically from the shard's
-    // identity.  Shard 0 (salt 0) inherits the master's *current* RNG
-    // state, so a single-shard epoch run consumes the exact stream the
-    // serial engine would have.  After the run the engine folds every
-    // shard's counters back with absorb().
-
-    /// A private copy of this plan for the shard salted with \p salt.
-    FaultPlan
-    fork(std::uint64_t salt) const
-    {
-        FaultPlan shard(*this);
-        shard.reset_counts();
-        if (salt != 0)
-            shard.rng_ = Rng(seed_ ^ (salt * 0x9e3779b97f4a7c15ULL));
-        return shard;
-    }
-
-    /// Folds \p shard's occurrence/fire counters into this plan.  With
-    /// \p adopt_rng (the salt-0 shard), also adopts its RNG position so a
-    /// single-shard run leaves the master exactly where serial execution
-    /// would have.
-    void
-    absorb(const FaultPlan &shard, bool adopt_rng = false)
-    {
-        for (std::size_t i = 0; i < sites_.size(); ++i) {
-            sites_[i].occurrences += shard.sites_[i].occurrences;
-            sites_[i].fires += shard.sites_[i].fires;
-        }
-        total_fires_ += shard.total_fires_;
-        if (adopt_rng)
-            rng_ = shard.rng_;
-    }
-
   private:
     struct SiteState {
         FaultSpec spec;
@@ -235,7 +198,6 @@ class FaultPlan {
     }
 
     Rng rng_;
-    std::uint64_t seed_;
     // +1: slot for kCrash, which aliases kNumSites and deliberately sits
     // outside the kNumFaultSites range swept by graceful-fault loops.
     std::array<SiteState, kNumFaultSites + 1> sites_;

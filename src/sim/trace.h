@@ -85,18 +85,9 @@ class Tracer {
     void
     record(const TraceRecord &rec)
     {
-        if (capture_) {
-            capture_->push_back(rec);
-            return;
-        }
         ++total_;
         records_.push(rec);
     }
-
-    /// Capture mode (epoch-parallel staging): routes every record() into
-    /// \p out verbatim; the engine replays the buffer into the real
-    /// tracer at the epoch barrier.  Real tracers never capture.
-    void set_capture(std::vector<TraceRecord> *out) { capture_ = out; }
 
     /// Events currently retained (oldest first).
     const telemetry::FlatRing<TraceRecord> &records() const
@@ -144,13 +135,11 @@ class Tracer {
 
   private:
     telemetry::FlatRing<TraceRecord> records_;
-    std::vector<TraceRecord> *capture_ = nullptr;
     std::uint64_t total_ = 0;
 };
 
 namespace detail {
-/// Thread-local so epoch-parallel host workers stage into per-shard
-/// buffers; single-threaded code sees the old global behaviour.
+/// Thread-local, so a host thread only sees the tracer it attached.
 extern thread_local Tracer *g_trace_sink;  ///< Use trace_sink() instead.
 }  // namespace detail
 

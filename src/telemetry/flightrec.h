@@ -104,17 +104,10 @@ class FlightRecorder {
     std::size_t per_core_capacity() const { return per_core_; }
 
     /// Appends \p rec to its core's ring, stamping the program-order
-    /// sequence number.  Never allocates once the ring is warm.  In
-    /// capture mode (epoch-parallel staging) the record is appended to
-    /// the capture buffer unstamped instead; the engine replays it into
-    /// the real recorder at the epoch barrier.
+    /// sequence number.  Never allocates once the ring is warm.
     void
     record(const FlightRecord &rec)
     {
-        if (capture_) {
-            capture_->push_back(rec);
-            return;
-        }
         ++total_;
         FlatRing<FlightRecord> &ring =
             rings_[rec.core < rings_.size() ? rec.core : 0];
@@ -147,21 +140,9 @@ class FlightRecorder {
 
     void clear();
 
-    // -- Capture mode (epoch-parallel staging, sim/engine.cc) -------------
-
-    /// Routes every record() into \p out verbatim (no seq stamping, no
-    /// ring, no counters) until reset with nullptr.  Used by the parallel
-    /// engine's per-shard staging recorders; real recorders never capture.
-    void set_capture(std::vector<FlightRecord> *out) { capture_ = out; }
-
-    /// Rebases the flow counter (staging recorders hand out shard-local
-    /// ids above sim::kStagedFlowBase; the barrier drain remaps them).
-    void seed_flows(std::uint64_t base) { last_flow_ = base; }
-
   private:
     std::size_t per_core_;
     std::vector<FlatRing<FlightRecord>> rings_;
-    std::vector<FlightRecord> *capture_ = nullptr;
     std::uint64_t next_seq_ = 1;
     std::uint64_t last_flow_ = 0;
     std::uint64_t total_ = 0;
@@ -171,9 +152,7 @@ class FlightRecorder {
 // -- Global hook (null by default, zero-cost when detached) ---------------
 
 namespace detail {
-/// Thread-local so the epoch-parallel engine can point each host worker
-/// at a per-shard staging recorder while the main thread keeps the real
-/// one; single-threaded code sees exactly the old global behaviour.
+/// Thread-local, so a host thread only sees the recorder it attached.
 extern thread_local FlightRecorder *g_flight_sink;  ///< Use flight_sink().
 }  // namespace detail
 

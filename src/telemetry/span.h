@@ -115,22 +115,10 @@ class SpanTracer {
         dropped_ = 0;
     }
 
-    /// Capture mode (epoch-parallel staging): routes every event into
-    /// \p out verbatim, bypassing the retention cap; the engine replays
-    /// the buffer at the epoch barrier.  Real tracers never capture.
-    void set_capture(std::vector<SpanEvent> *out) { capture_ = out; }
-
-    /// Replays one staged event through the normal retention path.
-    void replay(const SpanEvent &event) { push(event); }
-
   private:
     void
     push(const SpanEvent &event)
     {
-        if (capture_) {
-            capture_->push_back(event);
-            return;
-        }
         if (events_.size() >= max_events_) {
             ++dropped_;
             return;
@@ -140,15 +128,13 @@ class SpanTracer {
 
     std::size_t max_events_;
     std::vector<SpanEvent> events_;
-    std::vector<SpanEvent> *capture_ = nullptr;
     std::uint64_t dropped_ = 0;
 };
 
 // -- Global hook ----------------------------------------------------------
 
 namespace detail {
-/// Thread-local so epoch-parallel host workers stage into per-shard
-/// buffers; single-threaded code sees the old global behaviour.
+/// Thread-local, so a host thread only sees the tracer it attached.
 extern thread_local SpanTracer *g_span_sink;  ///< Use span_sink() instead.
 }  // namespace detail
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -17,13 +18,27 @@ namespace {
 using kernel::Task;
 using ::vdom::testing::World;
 
+/// gtest names each case after a byte dump of its parameter, so the
+/// struct carries its padding as zeroed fields: implicit padding holds
+/// whatever the stack held and would make the case names vary per run.
 struct SweepParam {
+    SweepParam(hw::ArchKind arch, std::size_t threads, std::size_t domains,
+               std::uint64_t seed, hw::DesignKnobs knobs = {})
+        : arch(arch), threads(threads), domains(domains), seed(seed),
+          knobs(knobs)
+    {
+    }
+
     hw::ArchKind arch;
+    std::uint32_t pad_after_arch = 0;
     std::size_t threads;
     std::size_t domains;
     std::uint64_t seed;
-    hw::DesignKnobs knobs = {};
+    hw::DesignKnobs knobs;
+    std::uint32_t pad_after_knobs = 0;
 };
+static_assert(std::has_unique_object_representations_v<SweepParam>,
+              "SweepParam must have no implicit padding");
 
 class InvariantSweep : public ::testing::TestWithParam<SweepParam> {};
 

@@ -5,12 +5,17 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "hw/machine.h"
+#include "kernel/asid.h"
 #include "kernel/process.h"
+#include "kernel/vds.h"
 #include "sim/engine.h"
+#include "sim/fault.h"
 #include "sim/thread.h"
+#include "telemetry/flightrec.h"
 #include "vdom/api.h"
 
 namespace vdom {
@@ -165,6 +170,145 @@ TEST(MultiProcess, PlainProcessNextToVdomProcess)
     // Revocation still immediate.
     sys.wrvdr(core, *vt, dom, VPerm::kAccessDisable);
     EXPECT_TRUE(sys.access(core, *vt, page, false).sigsegv);
+}
+
+/// A worker that context-switches between two tasks of its own process:
+/// it drives ASID assignment and, on ARM, the rollover broadcast that
+/// flushes every core of the machine, whichever process owns it.
+class SwitchWorker final : public sim::SimThread {
+  public:
+    SwitchWorker(kernel::Process &proc, kernel::Task *a, kernel::Task *b,
+                 std::size_t steps)
+        : proc_(&proc), tasks_{a, b}, remaining_(steps)
+    {
+    }
+
+    bool
+    step(hw::Core &core) override
+    {
+        if (remaining_ == 0)
+            return false;
+        --remaining_;
+        proc_->switch_to(core, *tasks_[remaining_ & 1]);
+        core.charge(hw::CostKind::kCompute, 500);
+        return true;
+    }
+
+  private:
+    kernel::Process *proc_;
+    kernel::Task *tasks_[2];
+    std::size_t remaining_;
+};
+
+/// FNV-1a over every retained flight record, program order.
+std::uint64_t
+digest_flight(const telemetry::FlightRecorder &rec)
+{
+    std::uint64_t h = 1469598103934665603ULL;
+    auto mix = [&h](std::uint64_t v) {
+        h ^= v;
+        h *= 1099511628211ULL;
+    };
+    for (const telemetry::FlightRecord &r : rec.merged()) {
+        mix(static_cast<std::uint64_t>(r.kind));
+        mix(r.core);
+        mix(r.tid);
+        mix(r.ts);
+        mix(r.flow);
+        mix(r.a);
+        mix(r.b);
+        mix(r.seq);
+        if (r.name)
+            for (const char *p = r.name; *p; ++p)
+                mix(static_cast<unsigned char>(*p));
+    }
+    return h;
+}
+
+struct SwitchRun {
+    std::vector<hw::Cycles> clocks;
+    hw::CycleBreakdown breakdown;
+    std::uint64_t steps = 0;
+    std::uint64_t switches = 0;
+    std::uint64_t faults = 0;
+    std::uint64_t flight = 0;
+};
+
+/// Four processes on eight cores (two switching workers each), from
+/// freshly reset tag and context-id counters.  With \p with_faults, ASID
+/// exhaustion is forced every 97th assignment: on ARM each one is a
+/// generation rollover whose flush-all reaches the other processes' cores.
+SwitchRun
+run_switch_world(hw::ArchKind arch, bool with_faults)
+{
+    kernel::reset_unique_asids();
+    kernel::Vds::reset_ctx_ids();
+    hw::Machine machine(arch == hw::ArchKind::kX86 ? hw::ArchParams::x86(8)
+                                                   : hw::ArchParams::arm(8));
+    telemetry::FlightRecorder flight(8, 4096);
+    sim::FaultPlan plan(11);
+    if (with_faults)
+        plan.arm(sim::FaultSite::kAsidExhaustion,
+                 sim::FaultSpec{.every = 97});
+    SwitchRun out;
+    {
+        telemetry::ScopedFlightRecorder attach_flight(flight);
+        std::unique_ptr<sim::ScopedFaults> armed;
+        if (with_faults)
+            armed = std::make_unique<sim::ScopedFaults>(plan);
+        std::vector<std::unique_ptr<kernel::Process>> procs;
+        std::vector<std::unique_ptr<SwitchWorker>> workers;
+        sim::Engine engine(machine, nullptr, 1'000'000);
+        for (std::size_t p = 0; p < 4; ++p) {
+            procs.push_back(std::make_unique<kernel::Process>(machine));
+            kernel::Process &proc = *procs.back();
+            for (std::size_t t = 0; t < 2; ++t) {
+                kernel::Task *main_task = proc.create_task();
+                kernel::Task *alt = proc.create_task();
+                workers.push_back(std::make_unique<SwitchWorker>(
+                    proc, main_task, alt, 300));
+                workers.back()->set_task(proc, main_task);
+                engine.add_thread(workers.back().get(),
+                                  static_cast<int>(p * 2 + t));
+            }
+        }
+        engine.run();
+        out.steps = engine.steps();
+        out.switches = engine.context_switches();
+    }
+    for (std::size_t c = 0; c < machine.num_cores(); ++c)
+        out.clocks.push_back(machine.core(c).now());
+    out.breakdown = machine.total_breakdown();
+    out.faults = plan.total_fires();
+    out.flight = digest_flight(flight);
+    return out;
+}
+
+/// Cross-process TLB interactions (ARM rollover broadcast_flush_all over
+/// every process's cores) replay exactly from reset counters.
+TEST(MultiProcess, RolloverBroadcastAcrossProcessesIsRepeatable)
+{
+    for (hw::ArchKind arch : {hw::ArchKind::kX86, hw::ArchKind::kArm}) {
+        for (bool faults : {false, true}) {
+            std::string label = std::string(hw::arch_name(arch)) +
+                                (faults ? "+faults" : "");
+            SwitchRun first = run_switch_world(arch, faults);
+            SwitchRun second = run_switch_world(arch, faults);
+            if (faults && arch == hw::ArchKind::kArm) {
+                EXPECT_GT(first.faults, 0u) << label;
+            }
+            EXPECT_GT(first.steps, 0u) << label;
+            EXPECT_EQ(first.clocks, second.clocks) << label;
+            for (std::size_t i = 0; i < hw::kNumCostKinds; ++i)
+                EXPECT_EQ(first.breakdown.by_kind[i],
+                          second.breakdown.by_kind[i])
+                    << label << " cost kind " << i;
+            EXPECT_EQ(first.steps, second.steps) << label;
+            EXPECT_EQ(first.switches, second.switches) << label;
+            EXPECT_EQ(first.faults, second.faults) << label;
+            EXPECT_EQ(first.flight, second.flight) << label;
+        }
+    }
 }
 
 }  // namespace
