@@ -68,6 +68,36 @@ BM_TlbSetAssocConflict(benchmark::State &state)
 }
 BENCHMARK(BM_TlbSetAssocConflict);
 
+// Domain switches flush a nearly empty TLB (about 1-15 live entries on the
+// Fig. 7 workload).  These two cases hold 4 live entries in a 1536-entry
+// TLB, so they trip the perf-smoke gate if a flush goes back to costing
+// O(capacity) instead of O(live entries).
+void
+BM_TlbFlushAllSparse(benchmark::State &state)
+{
+    hw::Tlb tlb(1536);
+    for (auto _ : state) {
+        for (hw::Vpn v = 0; v < 4; ++v)
+            tlb.insert(1, v, {});
+        tlb.flush_all();
+    }
+}
+BENCHMARK(BM_TlbFlushAllSparse);
+
+void
+BM_TlbFlushAsidSparse(benchmark::State &state)
+{
+    hw::Tlb tlb(1536);
+    tlb.insert(2, 0, {});
+    tlb.insert(2, 1, {});
+    for (auto _ : state) {
+        tlb.insert(1, 0, {});
+        tlb.insert(1, 1, {});
+        tlb.flush_asid(1);
+    }
+}
+BENCHMARK(BM_TlbFlushAsidSparse);
+
 void
 BM_PageTableTranslate(benchmark::State &state)
 {

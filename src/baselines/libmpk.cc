@@ -143,10 +143,13 @@ LibMpk::pkey_set(hw::Core &core, kernel::Task &task, int vkey, VPerm perm)
     VKey &k = vkeys_[static_cast<std::size_t>(vkey)];
     ++stats_.pkey_sets;
 
-    auto &thread_perms = perms_[task.tid()];
-    VPerm old = VPerm::kAccessDisable;
-    if (auto it = thread_perms.find(vkey); it != thread_perms.end())
-        old = it->second;
+    if (task.tid() >= threads_.size())
+        threads_.resize(task.tid() + 1);
+    ThreadView &view = threads_[task.tid()];
+    std::vector<VPerm> &perms = view.perms;
+    if (perms.size() < vkeys_.size())
+        perms.resize(vkeys_.size(), VPerm::kAccessDisable);
+    VPerm old = perms[static_cast<std::size_t>(vkey)];
 
     if (vperm_active(perm) && k.hw_key < 0) {
         // Serialize on libmpk's global metadata lock before touching the
@@ -164,7 +167,7 @@ LibMpk::pkey_set(hw::Core &core, kernel::Task &task, int vkey, VPerm perm)
         if (free_hw < 0) {
             auto victim = choose_victim();
             if (!victim) {
-                std::uint32_t &backoff = backoff_[task.tid()];
+                std::uint32_t &backoff = view.backoff;
                 if (backoff == 0)
                     backoff = 1;
                 core.charge(hw::CostKind::kBusyWait,
@@ -173,7 +176,7 @@ LibMpk::pkey_set(hw::Core &core, kernel::Task &task, int vkey, VPerm perm)
                 ++stats_.busy_waits;
                 return MpkResult::kWouldBlock;
             }
-            backoff_[task.tid()] = 1;
+            view.backoff = 1;
             VKey &v = vkeys_[static_cast<std::size_t>(*victim)];
             free_hw = v.hw_key;
             evict(core, v);
@@ -183,9 +186,9 @@ LibMpk::pkey_set(hw::Core &core, kernel::Task &task, int vkey, VPerm perm)
     }
 
     if (vperm_active(perm))
-        backoff_[task.tid()] = 1;
+        view.backoff = 1;
     core.charge(hw::CostKind::kPermReg, costs.pkey_set);
-    thread_perms[vkey] = perm;
+    perms[static_cast<std::size_t>(vkey)] = perm;
     if (vperm_active(perm) && !vperm_active(old))
         ++k.users;
     else if (!vperm_active(perm) && vperm_active(old) && k.users > 0)

@@ -99,7 +99,6 @@ Tlb::remove_slot(std::uint32_t slot)
     list_unlink(slot);
     --set_size_[s.set];
     --size_;
-    s.used = false;
     s.prev = kNil;
     s.next = free_head_;
     free_head_ = slot;
@@ -132,7 +131,6 @@ Tlb::insert(Asid asid, Vpn vpn, const TlbEntry &entry)
     s.key = key;
     s.set = static_cast<std::uint32_t>(set);
     s.entry = entry;
-    s.used = true;
     list_push_front(fresh);
     ++set_size_[set];
     ++size_;
@@ -144,20 +142,10 @@ Tlb::flush_all()
 {
     ++stats_.flushes_all;
     tm::metric_add(tm::Metric::kTlbFlush, 1, owner_);
-    if (size_ == 0)
-        return;
-    std::fill(index_.begin(), index_.end(), Cell{});
-    for (std::size_t i = 0; i < slot_count_; ++i) {
-        slots_[i].used = false;
-        slots_[i].prev = kNil;
-        slots_[i].next =
-            i + 1 < slot_count_ ? static_cast<std::uint32_t>(i + 1) : kNil;
+    for (std::size_t set = 0; size_ != 0 && set < num_sets_; ++set) {
+        while (set_head_[set] != kNil)
+            remove_slot(set_head_[set]);
     }
-    free_head_ = 0;
-    std::fill(set_head_.begin(), set_head_.end(), kNil);
-    std::fill(set_tail_.begin(), set_tail_.end(), kNil);
-    std::fill(set_size_.begin(), set_size_.end(), 0);
-    size_ = 0;
 }
 
 void
@@ -165,9 +153,14 @@ Tlb::flush_asid(Asid asid)
 {
     ++stats_.flushes_asid;
     tm::metric_add(tm::Metric::kTlbFlush, 1, owner_);
-    for (std::uint32_t i = 0; i < slot_count_; ++i) {
-        if (slots_[i].used && (slots_[i].key >> 48) == asid)
-            remove_slot(i);
+    for (std::size_t set = 0; set < num_sets_; ++set) {
+        std::uint32_t slot = set_head_[set];
+        while (slot != kNil) {
+            std::uint32_t next = slots_[slot].next;
+            if ((slots_[slot].key >> 48) == asid)
+                remove_slot(slot);
+            slot = next;
+        }
     }
 }
 

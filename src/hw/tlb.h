@@ -38,6 +38,12 @@ struct TlbEntry {
 /// ≤ capacity/ways; per-set ways = capacity/sets): more hardware-faithful,
 /// but the conflict misses it introduces change hit/miss sequences, so the
 /// paper-reproduction machines keep the fully-associative default.
+///
+/// Flush cost is O(live entries), not O(capacity): `flush_all` and
+/// `flush_asid` walk the per-set LRU lists and remove only the entries
+/// present.  Domain switches flush often but find the TLB nearly empty
+/// (about 1 live entry per full flush and 15 per ASID flush on the Fig. 7
+/// workload), so a flush that rewrote every slot dominated host time.
 class Tlb {
   public:
     struct Stats {
@@ -70,10 +76,10 @@ class Tlb {
     /// is full.
     void insert(Asid asid, Vpn vpn, const TlbEntry &entry);
 
-    /// Drops every entry.
+    /// Drops every entry; O(live entries).
     void flush_all();
 
-    /// Drops every entry tagged \p asid.
+    /// Drops every entry tagged \p asid; O(live entries).
     void flush_asid(Asid asid);
 
     /// Drops entries for [vpn, vpn+count) in \p asid; returns the number of
@@ -124,7 +130,6 @@ class Tlb {
         std::uint32_t next = kNil;  ///< Towards LRU.
         std::uint32_t set = 0;
         TlbEntry entry;
-        bool used = false;
     };
 
     /// Open-addressing index cell (linear probing, ≤50% load).

@@ -5,22 +5,6 @@
 
 namespace vdom::sim {
 
-namespace {
-thread_local FaultPlan *g_fault_sink = nullptr;
-}  // namespace
-
-FaultPlan *
-fault_sink()
-{
-    return g_fault_sink;
-}
-
-void
-set_fault_sink(FaultPlan *plan)
-{
-    g_fault_sink = plan;
-}
-
 bool
 FaultPlan::should_fire(FaultSite site)
 {

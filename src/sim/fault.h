@@ -9,10 +9,10 @@
 /// run is replayed exactly by re-arming the same plan with the same seed.
 ///
 /// Wiring follows the telemetry null-hook pattern (telemetry/metrics.h):
-/// the hook is a global pointer that is null by default, and `fault_fires`
-/// is a single predictable-branch pointer test when no plan is attached —
-/// an unarmed build stays cycle-identical (the cycle-identity test in
-/// tests/test_telemetry.cc pins this down).
+/// the hook is a thread-local pointer that is null by default, and
+/// `fault_fires` is a single predictable-branch pointer test when no plan
+/// is attached — an unarmed build stays cycle-identical (the
+/// cycle-identity test in tests/test_telemetry.cc pins this down).
 ///
 /// Contract for injection sites: a firing site may charge simulated
 /// cycles and change *recoverable* state, but must degrade gracefully —
@@ -206,13 +206,28 @@ class FaultPlan {
 
 // -- Global hook (null by default, zero-cost when detached) ---------------
 
+namespace detail {
+/// Thread-local, so a host thread only sees the plan it attached.  Inline
+/// and constant-initialised, so every read is a plain TLS load.
+inline constinit thread_local FaultPlan *g_fault_sink = nullptr;
+}  // namespace detail
+
 /// The attached plan, or nullptr.
-FaultPlan *fault_sink();
-void set_fault_sink(FaultPlan *plan);
+inline FaultPlan *
+fault_sink()
+{
+    return detail::g_fault_sink;
+}
+
+inline void
+set_fault_sink(FaultPlan *plan)
+{
+    detail::g_fault_sink = plan;
+}
 
 /// True when the current occurrence of \p site must fail.  With no plan
-/// attached this is a single pointer test and never touches simulated
-/// time or the RNG.
+/// attached this is one load and a pointer test (no out-of-line call) and
+/// never touches simulated time or the RNG.
 inline bool
 fault_fires(FaultSite site)
 {

@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "hw/tlb.h"
+#include "telemetry/metrics.h"
 
 namespace vdom::hw {
 namespace {
@@ -115,6 +119,116 @@ TEST_P(TlbCapacitySweep, NeverExceedsCapacity)
 
 INSTANTIATE_TEST_SUITE_P(Capacities, TlbCapacitySweep,
                          ::testing::Values(1, 2, 16, 512, 1536));
+
+/// Sparse-flush tests run on both the fully associative default and a
+/// real set-associative geometry: flushes walk the per-set LRU lists, so
+/// each must leave the free list, the index and LRU order intact.
+struct TlbGeometry {
+    std::size_t capacity;
+    std::size_t ways;
+};
+
+class TlbSparseFlush : public ::testing::TestWithParam<TlbGeometry> {
+  protected:
+    Tlb make() const { return Tlb(GetParam().capacity, 0, GetParam().ways); }
+
+    /// The first \p n VPNs whose (asid, vpn) lands in \p set.
+    static std::vector<Vpn>
+    vpns_in_set(const Tlb &tlb, Asid asid, std::size_t set, std::size_t n)
+    {
+        std::vector<Vpn> out;
+        for (Vpn v = 0; out.size() < n; ++v) {
+            if (tlb.set_index(asid, v) == set)
+                out.push_back(v);
+        }
+        return out;
+    }
+};
+
+TEST_P(TlbSparseFlush, FlushAllRefillsToCapacityWithoutEviction)
+{
+    Tlb tlb = make();
+    for (Vpn v = 0; v < 4; ++v)
+        tlb.insert(1 + static_cast<Asid>(v % 2), v * 1000, {});
+    tlb.flush_all();
+    EXPECT_EQ(tlb.size(), 0u);
+    for (Vpn v = 0; v < 4; ++v)
+        EXPECT_FALSE(tlb.lookup(1 + static_cast<Asid>(v % 2), v * 1000)
+                         .has_value());
+
+    // Fill every set to its ways exactly: the whole slot array must be
+    // back on the free list.
+    std::vector<std::size_t> per_set(tlb.num_sets(), 0);
+    std::vector<Vpn> filled;
+    for (Vpn v = 0; filled.size() < tlb.capacity(); ++v) {
+        std::size_t set = tlb.set_index(3, v);
+        if (per_set[set] == tlb.ways())
+            continue;
+        ++per_set[set];
+        tlb.insert(3, v, TlbEntry{static_cast<Pdom>(v % 16), false});
+        filled.push_back(v);
+    }
+    EXPECT_EQ(tlb.size(), tlb.capacity());
+    EXPECT_EQ(tlb.stats().evictions, 0u);
+    for (Vpn v : filled) {
+        auto hit = tlb.lookup(3, v);
+        ASSERT_TRUE(hit.has_value()) << "vpn " << v;
+        EXPECT_EQ(hit->pdom, static_cast<Pdom>(v % 16));
+    }
+}
+
+TEST_P(TlbSparseFlush, FlushAsidKeepsSurvivorLruOrder)
+{
+    Tlb tlb = make();
+    const std::size_t set = tlb.set_index(2, 0);
+    std::vector<Vpn> a = vpns_in_set(tlb, 1, set, 3);
+    std::vector<Vpn> b = vpns_in_set(tlb, 2, set, 3);
+    for (std::size_t i = 0; i < 3; ++i) {
+        tlb.insert(1, a[i], {});
+        tlb.insert(2, b[i], {});
+    }
+    // LRU -> MRU: a0 b0 a1 b1 a2 b2; touching b0 makes it MRU, so after
+    // the flush the survivors are b1 (LRU), b2, b0.
+    ASSERT_TRUE(tlb.lookup(2, b[0]).has_value());
+    tlb.flush_asid(1);
+    for (Vpn v : a)
+        EXPECT_FALSE(tlb.lookup(1, v).has_value());
+    EXPECT_EQ(tlb.size(), 3u);
+
+    // Fill the set with fresh entries; one more must evict exactly b1.
+    std::vector<Vpn> fresh = vpns_in_set(tlb, 3, set, tlb.ways() - 2);
+    for (std::size_t i = 0; i + 1 < fresh.size(); ++i)
+        tlb.insert(3, fresh[i], {});
+    EXPECT_EQ(tlb.stats().evictions, 0u);
+    tlb.insert(3, fresh.back(), {});
+    EXPECT_EQ(tlb.stats().evictions, 1u);
+    EXPECT_FALSE(tlb.lookup(2, b[1]).has_value());
+    EXPECT_TRUE(tlb.lookup(2, b[2]).has_value());
+    EXPECT_TRUE(tlb.lookup(2, b[0]).has_value());
+}
+
+TEST_P(TlbSparseFlush, EmptyFlushStillCounts)
+{
+    telemetry::MetricsRegistry registry;
+    Tlb tlb = make();
+    {
+        telemetry::ScopedMetrics attach(registry);
+        tlb.flush_all();
+        tlb.flush_asid(7);
+    }
+    EXPECT_EQ(tlb.size(), 0u);
+    EXPECT_EQ(tlb.stats().flushes_all, 1u);
+    EXPECT_EQ(tlb.stats().flushes_asid, 1u);
+    EXPECT_EQ(registry.value(telemetry::Metric::kTlbFlush), 2u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, TlbSparseFlush,
+    ::testing::Values(TlbGeometry{1536, 0}, TlbGeometry{512, 8}),
+    [](const ::testing::TestParamInfo<TlbGeometry> &info) {
+        return info.param.ways == 0 ? std::string("FullyAssociative")
+                                    : std::string("SetAssociative");
+    });
 
 }  // namespace
 }  // namespace vdom::hw
