@@ -255,6 +255,51 @@ BM_WrvdrEvictionChurn(benchmark::State &state)
 }
 BENCHMARK(BM_WrvdrEvictionChurn);
 
+/// Context switch (switch_mm + permission-register rebuild) of a task
+/// whose VDS maps 13 vdoms, with \p vdr_entries entries in its VDR: two
+/// FA grants on mapped vdoms, the rest pinned unmapped ones.  The rebuild
+/// walks the VDR, so the two sizes bracket its linear cost.
+void
+switch_to_loop(benchmark::State &state, std::size_t vdr_entries)
+{
+    BenchWorld world(hw::ArchParams::x86(1));
+    world.sys.vdom_init(world.core(0));
+    kernel::Task *task = world.spawn(0);
+    world.sys.vdr_alloc(world.core(0), *task, 1);
+    for (std::size_t i = 0; i < 13; ++i) {
+        VdomId v = world.sys.vdom_alloc(world.core(0));
+        hw::Vpn vpn = world.proc.mm().mmap(1);
+        world.sys.vdom_mprotect(world.core(0), vpn, 1, v);
+        world.sys.wrvdr(world.core(0), *task, v, VPerm::kFullAccess);
+        if (i >= 2)
+            world.sys.wrvdr(world.core(0), *task, v, VPerm::kAccessDisable);
+    }
+    for (std::size_t n = 2; n < vdr_entries; ++n) {
+        VdomId v = world.sys.vdom_alloc(world.core(0));
+        world.sys.wrvdr(world.core(0), *task, v, VPerm::kPinned);
+    }
+    for (auto _ : state) {
+        world.proc.switch_to(world.core(0), *task);
+        benchmark::DoNotOptimize(world.core(0).perm_reg().raw());
+    }
+}
+
+void
+BM_SwitchToSmallVdr(benchmark::State &state)
+{
+    // The MySQL (Fig. 6) shape: |VDR| = 2 < 13 mapped.
+    switch_to_loop(state, 2);
+}
+BENCHMARK(BM_SwitchToSmallVdr);
+
+void
+BM_SwitchToLargeVdr(benchmark::State &state)
+{
+    // The Kard shape: |VDR| = 256 > 13 mapped.
+    switch_to_loop(state, 256);
+}
+BENCHMARK(BM_SwitchToLargeVdr);
+
 void
 BM_PmoWorkloadStep(benchmark::State &state)
 {

@@ -271,6 +271,8 @@ run_mysql(hw::Machine &machine, kernel::Process &proc, Strategy &strategy,
     result.completed = shared.completed;
     result.elapsed = timed ? config.duration : machine.max_clock();
     result.breakdown = machine.total_breakdown();
+    result.engine_steps = engine.steps();
+    result.engine_yields = engine.yields();
     double seconds = result.elapsed / (machine.params().cpu_ghz * 1e9);
     result.queries_per_sec =
         seconds > 0 ? static_cast<double>(result.completed) / seconds : 0;

@@ -57,6 +57,8 @@ struct MysqlResult {
     std::uint64_t completed = 0;
     hw::Cycles elapsed = 0;
     hw::CycleBreakdown breakdown;
+    std::uint64_t engine_steps = 0;   ///< sim::Engine::steps() of the run.
+    std::uint64_t engine_yields = 0;  ///< sim::Engine::yields(): idle polls.
 };
 
 /// Runs the MySQL model under \p strategy.

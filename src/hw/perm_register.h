@@ -45,6 +45,11 @@ class PermRegister {
         telemetry::metric_add(telemetry::Metric::kPermRegWrite, 1, owner_);
     }
 
+    /// Writes the rights for \p pdom without counting a register write:
+    /// for composing a whole image whose writes the caller counts once
+    /// (or never, when the image never reaches hardware).
+    void set_unmetered(std::uint8_t pdom, Perm perm) { slots_[pdom] = perm; }
+
     /// Returns the raw 32-bit register image (PKRU layout: 2 bits/pdom).
     std::uint32_t
     raw() const

@@ -138,17 +138,6 @@ Vds::choose_victim(VdomId incoming,
     return scan(true);
 }
 
-std::vector<std::pair<hw::Pdom, VdomId>>
-Vds::mapped_pairs() const
-{
-    std::vector<std::pair<hw::Pdom, VdomId>> out;
-    for (hw::Pdom p = first_usable_; p < params_->num_pdoms; ++p) {
-        if (map_[p].vdom != kInvalidVdom)
-            out.emplace_back(p, map_[p].vdom);
-    }
-    return out;
-}
-
 bool
 Vds::check_consistency() const
 {

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "hw/arch.h"
@@ -146,8 +147,32 @@ class Vds {
                   const std::function<bool(VdomId)> &evictable,
                   const std::function<bool(VdomId)> &pinned) const;
 
-    /// Mapped (pdom, vdom) pairs, for migration planning and debugging.
-    std::vector<std::pair<hw::Pdom, VdomId>> mapped_pairs() const;
+    /// Calls \p fn(pdom, vdom) for every mapped usable pdom, lowest pdom
+    /// first (reserved pdoms are never visited).  When \p fn returns bool,
+    /// returning false stops the walk; the result is false iff it stopped.
+    template <typename Fn>
+    bool
+    for_each_mapped(Fn &&fn) const
+    {
+        for (hw::Pdom p = first_usable_; p < map_.size(); ++p) {
+            VdomId v = map_[p].vdom;
+            if (v == kInvalidVdom)
+                continue;
+            if constexpr (std::is_void_v<
+                              std::invoke_result_t<Fn &, hw::Pdom, VdomId>>) {
+                fn(p, v);
+            } else if (!fn(p, v)) {
+                return false;
+            }
+        }
+        return true;
+    }
+
+    /// Number of usable pdoms holding a vdom.
+    std::size_t mapped_pdoms() const { return usable_count_ - free_count_; }
+
+    /// Lowest pdom the domain map hands out (below it: reserved pdoms).
+    hw::Pdom first_usable_pdom() const { return first_usable_; }
 
     // --- residency --------------------------------------------------------
 

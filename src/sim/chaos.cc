@@ -48,13 +48,17 @@ check_design_invariants(kernel::Process &proc, const hw::ArchParams &params,
         if (!vds->check_consistency())
             return "vds " + std::to_string(vds->id()) +
                    " domain map inconsistent";
-        for (auto [pdom, vdomid] : vds->mapped_pairs()) {
+        std::string breach;
+        vds->for_each_mapped([&](hw::Pdom pdom, VdomId vdomid) {
             if (pdom < params.num_reserved_pdoms || vdomid == kApiVdom)
-                return "reserved domain mapped";
-            if (!mm.vdm().is_allocated(vdomid))
-                return "freed vdom " + std::to_string(vdomid) +
-                       " still mapped";
-        }
+                breach = "reserved domain mapped";
+            else if (!mm.vdm().is_allocated(vdomid))
+                breach = "freed vdom " + std::to_string(vdomid) +
+                         " still mapped";
+            return breach.empty();
+        });
+        if (!breach.empty())
+            return breach;
     }
     return {};
 }

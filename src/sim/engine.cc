@@ -120,7 +120,10 @@ Engine::step_core(std::size_t c)
     }
     // A yielding thread (blocked waiting for work) is descheduled in
     // favour of the next runnable thread on this core.
-    if (thread->take_yield() && queue.size() > 1) {
+    if (!thread->take_yield())
+        return;
+    ++yields_;
+    if (queue.size() > 1) {
         queue.push_back(queue.front());
         queue.pop_front();
         switch_in(core, *queue.front());

@@ -57,6 +57,10 @@ class Engine {
     /// Total thread steps executed (diagnostics / livelock detection).
     std::uint64_t steps() const { return steps_; }
 
+    /// Steps whose thread yielded (blocked waiting for work): the share of
+    /// steps() that only polls an idle wait.
+    std::uint64_t yields() const { return yields_; }
+
   private:
     /// Lazy min-heap entry: a (clock, core) snapshot.  Entries go stale
     /// when the core steps or its queue drains; pick_core() skips and
@@ -83,6 +87,7 @@ class Engine {
     std::size_t live_threads_ = 0;
     std::uint64_t context_switches_ = 0;
     std::uint64_t steps_ = 0;
+    std::uint64_t yields_ = 0;
 
     std::vector<HeapEntry> heap_;
     bool heap_stale_ = true;

@@ -18,7 +18,7 @@ summarize(VdomSystem &sys)
     s.live_vdoms = mm.vdm().live_count();
     s.vdt_leaves = mm.vdm().vdt().num_leaves();
     for (const auto &vds : mm.vdses()) {
-        s.mapped_slots += vds->mapped_pairs().size();
+        s.mapped_slots += vds->mapped_pdoms();
         s.free_slots += vds->free_pdoms();
         s.resident_threads += vds->resident_threads();
     }
@@ -99,9 +99,10 @@ snapshot_state(VdomSystem &sys)
     // index order, so iteration is deterministic.
     for (const auto &vds : mm.vdses()) {
         out << "vds " << vds->id() << " map[";
-        for (auto [pdom, vdomid] : vds->mapped_pairs())
+        vds->for_each_mapped([&](hw::Pdom pdom, VdomId vdomid) {
             out << "(" << static_cast<int>(pdom) << "," << vdomid << ","
                 << vds->thread_refs(vdomid) << ")";
+        });
         out << "] free " << vds->free_pdoms() << " resident "
             << vds->resident_threads() << " cpus " << vds->cpu_bitmap()
             << "\n";

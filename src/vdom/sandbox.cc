@@ -40,16 +40,15 @@ Sandbox::allow_executable(hw::Core &core,
 std::uint32_t
 Sandbox::expected_pkru(const kernel::Task &task) const
 {
+    // A scratch image, not the core's register: composing it counts no
+    // register writes.
     hw::PermRegister expected;
-    expected.reset();
     const Vdr *vdr = task.vdr();
-    if (vdr && task.vds()) {
-        for (auto [pdom, vdomid] : task.vds()->mapped_pairs())
-            expected.set(pdom, to_hw_perm(vdr->get(vdomid)));
-    }
+    if (vdr && task.vds())
+        kernel::Process::compose_perm_reg(expected, *vdr, *task.vds());
     // pdom1 must read back access-disabled outside the gate.
-    expected.set(sys_->process().params().access_never_pdom,
-                 hw::Perm::kAccessDisable);
+    expected.set_unmetered(sys_->process().params().access_never_pdom,
+                           hw::Perm::kAccessDisable);
     return expected.raw();
 }
 

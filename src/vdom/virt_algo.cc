@@ -110,13 +110,9 @@ DomainVirtualizer::switch_or_evict(hw::Core &core, kernel::Task &task,
     // lose simultaneous access) — §5.4 "VDS switch or domain eviction".
     bool accessible_others = false;
     if (vdr) {
-        for (const auto &[pdom, v] : cur.mapped_pairs()) {
-            (void)pdom;
-            if (v != vdom && vperm_active(vdr->get(v))) {
-                accessible_others = true;
-                break;
-            }
-        }
+        accessible_others = !cur.for_each_mapped([&](hw::Pdom, VdomId v) {
+            return v == vdom || !vperm_active(vdr->get(v));
+        });
     }
     bool prefer_evict = mm.vdm().is_frequent(vdom) || accessible_others;
 

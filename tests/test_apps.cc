@@ -171,6 +171,19 @@ TEST(Mysql, LibmpkCollapsesBeyond14Connections)
     EXPECT_GT(mpk_8, vdom_8 * 0.98);
 }
 
+TEST(Mysql, ContendedRunCountsIdlePolls)
+{
+    // More connections than cores: waiting connections poll their client
+    // turnaround and the engine lock in short idle chunks, each a yield.
+    Bundle b = make_bundle("vdom", hw::ArchKind::kX86, 4);
+    MysqlConfig cfg = MysqlConfig::for_arch(hw::ArchKind::kX86, 12);
+    cfg.total_queries = 120;
+    MysqlResult r = run_mysql(b.machine(), b.proc(), *b.strategy, cfg);
+    EXPECT_EQ(r.completed, 120u);
+    EXPECT_GT(r.engine_yields, 0u);
+    EXPECT_LT(r.engine_yields, r.engine_steps);
+}
+
 TEST(Mysql, VdomGroupsThreadsIntoVdses)
 {
     Bundle b = make_bundle("vdom", hw::ArchKind::kX86, 8);

@@ -83,10 +83,9 @@ TEST_F(ArmTest, ReservedKernelIoDomainsNeverHandedOut)
         world->sys.wrvdr(world->core(0), *task, v, VPerm::kFullAccess);
         world->sys.wrvdr(world->core(0), *task, v, VPerm::kAccessDisable);
         for (const auto &vds : world->proc.mm().vdses()) {
-            for (auto [pdom, vdomid] : vds->mapped_pairs()) {
-                (void)vdomid;
+            vds->for_each_mapped([](hw::Pdom pdom, VdomId) {
                 EXPECT_GE(pdom, 4);  // 0 default, 1 access-never, 2/3 krnl+IO.
-            }
+            });
         }
     }
 }

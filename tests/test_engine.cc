@@ -118,6 +118,43 @@ TEST(Engine, RunUntilStopsAtDeadline)
     EXPECT_EQ(engine.live_threads(), 1u);
 }
 
+/// Thread that polls an idle wait (charge + yield) \p polls times, then
+/// finishes on its next step.
+class Poller final : public SimThread {
+  public:
+    explicit Poller(int polls) : polls_(polls) {}
+
+    bool
+    step(hw::Core &core) override
+    {
+        core.charge(hw::CostKind::kIdle, 100);
+        if (polls_ == 0)
+            return false;
+        --polls_;
+        yield();
+        return true;
+    }
+
+  private:
+    int polls_;
+};
+
+TEST(Engine, CountsYieldingSteps)
+{
+    hw::Machine machine(hw::ArchParams::x86(1));
+    Engine engine(machine);
+    Poller a(3), b(5);
+    engine.add_thread(&a, 0);
+    engine.add_thread(&b, 0);
+    engine.run();
+    EXPECT_EQ(engine.steps(), 10u);
+    EXPECT_EQ(engine.yields(), 8u);
+    // Six yields switch to the waiting peer and one switch follows a's
+    // exit; b's last two polls find no peer, so they count as yields
+    // without switching.
+    EXPECT_EQ(engine.context_switches(), 7u);
+}
+
 TEST(Engine, RoundRobinPlacement)
 {
     hw::Machine machine(hw::ArchParams::x86(4));

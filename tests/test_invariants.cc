@@ -107,10 +107,10 @@ TEST_P(InvariantSweep, HoldUnderRandomChurn)
 
     // Invariant 7: reserved pdoms never appear in any domain map.
     for (const auto &vds : w.proc.mm().vdses()) {
-        for (auto [pdom, vdomid] : vds->mapped_pairs()) {
+        vds->for_each_mapped([&](hw::Pdom pdom, VdomId vdomid) {
             EXPECT_GE(pdom, w.machine.params().num_reserved_pdoms);
             EXPECT_NE(vdomid, kApiVdom);
-        }
+        });
     }
 }
 

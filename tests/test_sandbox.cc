@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "common.h"
+#include "telemetry/metrics.h"
 #include "vdom/sandbox.h"
 
 namespace vdom {
@@ -65,6 +66,19 @@ TEST_F(SandboxTest, GateCheckPassesLegitimateState)
     world->sys.wrvdr(world->core(0), *task, v, VPerm::kWriteDisable);
     EXPECT_TRUE(sandbox.check_gate_exit(world->core(0), *task));
     EXPECT_EQ(sandbox.stats().gate_violations, 0u);
+}
+
+TEST_F(SandboxTest, GateCheckCountsNoRegisterWrites)
+{
+    // The expected image is a scratch register that never reaches
+    // hardware: reconstructing it must not count perm_reg.write.
+    auto [v, vpn] = world->make_domain(1);
+    (void)vpn;
+    world->sys.wrvdr(world->core(0), *task, v, VPerm::kFullAccess);
+    telemetry::MetricsRegistry registry(world->machine.num_cores());
+    telemetry::ScopedMetrics attach(registry);
+    EXPECT_TRUE(sandbox.check_gate_exit(world->core(0), *task));
+    EXPECT_EQ(registry.value(telemetry::Metric::kPermRegWrite), 0u);
 }
 
 TEST_F(SandboxTest, GateCheckCatchesHijackedRegister)
