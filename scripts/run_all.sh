@@ -112,28 +112,6 @@ echo "chaos_stress --crash-sweep: every crash point recovered, digest stable"
 python3 scripts/test_vdom_inspect.py > /dev/null
 echo "vdom_inspect: corrupt-bundle handling ok"
 
-# PR5 perf snapshot: distill the host-time microbenchmarks into one
-# repo-root document (ns/op and derived items/s per case) so the
-# data-structure overhaul's effect is diffable across checkouts.
-python3 - <<'EOF'
-import json, pathlib
-
-records = json.loads(
-    pathlib.Path("results/json/bench_simperf.json").read_text())
-cases = {}
-for rec in records:
-    name = rec["config"]["case"]
-    ns = rec["metrics"]["cpu_time_ns_per_iter"]
-    cases[name] = {
-        "ns_per_op": round(ns, 3),
-        "items_per_s": round(1e9 / ns, 1) if ns > 0 else None,
-    }
-out = pathlib.Path("BENCH_PR5.json")
-out.write_text(json.dumps({"bench": "bench_simperf", "cases": cases},
-                          indent=2) + "\n")
-print(f"wrote {out} ({len(cases)} cases)")
-EOF
-
 # Aggregate every bench's records into one summary document.
 python3 - <<'EOF'
 import json, pathlib

@@ -10,12 +10,16 @@
 /// can link it; violations are reported as data, not assertions.
 ///
 /// Alongside the randomized harness lives its systematic sibling, the
-/// fault-point sweep (SweepHarness): a deterministic script of public API
-/// ops is probed once to count every fault-point crossing, then each
-/// (op, site, k-th crossing) is replayed in a fresh world with the fault
-/// fired exactly there.  Ops that fail with a graceful status must leave
-/// the architectural snapshot (vdom/introspect.h) byte-identical — the
-/// atomicity oracle for the undo journal (kernel/journal.h).
+/// scripted fault-point harness (FaultPointHarness): a deterministic
+/// script of public API ops is probed once to count every fault-point
+/// crossing, then each (op, site, k-th crossing) is replayed in a fresh
+/// world with the fault fired exactly there.  It has two fault modes.
+/// In graceful mode (SweepHarness) a failed op must leave the
+/// architectural snapshot (vdom/introspect.h) byte-identical — the
+/// atomicity oracle for the undo journal (kernel/journal.h).  In
+/// power-loss mode (CrashSweepHarness) the world crashes there, reboots
+/// and recovers from the WAL (kernel/wal.h), and the recovered durable
+/// state must sit exactly on an op boundary.
 
 #pragma once
 
@@ -23,6 +27,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -47,8 +52,6 @@ struct ChaosConfig {
     std::uint64_t seed = 1;
     /// Sites to arm (fault decisions draw from a plan seeded with `seed`).
     std::vector<std::pair<FaultSite, FaultSpec>> faults;
-    /// Flight-recorder budget per core ring (0 disables the recorder).
-    std::size_t flight_per_core = 1024;
     /// When non-empty, the first invariant violation dumps a post-mortem
     /// bundle (telemetry/postmortem.h) to this path.
     std::string postmortem_path;
@@ -121,37 +124,39 @@ class ChaosHarness {
     std::vector<std::pair<VdomId, hw::Vpn>> doms_;
 };
 
-// --- systematic fault-point sweep ----------------------------------------
+// --- scripted fault-point sweep ------------------------------------------
 
-/// Shape of one sweep.  Everything is derived from the seed; two runs with
-/// the same config produce identical scripts, crossing counts and digests.
-struct SweepConfig {
+/// How a swept fault point fails.
+enum class FaultMode : std::uint8_t {
+    /// A graceful site fires: the op must fail with a fault status and
+    /// leave no trace, or complete with its guarantees intact.
+    kGraceful,
+    /// Power fails at the crossing (FaultSite::kCrash): the world is
+    /// discarded and a fresh one recovers from the surviving WAL.
+    kPowerLoss,
+};
+
+/// Shape of one sweep.  Everything derives from the seed; two runs with
+/// the same config produce identical scripts, crossing counts and
+/// digests.  The modes differ only in their default script size.
+template <FaultMode M>
+struct FaultPointConfig {
     hw::ArchKind arch = hw::ArchKind::kX86;
     std::size_t cores = 2;
     std::size_t threads = 2;
-    std::size_t domains = 4;
-    /// Seeded churn ops appended to the deterministic script prologue.
-    int churn_ops = 12;
+    std::size_t domains = M == FaultMode::kGraceful ? 4 : 3;
+    /// Seeded churn ops between the script's prologue and epilogue.
+    int churn_ops = M == FaultMode::kGraceful ? 12 : 8;
     std::uint64_t seed = 1;
-    /// Also replay each crossing in sticky mode (the fault keeps firing
-    /// from crossing k on), defeating in-op retry loops.  Pure-delay
-    /// sites are exempt — sticky there changes no architectural outcome.
-    bool sticky = true;
-    /// Flight-recorder budget per core ring (0 disables the recorder).
-    std::size_t flight_per_core = 256;
     /// When non-empty, the first violation dumps a post-mortem bundle.
     std::string postmortem_path;
 };
 
-/// Outcome of one sweep.
-struct SweepResult {
+/// The counters both fault modes keep.
+struct FaultPointTally {
     std::uint64_t script_ops = 0;      ///< Ops in the deterministic script.
-    std::uint64_t fault_points = 0;    ///< Total (op, site, k) crossings.
-    std::uint64_t injected_runs = 0;   ///< Fresh worlds replayed.
-    std::uint64_t failed_ops = 0;      ///< Graceful fault statuses seen.
-    std::uint64_t degraded_ops = 0;    ///< Fired, but the op still kOk.
-    std::uint64_t rollbacks = 0;       ///< Journal rollbacks observed.
-    std::uint64_t snapshot_checks = 0; ///< Before/after snapshot diffs.
+    std::uint64_t injected_runs = 0;   ///< Fresh worlds fired into.
+    std::uint64_t snapshot_checks = 0; ///< Snapshot-oracle diffs.
     std::uint64_t invariant_checks = 0;
     std::uint64_t violations = 0;
     std::string first_violation;       ///< Empty when every check held.
@@ -161,117 +166,71 @@ struct SweepResult {
     bool ok() const { return violations == 0; }
 };
 
-/// The exhaustive sweep driver: probe once, then one fresh world per
-/// (op, site, k-th crossing[, sticky]) with the fault fired exactly there.
+/// Outcome of one graceful sweep.
+struct SweepResult : FaultPointTally {
+    std::uint64_t fault_points = 0;  ///< Total (op, site, k) crossings.
+    std::uint64_t failed_ops = 0;    ///< Graceful fault statuses seen.
+    std::uint64_t degraded_ops = 0;  ///< Fired, but the op still kOk.
+    std::uint64_t rollbacks = 0;     ///< Journal rollbacks observed.
+};
+
+/// Outcome of one power-loss sweep.
+struct CrashSweepResult : FaultPointTally {
+    std::uint64_t crash_points = 0;  ///< Total kCrash crossings probed.
+    std::uint64_t recoveries = 0;    ///< Successful recovery passes.
+    std::uint64_t replayed_ops = 0;  ///< Committed WAL ops redone.
+    std::uint64_t torn_records = 0;  ///< Torn tail records truncated.
+    std::uint64_t undone_ops = 0;    ///< Uncommitted durable undos.
+    std::uint64_t pmo_checks = 0;    ///< PMO content-integrity checks.
+};
+
+/// The scripted fault-point harness.  Each mode derives a deterministic
+/// script from the seed, over one op set: the domain API, secure-pool
+/// growth, sandbox_mprotect and PMO attach/detach.  The script runs once
+/// in a probe world that counts every crossing of the mode's fault
+/// sites.  Then each (op, site, k-th crossing) replays the script prefix
+/// in a fresh world and fails exactly there.
 ///
-/// The oracle per injected run:
+/// Graceful mode sweeps every graceful site, once transiently and once
+/// sticky (the fault keeps firing from crossing k on, defeating in-op
+/// retry loops; the two pure-delay sites are exempt).  Its oracle:
 ///   - a graceful fault status must leave the introspect snapshot
 ///     byte-identical to the pre-op snapshot (journal rolled back), and a
 ///     disarmed retry of the same op must succeed;
-///   - a kOk under injection (delay/retry sites) must keep the DESIGN.md
-///     invariants and the access-verdict policy;
-///   - any other status, snapshot divergence, or invariant breach is a
-///     violation, and the first one dumps a post-mortem bundle.
-class SweepHarness {
-  public:
-    explicit SweepHarness(const SweepConfig &config);
-    ~SweepHarness();
-
-    SweepHarness(const SweepHarness &) = delete;
-    SweepHarness &operator=(const SweepHarness &) = delete;
-
-    /// Runs probe + injection passes and returns the tally.
-    SweepResult run();
-
-    const telemetry::FlightRecorder &flight() const { return flight_; }
-
-  private:
-    struct Op;
-    struct World;
-
-    std::vector<Op> make_script() const;
-    std::unique_ptr<World> build_world() const;
-    void prepare(World &w, const Op &op) const;
-    VdomStatus perform(World &w, const Op &op, bool *verdict_ok) const;
-    void run_injection(const std::vector<Op> &script, std::size_t i,
-                       FaultSite site, std::uint64_t k, bool sticky,
-                       SweepResult &result);
-    void record_violation(SweepResult &result, World *world,
-                          const FaultPlan *plan, const std::string &what);
-    void fold(SweepResult &result, const std::string &line) const;
-
-    SweepConfig config_;
-    telemetry::FlightRecorder flight_;
-};
-
-// --- exhaustive crash-point recovery sweep -------------------------------
-
-/// Shape of one crash sweep.  Everything derives from the seed; two runs
-/// with the same config produce byte-identical digests.
-struct CrashSweepConfig {
-    hw::ArchKind arch = hw::ArchKind::kX86;
-    std::size_t cores = 2;
-    std::size_t threads = 2;
-    std::size_t domains = 3;
-    /// Seeded churn ops appended to the deterministic script prologue.
-    int churn_ops = 8;
-    std::uint64_t seed = 1;
-    /// Flight-recorder budget per core ring (0 disables the recorder).
-    std::size_t flight_per_core = 256;
-    /// When non-empty, the first violation dumps a post-mortem bundle.
-    std::string postmortem_path;
-};
-
-/// Outcome of one crash sweep.
-struct CrashSweepResult {
-    std::uint64_t script_ops = 0;     ///< Ops in the deterministic script.
-    std::uint64_t crash_points = 0;   ///< Total kCrash crossings probed.
-    std::uint64_t injected_runs = 0;  ///< Crash/reboot/recover cycles run.
-    std::uint64_t recoveries = 0;     ///< Successful recovery passes.
-    std::uint64_t replayed_ops = 0;   ///< Committed WAL ops redone.
-    std::uint64_t torn_records = 0;   ///< Torn tail records truncated.
-    std::uint64_t undone_ops = 0;     ///< Uncommitted durable undos.
-    std::uint64_t pmo_checks = 0;     ///< PMO content-integrity checks.
-    std::uint64_t snapshot_checks = 0;///< Durable-snapshot oracle diffs.
-    std::uint64_t invariant_checks = 0;
-    std::uint64_t violations = 0;
-    std::string first_violation;      ///< Empty when every check held.
-    std::uint64_t digest = 0;         ///< Run fingerprint (determinism gate).
-    bool postmortem_written = false;
-
-    bool ok() const { return violations == 0; }
-};
-
-/// The exhaustive crash-point sweep driver (the tentpole oracle for
-/// kernel/wal.h + vdom/recovery.h).  A deterministic script of
-/// WAL-covered ops — including secure-pool growth, sandbox_mprotect and
-/// PMO attach/detach — is probed once with kCrash count-armed, recording
-/// per-op crossing counts, golden durable snapshots and golden PMO sets.
-/// Then for every (op, k-th crossing) a fresh world replays the prefix,
-/// crashes exactly there (sim::PowerLoss), reboots into a second fresh
-/// world and recovers from the surviving WAL + PmoStore.
+///   - a kOk under injection must keep the access-verdict policy.
 ///
-/// The oracle per injected run:
+/// Power-loss mode sweeps kCrash alone, with the WAL attached; the probe
+/// also records the golden durable snapshot and PMO set at every op
+/// boundary.  Each injected run crashes (sim::PowerLoss), reboots into a
+/// fresh world and recovers from the surviving WAL and PmoStore.  Its
+/// oracle:
 ///   - recovery must succeed with no replay divergence;
-///   - the recovered durable snapshot must equal the golden snapshot at
-///     the last committed op boundary — exactly golden[i] when the WAL
-///     says op i committed, exactly golden[i-1] otherwise (atomicity:
-///     nothing in between is ever observable);
+///   - the recovered durable snapshot must equal the golden one at the
+///     last committed op boundary: golden[i] when the WAL says op i
+///     committed, golden[i-1] otherwise (nothing in between is ever
+///     observable);
 ///   - the PMO store must hold exactly the golden PMO set, every object
 ///     intact (torn attach content undone, interrupted detach redone);
-///   - DESIGN.md invariants and the access-verdict policy must hold in
-///     the recovered world;
-/// and the first violation dumps a post-mortem bundle.
-class CrashSweepHarness {
+///   - the access-verdict policy must hold in the recovered world.
+///
+/// In both modes the DESIGN.md invariants must hold after every op, any
+/// other status is a violation, and the first violation dumps a
+/// post-mortem bundle.
+template <FaultMode M>
+class FaultPointHarness {
   public:
-    explicit CrashSweepHarness(const CrashSweepConfig &config);
-    ~CrashSweepHarness();
+    using Config = FaultPointConfig<M>;
+    using Result = std::conditional_t<M == FaultMode::kGraceful,
+                                      SweepResult, CrashSweepResult>;
 
-    CrashSweepHarness(const CrashSweepHarness &) = delete;
-    CrashSweepHarness &operator=(const CrashSweepHarness &) = delete;
+    explicit FaultPointHarness(const Config &config);
+    ~FaultPointHarness();
 
-    /// Runs probe + crash-injection passes and returns the tally.
-    CrashSweepResult run();
+    FaultPointHarness(const FaultPointHarness &) = delete;
+    FaultPointHarness &operator=(const FaultPointHarness &) = delete;
+
+    /// Runs the probe and injection passes and returns the tally.
+    Result run();
 
     const telemetry::FlightRecorder &flight() const { return flight_; }
 
@@ -282,26 +241,37 @@ class CrashSweepHarness {
 
     std::vector<Op> make_script() const;
     std::unique_ptr<World> build_world(kernel::Wal *wal) const;
+    std::unique_ptr<World> replay_prefix(const std::vector<Op> &script,
+                                         std::size_t i,
+                                         FaultPointTally &result);
     void prepare(World &w, const Op &op) const;
     /// Non-const: PMO ops write through the harness-owned durable store.
     VdomStatus perform(World &w, const Op &op, bool *verdict_ok);
     void run_injection(const std::vector<Op> &script,
                        const std::vector<Golden> &golden, std::size_t i,
-                       std::uint64_t k, CrashSweepResult &result);
+                       FaultSite site, std::uint64_t k, bool sticky,
+                       Result &result);
     void verify_recovered(World &w, const Golden &expect,
                           const std::string &label,
                           CrashSweepResult &result);
-    void record_violation(CrashSweepResult &result, World *world,
+    void record_violation(FaultPointTally &result, World *world,
                           const FaultPlan *plan, const std::string &what);
-    void fold(CrashSweepResult &result, const std::string &line) const;
 
-    CrashSweepConfig config_;
+    Config config_;
     telemetry::FlightRecorder flight_;
-    /// The durable media: owned here (the "NVDIMM"), so they outlive
-    /// every crashed world.  Reset before each injected run.
+    /// Power-loss mode's durable media: owned here (the "NVDIMM"), so they
+    /// outlive every crashed world.  Reset before each prefix replay.
     kernel::Wal wal_;
     apps::PmoStore store_;
 };
+
+extern template class FaultPointHarness<FaultMode::kGraceful>;
+extern template class FaultPointHarness<FaultMode::kPowerLoss>;
+
+using SweepConfig = FaultPointConfig<FaultMode::kGraceful>;
+using SweepHarness = FaultPointHarness<FaultMode::kGraceful>;
+using CrashSweepConfig = FaultPointConfig<FaultMode::kPowerLoss>;
+using CrashSweepHarness = FaultPointHarness<FaultMode::kPowerLoss>;
 
 // --- application-workload chaos ------------------------------------------
 

@@ -1,7 +1,8 @@
 /// \file
 /// Transactional-op tests: the undo journal (kernel/journal.h), per-op
 /// rollback under injected faults, the snapshot-diff atomicity oracle,
-/// and the exhaustive fault-point sweep (sim::SweepHarness).
+/// and the exhaustive fault-point sweep in both fault modes (graceful
+/// sim::SweepHarness and power-loss sim::CrashSweepHarness).
 ///
 /// The contract under test is DESIGN.md's atomicity table: every public
 /// API op that fails with a graceful fault status (kTransientFault,
@@ -443,6 +444,55 @@ TEST(Sweep, DeterministicAcrossRuns)
     EXPECT_EQ(a.failed_ops, b.failed_ops);
     EXPECT_EQ(a.degraded_ops, b.degraded_ops);
     EXPECT_EQ(a.rollbacks, b.rollbacks);
+    EXPECT_EQ(a.violations, 0u) << a.first_violation;
+}
+
+// -- The exhaustive crash sweep (power-loss mode) --------------------------
+
+TEST(CrashSweep, ExhaustiveBothArchesZeroViolations)
+{
+    for (hw::ArchKind arch : {hw::ArchKind::kX86, hw::ArchKind::kArm}) {
+        sim::CrashSweepConfig config;
+        config.arch = arch;
+        config.domains = 3;
+        config.churn_ops = 6;
+        sim::CrashSweepHarness harness(config);
+        sim::CrashSweepResult result = harness.run();
+
+        EXPECT_EQ(result.violations, 0u)
+            << hw::arch_name(arch) << ": " << result.first_violation;
+        EXPECT_GT(result.script_ops, 0u);
+        EXPECT_GT(result.crash_points, 0u);
+        EXPECT_EQ(result.injected_runs, result.crash_points);
+        // Every crash point rebooted into a world that recovered, and the
+        // sweep reached both the PMO oracle and torn WAL tails.
+        EXPECT_EQ(result.recoveries, result.crash_points);
+        EXPECT_GT(result.pmo_checks, 0u);
+        EXPECT_GT(result.torn_records, 0u);
+    }
+}
+
+TEST(CrashSweep, DeterministicAcrossRuns)
+{
+    auto sweep = [] {
+        sim::CrashSweepConfig config;
+        config.arch = hw::ArchKind::kArm;
+        config.domains = 3;
+        config.churn_ops = 6;
+        config.seed = 99;
+        sim::CrashSweepHarness harness(config);
+        return harness.run();
+    };
+    sim::CrashSweepResult a = sweep();
+    sim::CrashSweepResult b = sweep();
+    EXPECT_EQ(a.digest, b.digest);
+    EXPECT_EQ(a.script_ops, b.script_ops);
+    EXPECT_EQ(a.crash_points, b.crash_points);
+    EXPECT_EQ(a.injected_runs, b.injected_runs);
+    EXPECT_EQ(a.recoveries, b.recoveries);
+    EXPECT_EQ(a.replayed_ops, b.replayed_ops);
+    EXPECT_EQ(a.torn_records, b.torn_records);
+    EXPECT_EQ(a.undone_ops, b.undone_ops);
     EXPECT_EQ(a.violations, 0u) << a.first_violation;
 }
 
