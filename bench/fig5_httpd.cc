@@ -17,7 +17,7 @@
 #include "baselines/epk.h"
 #include "baselines/libmpk.h"
 #include "bench_util.h"
-#include "telemetry/span.h"
+#include "telemetry/flightrec.h"
 #include "telemetry/trace_export.h"
 
 namespace vdom::bench {
@@ -78,21 +78,28 @@ run_one(hw::ArchKind arch, const std::string &kind, std::size_t cores,
     return r.requests_per_sec;
 }
 
-/// Records one instrumented VDom run and exports it as Chrome-trace JSON
-/// (open in chrome://tracing or ui.perfetto.dev).
+/// Records one instrumented VDom run and exports its flight timeline as
+/// Chrome-trace JSON (open in chrome://tracing or ui.perfetto.dev): the
+/// request > wrvdr > ensure_mapped > evict spans, the typed events and the
+/// shootdown flow arrows.  Rings grow lazily, and the per-core budget
+/// leaves the full-size run (1000 requests) drop-free.
 void
 export_trace(const std::string &path, std::size_t requests)
 {
-    telemetry::SpanTracer spans;
+    telemetry::FlightRecorder flight(8, std::size_t{1} << 14);
     telemetry::MetricsRegistry registry(8);
     {
-        telemetry::ScopedSpanTrace attach_spans(spans);
+        telemetry::ScopedFlightRecorder attach_flight(flight);
         telemetry::ScopedMetrics attach_metrics(registry);
         run_one(hw::ArchKind::kX86, "VDom", 8, 16, 1, requests, nullptr);
     }
-    if (telemetry::export_chrome_trace(path, spans, &registry)) {
-        std::fprintf(stderr, "bench: wrote %zu span events to %s\n",
-                     spans.events().size(), path.c_str());
+    if (telemetry::export_flight_trace(path, flight, &registry)) {
+        std::fprintf(stderr,
+                     "bench: wrote %llu flight records (%llu dropped) to "
+                     "%s\n",
+                     static_cast<unsigned long long>(flight.total()),
+                     static_cast<unsigned long long>(flight.dropped()),
+                     path.c_str());
     }
 }
 

@@ -1,19 +1,21 @@
 /// \file
-/// Debugging with the event tracer and introspection.
+/// Debugging with the flight recorder and introspection.
 ///
 /// Demonstrates the tooling a developer uses to understand *why* VDom did
-/// what it did: attach a tracer, run a deliberately thrashy workload, then
-/// read the event log and the vdomctl-style state report to find the
-/// misconfiguration (nas=1 forcing evictions where nas=4 would switch).
+/// what it did: attach a flight recorder, run a deliberately thrashy
+/// workload, then query its typed events and read the vdomctl-style state
+/// report to find the misconfiguration (nas=1 forcing evictions where
+/// nas=4 would switch).  Exits 0 only if the nas=4 run is faster.
 ///
 ///   $ ./build/examples/trace_debugging
 
 #include <cstdio>
 #include <iostream>
+#include <vector>
 
 #include "hw/machine.h"
 #include "kernel/process.h"
-#include "sim/trace.h"
+#include "telemetry/flightrec.h"
 #include "vdom/introspect.h"
 
 namespace {
@@ -47,6 +49,10 @@ churn(VdomSystem &sys, kernel::Process &proc, hw::Core &core,
     return core.now() - t0;
 }
 
+/// Flight-record budget: enough for every record of one churn() run, so
+/// the counts below cover the whole run, not a trailing window.
+constexpr std::size_t kRecords = std::size_t{1} << 14;
+
 }  // namespace
 
 int
@@ -58,26 +64,27 @@ main()
     VdomSystem slow_sys(slow_proc);
     slow_sys.vdom_init(slow_machine.core(0));
 
-    sim::Tracer tracer(64);
+    telemetry::FlightRecorder flight(1, kRecords);
     double slow_cycles = 0;
     {
-        sim::ScopedTrace attach(tracer);
+        telemetry::ScopedFlightRecorder attach(flight);
         slow_cycles = churn(slow_sys, slow_proc, slow_machine.core(0),
                             /*nas=*/1);
     }
     std::printf("nas=1 run: %.0f cycles\n", slow_cycles);
-    std::printf("last traced events:\n");
-    std::size_t shown = 0;
-    for (const sim::TraceRecord &rec : tracer.records()) {
-        if (shown++ >= 6)
-            break;
-        std::printf("  %s\n", sim::Tracer::format(rec).c_str());
-    }
-    std::printf("  ... (%llu events total, %zu evictions in the window)\n\n",
-                (unsigned long long)tracer.total(),
-                tracer.count(sim::TraceEvent::kEvict));
+    std::printf("last evictions:\n");
+    std::vector<telemetry::FlightRecord> evicts =
+        flight.filter(telemetry::FlightEvent::kEvict);
+    std::size_t first = evicts.size() > 6 ? evicts.size() - 6 : 0;
+    for (std::size_t i = first; i < evicts.size(); ++i)
+        std::printf("  %s\n",
+                    telemetry::FlightRecorder::format(evicts[i]).c_str());
+    std::printf("  ... (%llu flight records, %zu evictions, %zu VDS "
+                "switches)\n\n",
+                (unsigned long long)flight.total(), evicts.size(),
+                flight.count(telemetry::FlightEvent::kVdsSwitch));
 
-    // The trace shows a wall of `evict` events: the thread is limited to
+    // The events show a wall of `evict` records: the thread is limited to
     // one address space (nas=1), so every out-of-map domain evicts.
     std::printf("diagnosis: every miss evicts -> raise vdr_alloc's nas.\n\n");
 
@@ -86,18 +93,21 @@ main()
     kernel::Process fast_proc(fast_machine);
     VdomSystem fast_sys(fast_proc);
     fast_sys.vdom_init(fast_machine.core(0));
-    sim::Tracer fixed_tracer(64);
+    telemetry::FlightRecorder fixed_flight(1, kRecords);
     double fast_cycles = 0;
     {
-        sim::ScopedTrace attach(fixed_tracer);
+        telemetry::ScopedFlightRecorder attach(fixed_flight);
         fast_cycles = churn(fast_sys, fast_proc, fast_machine.core(0),
                             /*nas=*/4);
     }
     std::printf("nas=4 run: %.0f cycles (%.2fx faster)\n", fast_cycles,
                 slow_cycles / fast_cycles);
-    std::printf("evictions in trace window: %zu, VDS switches: %zu\n\n",
-                fixed_tracer.count(sim::TraceEvent::kEvict),
-                fixed_tracer.count(sim::TraceEvent::kVdsSwitch));
+    std::printf("evictions: %zu, VDS switches: %zu (%llu records, %llu "
+                "dropped)\n\n",
+                fixed_flight.count(telemetry::FlightEvent::kEvict),
+                fixed_flight.count(telemetry::FlightEvent::kVdsSwitch),
+                (unsigned long long)fixed_flight.total(),
+                (unsigned long long)fixed_flight.dropped());
 
     // Where did everything end up?  The Fig. 3-style state report:
     std::printf("state after the fixed run:\n");

@@ -3,6 +3,7 @@
 
 Usage: scripts/check_bench_json.py FILE [FILE...]
        scripts/check_bench_json.py --bundle BUNDLE [BUNDLE...]
+       scripts/check_bench_json.py --trace TRACE [TRACE...]
 
 Each bench file must hold a non-empty JSON array of records shaped as
     {bench, config{...}, metrics{...}, breakdown{...},
@@ -14,6 +15,12 @@ With --bundle, each file must hold one post-mortem bundle object
 (telemetry/postmortem.h):
     {bundle: "vdom_postmortem", version, reason, context{...},
      flight{...}?, introspect{...}?, metrics{...}?, fault_plan{...}?}
+
+With --trace, each file must hold one flight-trace export
+(telemetry/trace_export.h, e.g. fig5_httpd --trace): a non-empty
+traceEvents array, no droppedEvents key (the recorder lost nothing), and
+span begin/end ("B"/"E") events that balance on every (pid, tid) track,
+with no end before its begin.
 
 Exits non-zero, naming the offending file/record, on the first violation.
 """
@@ -193,16 +200,49 @@ def check_bundle(path):
             bfail(path, f"fault_plan missing sites: {sorted(missing)}")
 
 
+def check_trace(path):
+    with open(path) as f:
+        try:
+            doc = json.load(f)
+        except json.JSONDecodeError as e:
+            sys.exit(f"{path}: invalid JSON: {e}")
+    if not isinstance(doc, dict):
+        sys.exit(f"{path}: trace: top-level value must be an object")
+    events = doc.get("traceEvents")
+    if not isinstance(events, list) or not events:
+        sys.exit(f"{path}: trace: traceEvents must be a non-empty array")
+    if "droppedEvents" in doc:
+        sys.exit(f"{path}: trace: recorder dropped "
+                 f"{doc['droppedEvents']} record(s)")
+    depth = {}
+    for i, e in enumerate(events):
+        if e.get("ph") not in ("B", "E"):
+            continue
+        track = (e.get("pid"), e.get("tid"))
+        depth[track] = depth.get(track, 0) + (1 if e["ph"] == "B" else -1)
+        if depth[track] < 0:
+            sys.exit(f"{path}: trace: traceEvents[{i}] ends a span never "
+                     f"begun on pid/tid {track}")
+    open_tracks = {t: d for t, d in depth.items() if d}
+    if open_tracks:
+        sys.exit(f"{path}: trace: unbalanced spans on pid/tid tracks "
+                 f"{sorted(open_tracks.items())}")
+    return len(events)
+
+
 def main(argv):
     if len(argv) < 2:
         sys.exit(__doc__.strip())
-    if argv[1] == "--bundle":
+    if argv[1] in ("--bundle", "--trace"):
         if len(argv) < 3:
             sys.exit(__doc__.strip())
         for path in argv[2:]:
-            check_bundle(path)
-            print(f"{path}: bundle ok")
-        print(f"checked {len(argv) - 2} bundle(s)")
+            if argv[1] == "--bundle":
+                check_bundle(path)
+                print(f"{path}: bundle ok")
+            else:
+                print(f"{path}: trace ok, {check_trace(path)} event(s)")
+        print(f"checked {len(argv) - 2} {argv[1][2:]}(s)")
         return
     total = 0
     for path in argv[1:]:

@@ -8,8 +8,9 @@
 #
 # Results land in results/: test_output.txt, one .txt + .json file per
 # bench (schema-checked machine-readable records), the aggregated
-# results/BENCH_summary.json, and the Chrome-trace span export
-# results/fig5_httpd.trace.json (open in chrome://tracing or
+# results/BENCH_summary.json, and the flight-trace export
+# results/fig5_httpd.trace.json (spans, typed events and shootdown flow
+# arrows of one VDom httpd run; open in chrome://tracing or
 # ui.perfetto.dev).
 
 set -euo pipefail

@@ -105,7 +105,7 @@ class HttpdWorker final : public sim::SimThread {
             telemetry::span_begin("request",
                                   static_cast<std::uint64_t>(core.now()),
                                   static_cast<std::uint32_t>(core.id()),
-                                  task()->tid(), "httpd");
+                                  task()->tid());
             phase_ = Phase::kAccept;
             return true;
           }
@@ -207,7 +207,7 @@ class HttpdWorker final : public sim::SimThread {
                 telemetry::span_end("request",
                                     static_cast<std::uint64_t>(core.now()),
                                     static_cast<std::uint32_t>(core.id()),
-                                    task()->tid(), "httpd");
+                                    task()->tid());
                 ++shared_->completed;
                 // Closed loop: the client turns the response around.
                 shared_->ready[id_].push_back(core.now() +

@@ -15,7 +15,6 @@
 #include "hw/arch.h"
 #include "hw/machine.h"
 #include "sim/fault.h"
-#include "sim/trace.h"
 #include "telemetry/flightrec.h"
 #include "telemetry/metrics.h"
 #include "telemetry/span.h"
@@ -142,9 +141,9 @@ class ShootdownManager {
             ++stats_.shootdowns;
             stats_.ipis += ipis;
             stats_.retries += retries;
-            sim::trace({sim::TraceEvent::kShootdown, initiator.now(), 0,
-                        kInvalidVdom, 0, 0,
-                        static_cast<std::uint32_t>(initiator.id())});
+            telemetry::flight_event(telemetry::FlightEvent::kShootdown,
+                                    static_cast<std::uint32_t>(initiator.id()),
+                                    0, initiator.now(), kInvalidVdom, 0, 0);
             std::size_t shard = initiator.id();
             telemetry::metric_add(telemetry::Metric::kShootdowns, 1, shard);
             telemetry::metric_add(telemetry::Metric::kShootdownIpis, ipis,
@@ -165,7 +164,7 @@ class ShootdownManager {
                 static_cast<std::uint64_t>(e2e_end - start), shard);
             telemetry::span_instant(
                 "shootdown", static_cast<std::uint64_t>(initiator.now()),
-                static_cast<std::uint32_t>(initiator.id()), 0, "kernel");
+                static_cast<std::uint32_t>(initiator.id()), 0);
         }
     }
 

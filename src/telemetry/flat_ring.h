@@ -1,12 +1,11 @@
 /// \file
 /// Fixed-capacity flat ring buffer.
 ///
-/// The PR-5 data-layout convention for bounded histories: one contiguous
+/// The flat data-layout convention for bounded histories: one contiguous
 /// array, a head index, and modular wrap — no per-element allocation, no
-/// pointer chasing on the record path.  Shared by the event tracer
-/// (sim/trace.h) and the causal flight recorder (telemetry/flightrec.h),
-/// both of which retain "the last N things that happened" at a fixed
-/// memory budget.
+/// pointer chasing on the record path.  The causal flight recorder
+/// (telemetry/flightrec.h) keeps one per core, so each retains "the last
+/// N things that happened" on that core at a fixed memory budget.
 ///
 /// Semantics: capacity 0 retains nothing (push still counts as seen);
 /// pushing past capacity overwrites the oldest element.  Storage grows

@@ -4,12 +4,9 @@
 #include "telemetry/flightrec.h"
 
 #include <algorithm>
+#include <sstream>
 
 namespace vdom::telemetry {
-
-namespace detail {
-thread_local FlightRecorder *g_flight_sink = nullptr;
-}  // namespace detail
 
 const char *
 flight_event_name(FlightEvent event)
@@ -69,6 +66,64 @@ FlightRecorder::merged() const
                   return x.seq < y.seq;
               });
     return out;
+}
+
+std::size_t
+FlightRecorder::count(FlightEvent kind) const
+{
+    std::size_t n = 0;
+    for (const auto &ring : rings_)
+        for (const FlightRecord &rec : ring)
+            if (rec.kind == kind)
+                ++n;
+    return n;
+}
+
+std::vector<FlightRecord>
+FlightRecorder::filter(FlightEvent kind) const
+{
+    std::vector<FlightRecord> out;
+    for (const auto &ring : rings_)
+        for (const FlightRecord &rec : ring)
+            if (rec.kind == kind)
+                out.push_back(rec);
+    std::sort(out.begin(), out.end(),
+              [](const FlightRecord &x, const FlightRecord &y) {
+                  return x.seq < y.seq;
+              });
+    return out;
+}
+
+std::string
+FlightRecorder::format(const FlightRecord &rec)
+{
+    std::ostringstream out;
+    out << "[" << rec.ts << "] " << flight_event_name(rec.kind);
+    if (rec.name)
+        out << " " << rec.name;
+    if (rec.tid != 0)
+        out << " tid=" << rec.tid;
+    bool typed = rec.kind >= FlightEvent::kMapFree &&
+                 rec.kind <= FlightEvent::kShootdown;
+    if (typed && rec.kind != FlightEvent::kShootdown) {
+        // Unpack flight_event()'s payload.  vdom 0 is kCommonVdom, a real
+        // subject, so every kind but kShootdown prints it.
+        std::uint64_t from = rec.b >> 32;
+        std::uint64_t to = rec.b & 0xffffffffu;
+        out << " vdom=" << rec.a;
+        if (from != to)
+            out << " vds " << from << "->" << to;
+        else
+            out << " vds=" << from;
+    } else if (!typed) {
+        if (rec.flow)
+            out << " flow=" << rec.flow;
+        if (rec.a)
+            out << " a=" << rec.a;
+        if (rec.b)
+            out << " b=" << rec.b;
+    }
+    return out.str();
 }
 
 void

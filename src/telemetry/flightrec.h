@@ -2,20 +2,21 @@
 /// Causal flight recorder: always-on, fixed-budget per-core event rings
 /// with monotonic causality ids.
 ///
-/// The metrics registry answers "how much", spans answer "how long"; the
-/// flight recorder answers "what caused what".  It unifies the typed
-/// events from sim/trace.h, span boundaries, and fault fires into one
-/// timeline, and every cross-core interaction — shootdown issue -> IPI
-/// receipt -> remote flush, ASID rollover -> broadcast flush, vdom
-/// install/evict -> remote invalidation — carries a *flow id*: a
-/// monotonically increasing causality id stamped on every record the
-/// interaction touches, on whichever core it lands.  The Chrome-trace
+/// The metrics registry answers "how much"; the flight recorder answers
+/// "what happened, how long it took and what caused what".  It is the one
+/// event stream: the typed events of the virtualization algorithm
+/// (flight_event() below), span boundaries (telemetry/span.h) and fault
+/// fires share one timeline.  Every cross-core interaction — shootdown
+/// issue -> IPI receipt -> remote flush, ASID rollover -> broadcast
+/// flush, vdom install/evict -> remote invalidation — carries a *flow
+/// id*: a monotonically increasing causality id stamped on every record
+/// the interaction touches, on whichever core it lands.  The Chrome-trace
 /// exporter (trace_export.h) turns flows into Perfetto flow events
 /// (ph "s"/"t"/"f"), rendering issuer->receiver arrows across core
 /// tracks; the post-mortem writer (postmortem.h) dumps the last-N records
 /// when a run dies.
 ///
-/// Storage is one FlatRing per core at a fixed budget (PR-5 flat-layout
+/// Storage is one FlatRing per core at a fixed budget (the flat-layout
 /// convention): recording is an array store + index bump, never an
 /// allocation past warm-up.  The hook follows the telemetry null-sink
 /// contract: with no recorder attached, flight_record()/flight_new_flow()
@@ -26,27 +27,29 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "telemetry/flat_ring.h"
+#include "vdom/types.h"
 
 namespace vdom::telemetry {
 
 /// Kinds of flight-recorder records, one unified timeline.
 enum class FlightEvent : std::uint8_t {
-    // Span boundaries (mirrors SpanEvent::Phase; `name` carries the label).
+    // Span boundaries (telemetry/span.h; `name` carries the label).
     kSpanBegin,
     kSpanEnd,
     kSpanInstant,
-    // Typed simulator events (mirrors sim::TraceEvent).
-    kMapFree,
-    kEvict,
-    kVdsSwitch,
-    kMigration,
-    kVdsCreate,
-    kFault,
-    kSigsegv,
-    kShootdown,
+    // Typed simulator events (flight_event() packs their payload).
+    kMapFree,     ///< vdom mapped to a free pdom (❸).
+    kEvict,       ///< vdom evicted from a VDS (❺).
+    kVdsSwitch,   ///< Thread switched pgd (❺).
+    kMigration,   ///< Thread migrated to another VDS (❼/❽).
+    kVdsCreate,   ///< New VDS allocated (❽).
+    kFault,       ///< Page/domain fault handled.
+    kSigsegv,     ///< Access violation delivered.
+    kShootdown,   ///< Remote TLB shootdown issued.
     // Cross-core shootdown flow (flow id links issuer to receivers).
     kShootdownIssue,  ///< a = fan-out (targets), b = FlushKind.
     kIpiReceive,      ///< On the target core.
@@ -138,6 +141,16 @@ class FlightRecorder {
     /// Every retained record across all cores, in program order (by seq).
     std::vector<FlightRecord> merged() const;
 
+    /// Retained records of kind \p kind, across all cores.
+    std::size_t count(FlightEvent kind) const;
+
+    /// Retained records of kind \p kind, in program order (by seq).
+    std::vector<FlightRecord> filter(FlightEvent kind) const;
+
+    /// One-line rendering of \p rec, decoding the payload flight_event()
+    /// packs for typed events:  "[1234] evict tid=3 vdom=42 vds=1".
+    static std::string format(const FlightRecord &rec);
+
     void clear();
 
   private:
@@ -152,8 +165,9 @@ class FlightRecorder {
 // -- Global hook (null by default, zero-cost when detached) ---------------
 
 namespace detail {
-/// Thread-local, so a host thread only sees the recorder it attached.
-extern thread_local FlightRecorder *g_flight_sink;  ///< Use flight_sink().
+/// Thread-local, so a host thread only sees the recorder it attached.  Inline
+/// and constant-initialised, so every read is a plain TLS load.
+inline constinit thread_local FlightRecorder *g_flight_sink = nullptr;
 }  // namespace detail
 
 /// The attached recorder, or nullptr.  Inline so the common detached case
@@ -176,6 +190,23 @@ flight_record(const FlightRecord &rec)
 {
     if (FlightRecorder *sink = flight_sink())
         sink->record(rec);
+}
+
+/// Records a typed simulator event if a recorder is attached.  The one
+/// place that packs the typed payload: a = \p vdom (0 for kInvalidVdom,
+/// which only kShootdown passes), b = vds_from << 32 | vds_to.  \p when
+/// is the core-local clock in simulated cycles.
+inline void
+flight_event(FlightEvent kind, std::uint32_t core, std::uint32_t tid,
+             double when, VdomId vdom, std::uint32_t vds_from,
+             std::uint32_t vds_to)
+{
+    if (FlightRecorder *sink = flight_sink()) {
+        sink->record({kind, core, tid, static_cast<std::uint64_t>(when), 0,
+                      vdom == kInvalidVdom ? 0 : vdom,
+                      (static_cast<std::uint64_t>(vds_from) << 32) | vds_to,
+                      nullptr});
+    }
 }
 
 /// Allocates a causality id, or returns 0 when detached (a 0 flow id on a

@@ -14,7 +14,7 @@
 ///    atomics, indexed by core id at the emit sites, and shards are merged
 ///    on read.  Writers never contend and never take a lock.
 ///  - Emission goes through a global null-by-default hook, exactly like
-///    `sim::trace_sink()`: with no registry attached, `metric_add()` is a
+///    `flight_sink()`: with no registry attached, `metric_add()` is a
 ///    single predictable-branch pointer test and *never* touches simulated
 ///    time (the cycle-identity test in tests/test_telemetry.cc pins this
 ///    down).

@@ -1,5 +1,5 @@
 /// \file
-/// Chrome-trace exporter implementation.
+/// Flight-trace (Chrome-trace JSON) exporter implementation.
 
 #include "telemetry/trace_export.h"
 
@@ -11,22 +11,10 @@
 #include "telemetry/flightrec.h"
 #include "telemetry/json.h"
 #include "telemetry/metrics.h"
-#include "telemetry/span.h"
 
 namespace vdom::telemetry {
 
 namespace {
-
-const char *
-phase_letter(SpanEvent::Phase phase)
-{
-    switch (phase) {
-      case SpanEvent::Phase::kBegin: return "B";
-      case SpanEvent::Phase::kEnd: return "E";
-      case SpanEvent::Phase::kInstant: return "i";
-    }
-    return "?";
-}
 
 /// Metadata rows naming each core's process track ("core N", not a bare
 /// pid) for whatever set of core ids the events touch.
@@ -60,62 +48,6 @@ write_metrics_tail(JsonWriter &w, const MetricsRegistry *metrics)
 }
 
 }  // namespace
-
-void
-write_chrome_trace(std::ostream &out, const SpanTracer &tracer,
-                   const MetricsRegistry *metrics)
-{
-    JsonWriter w(out);
-    w.begin_object();
-    w.key("traceEvents").begin_array();
-
-    // Metadata rows: name each core's process track so the viewer shows
-    // "core N" instead of a bare pid.
-    std::vector<std::uint32_t> cores;
-    cores.reserve(tracer.events().size());
-    for (const SpanEvent &e : tracer.events())
-        cores.push_back(e.core);
-    write_core_names(w, std::move(cores));
-
-    for (const SpanEvent &e : tracer.events()) {
-        w.begin_object();
-        w.key("name").value(e.name);
-        w.key("cat").value(e.category);
-        w.key("ph").value(phase_letter(e.phase));
-        w.key("ts").value(e.ts);
-        w.key("pid").value(std::uint64_t{e.core});
-        w.key("tid").value(std::uint64_t{e.tid});
-        if (e.phase == SpanEvent::Phase::kInstant)
-            w.key("s").value("t");  // Thread-scoped instant marker.
-        w.end_object();
-    }
-    w.end_array();
-    w.key("displayTimeUnit").value("ms");
-    if (tracer.dropped() > 0)
-        w.key("droppedEvents").value(tracer.dropped());
-    write_metrics_tail(w, metrics);
-    w.end_object();
-    out << "\n";
-}
-
-std::string
-chrome_trace_json(const SpanTracer &tracer, const MetricsRegistry *metrics)
-{
-    std::ostringstream out;
-    write_chrome_trace(out, tracer, metrics);
-    return out.str();
-}
-
-bool
-export_chrome_trace(const std::string &path, const SpanTracer &tracer,
-                    const MetricsRegistry *metrics)
-{
-    std::ofstream out(path);
-    if (!out)
-        return false;
-    write_chrome_trace(out, tracer, metrics);
-    return true;
-}
 
 void
 write_flight_trace(std::ostream &out, const FlightRecorder &recorder,

@@ -1,11 +1,12 @@
 /// \file
-/// Chrome-trace / Perfetto JSON export for recorded span traces.
+/// Chrome-trace / Perfetto JSON export of the flight recorder's timeline.
 ///
 /// The output loads directly into chrome://tracing or ui.perfetto.dev:
 /// every simulated core becomes a process row, every task a thread row,
-/// and nested spans render as a flame timeline.  Timestamps are simulated
-/// cycles reported in the JSON's microsecond field (1 cycle == 1 "us"),
-/// which keeps relative widths exact.
+/// nested spans render as a flame timeline, typed events as thin slices,
+/// and causality flows as arrows between core tracks.  Timestamps are
+/// simulated cycles reported in the JSON's microsecond field (1 cycle ==
+/// 1 "us"), which keeps relative widths exact.
 
 #pragma once
 
@@ -16,22 +17,6 @@ namespace vdom::telemetry {
 
 class FlightRecorder;
 class MetricsRegistry;
-class SpanTracer;
-
-/// Writes \p tracer as a Chrome-trace JSON object ({"traceEvents": [...]})
-/// to \p out.  When \p metrics is non-null, merged counters are appended as
-/// metadata so the trace is self-describing.
-void write_chrome_trace(std::ostream &out, const SpanTracer &tracer,
-                        const MetricsRegistry *metrics = nullptr);
-
-/// Convenience: the same document as a string.
-std::string chrome_trace_json(const SpanTracer &tracer,
-                              const MetricsRegistry *metrics = nullptr);
-
-/// Writes the trace to \p path; returns false when the file cannot be
-/// opened.
-bool export_chrome_trace(const std::string &path, const SpanTracer &tracer,
-                         const MetricsRegistry *metrics = nullptr);
 
 /// Writes \p recorder's unified timeline as Chrome-trace JSON.  Every
 /// flight record becomes an event on its core's process track (span kinds

@@ -4,7 +4,6 @@
 #include "vdom/api.h"
 
 #include "sim/fault.h"
-#include "sim/trace.h"
 #include "telemetry/flightrec.h"
 #include "telemetry/metrics.h"
 #include "telemetry/span.h"
@@ -272,7 +271,7 @@ VdomSystem::wrvdr(hw::Core &core, kernel::Task &task, VdomId vdom,
         return VdomStatus::kInvalidVdom;
 
     tm::metric_add(tm::Metric::kWrvdrCalls, 1, core.id());
-    tm::Span span("wrvdr", core, task.tid(), "api");
+    tm::Span span("wrvdr", core, task.tid());
     LatencyProbe latency(tm::Metric::kWrvdrLatency, core);
 
     const hw::CostTable &costs = core.costs();
@@ -443,13 +442,13 @@ VdomSystem::access(hw::Core &core, kernel::Task &task, hw::Vpn vpn,
 
         ++stats_.faults;
         tm::metric_add(tm::Metric::kFaultsHandled, 1, core.id());
-        tm::Span fault_span("fault", core, task.tid(), "api");
+        tm::Span fault_span("fault", core, task.tid());
         LatencyProbe fault_latency(tm::Metric::kFaultLatency, core);
         core.charge(hw::CostKind::kFault, costs.fault_entry);
         VdomId vdom = mm.vdom_of(vpn);
-        sim::trace({sim::TraceEvent::kFault, core.now(), task.tid(), vdom,
-                    task.vds()->id(), task.vds()->id(),
-                    static_cast<std::uint32_t>(core.id())});
+        tm::flight_event(tm::FlightEvent::kFault,
+                         static_cast<std::uint32_t>(core.id()), task.tid(),
+                         core.now(), vdom, task.vds()->id(), task.vds()->id());
 
         // §6.2: the kernel identifies the vdom via the VMA's extended
         // vm_flags and inspects the per-thread VDR; violations SIGSEGV.
@@ -472,9 +471,10 @@ VdomSystem::access(hw::Core &core, kernel::Task &task, hw::Vpn vpn,
         if (!allowed) {
             ++stats_.sigsegv;
             tm::metric_add(tm::Metric::kSigsegv, 1, core.id());
-            sim::trace({sim::TraceEvent::kSigsegv, core.now(), task.tid(),
-                        vdom, task.vds()->id(), task.vds()->id(),
-                        static_cast<std::uint32_t>(core.id())});
+            tm::flight_event(tm::FlightEvent::kSigsegv,
+                             static_cast<std::uint32_t>(core.id()), task.tid(),
+                             core.now(), vdom, task.vds()->id(),
+                             task.vds()->id());
             return VAccess{false, true, 0};
         }
 

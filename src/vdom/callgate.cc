@@ -15,7 +15,7 @@ CallGate::enter(hw::Core &core) const
 {
     tm::metric_add(tm::Metric::kGateEnter, 1, core.id());
     tm::span_begin("gate", static_cast<std::uint64_t>(core.now()),
-                   static_cast<std::uint32_t>(core.id()), 0, "api");
+                   static_cast<std::uint32_t>(core.id()), 0);
     GateFrame frame;
     frame.saved_pkru = core.perm_reg().raw();
     // rdpkru; and $0xfffffff3, %eax; wrpkru  -> full access to pdom1.
@@ -41,7 +41,7 @@ CallGate::exit(hw::Core &core, GateFrame &frame,
     frame.on_secure_stack = false;
     tm::metric_add(tm::Metric::kGateExit, 1, core.id());
     tm::span_end("gate", static_cast<std::uint64_t>(core.now()),
-                 static_cast<std::uint32_t>(core.id()), 0, "api");
+                 static_cast<std::uint32_t>(core.id()), 0);
     // Lines 29-31: defend against a hijacked eax that would keep pdom1
     // open past the gate.
     bool legal = exit_value_legal(eax);

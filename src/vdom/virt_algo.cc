@@ -5,7 +5,6 @@
 
 #include "kernel/mm.h"
 #include "sim/fault.h"
-#include "sim/trace.h"
 #include "telemetry/metrics.h"
 #include "telemetry/span.h"
 
@@ -19,7 +18,7 @@ DomainVirtualizer::ensure_mapped_slow(hw::Core &core, kernel::Task &task,
 {
     kernel::Vds &cur = *task.vds();
     // Everything below runs in the kernel (❶ was handled inline).
-    tm::Span span("ensure_mapped", core, task.tid(), "virt");
+    tm::Span span("ensure_mapped", core, task.tid());
     if (charge_kernel_entry)
         core.charge(hw::CostKind::kSyscall, core.costs().syscall);
 
@@ -34,9 +33,9 @@ DomainVirtualizer::ensure_mapped_slow(hw::Core &core, kernel::Task &task,
             owned->touch(vdom, core.now());
             ++stats_.vds_switches;
             tm::metric_add(tm::Metric::kVdsSwitch, 1, core.id());
-            sim::trace({sim::TraceEvent::kVdsSwitch, core.now(),
-                        task.tid(), vdom, cur.id(), owned->id(),
-                        static_cast<std::uint32_t>(core.id())});
+            tm::flight_event(tm::FlightEvent::kVdsSwitch,
+                             static_cast<std::uint32_t>(core.id()), task.tid(),
+                             core.now(), vdom, cur.id(), owned->id());
             return owned->pdom_of(vdom);
         }
     }
@@ -48,9 +47,9 @@ DomainVirtualizer::ensure_mapped_slow(hw::Core &core, kernel::Task &task,
         cur.touch(vdom, core.now());
         ++stats_.maps_free;
         tm::metric_add(tm::Metric::kDomainMapFree, 1, core.id());
-        sim::trace({sim::TraceEvent::kMapFree, core.now(), task.tid(),
-                    vdom, cur.id(), cur.id(),
-                    static_cast<std::uint32_t>(core.id())});
+        tm::flight_event(tm::FlightEvent::kMapFree,
+                         static_cast<std::uint32_t>(core.id()), task.tid(),
+                         core.now(), vdom, cur.id(), cur.id());
         return free;
     }
     // ❹ Thread alone in its VDS -> ❺ VDS switch or eviction.
@@ -76,9 +75,9 @@ DomainVirtualizer::ensure_mapped_slow(hw::Core &core, kernel::Task &task,
     core.charge(hw::CostKind::kMigration, core.costs().vds_alloc);
     ++stats_.vds_allocs;
     tm::metric_add(tm::Metric::kVdsAlloc, 1, core.id());
-    sim::trace({sim::TraceEvent::kVdsCreate, core.now(), task.tid(), vdom,
-                cur.id(), fresh->id(),
-                static_cast<std::uint32_t>(core.id())});
+    tm::flight_event(tm::FlightEvent::kVdsCreate,
+                     static_cast<std::uint32_t>(core.id()), task.tid(),
+                     core.now(), vdom, cur.id(), fresh->id());
     return migrate(core, task, *fresh, vdom);
 }
 
@@ -125,9 +124,10 @@ DomainVirtualizer::switch_or_evict(hw::Core &core, kernel::Task &task,
                 owned->touch(vdom, core.now());
                 ++stats_.vds_switches;
                 tm::metric_add(tm::Metric::kVdsSwitch, 1, core.id());
-                sim::trace({sim::TraceEvent::kVdsSwitch, core.now(),
-                            task.tid(), vdom, cur.id(), owned->id(),
-                            static_cast<std::uint32_t>(core.id())});
+                tm::flight_event(tm::FlightEvent::kVdsSwitch,
+                                 static_cast<std::uint32_t>(core.id()),
+                                 task.tid(), core.now(), vdom, cur.id(),
+                                 owned->id());
                 return owned->pdom_of(vdom);
             }
         }
@@ -139,9 +139,9 @@ DomainVirtualizer::switch_or_evict(hw::Core &core, kernel::Task &task,
             core.charge(hw::CostKind::kPgdSwitch, core.costs().vds_alloc);
             ++stats_.vds_allocs;
             tm::metric_add(tm::Metric::kVdsAlloc, 1, core.id());
-            sim::trace({sim::TraceEvent::kVdsCreate, core.now(),
-                        task.tid(), vdom, cur.id(), fresh->id(),
-                        static_cast<std::uint32_t>(core.id())});
+            tm::flight_event(tm::FlightEvent::kVdsCreate,
+                             static_cast<std::uint32_t>(core.id()), task.tid(),
+                             core.now(), vdom, cur.id(), fresh->id());
             task.add_owned(fresh);
             proc_->switch_vds(core, task, *fresh, hw::CostKind::kPgdSwitch);
             ++stats_.vds_switches;
@@ -162,13 +162,13 @@ DomainVirtualizer::migrate(hw::Core &core, kernel::Task &task,
 {
     kernel::Vds &cur = *task.vds();
     const hw::CostTable &costs = core.costs();
-    tm::Span span("migrate", core, task.tid(), "virt");
+    tm::Span span("migrate", core, task.tid());
     core.charge(hw::CostKind::kMigration, costs.migrate_fixed);
     ++stats_.migrations;
     tm::metric_add(tm::Metric::kMigration, 1, core.id());
-    sim::trace({sim::TraceEvent::kMigration, core.now(), task.tid(), vdom,
-                cur.id(), target.id(),
-                static_cast<std::uint32_t>(core.id())});
+    tm::flight_event(tm::FlightEvent::kMigration,
+                     static_cast<std::uint32_t>(core.id()), task.tid(),
+                     core.now(), vdom, cur.id(), target.id());
 
     // Map T's active set plus D into the target (Fig. 3 right: vdom4, 14,
     // D are mapped to pdom6, 7, 8 of VDS1).
@@ -235,13 +235,13 @@ DomainVirtualizer::evict_and_map(hw::Core &core, kernel::Task &task,
         return std::nullopt;
 
     VdomId victim = vds.vdom_at(*victim_pdom);
-    tm::Span span("evict", core, task.tid(), "virt");
+    tm::Span span("evict", core, task.tid());
     core.charge(hw::CostKind::kEviction, costs.evict_fixed);
     ++stats_.evictions;
     tm::metric_add(tm::Metric::kHlruEvict, 1, core.id());
-    sim::trace({sim::TraceEvent::kEvict, core.now(), task.tid(), victim,
-                vds.id(), vds.id(),
-                static_cast<std::uint32_t>(core.id())});
+    tm::flight_event(tm::FlightEvent::kEvict,
+                     static_cast<std::uint32_t>(core.id()), task.tid(),
+                     core.now(), victim, vds.id(), vds.id());
     // Disable the victim's pages (PMD fast path + minimal TLB flushes are
     // inside, §5.5) and release its pdom.
     mm.evict_vdom_from_vds(core, vds, victim);

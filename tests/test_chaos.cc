@@ -16,8 +16,8 @@
 #include "common.h"
 #include "sim/chaos.h"
 #include "sim/fault.h"
+#include "telemetry/flightrec.h"
 #include "telemetry/metrics.h"
-#include "telemetry/span.h"
 
 namespace vdom {
 namespace {
@@ -332,7 +332,7 @@ TEST(ChaosAllArmed, BrutalModeNeverAborts)
 struct InstrumentedRun {
     ChaosResult result;
     std::vector<telemetry::MetricsRegistry::Sample> metrics;
-    std::size_t span_events = 0;
+    std::size_t span_events = 0;  ///< Span records the flight rings kept.
 };
 
 InstrumentedRun
@@ -340,15 +340,17 @@ run_instrumented(const ChaosConfig &config)
 {
     InstrumentedRun out;
     telemetry::MetricsRegistry registry(config.cores);
-    telemetry::SpanTracer tracer;
     ChaosHarness harness(config);
     {
         telemetry::ScopedMetrics metrics(registry);
-        telemetry::ScopedSpanTrace spans(tracer);
         out.result = harness.run();
     }
     out.metrics = registry.snapshot();
-    out.span_events = tracer.events().size();
+    const telemetry::FlightRecorder &flight = harness.flight();
+    using telemetry::FlightEvent;
+    out.span_events = flight.count(FlightEvent::kSpanBegin) +
+                      flight.count(FlightEvent::kSpanEnd) +
+                      flight.count(FlightEvent::kSpanInstant);
     return out;
 }
 
@@ -379,14 +381,17 @@ TEST(ChaosDeterminism, SameFaultedScheduleTwiceIsIdentical)
                       b.result.breakdown.by_kind[k])
                 << hw::cost_kind_name(static_cast<hw::CostKind>(k));
         }
-        // Telemetry replays too: same counters, same span stream length
-        // (retry loops emit no extra spans -- see kernel/shootdown.h).
+        // Telemetry replays too: same counters, same flight stream length
+        // and span records (retry loops emit no extra spans -- see
+        // kernel/shootdown.h).
         ASSERT_EQ(a.metrics.size(), b.metrics.size());
         for (std::size_t i = 0; i < a.metrics.size(); ++i) {
             EXPECT_EQ(a.metrics[i].name, b.metrics[i].name);
             EXPECT_EQ(a.metrics[i].value, b.metrics[i].value)
                 << a.metrics[i].name;
         }
+        EXPECT_EQ(a.result.flight_records, b.result.flight_records);
+        EXPECT_GT(a.span_events, 0u);
         EXPECT_EQ(a.span_events, b.span_events);
     }
 }

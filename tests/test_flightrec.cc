@@ -16,7 +16,6 @@
 #include "kernel/shootdown.h"
 #include "kernel/vds.h"
 #include "sim/chaos.h"
-#include "sim/trace.h"
 #include "telemetry/flat_ring.h"
 #include "telemetry/flightrec.h"
 #include "telemetry/postmortem.h"
@@ -108,37 +107,30 @@ TEST(FlightHooks, DetachedSinkIsZeroAndScopedAttachRestores)
     EXPECT_EQ(rec.last_flow(), 1u);
 }
 
-/// The sim::TraceEvent -> FlightEvent mapping shares labels (pinned here,
-/// promised by sim/trace.h).
-TEST(FlightRecorder, TraceEventMappingSharesLabels)
-{
-    const sim::TraceEvent kinds[] = {
-        sim::TraceEvent::kMapFree,   sim::TraceEvent::kEvict,
-        sim::TraceEvent::kVdsSwitch, sim::TraceEvent::kMigration,
-        sim::TraceEvent::kVdsCreate, sim::TraceEvent::kFault,
-        sim::TraceEvent::kSigsegv,   sim::TraceEvent::kShootdown,
-    };
-    for (sim::TraceEvent e : kinds) {
-        EXPECT_STREQ(sim::trace_event_name(e),
-                     flight_event_name(sim::flight_event_of(e)));
-    }
-}
-
-/// sim::trace() mirrors typed events into the attached recorder with the
-/// emitting core preserved.
+/// flight_event() packs a typed event onto the emitting core's ring:
+/// a = vdom, b = vds_from << 32 | vds_to, no flow, no name; ts truncates
+/// the core-local clock, and kInvalidVdom packs as a = 0.
 TEST(FlightRecorder, TraceForwardsIntoUnifiedTimeline)
 {
     FlightRecorder rec(4);
     ScopedFlightRecorder attach(rec);
-    sim::trace({sim::TraceEvent::kMigration, 123.0, 9, 5, 1, 2, 3});
+    flight_event(FlightEvent::kMigration, 3, 9, 123.0, 5, 1, 2);
     ASSERT_EQ(rec.total(), 1u);
     const FlightRecord &r = rec.ring(3).front();
     EXPECT_EQ(r.kind, FlightEvent::kMigration);
     EXPECT_EQ(r.core, 3u);
     EXPECT_EQ(r.tid, 9u);
     EXPECT_EQ(r.ts, 123u);
+    EXPECT_EQ(r.flow, 0u);
     EXPECT_EQ(r.a, 5u);                         // vdom
     EXPECT_EQ(r.b, (1ull << 32) | 2u);          // vds_from << 32 | vds_to
+    EXPECT_EQ(r.name, nullptr);
+
+    flight_event(FlightEvent::kShootdown, 0, 0, 7.9, kInvalidVdom, 0, 0);
+    const FlightRecord &s = rec.ring(0).front();
+    EXPECT_EQ(s.ts, 7u);
+    EXPECT_EQ(s.a, 0u);
+    EXPECT_EQ(s.b, 0u);
 }
 
 /// Every shootdown issue allocates a fresh, strictly increasing flow id,

@@ -1,17 +1,22 @@
 /// \file
 /// Telemetry tests: metrics registry (counters/gauges/histograms, shard
-/// merging, dynamic registration), span tracing, Chrome-trace export, and
-/// the cycle-identity guarantee (instrumentation never charges cycles).
+/// merging, dynamic registration), spans in the flight record, the
+/// flight-trace export, and the cycle-identity guarantee (instrumentation
+/// never charges cycles).
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <sstream>
+#include <utility>
+#include <vector>
 
+#include "apps/httpd.h"
+#include "apps/strategy.h"
 #include "common.h"
 #include "hw/cost_kind.h"
 #include "sim/fault.h"
-#include "sim/trace.h"
 #include "telemetry/flightrec.h"
 #include "telemetry/json.h"
 #include "telemetry/metrics.h"
@@ -164,50 +169,96 @@ TEST(MetricNames, WellKnownTableIsComplete)
     }
 }
 
-TEST(SpanTracer, NestingDepthAndDrops)
+/// An instrumented httpd run records properly nested spans: on every
+/// (core, tid) track each end closes the innermost open begin of the same
+/// name, no span stays open, and the request > wrvdr > ensure_mapped >
+/// evict chain shows up as real nesting depth.
+TEST(SpanNesting, BalancedPerCoreTidTrackInHttpdRun)
 {
-    SpanTracer tracer(/*max_events=*/5);
-    tracer.begin("a", 0, 0, 1);
-    tracer.begin("b", 1, 0, 1);
-    tracer.begin("c", 2, 0, 1);
-    tracer.end("c", 3, 0, 1);
-    tracer.instant("mark", 4, 0, 1);
-    tracer.end("b", 5, 0, 1);  // Over capacity: dropped.
-    EXPECT_EQ(tracer.events().size(), 5u);
-    EXPECT_EQ(tracer.dropped(), 1u);
-    EXPECT_EQ(tracer.max_depth(), 3u);
-    tracer.clear();
-    EXPECT_TRUE(tracer.events().empty());
-    EXPECT_EQ(tracer.dropped(), 0u);
+    auto world = std::unique_ptr<World>(World::x86(8));
+    world->sys.vdom_init(world->core(0));
+    apps::VdomStrategy strategy(world->sys, 2);
+    apps::HttpdConfig cfg =
+        apps::HttpdConfig::for_arch(hw::ArchKind::kX86, 16, 1);
+    cfg.workers = 40;
+    cfg.total_requests = 100;
+    FlightRecorder flight(8, std::size_t{1} << 14);
+    {
+        ScopedFlightRecorder attach(flight);
+        apps::HttpdResult r =
+            apps::run_httpd(world->machine, world->proc, strategy, cfg);
+        ASSERT_EQ(r.completed, cfg.total_requests);
+    }
+    ASSERT_EQ(flight.dropped(), 0u);
+
+    std::map<std::pair<std::uint32_t, std::uint32_t>,
+             std::vector<std::string>>
+        open;
+    std::size_t spans = 0, max_depth = 0;
+    for (const FlightRecord &r : flight.merged()) {
+        std::vector<std::string> &stack = open[{r.core, r.tid}];
+        if (r.kind == FlightEvent::kSpanBegin) {
+            stack.push_back(r.name);
+            max_depth = std::max(max_depth, stack.size());
+            ++spans;
+        } else if (r.kind == FlightEvent::kSpanEnd) {
+            ASSERT_FALSE(stack.empty())
+                << "unmatched end of " << r.name << " seq " << r.seq;
+            ASSERT_EQ(stack.back(), r.name) << "seq " << r.seq;
+            stack.pop_back();
+        }
+    }
+    for (const auto &[track, stack] : open)
+        EXPECT_TRUE(stack.empty()) << "core " << track.first << " tid "
+                                   << track.second << " left "
+                                   << stack.size() << " spans open";
+    EXPECT_GE(spans, cfg.total_requests);
+    EXPECT_GE(max_depth, 4u);
 }
 
-TEST(SpanTracer, DepthIsPerCoreTidTrack)
-{
-    SpanTracer tracer;
-    tracer.begin("a", 0, 0, 1);
-    tracer.begin("a", 0, 1, 1);  // Different core: independent track.
-    tracer.begin("a", 0, 0, 2);  // Different tid: independent track.
-    EXPECT_EQ(tracer.max_depth(), 1u);
-}
-
+/// Span emitters write only into the attached flight recorder: detached
+/// they are a no-op, and the RAII Span brackets its scope with the
+/// clock's values at entry and exit.
 TEST(SpanHooks, NullSinkIsSafeAndScopedAttachRestores)
 {
-    set_span_sink(nullptr);
+    set_flight_sink(nullptr);
     span_begin("x", 0, 0, 0);  // Must not crash.
     span_end("x", 1, 0, 0);
-    SpanTracer outer, inner;
+    FlightRecorder outer(1), inner(1);
     {
-        ScopedSpanTrace attach_outer(outer);
+        ScopedFlightRecorder attach_outer(outer);
         span_instant("o", 0, 0, 0);
         {
-            ScopedSpanTrace attach_inner(inner);
+            ScopedFlightRecorder attach_inner(inner);
             span_instant("i", 0, 0, 0);
         }
         span_instant("o", 1, 0, 0);
     }
-    EXPECT_EQ(span_sink(), nullptr);
-    EXPECT_EQ(outer.events().size(), 2u);
-    EXPECT_EQ(inner.events().size(), 1u);
+    EXPECT_EQ(flight_sink(), nullptr);
+    EXPECT_EQ(outer.total(), 2u);
+    EXPECT_EQ(inner.total(), 1u);
+    EXPECT_EQ(inner.ring(0).front().kind, FlightEvent::kSpanInstant);
+    EXPECT_STREQ(inner.ring(0).front().name, "i");
+
+    struct Clock {
+        std::uint64_t t = 10;
+        std::uint64_t now() const { return t; }
+        std::size_t id() const { return 2; }
+    } clock;
+    FlightRecorder rec(4);
+    {
+        ScopedFlightRecorder attach(rec);
+        Span<Clock> span("scope", clock, 5);
+        clock.t = 25;
+    }
+    std::vector<FlightRecord> records = rec.merged();
+    ASSERT_EQ(records.size(), 2u);
+    EXPECT_EQ(records[0].kind, FlightEvent::kSpanBegin);
+    EXPECT_EQ(records[1].kind, FlightEvent::kSpanEnd);
+    EXPECT_EQ(records[0].ts, 10u);
+    EXPECT_EQ(records[1].ts, 25u);
+    EXPECT_EQ(records[1].core, 2u);
+    EXPECT_EQ(records[1].tid, 5u);
 }
 
 TEST(MetricHooks, NullSinkIsSafeAndScopedAttachRestores)
@@ -240,19 +291,22 @@ TEST(JsonWriter, EscapesAndNests)
               "\"nested\":{\"k\":7}}");
 }
 
-TEST(ChromeTrace, ExportsEventsWithAttribution)
+TEST(FlightTrace, ExportsSpansWithAttribution)
 {
-    SpanTracer tracer;
-    tracer.begin("request", 100, 0, 7, "httpd");
-    tracer.begin("wrvdr", 110, 0, 7, "api");
-    tracer.end("wrvdr", 150, 0, 7, "api");
-    tracer.instant("shootdown", 160, 1, 0, "kernel");
-    tracer.end("request", 200, 0, 7, "httpd");
+    FlightRecorder rec(2);
+    {
+        ScopedFlightRecorder attach(rec);
+        span_begin("request", 100, 0, 7);
+        span_begin("wrvdr", 110, 0, 7);
+        span_end("wrvdr", 150, 0, 7);
+        span_instant("shootdown", 160, 1, 0);
+        span_end("request", 200, 0, 7);
+    }
 
     MetricsRegistry registry(2);
     registry.add(Metric::kWrvdrCalls, 1);
 
-    std::string json = chrome_trace_json(tracer, &registry);
+    std::string json = flight_trace_json(rec, &registry);
     // Structural spot-checks: event array, phases, attribution, metadata.
     EXPECT_NE(json.find("\"traceEvents\":["), std::string::npos);
     EXPECT_NE(json.find("\"name\":\"request\""), std::string::npos);
@@ -262,23 +316,28 @@ TEST(ChromeTrace, ExportsEventsWithAttribution)
     EXPECT_NE(json.find("\"pid\":0"), std::string::npos);
     EXPECT_NE(json.find("\"pid\":1"), std::string::npos);
     EXPECT_NE(json.find("\"tid\":7"), std::string::npos);
-    EXPECT_NE(json.find("\"cat\":\"api\""), std::string::npos);
+    EXPECT_NE(json.find("\"cat\":\"flight\""), std::string::npos);
     EXPECT_NE(json.find("process_name"), std::string::npos);
     EXPECT_NE(json.find("\"displayTimeUnit\""), std::string::npos);
     // The attached registry is appended as a self-describing block.
     EXPECT_NE(json.find("\"metrics\""), std::string::npos);
     EXPECT_NE(json.find("\"api.wrvdr\":1"), std::string::npos);
-    // No dropped events -> no droppedEvents key.
+    // No dropped records -> no droppedEvents key.
     EXPECT_EQ(json.find("droppedEvents"), std::string::npos);
 }
 
-TEST(ChromeTrace, ReportsDrops)
+TEST(FlightTrace, ReportsDrops)
 {
-    SpanTracer tracer(1);
-    tracer.instant("kept", 0, 0, 0);
-    tracer.instant("lost", 1, 0, 0);
-    std::string json = chrome_trace_json(tracer);
+    FlightRecorder rec(1, 1);
+    {
+        ScopedFlightRecorder attach(rec);
+        span_instant("lost", 0, 0, 0);
+        span_instant("kept", 1, 0, 0);
+    }
+    std::string json = flight_trace_json(rec);
     EXPECT_NE(json.find("\"droppedEvents\":1"), std::string::npos);
+    EXPECT_NE(json.find("\"name\":\"kept\""), std::string::npos);
+    EXPECT_EQ(json.find("\"name\":\"lost\""), std::string::npos);
 }
 
 TEST(CycleBreakdown, OverheadExcludesComputeIoAndIdle)
@@ -339,26 +398,20 @@ TEST(CycleIdentity, SinksNeverChargeCycles)
 {
     // Plain run, no sinks.
     set_metrics_sink(nullptr);
-    set_span_sink(nullptr);
     set_flight_sink(nullptr);
-    sim::set_trace_sink(nullptr);
     sim::set_fault_sink(nullptr);
     auto plain = std::unique_ptr<World>(World::x86(4));
     drive_workload(*plain);
 
-    // Instrumented run: metrics + spans + event trace + flight recorder
-    // all attached, plus an attached-but-unarmed fault plan — injection
-    // sites that never fire must not perturb a single cycle either.
+    // Instrumented run: metrics + flight recorder (spans and typed events)
+    // attached, plus an attached-but-unarmed fault plan — injection sites
+    // that never fire must not perturb a single cycle either.
     auto traced = std::unique_ptr<World>(World::x86(4));
     MetricsRegistry registry(4);
-    SpanTracer spans;
-    sim::Tracer events;
     sim::FaultPlan unarmed_plan(1);
     FlightRecorder flight(4);
     {
         ScopedMetrics attach_metrics(registry);
-        ScopedSpanTrace attach_spans(spans);
-        sim::ScopedTrace attach_events(events);
         sim::ScopedFaults attach_faults(unarmed_plan);
         ScopedFlightRecorder attach_flight(flight);
         drive_workload(*traced);
@@ -371,8 +424,8 @@ TEST(CycleIdentity, SinksNeverChargeCycles)
     EXPECT_GT(registry.value(Metric::kSigsegv), 0u);
     EXPECT_GT(registry.value(Metric::kShootdowns), 0u);
     EXPECT_GT(registry.histogram(Metric::kWrvdrLatency).count, 0u);
-    EXPECT_GT(spans.events().size(), 0u);
-    EXPECT_GT(events.total(), 0u);
+    EXPECT_GT(flight.count(FlightEvent::kSpanBegin), 0u);
+    EXPECT_GT(flight.count(FlightEvent::kSigsegv), 0u);
     EXPECT_GT(flight.total(), 0u);
     EXPECT_GT(flight.last_flow(), 0u);
 
@@ -386,15 +439,16 @@ TEST(CycleIdentity, SinksNeverChargeCycles)
             << cost_kind_name(static_cast<hw::CostKind>(i));
 }
 
-/// Telemetry counters line up with the event trace for the same run.
+/// Telemetry counters line up with the flight record's typed events for
+/// the same run.
 TEST(Integration, MetricsAgreeWithEventTrace)
 {
     auto world = std::unique_ptr<World>(World::x86(2));
     MetricsRegistry registry(2);
-    sim::Tracer events(1 << 16);
+    FlightRecorder events(2, 1 << 16);
     {
         ScopedMetrics attach_metrics(registry);
-        sim::ScopedTrace attach_events(events);
+        ScopedFlightRecorder attach_events(events);
         Task *task = world->ready_thread(/*nas=*/1);
         std::size_t usable = world->machine.params().usable_pdoms();
         for (std::size_t i = 0; i < usable + 2; ++i) {
@@ -405,12 +459,13 @@ TEST(Integration, MetricsAgreeWithEventTrace)
                              VPerm::kAccessDisable);
         }
     }
+    ASSERT_EQ(events.dropped(), 0u);
     EXPECT_EQ(registry.value(Metric::kHlruEvict),
-              events.count(sim::TraceEvent::kEvict));
+              events.count(FlightEvent::kEvict));
     EXPECT_EQ(registry.value(Metric::kDomainMapFree),
-              events.count(sim::TraceEvent::kMapFree));
+              events.count(FlightEvent::kMapFree));
     EXPECT_EQ(registry.value(Metric::kSigsegv),
-              events.count(sim::TraceEvent::kSigsegv));
+              events.count(FlightEvent::kSigsegv));
 }
 
 }  // namespace

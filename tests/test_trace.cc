@@ -1,6 +1,6 @@
 /// \file
-/// Event-tracer tests: recording, filtering, hook wiring into the
-/// virtualization algorithm.
+/// Typed-event tests: the flight recorder's query side (count, filter,
+/// format) and the virtualization algorithm's flight_event() emit sites.
 
 #include <gtest/gtest.h>
 
@@ -8,9 +8,10 @@
 #include <sstream>
 
 #include "common.h"
-#include "sim/trace.h"
+#include "telemetry/flightrec.h"
+#include "telemetry/span.h"
 
-namespace vdom::sim {
+namespace vdom::telemetry {
 namespace {
 
 using kernel::Task;
@@ -18,118 +19,139 @@ using ::vdom::testing::World;
 
 TEST(Tracer, RecordAndFilter)
 {
-    Tracer tracer(16);
-    tracer.record({TraceEvent::kEvict, 100, 1, 5, 0, 0});
-    tracer.record({TraceEvent::kVdsSwitch, 200, 1, 6, 0, 1});
-    tracer.record({TraceEvent::kEvict, 300, 2, 7, 1, 1});
-    EXPECT_EQ(tracer.total(), 3u);
-    EXPECT_EQ(tracer.count(TraceEvent::kEvict), 2u);
-    auto evicts = tracer.filter(TraceEvent::kEvict);
+    FlightRecorder rec(2, 16);
+    ScopedFlightRecorder attach(rec);
+    flight_event(FlightEvent::kEvict, 1, 1, 100, 5, 0, 0);
+    flight_event(FlightEvent::kVdsSwitch, 0, 1, 200, 6, 0, 1);
+    flight_event(FlightEvent::kEvict, 0, 2, 300, 7, 1, 1);
+    EXPECT_EQ(rec.total(), 3u);
+    EXPECT_EQ(rec.count(FlightEvent::kEvict), 2u);
+    // Program order across cores: the core-1 record comes first.
+    auto evicts = rec.filter(FlightEvent::kEvict);
     ASSERT_EQ(evicts.size(), 2u);
-    EXPECT_EQ(evicts[0].vdom, 5u);
+    EXPECT_EQ(evicts[0].a, 5u);
+    EXPECT_EQ(evicts[0].core, 1u);
     EXPECT_EQ(evicts[1].tid, 2u);
+    EXPECT_LT(evicts[0].seq, evicts[1].seq);
 }
 
 TEST(Tracer, RingBounds)
 {
-    Tracer tracer(4);
+    FlightRecorder rec(1, 4);
+    ScopedFlightRecorder attach(rec);
     for (int i = 0; i < 10; ++i)
-        tracer.record({TraceEvent::kFault, double(i), 0, 0, 0, 0});
-    EXPECT_EQ(tracer.records().size(), 4u);
-    EXPECT_EQ(tracer.total(), 10u);
-    EXPECT_DOUBLE_EQ(tracer.records().front().when, 6.0);
+        flight_event(FlightEvent::kFault, 0, 0, i, 0, 0, 0);
+    // Queries see only the retained window: the newest four records.
+    EXPECT_EQ(rec.total(), 10u);
+    EXPECT_EQ(rec.dropped(), 6u);
+    EXPECT_EQ(rec.count(FlightEvent::kFault), 4u);
+    auto faults = rec.filter(FlightEvent::kFault);
+    ASSERT_EQ(faults.size(), 4u);
+    EXPECT_EQ(faults.front().ts, 6u);
+    EXPECT_EQ(faults.back().ts, 9u);
 }
 
 TEST(Tracer, ZeroCapacityRetainsNothing)
 {
-    Tracer tracer(0);
+    FlightRecorder rec(1, 0);
+    ScopedFlightRecorder attach(rec);
     for (int i = 0; i < 5; ++i)
-        tracer.record({TraceEvent::kFault, double(i), 0, 0, 0, 0});
-    EXPECT_TRUE(tracer.records().empty());
-    EXPECT_EQ(tracer.total(), 5u);  // Drops are still counted.
-    EXPECT_EQ(tracer.count(TraceEvent::kFault), 0u);
-    std::ostringstream out;
-    tracer.dump(out);  // Must not crash on an empty ring.
+        flight_event(FlightEvent::kFault, 0, 0, i, 0, 0, 0);
+    EXPECT_EQ(rec.total(), 5u);  // Drops are still counted.
+    EXPECT_EQ(rec.dropped(), 5u);
+    EXPECT_EQ(rec.count(FlightEvent::kFault), 0u);
+    EXPECT_TRUE(rec.filter(FlightEvent::kFault).empty());
 }
 
 TEST(Tracer, EventNameCoversEveryValue)
 {
-    const TraceEvent all[] = {
-        TraceEvent::kMapFree, TraceEvent::kEvict,  TraceEvent::kVdsSwitch,
-        TraceEvent::kMigration, TraceEvent::kVdsCreate, TraceEvent::kFault,
-        TraceEvent::kSigsegv, TraceEvent::kShootdown,
+    const FlightEvent typed[] = {
+        FlightEvent::kMapFree,   FlightEvent::kEvict,
+        FlightEvent::kVdsSwitch, FlightEvent::kMigration,
+        FlightEvent::kVdsCreate, FlightEvent::kFault,
+        FlightEvent::kSigsegv,   FlightEvent::kShootdown,
     };
-    for (TraceEvent e : all) {
-        std::string name = trace_event_name(e);
+    for (FlightEvent e : typed) {
+        std::string name = flight_event_name(e);
         EXPECT_FALSE(name.empty());
         EXPECT_NE(name, "?");
         // format() leads with the event name after the timestamp.
-        std::string line = Tracer::format({e, 1, 0, 0, 0, 0});
-        EXPECT_NE(line.find(name), std::string::npos) << name;
+        std::string line = FlightRecorder::format({e, 0, 0, 1});
+        EXPECT_EQ(line.find("[1] " + name), 0u) << line;
+        // vdom 0 is kCommonVdom: printed for every kind but kShootdown,
+        // the only one emitted without a subject vdom.
+        EXPECT_EQ(line.find("vdom=0") != std::string::npos,
+                  e != FlightEvent::kShootdown)
+            << line;
     }
-    EXPECT_STREQ(trace_event_name(TraceEvent::kMapFree), "map_free");
-    EXPECT_STREQ(trace_event_name(TraceEvent::kShootdown), "shootdown");
-}
-
-TEST(Tracer, DumpListsEveryRetainedRecord)
-{
-    Tracer tracer(8);
-    tracer.record({TraceEvent::kMapFree, 10, 1, 2, 0, 0});
-    tracer.record({TraceEvent::kVdsCreate, 20, 3, 4, 0, 1});
-    std::ostringstream out;
-    tracer.dump(out);
-    std::string text = out.str();
-    EXPECT_NE(text.find(Tracer::format(tracer.records()[0])),
-              std::string::npos);
-    EXPECT_NE(text.find(Tracer::format(tracer.records()[1])),
-              std::string::npos);
-}
-
-TEST(Tracer, NoSinkNoCost)
-{
-    set_trace_sink(nullptr);
-    trace({TraceEvent::kFault, 0, 0, 0, 0, 0});  // Must not crash.
-    EXPECT_EQ(trace_sink(), nullptr);
-}
-
-TEST(Tracer, ScopedAttachment)
-{
-    Tracer outer, inner;
-    set_trace_sink(nullptr);
-    {
-        ScopedTrace attach_outer(outer);
-        trace({TraceEvent::kFault, 1, 0, 0, 0, 0});
-        {
-            ScopedTrace attach_inner(inner);
-            trace({TraceEvent::kFault, 2, 0, 0, 0, 0});
-        }
-        trace({TraceEvent::kFault, 3, 0, 0, 0, 0});
-    }
-    EXPECT_EQ(trace_sink(), nullptr);
-    EXPECT_EQ(outer.total(), 2u);
-    EXPECT_EQ(inner.total(), 1u);
+    EXPECT_STREQ(flight_event_name(FlightEvent::kMapFree), "map_free");
+    EXPECT_STREQ(flight_event_name(FlightEvent::kShootdown), "shootdown");
 }
 
 TEST(Tracer, FormatAndDump)
 {
-    Tracer tracer;
-    tracer.record({TraceEvent::kMigration, 1234, 7, 42, 0, 3});
-    std::string line = Tracer::format(tracer.records().front());
-    EXPECT_NE(line.find("migration"), std::string::npos);
+    FlightRecorder rec;
+    ScopedFlightRecorder attach(rec);
+    flight_event(FlightEvent::kMigration, 0, 7, 1234, 42, 0, 3);
+    std::string line = FlightRecorder::format(rec.ring(0).front());
+    EXPECT_NE(line.find("[1234] migration"), std::string::npos);
     EXPECT_NE(line.find("tid=7"), std::string::npos);
     EXPECT_NE(line.find("vdom=42"), std::string::npos);
     EXPECT_NE(line.find("0->3"), std::string::npos);
+    // Same VDS on both sides prints one id.
+    flight_event(FlightEvent::kEvict, 0, 7, 1300, 42, 2, 2);
+    EXPECT_EQ(FlightRecorder::format(rec.filter(FlightEvent::kEvict)[0]),
+              "[1300] evict tid=7 vdom=42 vds=2");
+}
+
+/// Formatting every retained record dumps the whole timeline, span and
+/// flow records included, in program order.
+TEST(Tracer, DumpListsEveryRetainedRecord)
+{
+    FlightRecorder rec(2);
+    ScopedFlightRecorder attach(rec);
+    flight_event(FlightEvent::kMapFree, 1, 1, 10, 2, 0, 0);
+    span_begin("wrvdr", 20, 0, 7);
+    rec.record({FlightEvent::kShootdownIssue, 0, 0, 30, /*flow=*/9, 2});
     std::ostringstream out;
-    tracer.dump(out);
-    EXPECT_NE(out.str().find("migration"), std::string::npos);
+    for (const FlightRecord &r : rec.merged())
+        out << FlightRecorder::format(r) << "\n";
+    EXPECT_EQ(out.str(), "[10] map_free tid=1 vdom=2 vds=0\n"
+                         "[20] span_begin wrvdr tid=7\n"
+                         "[30] shootdown_issue flow=9 a=2\n");
+}
+
+TEST(Tracer, NoSinkNoCost)
+{
+    set_flight_sink(nullptr);
+    flight_event(FlightEvent::kFault, 0, 0, 0, 0, 0, 0);  // Must not crash.
+    EXPECT_EQ(flight_sink(), nullptr);
+}
+
+TEST(Tracer, ScopedAttachment)
+{
+    FlightRecorder outer, inner;
+    set_flight_sink(nullptr);
+    {
+        ScopedFlightRecorder attach_outer(outer);
+        flight_event(FlightEvent::kFault, 0, 0, 1, 0, 0, 0);
+        {
+            ScopedFlightRecorder attach_inner(inner);
+            flight_event(FlightEvent::kFault, 0, 0, 2, 0, 0, 0);
+        }
+        flight_event(FlightEvent::kFault, 0, 0, 3, 0, 0, 0);
+    }
+    EXPECT_EQ(flight_sink(), nullptr);
+    EXPECT_EQ(outer.total(), 2u);
+    EXPECT_EQ(inner.total(), 1u);
 }
 
 TEST(Tracer, CapturesAlgorithmEvents)
 {
     auto world = std::unique_ptr<World>(World::x86(2));
     Task *task = world->ready_thread(/*nas=*/1);
-    Tracer tracer;
-    ScopedTrace attach(tracer);
+    FlightRecorder rec(2, 4096);
+    ScopedFlightRecorder attach(rec);
     std::size_t usable = world->machine.params().usable_pdoms();
     for (std::size_t i = 0; i < usable + 2; ++i) {
         auto [v, vpn] = world->make_domain(1);
@@ -137,9 +159,10 @@ TEST(Tracer, CapturesAlgorithmEvents)
         world->sys.wrvdr(world->core(0), *task, v, VPerm::kFullAccess);
         world->sys.wrvdr(world->core(0), *task, v, VPerm::kAccessDisable);
     }
-    EXPECT_EQ(tracer.count(TraceEvent::kMapFree), usable);
-    EXPECT_EQ(tracer.count(TraceEvent::kEvict), 2u);  // The two overflows.
-    EXPECT_EQ(tracer.count(TraceEvent::kMigration), 0u);
+    EXPECT_EQ(rec.dropped(), 0u);
+    EXPECT_EQ(rec.count(FlightEvent::kMapFree), usable);
+    EXPECT_EQ(rec.count(FlightEvent::kEvict), 2u);  // The two overflows.
+    EXPECT_EQ(rec.count(FlightEvent::kMigration), 0u);
 }
 
 TEST(Tracer, CapturesSigsegv)
@@ -148,11 +171,11 @@ TEST(Tracer, CapturesSigsegv)
     Task *task = world->ready_thread();
     auto [v, vpn] = world->make_domain(1);
     (void)v;
-    Tracer tracer;
-    ScopedTrace attach(tracer);
+    FlightRecorder rec(2);
+    ScopedFlightRecorder attach(rec);
     world->sys.access(world->core(0), *task, vpn, true);
-    EXPECT_EQ(tracer.count(TraceEvent::kSigsegv), 1u);
-    EXPECT_GE(tracer.count(TraceEvent::kFault), 1u);
+    EXPECT_EQ(rec.count(FlightEvent::kSigsegv), 1u);
+    EXPECT_GE(rec.count(FlightEvent::kFault), 1u);
 }
 
 TEST(Tracer, CapturesShootdowns)
@@ -160,12 +183,14 @@ TEST(Tracer, CapturesShootdowns)
     auto world = std::unique_ptr<World>(World::x86(4));
     world->spawn(0);
     world->spawn(1);
-    Tracer tracer;
-    ScopedTrace attach(tracer);
+    FlightRecorder rec(4);
+    ScopedFlightRecorder attach(rec);
     world->proc.shootdown().shoot(world->core(0), 0b0010,
                                   kernel::FlushKind::kAll);
-    EXPECT_EQ(tracer.count(TraceEvent::kShootdown), 1u);
+    ASSERT_EQ(rec.count(FlightEvent::kShootdown), 1u);
+    // No subject vdom: kInvalidVdom packs as a = 0.
+    EXPECT_EQ(rec.filter(FlightEvent::kShootdown).front().a, 0u);
 }
 
 }  // namespace
-}  // namespace vdom::sim
+}  // namespace vdom::telemetry
