@@ -17,6 +17,8 @@
 #include "hw/mmu.h"
 #include "hw/page_table.h"
 #include "hw/tlb.h"
+#include "kernel/asid.h"
+#include "kernel/vds.h"
 #include "kernel/vma.h"
 #include "sim/engine.h"
 #include "sim/rng.h"
@@ -324,6 +326,24 @@ BM_PmoWorkloadStep(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(ops));
 }
 BENCHMARK(BM_PmoWorkloadStep)->Unit(benchmark::kMillisecond);
+
+void
+BM_WorldBuild(benchmark::State &state)
+{
+    // Builds and tears down the world of one 26-core app run (machine,
+    // process, VdomSystem, vdom_init), the way perfbench's app workloads
+    // and the sweep harnesses do before every run.  The machine builds
+    // one TLB per core, so this trips the perf-smoke gate if building a
+    // TLB goes back to costing O(capacity).
+    for (auto _ : state) {
+        kernel::reset_unique_asids();
+        kernel::Vds::reset_ctx_ids();
+        BenchWorld world(hw::ArchParams::x86(26));
+        VdomStatus init = world.sys.vdom_init(world.core(0));
+        benchmark::DoNotOptimize(init);
+    }
+}
+BENCHMARK(BM_WorldBuild);
 
 /// One simulated thread of the share-nothing engine workload: MMU-heavy
 /// steps against its own process's address space.

@@ -5,7 +5,6 @@
 
 #include "hw/tlb.h"
 
-#include <algorithm>
 #include <bit>
 
 #include "sim/fault.h"
@@ -32,19 +31,25 @@ Tlb::Tlb(std::size_t capacity, std::size_t owner, std::size_t ways)
         ways_ = effective / num_sets_;
     }
     slot_count_ = num_sets_ * ways_;
-    slots_.resize(slot_count_);
-    free_head_ = 0;
-    for (std::size_t i = 0; i + 1 < slot_count_; ++i)
-        slots_[i].next = static_cast<std::uint32_t>(i + 1);
-    slots_[slot_count_ - 1].next = kNil;
+    // Reserved, not filled: `insert` hands out slots by a bump pointer.
+    slots_.reserve(slot_count_);
     set_head_.assign(num_sets_, kNil);
     set_tail_.assign(num_sets_, kNil);
     set_size_.assign(num_sets_, 0);
-    std::size_t index_size = std::bit_ceil(std::max<std::size_t>(
-        std::size_t{8}, slot_count_ * 2));
-    index_.assign(index_size, Cell{});
-    index_mask_ = index_size - 1;
-    hash_shift_ = 64 - static_cast<unsigned>(std::bit_width(index_size) - 1);
+    resize_index(kMinIndex);
+}
+
+void
+Tlb::resize_index(std::size_t cells)
+{
+    index_.assign(cells, Cell{});
+    index_mask_ = cells - 1;
+    hash_shift_ = 64 - static_cast<unsigned>(std::bit_width(cells) - 1);
+    for (std::size_t set = 0; set < num_sets_; ++set) {
+        for (std::uint32_t slot = set_head_[set]; slot != kNil;
+             slot = slots_[slot].next)
+            index_insert(slots_[slot].key, slot);
+    }
 }
 
 void
@@ -125,8 +130,16 @@ Tlb::insert(Asid asid, Vpn vpn, const TlbEntry &entry)
         }
         remove_slot(victim);
     }
+    // Removed slots are reused (LIFO) before the bump pointer moves on.
     std::uint32_t fresh = free_head_;
-    free_head_ = slots_[fresh].next;
+    if (fresh != kNil) {
+        free_head_ = slots_[fresh].next;
+    } else {
+        fresh = static_cast<std::uint32_t>(slots_.size());
+        slots_.emplace_back();
+    }
+    if (2 * (size_ + 1) > index_.size())
+        resize_index(2 * index_.size());
     Slot &s = slots_[fresh];
     s.key = key;
     s.set = static_cast<std::uint32_t>(set);
@@ -153,7 +166,7 @@ Tlb::flush_asid(Asid asid)
 {
     ++stats_.flushes_asid;
     tm::metric_add(tm::Metric::kTlbFlush, 1, owner_);
-    for (std::size_t set = 0; set < num_sets_; ++set) {
+    for (std::size_t set = 0; size_ != 0 && set < num_sets_; ++set) {
         std::uint32_t slot = set_head_[set];
         while (slot != kNil) {
             std::uint32_t next = slots_[slot].next;

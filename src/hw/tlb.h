@@ -28,12 +28,18 @@ struct TlbEntry {
 /// model tracks hit/miss/flush statistics; the MMU charges walk cycles for
 /// misses and the shootdown manager charges flush cycles.
 ///
-/// Storage is flat (no per-entry allocation): a fixed slot array threaded
-/// with per-set intrusive LRU lists, indexed by an open-addressing hash
-/// table.  The default geometry is fully associative (one set of
-/// `capacity` ways), whose eviction order is bit-identical to the previous
-/// `unordered_map` + `list` global-LRU implementation — proven by the
-/// golden-replay test in tests/test_tlb_replay.cc.  Passing `ways` selects
+/// Storage is flat (no per-entry allocation): a slot array threaded with
+/// per-set intrusive LRU lists, indexed by an open-addressing hash table.
+/// Construction is O(sets): the slot array is reserved at full capacity
+/// but filled by a bump pointer (removed slots are reused first, LIFO),
+/// and the index starts at 8 cells and doubles whenever an insert would
+/// push its load above ½, up to 2× capacity.  A world builds one TLB per
+/// core and most never fill, so writing every slot and cell up front
+/// dominated world construction.  The default geometry is fully
+/// associative (one set of `capacity` ways), whose eviction order is
+/// bit-identical to the previous `unordered_map` + `list` global-LRU
+/// implementation — proven by the golden-replay test in
+/// tests/test_tlb_replay.cc.  Passing `ways` selects
 /// a real set-associative geometry (sets is the largest power of two
 /// ≤ capacity/ways; per-set ways = capacity/sets): more hardware-faithful,
 /// but the conflict misses it introduces change hit/miss sequences, so the
@@ -132,7 +138,8 @@ class Tlb {
         TlbEntry entry;
     };
 
-    /// Open-addressing index cell (linear probing, ≤50% load).
+    /// Open-addressing index cell (linear probing, ≤50% load: `insert`
+    /// doubles the index before crossing it).
     struct Cell {
         Key key = 0;
         std::uint32_t slot = kNil;  ///< kNil = empty cell.
@@ -163,6 +170,13 @@ class Tlb {
 
     void index_insert(Key key, std::uint32_t slot);
     void index_erase(Key key);
+
+    /// Smallest index: the size a fresh TLB starts with.
+    static constexpr std::size_t kMinIndex = 8;
+
+    /// Reallocates the index at \p cells (a power of two) and re-inserts
+    /// every live slot, walking each set's LRU list.
+    void resize_index(std::size_t cells);
 
     void
     list_unlink(std::uint32_t slot)
@@ -210,12 +224,14 @@ class Tlb {
     std::size_t owner_ = 0;
     std::size_t size_ = 0;
 
+    /// Reserved at `slot_count_`, so it never reallocates; grows by one
+    /// slot only when the free list is empty.
     std::vector<Slot> slots_;
-    std::uint32_t free_head_ = kNil;  ///< Free slots chained via `next`.
+    std::uint32_t free_head_ = kNil;  ///< Removed slots chained via `next`.
     std::vector<std::uint32_t> set_head_;  ///< Per-set MRU.
     std::vector<std::uint32_t> set_tail_;  ///< Per-set LRU.
     std::vector<std::uint32_t> set_size_;
-    std::vector<Cell> index_;
+    std::vector<Cell> index_;  ///< kMinIndex .. bit_ceil(2 × slot_count_).
     std::size_t index_mask_ = 0;
     unsigned hash_shift_ = 63;  ///< 64 - log2(index size).
     Stats stats_;

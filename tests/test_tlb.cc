@@ -3,10 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <list>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "hw/tlb.h"
+#include "sim/fault.h"
 #include "telemetry/metrics.h"
 
 namespace vdom::hw {
@@ -228,6 +231,230 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<TlbGeometry> &info) {
         return info.param.ways == 0 ? std::string("FullyAssociative")
                                     : std::string("SetAssociative");
+    });
+
+/// Index-growth tests: a fresh TLB's index starts at 8 cells and doubles
+/// as it fills, so every insert, flush and injected drop must keep the
+/// index consistent with the slots across each resize.  A per-set exact
+/// LRU model pins membership and eviction order.
+class TlbIndexGrowth : public ::testing::TestWithParam<TlbGeometry> {
+  protected:
+    struct Page {
+        Asid asid;
+        Vpn vpn;
+    };
+
+    TlbIndexGrowth()
+        : tlb_(GetParam().capacity, 0, GetParam().ways),
+          sets_(tlb_.num_sets())
+    {
+    }
+
+    /// Inserts after which the index has just doubled: it grows before an
+    /// insert would push its load above one half, from 8 cells up to
+    /// bit_ceil(2 * capacity).
+    std::vector<std::size_t>
+    doubling_points() const
+    {
+        std::vector<std::size_t> out;
+        for (std::size_t cells = 8; cells < 2 * tlb_.capacity(); cells *= 2)
+            out.push_back(cells / 2 + 1);
+        return out;
+    }
+
+    static Pdom pdom_of(const Page &page) { return Pdom(page.vpn % 16); }
+
+    std::list<Page> &set_of(Asid asid, Vpn vpn)
+    {
+        return sets_[tlb_.set_index(asid, vpn)];
+    }
+
+    std::size_t
+    model_size() const
+    {
+        std::size_t n = 0;
+        for (const std::list<Page> &set : sets_)
+            n += set.size();
+        return n;
+    }
+
+    /// A page never inserted before; with \p fit, one whose set has a
+    /// free way, so inserting it evicts nothing.
+    Page
+    fresh(Asid asid, bool fit)
+    {
+        while (true) {
+            Page page{asid, next_vpn_++ * 7};
+            if (!fit || set_of(page.asid, page.vpn).size() < tlb_.ways())
+                return page;
+        }
+    }
+
+    /// Inserts \p page into the TLB and the model; checks the size, that
+    /// the page is found, and that the evicted page (if any) is the
+    /// model's LRU victim.  Neither lookup changes LRU order: a miss
+    /// touches nothing and the page is already MRU.
+    void
+    insert(Page page)
+    {
+        std::list<Page> &set = set_of(page.asid, page.vpn);
+        std::optional<Page> victim;
+        if (set.size() == tlb_.ways()) {
+            victim = set.back();
+            set.pop_back();
+        }
+        set.push_front(page);
+        tlb_.insert(page.asid, page.vpn, TlbEntry{pdom_of(page), false});
+        EXPECT_EQ(tlb_.size(), model_size());
+        if (victim) {
+            EXPECT_FALSE(tlb_.lookup(victim->asid, victim->vpn).has_value())
+                << "vpn " << victim->vpn << " should have been evicted";
+        }
+        EXPECT_TRUE(tlb_.lookup(page.asid, page.vpn).has_value())
+            << "vpn " << page.vpn;
+    }
+
+    /// Checks that the TLB holds exactly the model's pages.  Each set is
+    /// looked up from LRU to MRU, which leaves its order unchanged.
+    void
+    expect_matches_model()
+    {
+        ASSERT_EQ(tlb_.size(), model_size());
+        for (const std::list<Page> &set : sets_) {
+            for (auto it = set.rbegin(); it != set.rend(); ++it) {
+                auto hit = tlb_.lookup(it->asid, it->vpn);
+                ASSERT_TRUE(hit.has_value()) << "vpn " << it->vpn;
+                ASSERT_EQ(hit->pdom, pdom_of(*it));
+            }
+        }
+    }
+
+    template <typename Pred>
+    void
+    model_erase_if(Pred pred)
+    {
+        for (std::list<Page> &set : sets_)
+            set.remove_if(pred);
+    }
+
+    Tlb tlb_;
+    std::vector<std::list<Page>> sets_;  ///< Per set, MRU first.
+    Vpn next_vpn_ = 1;
+};
+
+TEST_P(TlbIndexGrowth, FillToCapacityKeepsEveryKey)
+{
+    for (std::size_t n = 0; n < tlb_.capacity(); ++n) {
+        insert(fresh(1 + static_cast<Asid>(n % 3), true));
+        expect_matches_model();
+        if (HasFatalFailure())
+            return;
+    }
+    EXPECT_EQ(tlb_.size(), tlb_.capacity());
+    EXPECT_EQ(tlb_.stats().evictions, 0u);
+}
+
+TEST_P(TlbIndexGrowth, FlushRightAfterDoublingKeepsSurvivorsAndLru)
+{
+    for (std::size_t point : doubling_points()) {
+        SCOPED_TRACE("flush after insert " + std::to_string(point));
+        // A fresh TLB each time: the index never shrinks, so only a new
+        // one doubles again at this insert.
+        tlb_ = Tlb(GetParam().capacity, 0, GetParam().ways);
+        for (std::list<Page> &set : sets_)
+            set.clear();
+        Vpn first = next_vpn_ * 7;
+        for (std::size_t n = 0; n < point; ++n)
+            insert(fresh(1 + static_cast<Asid>(n % 2), true));
+        Vpn last = next_vpn_ * 7;
+
+        // Drop the lower half of ASID 1's pages, then all of ASID 2.
+        Vpn mid = first + (last - first) / 2;
+        std::size_t expected = 0;
+        for (const std::list<Page> &set : sets_) {
+            for (const Page &p : set)
+                expected += p.asid == 1 && p.vpn < mid;
+        }
+        EXPECT_EQ(tlb_.flush_range(1, first, mid - first), expected);
+        model_erase_if(
+            [mid](const Page &p) { return p.asid == 1 && p.vpn < mid; });
+        tlb_.flush_asid(2);
+        model_erase_if([](const Page &p) { return p.asid == 2; });
+        expect_matches_model();
+        if (HasFatalFailure())
+            return;
+
+        // Refill to capacity, then push every survivor out: each insert
+        // into a full set must evict exactly the model's LRU page.
+        while (tlb_.size() < tlb_.capacity())
+            insert(fresh(3, true));
+        for (std::size_t n = 0; n < tlb_.capacity(); ++n)
+            insert(fresh(4, false));
+        expect_matches_model();
+        if (HasFatalFailure())
+            return;
+    }
+}
+
+TEST_P(TlbIndexGrowth, FlushAllRefillsToCapacityWithoutEviction)
+{
+    while (tlb_.size() < tlb_.capacity())
+        insert(fresh(1, true));
+    tlb_.flush_all();
+    for (std::list<Page> &set : sets_)
+        set.clear();
+    EXPECT_EQ(tlb_.size(), 0u);
+    while (tlb_.size() < tlb_.capacity())
+        insert(fresh(2, true));
+    EXPECT_EQ(tlb_.stats().evictions, 0u);
+    expect_matches_model();
+}
+
+TEST_P(TlbIndexGrowth, EntryDropDuringFillErasesItsCell)
+{
+    sim::FaultPlan plan;
+    plan.arm(sim::FaultSite::kTlbEntryDrop, {.every = 5});
+    std::vector<Page> inserted;
+    for (std::size_t n = 0; n < tlb_.capacity(); ++n) {
+        Page page = fresh(1, true);
+        insert(page);
+        inserted.push_back(page);
+        // Look up an older page with the drop armed: on a drop the entry
+        // leaves the TLB; on a hit it becomes MRU.
+        const Page &old = inserted[n / 2];
+        std::uint64_t drops = tlb_.stats().fault_drops;
+        {
+            sim::ScopedFaults faults(plan);
+            tlb_.lookup(old.asid, old.vpn);
+        }
+        std::list<Page> &set = set_of(old.asid, old.vpn);
+        for (auto it = set.begin(); it != set.end(); ++it) {
+            if (it->vpn != old.vpn)
+                continue;
+            if (tlb_.stats().fault_drops != drops)
+                set.erase(it);
+            else
+                set.splice(set.begin(), set, it);
+            break;
+        }
+        expect_matches_model();
+        if (HasFatalFailure())
+            return;
+    }
+    EXPECT_GT(tlb_.stats().fault_drops, 0u);
+    EXPECT_EQ(tlb_.stats().evictions, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, TlbIndexGrowth,
+    ::testing::Values(TlbGeometry{1536, 0}, TlbGeometry{512, 0},
+                      TlbGeometry{512, 8}),
+    [](const ::testing::TestParamInfo<TlbGeometry> &info) {
+        const TlbGeometry &g = info.param;
+        std::string cap = std::to_string(g.capacity);
+        return g.ways == 0 ? "FullyAssociative" + cap
+                           : "SetAssociative" + cap + "x" +
+                                 std::to_string(g.ways);
     });
 
 }  // namespace
