@@ -128,6 +128,22 @@ BM_PmdDisableRemap2MB(benchmark::State &state)
 BENCHMARK(BM_PmdDisableRemap2MB);
 
 void
+BM_InstallFromShadow2MB(benchmark::State &state)
+{
+    // VDS demand population (§6.2): a 512-page area copied from a fully
+    // present shadow into a fresh pgd, once per iteration.
+    hw::PageTable shadow(512);
+    for (hw::Vpn v = 0; v < 512; ++v)
+        shadow.map_page(v, 0);
+    for (auto _ : state) {
+        hw::PageTable pgd(512);
+        hw::PtOps ops = pgd.install_from(shadow, 0, 512, 6, true);
+        benchmark::DoNotOptimize(ops);
+    }
+}
+BENCHMARK(BM_InstallFromShadow2MB);
+
+void
 BM_RadixTranslateSparse(benchmark::State &state)
 {
     // Pages scattered one-per-PMD across the dense directory plus a band

@@ -1,12 +1,37 @@
 /// \file
 /// Domain-tagged page-table model implementation (two-level radix: a dense
-/// PMD directory of leaves, each leaf a flat PTE block).
+/// PMD directory of leaves, each leaf three byte planes of PTE state).
 
 #include "hw/page_table.h"
 
 #include <algorithm>
+#include <cassert>
+#include <cstring>
 
 namespace vdom::hw {
+
+namespace {
+
+/// Sum of a 0/1 plane over [lo, hi).
+std::uint64_t
+plane_sum(const std::uint8_t *plane, std::size_t lo, std::size_t hi)
+{
+    std::uint64_t sum = 0;
+    for (std::size_t i = lo; i < hi; ++i)
+        sum += plane[i];
+    return sum;
+}
+
+/// tag[i] = pdom wherever present[i], over [lo, hi).
+void
+retag_present(const std::uint8_t *present, std::uint8_t *tag, Pdom pdom,
+              std::size_t lo, std::size_t hi)
+{
+    for (std::size_t i = lo; i < hi; ++i)
+        tag[i] = present[i] ? pdom : tag[i];
+}
+
+}  // namespace
 
 PageTable::Leaf &
 PageTable::leaf_grow(Vpn idx)
@@ -55,15 +80,16 @@ PageTable::translate(Vpn vpn) const
         t.pdom = leaf->pdom;
         return t;
     }
-    const Pte &pte = leaf->ptes[vpn - idx * pmd_span_];
-    if (!pte.present)
+    auto pl = planes(*leaf);
+    std::size_t i = vpn - idx * pmd_span_;
+    if (!pl.present[i])
         return t;
-    if (pte.prot_none) {
+    if (pl.prot[i]) {
         t.prot_none = true;
         return t;
     }
     t.present = true;
-    t.pdom = pte.pdom;
+    t.pdom = pl.tag[i];
     return t;
 }
 
@@ -88,16 +114,16 @@ PageTable::protect_none_range(Vpn vpn, std::uint64_t count)
         }
         Vpn chunk_end = std::min(end, span_end);
         if (leaf) {
-            for (; v < chunk_end; ++v) {
-                Pte &pte = leaf->ptes[v - span_start];
-                if (pte.present && !pte.prot_none) {
-                    pte.prot_none = true;
-                    ++ops.pte_writes;
-                }
+            // prot_none implies present, so present ^ prot marks exactly
+            // the entries this pass protects.
+            auto pl = planes(*leaf);
+            for (std::size_t i = v - span_start; i < chunk_end - span_start;
+                 ++i) {
+                ops.pte_writes += pl.present[i] ^ pl.prot[i];
+                pl.prot[i] = pl.present[i];
             }
-        } else {
-            v = chunk_end;
         }
+        v = chunk_end;
     }
     return ops;
 }
@@ -108,30 +134,24 @@ PageTable::map_page(Vpn vpn, Pdom pdom)
     PtOps ops;
     Vpn idx = pmd_index(vpn);
     Leaf &leaf = leaf_grow(idx);
+    auto pl = planes(leaf);
+    std::size_t off = vpn - idx * pmd_span_;
     if (leaf.kind != PmdKind::kTable) {
         // Re-enable the span as a PTE table before installing the page.
         // Sibling PTEs under a disabled PMD still carry their pre-eviction
         // tags; neutralize them so re-enabling one page cannot resurrect
-        // the whole evicted span.
+        // the whole evicted span.  (A huge leaf's planes are all zero.)
         if (leaf.kind == PmdKind::kDisabled) {
-            Vpn base = idx * pmd_span_;
-            for (Vpn p = base; p < base + pmd_span_; ++p) {
-                Pte &pte = leaf.ptes[p - base];
-                if (pte.present && p != vpn) {
-                    pte.pdom = access_never_;
-                    ++ops.pte_writes;
-                }
-            }
+            ops.pte_writes += leaf.present - pl.present[off];
+            retag_present(pl.present, pl.tag, access_never_, 0, pmd_span_);
         }
         leaf.kind = PmdKind::kTable;
         leaf.was_huge = false;
         ++ops.pmd_writes;
     }
-    Pte &pte = leaf.ptes[vpn - idx * pmd_span_];
-    if (!pte.present)
-        ++leaf.present;
-    pte.present = true;
-    pte.pdom = pdom;
+    leaf.present += 1 - pl.present[off];
+    pl.present[off] = 1;
+    pl.tag[off] = pdom;
     ++ops.pte_writes;
     return ops;
 }
@@ -144,13 +164,15 @@ PageTable::unmap_page(Vpn vpn)
     Leaf *leaf = leaf_at(idx);
     if (!leaf || leaf->kind == PmdKind::kHuge)
         return ops;
-    Pte &pte = leaf->ptes[vpn - idx * pmd_span_];
-    if (!pte.present)
+    auto pl = planes(*leaf);
+    std::size_t off = vpn - idx * pmd_span_;
+    if (!pl.present[off])
         return ops;
-    pte = Pte{};
+    pl.present[off] = 0;
+    pl.prot[off] = 0;
+    pl.tag[off] = 0;
     ++ops.pte_writes;
-    if (leaf->present > 0)
-        --leaf->present;
+    --leaf->present;
     return ops;
 }
 
@@ -180,7 +202,7 @@ PageTable::map_huge(Vpn vpn, Pdom pdom)
     leaf.present = 0;
     ++ops.pmd_writes;
     // Drop any stale PTEs shadowed by the huge entry.
-    std::fill(leaf.ptes.begin(), leaf.ptes.end(), Pte{});
+    std::fill(leaf.bytes.begin(), leaf.bytes.end(), 0);
     return ops;
 }
 
@@ -191,11 +213,15 @@ PageTable::span_uniform(const Leaf *leaf, Pdom *pdom_out) const
         leaf->present != pmd_span_) {
         return false;
     }
-    Pdom pdom = leaf->ptes[0].pdom;
-    for (const Pte &pte : leaf->ptes) {
-        if (!pte.present || pte.prot_none || pte.pdom != pdom)
-            return false;
-    }
+    // Every entry is present (the count says so); one pass ORs together
+    // every prot bit and every tag's difference from the first.
+    auto pl = planes(*leaf);
+    Pdom pdom = pl.tag[0];
+    std::uint8_t diff = 0;
+    for (std::size_t i = 0; i < pmd_span_; ++i)
+        diff |= pl.prot[i] | (pl.tag[i] ^ pdom);
+    if (diff != 0)
+        return false;
     if (pdom_out)
         *pdom_out = pdom;
     return true;
@@ -232,43 +258,38 @@ PageTable::set_pdom_range(Vpn vpn, std::uint64_t count, Pdom pdom,
                     v = span_end;
                     continue;
                 }
+                // §5.5 HLRU remap: when the vdom returns to the same pdom it
+                // last occupied, the (uniform) PTE tags below the disabled
+                // PMD are still valid and one PMD write restores the whole
+                // span.  A different pdom re-enables the span and falls
+                // through to the per-PTE retag below.
+                leaf->kind = PmdKind::kTable;
+                ++ops.pmd_writes;
                 if (allow_pmd_fast_path && leaf->pdom == pdom) {
-                    // §5.5 HLRU remap: the vdom returns to the same pdom it
-                    // last occupied, so the (uniform) PTE tags below the
-                    // disabled PMD are still valid; one PMD write restores
-                    // the whole span without touching 512 PTEs.
-                    leaf->kind = PmdKind::kTable;
-                    ++ops.pmd_writes;
                     v = span_end;
                     continue;
                 }
-                // Different pdom: re-enable the span and pay per-PTE retags.
-                leaf->kind = PmdKind::kTable;
-                ++ops.pmd_writes;
-                for (Pte &pte : leaf->ptes) {
-                    if (pte.present) {
-                        pte.pdom = pdom;
-                        pte.prot_none = false;
-                        ++ops.pte_writes;
-                    }
-                }
-                v = span_end;
-                continue;
             }
         }
         Vpn chunk_end = std::min(end, span_end);
         if (leaf && leaf->kind == PmdKind::kTable) {
-            for (; v < chunk_end; ++v) {
-                Pte &pte = leaf->ptes[v - span_start];
-                if (pte.present) {
-                    pte.pdom = pdom;
-                    pte.prot_none = false;
-                    ++ops.pte_writes;
-                }
+            // Every present entry is written: its tag becomes pdom and its
+            // prot bit clears (prot implies present, so clear them all).
+            // A range with nothing present, such as eager revocation of
+            // fresh pages, stays a read-only pass.
+            auto pl = planes(*leaf);
+            std::size_t lo = v - span_start;
+            std::size_t hi = chunk_end - span_start;
+            std::uint64_t writes = hi - lo == pmd_span_
+                                       ? leaf->present
+                                       : plane_sum(pl.present, lo, hi);
+            if (writes > 0) {
+                retag_present(pl.present, pl.tag, pdom, lo, hi);
+                std::memset(pl.prot + lo, 0, hi - lo);
+                ops.pte_writes += writes;
             }
-        } else {
-            v = chunk_end;
         }
+        v = chunk_end;
     }
     return ops;
 }
@@ -306,16 +327,78 @@ PageTable::disable_range(Vpn vpn, std::uint64_t count, Pdom access_never,
         }
         Vpn chunk_end = std::min(end, span_end);
         if (leaf && leaf->kind == PmdKind::kTable) {
-            for (; v < chunk_end; ++v) {
-                Pte &pte = leaf->ptes[v - span_start];
-                if (pte.present && pte.pdom != access_never) {
-                    pte.pdom = access_never;
-                    ++ops.pte_writes;
+            // Present entries not already access-never are written.
+            auto pl = planes(*leaf);
+            for (std::size_t i = v - span_start; i < chunk_end - span_start;
+                 ++i) {
+                ops.pte_writes += pl.present[i] & (pl.tag[i] != access_never);
+                pl.tag[i] = pl.present[i] ? access_never : pl.tag[i];
+            }
+        }
+        v = chunk_end;
+    }
+    return ops;
+}
+
+PtOps
+PageTable::install_from(const PageTable &src, Vpn vpn, std::uint64_t count,
+                        Pdom pdom, bool allow_pmd_fast_path)
+{
+    assert(src.pmd_span_ == pmd_span_);
+    PtOps ops;
+    Vpn v = vpn;
+    Vpn end = vpn + count;
+    while (v < end) {
+        Vpn idx = pmd_index(v);
+        Vpn span_start = idx * pmd_span_;
+        Vpn chunk_end = std::min(end, span_start + pmd_span_);
+        std::size_t lo = v - span_start;
+        std::size_t hi = chunk_end - span_start;
+        Leaf *leaf = leaf_at(idx);
+        // The first page this table already translates (present and not
+        // prot_none), or the span start under a huge or disabled PMD,
+        // ends the install: from there on the range is retagged.
+        std::size_t stop = hi;
+        if (leaf && leaf->kind != PmdKind::kTable) {
+            stop = lo;
+        } else if (leaf) {
+            auto pl = planes(*leaf);
+            for (std::size_t i = lo; i < hi; ++i) {
+                if (pl.present[i] & (pl.prot[i] ^ 1)) {
+                    stop = i;
+                    break;
                 }
             }
-        } else {
-            v = chunk_end;
         }
+        const Leaf *from = src.leaf_at(idx);
+        if (from && from->kind != PmdKind::kDisabled && stop > lo) {
+            bool huge = from->kind == PmdKind::kHuge;
+            auto in = src.planes(*from);
+            std::uint64_t maps =
+                huge ? stop - lo
+                     : plane_sum(in.present, lo, stop) -
+                           plane_sum(in.prot, lo, stop);
+            if (maps > 0) {
+                if (!leaf)
+                    leaf = &leaf_grow(idx);
+                auto pl = planes(*leaf);
+                for (std::size_t i = lo; i < stop; ++i) {
+                    std::uint8_t m =
+                        huge ? 1 : in.present[i] & (in.prot[i] ^ 1);
+                    leaf->present += m & (pl.present[i] ^ 1);
+                    pl.present[i] |= m;
+                    pl.tag[i] = m ? pdom : pl.tag[i];
+                }
+                ops.pte_writes += maps;
+            }
+        }
+        if (stop < hi) {
+            ops += set_pdom_range(span_start + stop,
+                                  end - (span_start + stop), pdom,
+                                  allow_pmd_fast_path);
+            return ops;
+        }
+        v = chunk_end;
     }
     return ops;
 }
@@ -327,14 +410,9 @@ PageTable::present_pages() const
     auto tally = [&](const Leaf *leaf) {
         if (!leaf)
             return;
-        if (leaf->kind == PmdKind::kHuge) {
-            count += pmd_span_;
-            return;
-        }
-        for (const Pte &pte : leaf->ptes) {
-            if (pte.present)
-                ++count;
-        }
+        count += leaf->kind == PmdKind::kHuge
+                     ? pmd_span_
+                     : plane_sum(planes(*leaf).present, 0, pmd_span_);
     };
     for (const auto &leaf : dense_)
         tally(leaf.get());

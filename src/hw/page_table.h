@@ -9,6 +9,10 @@
 /// the PMD in O(1) instead of rewriting 512 PTEs, and huge-page mappings
 /// (used by the libmpk 2MB-page baseline in Fig. 7) are single PMD entries.
 ///
+/// A leaf stores its PTEs as three byte planes (present, prot_none, tag)
+/// rather than an array of structs, so range mutations are branch-free
+/// passes: write counts are plane sums and entry writes are selects.
+///
 /// The hardware layer is cost-agnostic: every mutator returns the number of
 /// PTE/PMD writes it performed so the caller can charge cycles from the
 /// architecture's CostTable.
@@ -24,14 +28,6 @@
 #include "hw/arch.h"
 
 namespace vdom::hw {
-
-/// One page-table entry: present bit plus the domain tag.
-struct Pte {
-    bool present = false;
-    bool prot_none = false;  ///< mprotect(PROT_NONE): faults until restored
-                             ///  (the libmpk eviction mechanism, §3.2).
-    Pdom pdom = 0;
-};
 
 /// Counts of entry writes performed by a page-table mutation.
 struct PtOps {
@@ -109,6 +105,19 @@ class PageTable {
     /// this is the baseline mechanism); huge mappings disable their PMD.
     PtOps protect_none_range(Vpn vpn, std::uint64_t count);
 
+    /// Installs the pages of [vpn, vpn+count) that \p src translates as
+    /// present, tagged \p pdom — the VDS demand-population step (§6.2).
+    ///
+    /// Equivalent to, per page in order: if this table translates the page
+    /// as present or it sits under a huge or disabled PMD, retag the rest
+    /// of the range with set_pdom_range(..., \p allow_pmd_fast_path) and
+    /// stop; otherwise map_page it when \p src has it present.  Runs one
+    /// leaf at a time; a leaf is created only when a page maps into it and
+    /// prot_none bits are kept, as map_page keeps them.  \p src must have
+    /// the same PMD span.
+    PtOps install_from(const PageTable &src, Vpn vpn, std::uint64_t count,
+                       Pdom pdom, bool allow_pmd_fast_path);
+
     /// Returns the number of present 4KB-equivalent pages (huge counts as
     /// pmd_span).  Debug/test helper.
     std::uint64_t present_pages() const;
@@ -125,18 +134,47 @@ class PageTable {
         kHuge,      ///< 2MB mapping with a single domain tag.
     };
 
-    /// One radix leaf: the PMD entry plus its PTE block as a flat array —
-    /// translate and whole-span retags are pointer-arithmetic walks, like
-    /// a real page table (one 4KB PTE page per PMD entry).
+    /// One radix leaf: the PMD entry plus its PTE block, one zeroed
+    /// block of three pmd_span-byte planes (see Planes): present
+    /// (0/1), prot_none (0/1; mprotect(PROT_NONE), the libmpk eviction
+    /// mechanism, §3.2) and the pdom tag.  Same 3 bytes per PTE as a
+    /// struct array, but range ops become vectorizable plane passes.
+    ///
+    /// Invariants the passes rely on: prot_none is only ever set on a
+    /// present entry (so clearing it over a range needs no present test),
+    /// `present` equals the present plane's sum, and a kHuge or
+    /// was_huge-disabled leaf has all-zero planes.
     struct Leaf {
         PmdKind kind = PmdKind::kTable;
         Pdom pdom = 0;           ///< For kHuge; for kDisabled: prior pdom.
         bool was_huge = false;   ///< Disabled entry had a huge backing.
         std::uint32_t present = 0;  ///< Present PTEs under this PMD.
-        std::vector<Pte> ptes;   ///< pmd_span entries, dense.
+        std::vector<std::uint8_t> bytes;  ///< 3 * pmd_span, zeroed.
 
-        explicit Leaf(std::size_t span) : ptes(span) {}
+        explicit Leaf(std::size_t span) : bytes(3 * span) {}
     };
+
+    /// The three planes of one leaf, each indexed by vpn - span start.
+    template <typename Byte>
+    struct Planes {
+        Byte *present;
+        Byte *prot;
+        Byte *tag;
+    };
+
+    Planes<std::uint8_t>
+    planes(Leaf &leaf) const
+    {
+        std::uint8_t *b = leaf.bytes.data();
+        return {b, b + pmd_span_, b + 2 * pmd_span_};
+    }
+
+    Planes<const std::uint8_t>
+    planes(const Leaf &leaf) const
+    {
+        const std::uint8_t *b = leaf.bytes.data();
+        return {b, b + pmd_span_, b + 2 * pmd_span_};
+    }
 
     /// PMD indices below this use the dense directory (a flat pointer
     /// array — mmap allocates VPNs bottom-up, so real address spaces land
@@ -161,8 +199,8 @@ class PageTable {
     /// Drops the leaf at \p idx entirely (PMD entry + PTE block).
     void leaf_drop(Vpn idx);
 
-    /// True when every page in [base, base+span) is present, same pdom,
-    /// and the span exactly covers the PMD.
+    /// True when \p leaf is a table whose every PTE is present, not
+    /// prot_none and carries the same pdom (one pass over the planes).
     bool span_uniform(const Leaf *leaf, Pdom *pdom_out) const;
 
     std::size_t pmd_span_;

@@ -310,21 +310,11 @@ MmStruct::install_vdom_in_vds(hw::Core &core, Vds &vds, VdomId vdom,
             }
             continue;
         }
-        for (std::uint64_t i = 0; i < area.pages; ++i) {
-            hw::Vpn vpn = area.start + i;
-            hw::Translation in_vds = vds.pgd().translate(vpn);
-            if (in_vds.present || in_vds.pmd_disabled) {
-                // Present (possibly under a disabled PMD): retag the whole
-                // remaining area in one call to benefit from the §5.5 PMD
-                // fast path, then stop the per-page loop.
-                total += vds.pgd().set_pdom_range(
-                    vpn, area.pages - i, pdom,
-                    params_->knobs.pmd_fast_path);
-                break;
-            }
-            if (shadow_.translate(vpn).present)
-                total += vds.pgd().map_page(vpn, pdom);
-        }
+        // Copies the shadow's present pages until the first page the VDS
+        // already has (possibly under a disabled PMD); the rest of the area
+        // is retagged in one call to benefit from the §5.5 PMD fast path.
+        total += vds.pgd().install_from(shadow_, area.start, area.pages,
+                                        pdom, params_->knobs.pmd_fast_path);
     }
     // Remapping retags live translations: TLB entries cached since the
     // eviction flush (e.g. filled by a denied access, which still installs
