@@ -109,7 +109,7 @@ run(std::size_t ops, BenchReport &report)
             return core.now() - t0;
         };
         double base = hot_switching(true);
-        telemetry::MetricsRegistry registry(2);
+        telemetry::MetricsRegistry registry;
         double ablated;
         {
             std::optional<telemetry::ScopedMetrics> attach;
@@ -126,7 +126,7 @@ run(std::size_t ops, BenchReport &report)
     {
         hw::DesignKnobs off;
         off.pmd_fast_path = false;
-        telemetry::MetricsRegistry registry(10);
+        telemetry::MetricsRegistry registry;
         hw::CycleBreakdown bd;
         double base = run_pmo_with(hw::DesignKnobs{}, 1, 1, ops);
         double ablated =
@@ -140,7 +140,7 @@ run(std::size_t ops, BenchReport &report)
     {
         hw::DesignKnobs off;
         off.hlru = false;
-        telemetry::MetricsRegistry registry(10);
+        telemetry::MetricsRegistry registry;
         hw::CycleBreakdown bd;
         double base = run_pmo_with(hw::DesignKnobs{}, 1, 1, ops);
         double ablated =
@@ -154,7 +154,7 @@ run(std::size_t ops, BenchReport &report)
     {
         hw::DesignKnobs off;
         off.narrow_shootdown = false;
-        telemetry::MetricsRegistry registry(10);
+        telemetry::MetricsRegistry registry;
         hw::CycleBreakdown bd;
         double base = run_pmo_with(hw::DesignKnobs{}, 1, 8, ops);
         double ablated =

@@ -57,7 +57,7 @@ BM_TlbSetAssocConflict(benchmark::State &state)
     // Opt-in set-associative geometry: 64 sets x 8 ways.  Round-robin over
     // 2x-ways vpns that all land in one set, so every insert past the
     // first 8 is a conflict eviction while the TLB is otherwise empty.
-    hw::Tlb tlb(512, 0, 8);
+    hw::Tlb tlb(512, 8);
     std::vector<hw::Vpn> conflicting;
     std::size_t target = tlb.set_index(1, 0x1000);
     for (hw::Vpn v = 0x1000; conflicting.size() < 2 * tlb.ways(); ++v) {

@@ -79,7 +79,7 @@ run_config(BenchReport &report, hw::ArchKind arch, bool armed, int ops,
         config.faults = all_sites_armed();
     config.postmortem_path = postmortem;
 
-    telemetry::MetricsRegistry registry(config.cores);
+    telemetry::MetricsRegistry registry;
     sim::ChaosHarness harness(config);
     sim::ChaosResult result;
     {
@@ -158,7 +158,7 @@ run_sweep(BenchReport &report, hw::ArchKind arch, bool quick,
     config.domains = quick ? 3 : 6;
     config.postmortem_path = postmortem;
 
-    telemetry::MetricsRegistry registry(config.cores);
+    telemetry::MetricsRegistry registry;
     sim::SweepHarness harness(config);
     sim::SweepResult result;
     {
@@ -227,7 +227,7 @@ run_crash_sweep(BenchReport &report, hw::ArchKind arch, bool quick,
     config.domains = quick ? 3 : 4;
     config.postmortem_path = postmortem;
 
-    telemetry::MetricsRegistry registry(config.cores);
+    telemetry::MetricsRegistry registry;
     sim::CrashSweepHarness harness(config);
     sim::CrashSweepResult result;
     {

@@ -45,7 +45,7 @@ measure(std::size_t clients, std::size_t requests, std::size_t cores,
     mpk_world.sys.vdom_init(mpk_world.core(0));
     baselines::LibMpk mpk(mpk_world.proc);
     apps::LibmpkStrategy strat(mpk_world.proc, mpk);
-    telemetry::MetricsRegistry registry(cores);
+    telemetry::MetricsRegistry registry;
     std::optional<telemetry::ScopedMetrics> attach;
     if (report && report->enabled())
         attach.emplace(registry);

@@ -51,7 +51,7 @@ run_one(hw::ArchKind arch, const std::string &kind, std::size_t cores,
         apps::HttpdConfig::for_arch(arch, clients, file_kb);
     cfg.workers = 40;
     cfg.total_requests = requests;
-    telemetry::MetricsRegistry registry(cores);
+    telemetry::MetricsRegistry registry;
     std::optional<telemetry::ScopedMetrics> attach;
     if (report && report->enabled())
         attach.emplace(registry);
@@ -87,7 +87,7 @@ void
 export_trace(const std::string &path, std::size_t requests)
 {
     telemetry::FlightRecorder flight(8, std::size_t{1} << 14);
-    telemetry::MetricsRegistry registry(8);
+    telemetry::MetricsRegistry registry;
     {
         telemetry::ScopedFlightRecorder attach_flight(flight);
         telemetry::ScopedMetrics attach_metrics(registry);

@@ -46,7 +46,7 @@ run_one(hw::ArchKind arch, const std::string &kind, std::size_t cores,
     // Fixed-duration steady-state measurement (sysbench-style): queries
     // here sets the target duration in query-equivalents.
     cfg.duration = static_cast<hw::Cycles>(queries) * 1'000'000.0;
-    telemetry::MetricsRegistry registry(cores);
+    telemetry::MetricsRegistry registry;
     std::optional<telemetry::ScopedMetrics> attach;
     if (report && report->enabled())
         attach.emplace(registry);

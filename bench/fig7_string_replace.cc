@@ -53,7 +53,7 @@ run_one(hw::ArchKind arch, const std::string &kind, std::size_t cores,
     apps::PmoConfig cfg = apps::PmoConfig::for_arch(arch, threads);
     cfg.ops_per_thread = ops;
     cfg.huge_pages = huge;
-    telemetry::MetricsRegistry registry(cores);
+    telemetry::MetricsRegistry registry;
     std::optional<telemetry::ScopedMetrics> attach;
     if (report && report->enabled())
         attach.emplace(registry);

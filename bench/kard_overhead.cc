@@ -88,7 +88,7 @@ run(std::size_t ops, BenchReport &report)
     table.columns({"watched objects", "baseline cy/op", "detected cy/op",
                    "overhead"});
     for (std::size_t objects : {8u, 14u, 32u, 128u, 512u}) {
-        telemetry::MetricsRegistry registry(4);
+        telemetry::MetricsRegistry registry;
         hw::CycleBreakdown detected_bd;
         bool record = report.enabled();
         double base = run_workload(objects, 4, ops, false, work) / ops;

@@ -31,7 +31,7 @@ struct Point {
 Point
 measure(std::size_t domains, BenchReport *report)
 {
-    telemetry::MetricsRegistry registry(2);
+    telemetry::MetricsRegistry registry;
     std::optional<telemetry::ScopedMetrics> attach;
     if (report && report->enabled())
         attach.emplace(registry);

@@ -172,7 +172,7 @@ run(int rounds, BenchReport &report)
                            std::uint64_t pages, std::size_t domains,
                            std::size_t nas, ApiMode mode,
                            const char *filter, double paper) {
-        telemetry::MetricsRegistry registry(2);
+        telemetry::MetricsRegistry registry;
         double v;
         {
             std::optional<telemetry::ScopedMetrics> attach;

@@ -237,7 +237,7 @@ run(int rounds, BenchReport &report)
     for (RowSpec &row : rows) {
         std::vector<std::string> cells = {row.name};
         for (std::size_t i = 0; i < counts.size(); ++i) {
-            telemetry::MetricsRegistry registry(2);
+            telemetry::MetricsRegistry registry;
             double v;
             {
                 std::optional<telemetry::ScopedMetrics> attach;

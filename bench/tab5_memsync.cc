@@ -82,7 +82,7 @@ overhead_pct(hw::ArchKind arch, std::size_t n, int pages, double alloc_work,
              double module_work, BenchReport &report)
 {
     double base = run_alloc_sync(arch, n, 1, pages, alloc_work, module_work);
-    telemetry::MetricsRegistry registry(2);
+    telemetry::MetricsRegistry registry;
     hw::CycleBreakdown bd;
     bool record = report.enabled();
     double split = run_alloc_sync(arch, n, n, pages, alloc_work, module_work,

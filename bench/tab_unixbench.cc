@@ -122,7 +122,7 @@ run(int scale, BenchReport &report)
             BenchWorld vdomful(arch == hw::ArchKind::kX86
                                    ? hw::ArchParams::x86(2)
                                    : hw::ArchParams::arm(2));
-            telemetry::MetricsRegistry registry(2);
+            telemetry::MetricsRegistry registry;
             double on_vdom;
             {
                 std::optional<telemetry::ScopedMetrics> attach;

@@ -153,14 +153,13 @@ pmo_attach(VdomSystem &sys, hw::Core &core, PmoStore &store, int pmo,
     kernel::MmStruct &mm = sys.process().mm();
     // WAL intent before any durable effect; the inner vdom_alloc and
     // vdom_mprotect logging nests away under this record.
-    kernel::WalTxn wtxn(mm.wal(), core, kernel::WalOp::kPmoAttach, 0,
-                        static_cast<std::uint64_t>(pmo), pages, seed);
-    kernel::ScopedTxn txn(mm.journal(), core, 0, "pmo_attach");
+    kernel::OpTxn txn(mm, core, kernel::WalOp::kPmoAttach, 0,
+                      static_cast<std::uint64_t>(pmo), pages, seed);
     hw::Vpn base = mm.mmap(pages);
     VdomId vdom = sys.vdom_alloc(core, false);
     if (vdom == kInvalidVdom) {
         out.status = VdomStatus::kResourceExhausted;
-        return out;  // Rollback unwinds the mmap; WalTxn seals an ABORT.
+        return out;  // Rollback unwinds the mmap and seals an ABORT.
     }
     // vdom_alloc has no journal undo of its own (it is a single step);
     // inside this compound op a graceful failure below must not leak it.
@@ -187,8 +186,7 @@ pmo_attach(VdomSystem &sys, hw::Core &core, PmoStore &store, int pmo,
         core.charge(hw::CostKind::kWal, costs.wal_append);
     }
     core.charge(hw::CostKind::kWal, costs.wal_flush);
-    txn.commit();
-    wtxn.commit(vdom, base);
+    txn.commit(vdom, base);
     out.status = VdomStatus::kOk;
     out.vdom = vdom;
     out.base = base;
@@ -202,12 +200,12 @@ pmo_detach(VdomSystem &sys, hw::Core &core, PmoStore &store, int pmo,
     if (!store.has(pmo))
         return VdomStatus::kInvalidRange;
     kernel::MmStruct &mm = sys.process().mm();
-    kernel::WalTxn wtxn(mm.wal(), core, kernel::WalOp::kPmoDetach, 0,
-                        static_cast<std::uint64_t>(pmo), vdom);
+    kernel::OpTxn txn(mm, core, kernel::WalOp::kPmoDetach, 0,
+                      static_cast<std::uint64_t>(pmo), vdom);
     VdomStatus st = sys.vdom_free(core, vdom);
     if (st != VdomStatus::kOk)
-        return st;  // WalTxn seals an ABORT; the store is untouched.
-    wtxn.commit();
+        return st;  // The guard seals an ABORT; the store is untouched.
+    txn.commit();
     // The durable erase is ordered strictly after the COMMIT: a crash
     // right here is finished by recovery redoing the (idempotent) erase,
     // whereas erasing first could lose content of an op that never

@@ -23,9 +23,8 @@ class PageTable;
 class Core {
   public:
     Core(std::size_t id, const ArchParams &params)
-        : id_(id), params_(&params), tlb_(params.tlb_entries, id)
+        : id_(id), params_(&params), tlb_(params.tlb_entries)
     {
-        perm_reg_.set_owner(id);
     }
 
     std::size_t id() const { return id_; }

@@ -42,7 +42,7 @@ class PermRegister {
     set(std::uint8_t pdom, Perm perm)
     {
         slots_[pdom] = perm;
-        telemetry::metric_add(telemetry::Metric::kPermRegWrite, 1, owner_);
+        telemetry::metric_add(telemetry::Metric::kPermRegWrite);
     }
 
     /// Writes the rights for \p pdom without counting a register write:
@@ -66,11 +66,8 @@ class PermRegister {
     {
         for (std::size_t i = 0; i < kSlots; ++i)
             slots_[i] = static_cast<Perm>((value >> (2 * i)) & 0x3u);
-        telemetry::metric_add(telemetry::Metric::kPermRegWrite, 1, owner_);
+        telemetry::metric_add(telemetry::Metric::kPermRegWrite);
     }
-
-    /// Telemetry shard for write metrics (the owning core's id).
-    void set_owner(std::size_t owner) { owner_ = owner; }
 
     bool
     operator==(const PermRegister &other) const
@@ -80,7 +77,6 @@ class PermRegister {
 
   private:
     std::array<Perm, kSlots> slots_;
-    std::size_t owner_ = 0;
 };
 
 }  // namespace vdom::hw

@@ -14,8 +14,7 @@ namespace vdom::hw {
 
 namespace tm = ::vdom::telemetry;
 
-Tlb::Tlb(std::size_t capacity, std::size_t owner, std::size_t ways)
-    : capacity_(capacity), owner_(owner)
+Tlb::Tlb(std::size_t capacity, std::size_t ways) : capacity_(capacity)
 {
     std::size_t effective = capacity == 0 ? 1 : capacity;
     if (ways == 0 || ways >= effective) {
@@ -123,10 +122,10 @@ Tlb::insert(Asid asid, Vpn vpn, const TlbEntry &entry)
     if (set_size_[set] >= ways_) {
         std::uint32_t victim = set_tail_[set];
         ++stats_.evictions;
-        tm::metric_add(tm::Metric::kTlbEvict, 1, owner_);
+        tm::metric_add(tm::Metric::kTlbEvict);
         if (size_ < slot_count_) {
             ++stats_.assoc_conflicts;
-            tm::metric_add(tm::Metric::kTlbAssocConflict, 1, owner_);
+            tm::metric_add(tm::Metric::kTlbAssocConflict);
         }
         remove_slot(victim);
     }
@@ -154,7 +153,7 @@ void
 Tlb::flush_all()
 {
     ++stats_.flushes_all;
-    tm::metric_add(tm::Metric::kTlbFlush, 1, owner_);
+    tm::metric_add(tm::Metric::kTlbFlush);
     for (std::size_t set = 0; size_ != 0 && set < num_sets_; ++set) {
         while (set_head_[set] != kNil)
             remove_slot(set_head_[set]);
@@ -165,7 +164,7 @@ void
 Tlb::flush_asid(Asid asid)
 {
     ++stats_.flushes_asid;
-    tm::metric_add(tm::Metric::kTlbFlush, 1, owner_);
+    tm::metric_add(tm::Metric::kTlbFlush);
     for (std::size_t set = 0; size_ != 0 && set < num_sets_; ++set) {
         std::uint32_t slot = set_head_[set];
         while (slot != kNil) {
@@ -190,7 +189,7 @@ Tlb::flush_range(Asid asid, Vpn vpn, std::uint64_t count)
     }
     stats_.flushed_pages += touched;
     if (touched)
-        tm::metric_add(tm::Metric::kTlbFlushedPages, touched, owner_);
+        tm::metric_add(tm::Metric::kTlbFlushedPages, touched);
     return touched;
 }
 

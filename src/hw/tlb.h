@@ -66,11 +66,9 @@ class Tlb {
     };
 
     /// \param capacity total entries.
-    /// \param owner  core id used as the telemetry shard for this TLB's
-    ///        metrics (0 for standalone TLBs in tests/benches).
-    /// \param ways   target associativity; 0 (default) = fully associative.
-    explicit Tlb(std::size_t capacity, std::size_t owner = 0,
-                 std::size_t ways = 0);
+    /// \param ways     target associativity; 0 (default) = fully
+    ///        associative.
+    explicit Tlb(std::size_t capacity, std::size_t ways = 0);
 
     /// Looks up (asid, vpn); refreshes LRU position on hit.  Defined
     /// inline below: this is the single hottest simulator function (every
@@ -221,7 +219,6 @@ class Tlb {
     std::size_t slot_count_;    ///< Effective capacity (num_sets_ * ways_).
     std::size_t num_sets_;      ///< Power of two.
     std::size_t ways_;
-    std::size_t owner_ = 0;
     std::size_t size_ = 0;
 
     /// Reserved at `slot_count_`, so it never reallocates; grows by one
@@ -251,11 +248,11 @@ Tlb::lookup(Asid asid, Vpn vpn)
     }
     if (slot == kNil) {
         ++stats_.misses;
-        telemetry::metric_add(telemetry::Metric::kTlbMiss, 1, owner_);
+        telemetry::metric_add(telemetry::Metric::kTlbMiss);
         return std::nullopt;
     }
     ++stats_.hits;
-    telemetry::metric_add(telemetry::Metric::kTlbHit, 1, owner_);
+    telemetry::metric_add(telemetry::Metric::kTlbHit);
     touch_front(slot);
     return slots_[slot].entry;
 }

@@ -93,7 +93,7 @@ X86PcidAllocator::assign(std::size_t core, std::uint64_t ctx_id)
         }
         recycled = true;
         ++flushes_;
-        telemetry::metric_add(telemetry::Metric::kAsidRecycle, 1, core);
+        telemetry::metric_add(telemetry::Metric::kAsidRecycle);
     }
     victim->ctx_id = ctx_id;
     victim->asid = next_unique_asid();

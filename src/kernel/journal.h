@@ -1,15 +1,15 @@
 /// \file
-/// Op-level undo journal: scoped transactions over kernel/vdom state.
+/// Op-level undo journal: the in-memory log behind kernel::OpTxn.
 ///
 /// The API contract (vdom/types.h) promises that every documented error
 /// status leaves "nothing mutated", but the multi-step ops — a
 /// vdom_mprotect spanning several VMAs, wrvdr's VDR write + mapping +
 /// reference bookkeeping, secure-allocator growth — mutate state in many
-/// small steps, and a PR-3 injected fault can fire between any two of
-/// them.  Rather than hand-roll compensation code on every error path,
-/// each op opens a ScopedTxn and records an inverse closure right after
-/// each forward mutation; the transaction commits on success and unwinds
-/// in reverse order on any other exit.
+/// small steps, and an injected fault can fire between any two of them.
+/// Rather than hand-roll compensation code on every error path, each op
+/// opens a kernel::OpTxn (kernel/mm.h) and records an inverse closure
+/// here right after each forward mutation; the guard commits on success
+/// and unwinds the log in reverse order on any other exit.
 ///
 /// Cost contract: the journal is pure host-side bookkeeping.  Recording
 /// and committing charge zero simulated cycles (the cycle-identity test in
@@ -17,12 +17,10 @@
 /// because the undo closures re-issue real work (page-table writes,
 /// shootdowns) at the normal CostTable rates.
 ///
-/// Nesting: transactions nest (vdom_init wraps assign_vdom, which opens
-/// its own txn).  An inner commit keeps its entries on the log so an outer
+/// Nesting: guards nest (vdom_init wraps assign_vdom, which opens its
+/// own).  An inner commit keeps its entries on the log so an outer
 /// rollback still unwinds them; the log is discarded only when the
-/// outermost transaction commits.  Rollback telemetry rides the null-hook
-/// sinks: a non-empty rollback emits one kTxnRollback flight record plus
-/// the txn.rollback counter and txn.journal_depth histogram.
+/// outermost guard commits.
 
 #pragma once
 
@@ -32,14 +30,10 @@
 #include <utility>
 #include <vector>
 
-#include "hw/core.h"
-#include "telemetry/flightrec.h"
-#include "telemetry/metrics.h"
-
 namespace vdom::kernel {
 
 /// The per-process undo log.  Owned by MmStruct; ops reach it via
-/// mm.journal().
+/// mm.journal() and open, commit and unwind it through OpTxn.
 class Journal {
   public:
     /// True while any transaction is open: mutations must be recorded.
@@ -66,93 +60,12 @@ class Journal {
     }
 
   private:
-    friend class ScopedTxn;
+    friend class OpTxn;
 
     std::vector<std::function<void()>> entries_;
     std::size_t depth_ = 0;
     bool rolling_back_ = false;
     std::uint64_t rollbacks_ = 0;
-};
-
-/// One scoped transaction.  Destruction without commit() rolls back every
-/// entry recorded since construction, newest first.
-class ScopedTxn {
-  public:
-    /// \param core  core whose clock stamps the rollback flight record
-    ///              (undo closures typically also charge on it).
-    /// \param tid   acting thread (0 = kernel/none).
-    /// \param op    static label naming the op, e.g. "wrvdr".
-    ScopedTxn(Journal &journal, hw::Core &core, std::uint32_t tid,
-              const char *op)
-        : journal_(&journal),
-          core_(&core),
-          tid_(tid),
-          op_(op),
-          mark_(journal.entries_.size())
-    {
-        ++journal.depth_;
-    }
-
-    ~ScopedTxn()
-    {
-        if (!done_)
-            rollback();
-    }
-
-    ScopedTxn(const ScopedTxn &) = delete;
-    ScopedTxn &operator=(const ScopedTxn &) = delete;
-
-    /// Marks the op successful.  The outermost commit discards the log; a
-    /// nested commit leaves its entries in place so an enclosing rollback
-    /// still unwinds them.
-    void
-    commit()
-    {
-        if (done_)
-            return;
-        done_ = true;
-        --journal_->depth_;
-        if (journal_->depth_ == 0)
-            journal_->entries_.clear();
-    }
-
-    /// Unwinds this transaction's entries in reverse order.  Implicit in
-    /// the destructor on any non-commit exit path.
-    void
-    rollback()
-    {
-        if (done_)
-            return;
-        done_ = true;
-        std::size_t undone = journal_->entries_.size() - mark_;
-        journal_->rolling_back_ = true;
-        while (journal_->entries_.size() > mark_) {
-            journal_->entries_.back()();
-            journal_->entries_.pop_back();
-        }
-        journal_->rolling_back_ = false;
-        --journal_->depth_;
-        if (undone == 0)
-            return;  // Fail-stop preamble: nothing happened, stay silent.
-        ++journal_->rollbacks_;
-        telemetry::metric_add(telemetry::Metric::kTxnRollback, 1,
-                              core_->id());
-        telemetry::metric_observe(telemetry::Metric::kTxnJournalDepth,
-                                  undone, core_->id());
-        telemetry::flight_record(
-            {telemetry::FlightEvent::kTxnRollback,
-             static_cast<std::uint32_t>(core_->id()), tid_,
-             static_cast<std::uint64_t>(core_->now()), 0,
-             static_cast<std::uint64_t>(undone), 0, op_});
-    }
-
-  private:
-    Journal *journal_;
-    hw::Core *core_;
-    std::uint32_t tid_;
-    const char *op_;
-    std::size_t mark_;
-    bool done_ = false;
 };
 
 }  // namespace vdom::kernel

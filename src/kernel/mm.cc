@@ -126,9 +126,10 @@ MmStruct::assign_vdom(hw::Core &core, hw::Vpn start, std::uint64_t pages,
             return VdomStatus::kAlreadyAssigned;
     }
     // Validations passed: everything below mutates, so it runs under a
-    // transaction (nests under callers that opened their own).  A VDT
+    // transaction.  It nests under the caller's guard, whose WAL record
+    // subsumes this one, but keeps its own journal scope: a VDT
     // allocation failure mid-range unwinds the areas already assigned.
-    ScopedTxn txn(journal_, core, 0, "assign_vdom");
+    OpTxn txn(*this, core, WalOp::kMprotect, 0, start, pages, vdom);
     // Rollback must re-invalidate any translation range whose PTEs it
     // rewrites — recorded first so it runs *after* every retag undo.
     auto reflush = std::make_shared<bool>(false);
@@ -251,7 +252,7 @@ MmStruct::fault_in(hw::Core &core, Vds &vds, hw::Vpn vpn)
     const Vma *vma = vmas_.find(vpn);
     if (!vma)
         return false;
-    telemetry::metric_add(telemetry::Metric::kFaultIn, 1, core.id());
+    telemetry::metric_add(telemetry::Metric::kFaultIn);
     // Already mapped in this VDS (e.g. remapped by the virtualization
     // algorithm between the fault and this handler): nothing to do.
     if (vds.pgd().translate(vpn).present)
@@ -274,8 +275,7 @@ MmStruct::fault_in(hw::Core &core, Vds &vds, hw::Vpn vpn)
         } else {
             // Present elsewhere: this is cross-VDS demand paging (§6.2).
             core.charge(hw::CostKind::kMemSync, costs.memsync_page);
-            telemetry::metric_add(telemetry::Metric::kMemsyncPages, 1,
-                                  core.id());
+            telemetry::metric_add(telemetry::Metric::kMemsyncPages);
         }
         charge_pt_ops(core, vds.pgd().map_huge(base, tag),
                       hw::CostKind::kMemSync);
@@ -287,8 +287,7 @@ MmStruct::fault_in(hw::Core &core, Vds &vds, hw::Vpn vpn)
                       hw::CostKind::kFault);
     } else {
         core.charge(hw::CostKind::kMemSync, costs.memsync_page);
-        telemetry::metric_add(telemetry::Metric::kMemsyncPages, 1,
-                              core.id());
+        telemetry::metric_add(telemetry::Metric::kMemsyncPages);
     }
     charge_pt_ops(core, vds.pgd().map_page(vpn, tag), hw::CostKind::kMemSync);
     return true;

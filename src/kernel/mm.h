@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <vector>
 
@@ -25,6 +26,8 @@
 #include "kernel/vdm.h"
 #include "kernel/vds.h"
 #include "kernel/vma.h"
+#include "telemetry/flightrec.h"
+#include "telemetry/metrics.h"
 #include "vdom/types.h"
 
 namespace vdom::kernel {
@@ -39,8 +42,8 @@ class MmStruct {
     Vdm &vdm() { return vdm_; }
     const Vdm &vdm() const { return vdm_; }
 
-    /// The process-wide undo log (kernel/journal.h).  Ops open a
-    /// ScopedTxn on it; mutators below record inverses when it is active.
+    /// The process-wide undo log (kernel/journal.h).  Ops open an OpTxn
+    /// on it; mutators below record inverses when it is active.
     Journal &journal() { return journal_; }
 
     /// The attached write-ahead log, or nullptr (the default).  The Wal
@@ -143,6 +146,111 @@ class MmStruct {
     std::vector<std::unique_ptr<Vds>> vdses_;
     std::uint32_t next_vds_id_ = 0;
     hw::Vpn next_vpn_ = 0x1000;  ///< Bump allocator for fresh mappings.
+};
+
+/// The guard every API op opens, once: an undo-journal scope for graceful
+/// failures plus, when a WAL is attached, the op's write-ahead record for
+/// power loss.
+///
+/// - Construction seals the WAL BEGIN (outermost guard only) *before* the
+///   journal scope opens, so a sim::PowerLoss thrown by the append leaves
+///   no open scope behind.
+/// - commit() commits the journal scope, then seals the WAL COMMIT, whose
+///   payload words may carry the op's results.
+/// - Destruction without commit() unwinds this scope's journal entries
+///   newest first, then seals an ABORT — unless a sim::PowerLoss is
+///   unwinding the stack: the power is out and the medium takes no
+///   further writes.
+///
+/// Guards nest.  An inner commit leaves its journal entries in place so an
+/// enclosing rollback still unwinds them, and the log is discarded only
+/// when the outermost guard commits.  An inner guard's WAL half is a no-op
+/// (`Wal::in_txn()`): the outer op's record subsumes it, and replaying the
+/// outer op re-executes the inner one.  A rollback that undid anything
+/// emits one kTxnRollback flight record labelled `wal_op_name(op)`, the
+/// txn.rollback counter and the txn.journal_depth histogram.
+class OpTxn {
+  public:
+    /// \param core  core charged for WAL appends and undo work, and whose
+    ///              clock stamps the rollback flight record.
+    /// \param tid   acting thread (0 = kernel/none).
+    /// \param a,b,c,d  the WAL BEGIN payload (see WalOp).
+    OpTxn(MmStruct &mm, hw::Core &core, WalOp op, std::uint32_t tid,
+          std::uint64_t a = 0, std::uint64_t b = 0, std::uint64_t c = 0,
+          std::uint64_t d = 0)
+        : journal_(&mm.journal()),
+          core_(&core),
+          op_(op),
+          tid_(tid),
+          mark_(mm.journal().entries())
+    {
+        if (Wal *wal = mm.wal(); wal != nullptr && !wal->in_txn()) {
+            wal_txn_ = wal->begin(core, op, tid, a, b, c, d);
+            wal_ = wal;
+        }
+        ++journal_->depth_;
+    }
+
+    ~OpTxn()
+    {
+        if (done_)
+            return;
+        rollback();
+        if (wal_ != nullptr && std::uncaught_exceptions() == 0)
+            wal_->abort(*core_, wal_txn_);
+    }
+
+    OpTxn(const OpTxn &) = delete;
+    OpTxn &operator=(const OpTxn &) = delete;
+
+    /// Marks the op successful; \p a and \p b are the WAL COMMIT payload.
+    void
+    commit(std::uint64_t a = 0, std::uint64_t b = 0)
+    {
+        if (done_)
+            return;
+        done_ = true;
+        if (--journal_->depth_ == 0)
+            journal_->entries_.clear();
+        if (wal_ != nullptr)
+            wal_->commit(*core_, wal_txn_, a, b);
+    }
+
+  private:
+    /// Unwinds this scope's journal entries in reverse order.
+    void
+    rollback()
+    {
+        Journal &journal = *journal_;
+        std::size_t undone = journal.entries_.size() - mark_;
+        journal.rolling_back_ = true;
+        while (journal.entries_.size() > mark_) {
+            journal.entries_.back()();
+            journal.entries_.pop_back();
+        }
+        journal.rolling_back_ = false;
+        --journal.depth_;
+        if (undone == 0)
+            return;  // Fail-stop preamble: nothing happened, stay silent.
+        ++journal.rollbacks_;
+        telemetry::metric_add(telemetry::Metric::kTxnRollback);
+        telemetry::metric_observe(telemetry::Metric::kTxnJournalDepth,
+                                  undone);
+        telemetry::flight_record(
+            {telemetry::FlightEvent::kTxnRollback,
+             static_cast<std::uint32_t>(core_->id()), tid_,
+             static_cast<std::uint64_t>(core_->now()), 0,
+             static_cast<std::uint64_t>(undone), 0, wal_op_name(op_)});
+    }
+
+    Journal *journal_;
+    hw::Core *core_;
+    WalOp op_;
+    std::uint32_t tid_;
+    std::size_t mark_;  ///< Journal entries recorded before this scope.
+    Wal *wal_ = nullptr;
+    std::uint64_t wal_txn_ = 0;
+    bool done_ = false;
 };
 
 }  // namespace vdom::kernel

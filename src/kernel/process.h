@@ -110,7 +110,7 @@ class Process {
         }
         compose_perm_reg(core.perm_reg(), *vdr, vds);
         telemetry::metric_add(telemetry::Metric::kPermRegWrite,
-                              vds.mapped_pdoms(), core.id());
+                              vds.mapped_pdoms());
     }
 
     /// Sets \p reg to the image \p vdr grants through \p vds's domain

@@ -109,11 +109,9 @@ class ShootdownManager {
                                  costs.ipi_post + backoff);
                 telemetry::metric_observe(
                     telemetry::Metric::kShootdownBackoff,
-                    static_cast<std::uint64_t>(backoff), initiator.id());
+                    static_cast<std::uint64_t>(backoff));
                 ++retries;
-                telemetry::metric_add(
-                    telemetry::Metric::kShootdownRetries, 1,
-                    initiator.id());
+                telemetry::metric_add(telemetry::Metric::kShootdownRetries);
                 telemetry::flight_record(
                     {telemetry::FlightEvent::kIpiRetry,
                      static_cast<std::uint32_t>(initiator.id()), 0,
@@ -144,24 +142,22 @@ class ShootdownManager {
             telemetry::flight_event(telemetry::FlightEvent::kShootdown,
                                     static_cast<std::uint32_t>(initiator.id()),
                                     0, initiator.now(), kInvalidVdom, 0, 0);
-            std::size_t shard = initiator.id();
-            telemetry::metric_add(telemetry::Metric::kShootdowns, 1, shard);
-            telemetry::metric_add(telemetry::Metric::kShootdownIpis, ipis,
-                                  shard);
+            telemetry::metric_add(telemetry::Metric::kShootdowns);
+            telemetry::metric_add(telemetry::Metric::kShootdownIpis, ipis);
             // Initiator-side latency: posting the IPIs and waiting for
             // every target's acknowledgement.
             telemetry::metric_observe(
                 telemetry::Metric::kShootdownLatency,
-                static_cast<std::uint64_t>(initiator.now() - start), shard);
+                static_cast<std::uint64_t>(initiator.now() - start));
             // Flow shape: fan-out, and end-to-end latency from issue to
             // the last remote flush completion (target clocks can trail
             // the initiator's, so clamp at the initiator-side wait).
             telemetry::metric_observe(telemetry::Metric::kShootdownFanout,
-                                      ipis, shard);
+                                      ipis);
             hw::Cycles e2e_end = std::max(last_done, initiator.now());
             telemetry::metric_observe(
                 telemetry::Metric::kShootdownE2eLatency,
-                static_cast<std::uint64_t>(e2e_end - start), shard);
+                static_cast<std::uint64_t>(e2e_end - start));
             telemetry::span_instant(
                 "shootdown", static_cast<std::uint64_t>(initiator.now()),
                 static_cast<std::uint32_t>(initiator.id()), 0);

@@ -1,19 +1,21 @@
 /// \file
 /// Write-ahead redo/undo log for crash-consistent domain state.
 ///
-/// PR 8's undo journal (kernel/journal.h) survives *graceful* failures:
-/// a failed op rolls back inside a live process.  This log closes the
+/// The undo journal (kernel/journal.h) survives *graceful* failures: a
+/// failed op rolls back inside a live process.  This log closes the
 /// remaining gap — simulated power loss (sim::FaultSite::kCrash) mid-op
 /// — by persisting a logical intent record before each multi-step domain
 /// op mutates state, and a matching COMMIT/ABORT afterwards.  On
 /// "reboot" the recovery path (vdom/recovery.h) scans the log, truncates
 /// the torn tail, redoes committed ops and undoes uncommitted durable
-/// side effects (PMO contents).
+/// side effects (PMO contents).  Ops reach both logs through one guard,
+/// kernel::OpTxn (kernel/mm.h), which opens the WAL transaction before
+/// the journal scope and seals COMMIT or ABORT after it.
 ///
 /// Durability model: the log itself is the durable medium, so a `Wal`
 /// is owned by the harness/test ("the NVDIMM") and *outlives* the world
 /// it is attached to.  Attachment follows the telemetry null-hook
-/// pattern: MemoryManager holds a `Wal *` that is null by default, every
+/// pattern: MmStruct holds a `Wal *` that is null by default, every
 /// logging site is a no-op pointer test when detached, and an unattached
 /// run stays cycle-identical (pinned by tests/test_recovery.cc).
 ///
@@ -28,7 +30,6 @@
 #pragma once
 
 #include <cstdint>
-#include <exception>
 #include <vector>
 
 #include "hw/core.h"
@@ -197,9 +198,9 @@ class Wal {
         telemetry::metric_add(telemetry::Metric::kWalAbort);
     }
 
-    /// True while a transaction is open.  WalTxn uses this to make
-    /// nested transactions no-ops: the outer op's BEGIN subsumes every
-    /// inner op, and replaying the outer op re-executes them.
+    /// True while a transaction is open.  OpTxn uses this to make a
+    /// nested guard's WAL half a no-op: the outer op's BEGIN subsumes
+    /// every inner op, and replaying the outer op re-executes them.
     bool in_txn() const { return open_; }
 
     std::uint64_t commits() const { return commits_; }
@@ -239,54 +240,6 @@ class Wal {
     std::uint64_t commits_ = 0;
     std::uint64_t aborts_ = 0;
     bool open_ = false;
-};
-
-/// RAII transaction guard for the logging sites in src/vdom and
-/// src/apps.  Null-safe (no WAL attached => pure no-op) and
-/// outermost-only (a nested guard while `wal->in_txn()` is a no-op, so
-/// e.g. vdom_mprotect inside secure-pool growth does not double-log).
-/// Destruction without commit() seals an ABORT record, matching the
-/// journal's graceful in-place rollback.
-class WalTxn {
-  public:
-    WalTxn(Wal *wal, hw::Core &core, WalOp op, std::uint32_t tid,
-           std::uint64_t a = 0, std::uint64_t b = 0, std::uint64_t c = 0,
-           std::uint64_t d = 0)
-    {
-        if (wal == nullptr || wal->in_txn())
-            return;
-        wal_ = wal;
-        core_ = &core;
-        txn_ = wal->begin(core, op, tid, a, b, c, d);
-    }
-
-    ~WalTxn()
-    {
-        // Unwinding from a sim::PowerLoss means the power is out: the
-        // durable medium accepts no further writes, so no ABORT record.
-        // Graceful failures surface as status codes, never exceptions,
-        // so this guard only trips for the crash path.
-        if (wal_ != nullptr && !done_ && std::uncaught_exceptions() == 0)
-            wal_->abort(*core_, txn_);
-    }
-
-    /// Seals the COMMIT record; \p a and \p b may carry op results.
-    void
-    commit(std::uint64_t a = 0, std::uint64_t b = 0)
-    {
-        if (wal_ != nullptr && !done_)
-            wal_->commit(*core_, txn_, a, b);
-        done_ = true;
-    }
-
-    WalTxn(const WalTxn &) = delete;
-    WalTxn &operator=(const WalTxn &) = delete;
-
-  private:
-    Wal *wal_ = nullptr;
-    hw::Core *core_ = nullptr;
-    std::uint64_t txn_ = 0;
-    bool done_ = false;
 };
 
 }  // namespace vdom::kernel

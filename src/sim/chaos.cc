@@ -682,11 +682,11 @@ FaultPointHarness<M>::perform(World &w, const Op &op, bool *verdict_ok)
         // MmStruct::mmap has no core to charge through, so the script
         // logs the mapping intent itself — the shape an allocating
         // runtime would use.  Without a WAL the intent is a no-op.
-        kernel::WalTxn wtxn(w.proc->mm().wal(), core0,
-                            kernel::WalOp::kMmap, 0, op.pages, 0);
+        kernel::OpTxn txn(w.proc->mm(), core0, kernel::WalOp::kMmap, 0,
+                          op.pages, 0);
         hw::Vpn vpn = w.proc->mm().mmap(op.pages);
         w.regions.emplace_back(vpn, op.pages);
-        wtxn.commit(vpn);
+        txn.commit(vpn);
         return VdomStatus::kOk;
       }
       case Op::Kind::kAlloc: {

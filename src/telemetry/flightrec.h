@@ -94,8 +94,8 @@ struct FlightRecord {
 /// Per-core bounded recorder with a monotonic causality-id source.
 class FlightRecorder {
   public:
-    /// \param cores     number of per-core rings (core ids beyond fold
-    ///        into ring 0, like metrics shards).
+    /// \param cores     number of per-core rings (records from core ids
+    ///        beyond it fold into ring 0).
     /// \param per_core  fixed record budget per core ring.
     explicit FlightRecorder(std::size_t cores = 1,
                             std::size_t per_core = 1024);

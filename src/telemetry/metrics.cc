@@ -3,153 +3,29 @@
 
 #include "telemetry/metrics.h"
 
-#include <cassert>
-
 namespace vdom::telemetry {
 
 namespace detail {
 MetricsRegistry *g_metrics_sink = nullptr;
 }  // namespace detail
 
-MetricsRegistry::MetricsRegistry(std::size_t shards)
-{
-    if (shards == 0)
-        shards = 1;
-    defs_.reserve(kNumWellKnownMetrics);
-    for (const MetricDef &def : kMetricDefs) {
-        std::size_t slot = def.kind == MetricKind::kHistogram
-                               ? num_histograms_++
-                               : num_scalars_++;
-        defs_.push_back(Def{def.name, def.kind, slot});
-    }
-    shards_.reserve(shards);
-    for (std::size_t i = 0; i < shards; ++i) {
-        auto shard = std::make_unique<Shard>();
-        shard->scalars = std::vector<std::atomic<std::uint64_t>>(
-            num_scalars_);
-        shard->hist_cells = std::vector<std::atomic<std::uint64_t>>(
-            num_histograms_ * kHistStride);
-        shards_.push_back(std::move(shard));
-    }
-}
-
-MetricId
-MetricsRegistry::register_metric(const std::string &name, MetricKind kind)
-{
-    for (std::size_t i = 0; i < defs_.size(); ++i) {
-        if (defs_[i].name == name) {
-            assert(defs_[i].kind == kind);
-            return static_cast<MetricId>(i);
-        }
-    }
-    std::size_t slot =
-        kind == MetricKind::kHistogram ? num_histograms_++ : num_scalars_++;
-    defs_.push_back(Def{name, kind, slot});
-    grow_shards_for(defs_.back());
-    return static_cast<MetricId>(defs_.size() - 1);
-}
-
-void
-MetricsRegistry::grow_shards_for(const Def &def)
-{
-    // std::atomic is not movable, so the columns are rebuilt; registration
-    // happens in setup code, never concurrently with emission.
-    for (auto &shard : shards_) {
-        if (def.kind == MetricKind::kHistogram) {
-            std::vector<std::atomic<std::uint64_t>> grown(
-                num_histograms_ * kHistStride);
-            for (std::size_t i = 0; i < shard->hist_cells.size(); ++i)
-                grown[i].store(shard->hist_cells[i].load(
-                                   std::memory_order_relaxed),
-                               std::memory_order_relaxed);
-            shard->hist_cells = std::move(grown);
-        } else {
-            std::vector<std::atomic<std::uint64_t>> grown(num_scalars_);
-            for (std::size_t i = 0; i < shard->scalars.size(); ++i)
-                grown[i].store(
-                    shard->scalars[i].load(std::memory_order_relaxed),
-                    std::memory_order_relaxed);
-            shard->scalars = std::move(grown);
-        }
-    }
-}
-
-void
-MetricsRegistry::observe(MetricId id, std::uint64_t value, std::size_t shard)
-{
-    Shard &s = *shards_[shard < shards_.size() ? shard : 0];
-    std::size_t base = defs_[id].slot * kHistStride;
-    std::size_t bucket = Histogram::bucket_of(value);
-    s.hist_cells[base + bucket].fetch_add(1, std::memory_order_relaxed);
-    s.hist_cells[base + Histogram::kBuckets].fetch_add(
-        1, std::memory_order_relaxed);
-    s.hist_cells[base + Histogram::kBuckets + 1].fetch_add(
-        value, std::memory_order_relaxed);
-}
-
-std::uint64_t
-MetricsRegistry::value(MetricId id) const
-{
-    std::uint64_t sum = 0;
-    for (std::size_t s = 0; s < shards_.size(); ++s)
-        sum += shard_value(id, s);
-    return sum;
-}
-
-std::uint64_t
-MetricsRegistry::shard_value(MetricId id, std::size_t shard) const
-{
-    const Def &def = defs_[id];
-    const Shard &s = *shards_[shard < shards_.size() ? shard : 0];
-    if (def.kind == MetricKind::kHistogram) {
-        return s.hist_cells[def.slot * kHistStride + Histogram::kBuckets]
-            .load(std::memory_order_relaxed);
-    }
-    return s.scalars[def.slot].load(std::memory_order_relaxed);
-}
-
-Histogram
-MetricsRegistry::histogram(MetricId id) const
-{
-    Histogram merged;
-    const Def &def = defs_[id];
-    if (def.kind != MetricKind::kHistogram)
-        return merged;
-    std::size_t base = def.slot * kHistStride;
-    for (const auto &shard : shards_) {
-        for (std::size_t b = 0; b < Histogram::kBuckets; ++b) {
-            merged.buckets[b] += shard->hist_cells[base + b].load(
-                std::memory_order_relaxed);
-        }
-        merged.count += shard->hist_cells[base + Histogram::kBuckets].load(
-            std::memory_order_relaxed);
-        merged.sum += shard->hist_cells[base + Histogram::kBuckets + 1].load(
-            std::memory_order_relaxed);
-    }
-    return merged;
-}
-
 void
 MetricsRegistry::reset()
 {
-    for (auto &shard : shards_) {
-        for (auto &cell : shard->scalars)
-            cell.store(0, std::memory_order_relaxed);
-        for (auto &cell : shard->hist_cells)
-            cell.store(0, std::memory_order_relaxed);
-    }
+    scalars_.fill(0);
+    histograms_.fill(Histogram{});
 }
 
 std::vector<MetricsRegistry::Sample>
 MetricsRegistry::snapshot(bool include_zeroes) const
 {
     std::vector<Sample> out;
-    for (std::size_t i = 0; i < defs_.size(); ++i) {
-        auto id = static_cast<MetricId>(i);
-        std::uint64_t v = value(id);
+    for (std::size_t i = 0; i < kNumWellKnownMetrics; ++i) {
+        auto m = static_cast<Metric>(i);
+        std::uint64_t v = value(m);
         if (v == 0 && !include_zeroes)
             continue;
-        out.push_back(Sample{defs_[i].name, defs_[i].kind, v});
+        out.push_back(Sample{kMetricDefs[i].name, kMetricDefs[i].kind, v});
     }
     return out;
 }

@@ -7,12 +7,12 @@
 /// rather than ad-hoc per-component tallies.
 ///
 /// Design:
-///  - A fixed table of well-known metrics (`Metric` enum) covers the hot
-///    paths in src/hw, src/kernel and src/vdom; benches and tools can also
-///    register ad-hoc metrics by name.
-///  - Storage is sharded: each shard is a lock-free column of relaxed
-///    atomics, indexed by core id at the emit sites, and shards are merged
-///    on read.  Writers never contend and never take a lock.
+///  - A fixed table of well-known metrics (`Metric` enum, `kMetricDefs`)
+///    covers the hot paths in src/hw, src/kernel and src/vdom.
+///  - Storage is flat: one plain 64-bit cell per counter or gauge and one
+///    Histogram per histogram metric, at a constexpr slot derived from
+///    `kMetricDefs`.  The engine runs on one host thread, so cells need
+///    neither per-core copies nor atomics.
 ///  - Emission goes through a global null-by-default hook, exactly like
 ///    `flight_sink()`: with no registry attached, `metric_add()` is a
 ///    single predictable-branch pointer test and *never* touches simulated
@@ -22,10 +22,8 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <bit>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -33,8 +31,8 @@ namespace vdom::telemetry {
 
 /// Metric flavors.
 enum class MetricKind : std::uint8_t {
-    kCounter,    ///< Monotonic event count; merged by summing shards.
-    kGauge,      ///< Last-written level per shard; merged by summing.
+    kCounter,    ///< Monotonic event count.
+    kGauge,      ///< Last-written level.
     kHistogram,  ///< log2-bucketed value distribution.
 };
 
@@ -170,7 +168,7 @@ metric_kind(Metric m)
     return kMetricDefs[static_cast<std::size_t>(m)].kind;
 }
 
-/// Merged, read-side view of a log2-bucketed histogram.
+/// A log2-bucketed histogram.
 ///
 /// Bucket b holds values v with bit_width(v) == b, i.e. bucket 0 is {0},
 /// bucket 1 is {1}, bucket 2 is {2,3}, bucket b is [2^(b-1), 2^b).
@@ -239,133 +237,103 @@ struct Histogram {
     }
 };
 
-/// Identifier of a dynamically registered metric.
-using MetricId = std::uint32_t;
+/// Scalar and histogram metrics are stored separately; each metric's slot
+/// is its position among the metrics of its own storage kind, in
+/// `kMetricDefs` order.
+constexpr std::size_t kNumHistogramMetrics = [] {
+    std::size_t n = 0;
+    for (const MetricDef &def : kMetricDefs)
+        n += def.kind == MetricKind::kHistogram;
+    return n;
+}();
+constexpr std::size_t kNumScalarMetrics =
+    kNumWellKnownMetrics - kNumHistogramMetrics;
 
-/// The registry: sharded storage for every registered metric.
-///
-/// Well-known metrics exist from construction; `register_metric()` adds
-/// ad-hoc ones (registration is not thread-safe and is meant for setup
-/// code; emission is).  Readers merge shards on demand and never disturb
-/// writers.
+/// Storage slot of every well-known metric, indexed by Metric.
+constexpr std::array<std::size_t, kNumWellKnownMetrics> kMetricSlots = [] {
+    std::array<std::size_t, kNumWellKnownMetrics> slots{};
+    std::size_t scalars = 0;
+    std::size_t histograms = 0;
+    for (std::size_t i = 0; i < kNumWellKnownMetrics; ++i) {
+        slots[i] = kMetricDefs[i].kind == MetricKind::kHistogram
+                       ? histograms++
+                       : scalars++;
+    }
+    return slots;
+}();
+
+/// The registry: one plain cell per scalar metric and one Histogram per
+/// histogram metric.  The simulator runs on a single host thread, so
+/// emission is a plain load-add-store.
 class MetricsRegistry {
   public:
-    /// \param shards  number of write-side shards; emit sites index by core
-    ///        id, so pass the machine's core count (ids beyond the shard
-    ///        count fold into shard 0).
-    explicit MetricsRegistry(std::size_t shards = 1);
+    /// The unnamed argument is accepted and ignored: perfbench passes its
+    /// core count here, and its sources must build unchanged against
+    /// older revisions of this header too.
+    explicit MetricsRegistry(std::size_t = 1) {}
 
     MetricsRegistry(const MetricsRegistry &) = delete;
     MetricsRegistry &operator=(const MetricsRegistry &) = delete;
 
-    std::size_t num_shards() const { return shards_.size(); }
-    std::size_t num_metrics() const { return defs_.size(); }
+    // -- Write side -------------------------------------------------------
 
-    /// Registers an ad-hoc metric; returns its id.  A metric that already
-    /// exists under \p name is returned as-is (kinds must match).
-    MetricId register_metric(const std::string &name, MetricKind kind);
+    /// Bumps counter \p m by \p n.
+    void add(Metric m, std::uint64_t n = 1) { scalars_[slot(m)] += n; }
 
-    const std::string &name(MetricId id) const { return defs_[id].name; }
-    MetricKind kind(MetricId id) const { return defs_[id].kind; }
+    /// Sets gauge \p m to \p v.
+    void set(Metric m, std::uint64_t v) { scalars_[slot(m)] = v; }
 
-    // -- Write side (lock-free, relaxed atomics) --------------------------
-
+    /// Records \p value into histogram \p m.
     void
-    add(Metric m, std::uint64_t n = 1, std::size_t shard = 0)
+    observe(Metric m, std::uint64_t value)
     {
-        add(static_cast<MetricId>(m), n, shard);
+        histograms_[slot(m)].observe(value);
     }
 
-    void
-    add(MetricId id, std::uint64_t n, std::size_t shard)
+    // -- Read side --------------------------------------------------------
+
+    /// Scalar value; histograms report their sample count.
+    std::uint64_t
+    value(Metric m) const
     {
-        cell(id, shard).fetch_add(n, std::memory_order_relaxed);
+        return metric_kind(m) == MetricKind::kHistogram
+                   ? histograms_[slot(m)].count
+                   : scalars_[slot(m)];
     }
 
-    void
-    set(Metric m, std::uint64_t v, std::size_t shard = 0)
+    /// Histogram snapshot (empty for scalar metrics).
+    Histogram
+    histogram(Metric m) const
     {
-        set(static_cast<MetricId>(m), v, shard);
+        return metric_kind(m) == MetricKind::kHistogram
+                   ? histograms_[slot(m)]
+                   : Histogram{};
     }
 
-    void
-    set(MetricId id, std::uint64_t v, std::size_t shard)
-    {
-        cell(id, shard).store(v, std::memory_order_relaxed);
-    }
-
-    void
-    observe(Metric m, std::uint64_t value, std::size_t shard = 0)
-    {
-        observe(static_cast<MetricId>(m), value, shard);
-    }
-
-    void observe(MetricId id, std::uint64_t value, std::size_t shard);
-
-    // -- Read side (merged over shards) -----------------------------------
-
-    /// Merged scalar value: counters and gauges sum their shards.
-    std::uint64_t value(Metric m) const
-    {
-        return value(static_cast<MetricId>(m));
-    }
-    std::uint64_t value(MetricId id) const;
-
-    /// Per-shard scalar value (counter/gauge).
-    std::uint64_t shard_value(MetricId id, std::size_t shard) const;
-
-    /// Merged histogram snapshot.
-    Histogram histogram(Metric m) const
-    {
-        return histogram(static_cast<MetricId>(m));
-    }
-    Histogram histogram(MetricId id) const;
-
-    /// Zeroes every cell in every shard.
+    /// Zeroes every metric.
     void reset();
 
-    /// One merged scalar entry for export.
+    /// One scalar entry for export.
     struct Sample {
         std::string name;
         MetricKind kind;
         std::uint64_t value;  ///< count for histograms.
     };
 
-    /// Merged snapshot of every metric (histograms report their count;
-    /// fetch the full distribution via histogram()).  Metrics that never
-    /// fired are skipped unless \p include_zeroes.
+    /// Snapshot of every metric in `kMetricDefs` order (histograms report
+    /// their count; fetch the full distribution via histogram()).  Metrics
+    /// that never fired are skipped unless \p include_zeroes.
     std::vector<Sample> snapshot(bool include_zeroes = false) const;
 
   private:
-    struct Def {
-        std::string name;
-        MetricKind kind;
-        std::size_t slot;  ///< Scalar column or histogram column index.
-    };
-
-    /// One write-side shard: a scalar column plus a histogram column.
-    struct Shard {
-        std::vector<std::atomic<std::uint64_t>> scalars;
-        // Histogram storage: kBuckets+2 atomics per histogram metric
-        // (buckets, count, sum), flattened.
-        std::vector<std::atomic<std::uint64_t>> hist_cells;
-    };
-
-    static constexpr std::size_t kHistStride = Histogram::kBuckets + 2;
-
-    std::atomic<std::uint64_t> &
-    cell(MetricId id, std::size_t shard)
+    static constexpr std::size_t
+    slot(Metric m)
     {
-        Shard &s = *shards_[shard < shards_.size() ? shard : 0];
-        return s.scalars[defs_[id].slot];
+        return kMetricSlots[static_cast<std::size_t>(m)];
     }
 
-    void grow_shards_for(const Def &def);
-
-    std::vector<Def> defs_;
-    std::size_t num_scalars_ = 0;
-    std::size_t num_histograms_ = 0;
-    std::vector<std::unique_ptr<Shard>> shards_;
+    std::array<std::uint64_t, kNumScalarMetrics> scalars_{};
+    std::array<Histogram, kNumHistogramMetrics> histograms_{};
 };
 
 // -- Global hook (null by default, zero-cost when detached) ---------------
@@ -388,28 +356,28 @@ set_metrics_sink(MetricsRegistry *registry)
     detail::g_metrics_sink = registry;
 }
 
-/// Bumps counter \p m by \p n on \p shard if a registry is attached.
+/// Bumps counter \p m by \p n if a registry is attached.
 inline void
-metric_add(Metric m, std::uint64_t n = 1, std::size_t shard = 0)
+metric_add(Metric m, std::uint64_t n = 1)
 {
     if (MetricsRegistry *r = metrics_sink())
-        r->add(m, n, shard);
+        r->add(m, n);
 }
 
-/// Sets gauge \p m to \p v on \p shard if a registry is attached.
+/// Sets gauge \p m to \p v if a registry is attached.
 inline void
-metric_set(Metric m, std::uint64_t v, std::size_t shard = 0)
+metric_set(Metric m, std::uint64_t v)
 {
     if (MetricsRegistry *r = metrics_sink())
-        r->set(m, v, shard);
+        r->set(m, v);
 }
 
-/// Records \p value into histogram \p m on \p shard if attached.
+/// Records \p value into histogram \p m if a registry is attached.
 inline void
-metric_observe(Metric m, std::uint64_t value, std::size_t shard = 0)
+metric_observe(Metric m, std::uint64_t value)
 {
     if (MetricsRegistry *r = metrics_sink())
-        r->observe(m, value, shard);
+        r->observe(m, value);
 }
 
 /// RAII attachment of a registry (restores the previous sink).

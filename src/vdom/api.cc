@@ -25,9 +25,8 @@ class LatencyProbe {
 
     ~LatencyProbe()
     {
-        tm::metric_observe(
-            metric_, static_cast<std::uint64_t>(core_->now() - start_),
-            core_->id());
+        tm::metric_observe(metric_,
+                           static_cast<std::uint64_t>(core_->now() - start_));
     }
 
     LatencyProbe(const LatencyProbe &) = delete;
@@ -62,19 +61,17 @@ VdomSystem::vdom_init(hw::Core &core)
     kernel::MmStruct &mm = proc_->mm();
     // WAL intent first (write-ahead): a crash mid-op replays or drops the
     // whole init depending on whether the COMMIT record got sealed.
-    kernel::WalTxn wtxn(mm.wal(), core, kernel::WalOp::kVdomInit, 0);
-    kernel::ScopedTxn txn(mm.journal(), core, 0, "vdom_init");
+    kernel::OpTxn txn(mm, core, kernel::WalOp::kVdomInit, 0);
     hw::Vpn region = mm.mmap(kApiRegionPages);
     VdomStatus st = mm.assign_vdom(core, region, kApiRegionPages, kApiVdom);
     if (st != VdomStatus::kOk)
-        return st;  // Rollback unwinds the mmap; WalTxn seals an ABORT.
+        return st;  // Rollback unwinds the mmap and seals an ABORT.
     // Touch the pages so they are present (and pdom1-tagged) everywhere.
     for (std::uint64_t i = 0; i < kApiRegionPages; ++i)
         mm.fault_in(core, *mm.vds0(), region + i);
     api_region_ = region;
     initialized_ = true;
-    txn.commit();
-    wtxn.commit(region);
+    txn.commit(region);
     return VdomStatus::kOk;
 }
 
@@ -87,11 +84,11 @@ VdomSystem::vdom_alloc(hw::Core &core, bool frequent)
     kernel::MmStruct &mm = proc_->mm();
     // Logged so replay reproduces the allocator's id-recycling sequence;
     // the COMMIT payload carries the id for replay-divergence checks.
-    kernel::WalTxn wtxn(mm.wal(), core, kernel::WalOp::kVdomAlloc, 0,
-                        frequent ? 1 : 0);
+    kernel::OpTxn txn(mm, core, kernel::WalOp::kVdomAlloc, 0,
+                      frequent ? 1 : 0);
     VdomId id = mm.vdm().alloc(frequent);
     if (id != kInvalidVdom)
-        wtxn.commit(id);
+        txn.commit(id);
     return id;
 }
 
@@ -106,7 +103,7 @@ VdomSystem::vdom_free(hw::Core &core, VdomId vdom)
     if (!mm.vdm().is_allocated(vdom))
         return VdomStatus::kInvalidVdom;
     core.charge(hw::CostKind::kSyscall, core.costs().syscall);
-    kernel::WalTxn wtxn(mm.wal(), core, kernel::WalOp::kVdomFree, 0, vdom);
+    kernel::OpTxn txn(mm, core, kernel::WalOp::kVdomFree, 0, vdom);
     // Unmap from every VDS that holds it; the pages return to the
     // access-never pdom until (if ever) reassigned.
     for (const auto &vds : mm.vdses()) {
@@ -137,7 +134,7 @@ VdomSystem::vdom_free(hw::Core &core, VdomId vdom)
         vdr->set(vdom, VPerm::kAccessDisable);
     }
     mm.vdm().free(vdom);
-    wtxn.commit();
+    txn.commit();
     return VdomStatus::kOk;
 }
 
@@ -153,13 +150,14 @@ VdomSystem::vdom_mprotect(hw::Core &core, hw::Vpn vpn, std::uint64_t pages,
     core.charge(hw::CostKind::kSyscall,
                 costs.syscall + costs.mprotect_base);
     kernel::MmStruct &mm = proc_->mm();
-    // Nested no-op when an outer op (vdom_init, secure grow, sandbox)
-    // already holds the WAL transaction — its record subsumes this one.
-    kernel::WalTxn wtxn(mm.wal(), core, kernel::WalOp::kMprotect, 0, vpn,
-                        pages, vdom);
+    // The WAL half is a nested no-op when an outer op (secure grow,
+    // sandbox, pmo_attach) already holds the WAL transaction — its record
+    // subsumes this one.
+    kernel::OpTxn txn(mm, core, kernel::WalOp::kMprotect, 0, vpn, pages,
+                      vdom);
     VdomStatus st = mm.assign_vdom(core, vpn, pages, vdom);
     if (st == VdomStatus::kOk)
-        wtxn.commit();
+        txn.commit();
     return st;
 }
 
@@ -194,11 +192,11 @@ VdomSystem::vdr_alloc(hw::Core &core, kernel::Task &task, std::size_t nas)
              sim::fault_site_name(sim::FaultSite::kVdrExhausted)});
         return VdomStatus::kResourceExhausted;
     }
-    kernel::WalTxn wtxn(proc_->mm().wal(), core, kernel::WalOp::kVdrAlloc,
-                        task.tid(), nas);
+    kernel::OpTxn txn(proc_->mm(), core, kernel::WalOp::kVdrAlloc,
+                      task.tid(), nas);
     task.alloc_vdr(nas == 0 ? 1 : nas);
     task.add_owned(task.vds());
-    wtxn.commit();
+    txn.commit();
     return VdomStatus::kOk;
 }
 
@@ -208,8 +206,8 @@ VdomSystem::vdr_free(hw::Core &core, kernel::Task &task)
     if (!task.has_vdr())
         return VdomStatus::kNoVdr;
     core.charge(hw::CostKind::kSyscall, core.costs().syscall);
-    kernel::WalTxn wtxn(proc_->mm().wal(), core, kernel::WalOp::kVdrFree,
-                        task.tid());
+    kernel::OpTxn txn(proc_->mm(), core, kernel::WalOp::kVdrFree,
+                      task.tid());
     // Drop this thread's active references wherever they live.
     task.for_each_ref_home([](VdomId v, kernel::Vds *home) {
         if (home)
@@ -217,7 +215,7 @@ VdomSystem::vdr_free(hw::Core &core, kernel::Task &task)
     });
     task.free_vdr();
     core.perm_reg().reset();
-    wtxn.commit();
+    txn.commit();
     return VdomStatus::kOk;
 }
 
@@ -270,7 +268,7 @@ VdomSystem::wrvdr(hw::Core &core, kernel::Task &task, VdomId vdom,
     if (!proc_->mm().vdm().is_allocated(vdom))
         return VdomStatus::kInvalidVdom;
 
-    tm::metric_add(tm::Metric::kWrvdrCalls, 1, core.id());
+    tm::metric_add(tm::Metric::kWrvdrCalls);
     tm::Span span("wrvdr", core, task.tid());
     LatencyProbe latency(tm::Metric::kWrvdrLatency, core);
 
@@ -302,9 +300,8 @@ VdomSystem::wrvdr(hw::Core &core, kernel::Task &task, VdomId vdom,
     // machinery, the thread-reference bookkeeping.  The transaction makes
     // every failure exit below all-or-nothing.
     kernel::MmStruct &mm = proc_->mm();
-    kernel::WalTxn wtxn(mm.wal(), core, kernel::WalOp::kWrvdr, task.tid(),
-                        vdom, static_cast<std::uint64_t>(perm));
-    kernel::ScopedTxn txn(mm.journal(), core, task.tid(), "wrvdr");
+    kernel::OpTxn txn(mm, core, kernel::WalOp::kWrvdr, task.tid(), vdom,
+                      static_cast<std::uint64_t>(perm));
 
     Vdr &vdr = *task.vdr();
     VPerm old = vdr.set(vdom, perm);
@@ -390,7 +387,6 @@ VdomSystem::wrvdr(hw::Core &core, kernel::Task &task, VdomId vdom,
             sync_hw_slot(core, task, vdom, *pdom);
     }
     txn.commit();
-    wtxn.commit();
     return VdomStatus::kOk;
 }
 
@@ -399,7 +395,7 @@ VdomSystem::rdvdr(hw::Core &core, kernel::Task &task, VdomId vdom,
                   VPerm *out, ApiMode mode)
 {
     ++stats_.rdvdr_calls;
-    tm::metric_add(tm::Metric::kRdvdrCalls, 1, core.id());
+    tm::metric_add(tm::Metric::kRdvdrCalls);
     if (out)
         *out = VPerm::kAccessDisable;
     if (!initialized_)
@@ -441,7 +437,7 @@ VdomSystem::access(hw::Core &core, kernel::Task &task, hw::Vpn vpn,
             return VAccess{true, false, res.pdom};
 
         ++stats_.faults;
-        tm::metric_add(tm::Metric::kFaultsHandled, 1, core.id());
+        tm::metric_add(tm::Metric::kFaultsHandled);
         tm::Span fault_span("fault", core, task.tid());
         LatencyProbe fault_latency(tm::Metric::kFaultLatency, core);
         core.charge(hw::CostKind::kFault, costs.fault_entry);
@@ -455,7 +451,7 @@ VdomSystem::access(hw::Core &core, kernel::Task &task, hw::Vpn vpn,
         const kernel::Vma *vma = mm.vmas().find(vpn);
         if (!vma) {
             ++stats_.sigsegv;
-            tm::metric_add(tm::Metric::kSigsegv, 1, core.id());
+            tm::metric_add(tm::Metric::kSigsegv);
             return VAccess{false, true, 0};
         }
         bool allowed = true;
@@ -470,7 +466,7 @@ VdomSystem::access(hw::Core &core, kernel::Task &task, hw::Vpn vpn,
         }
         if (!allowed) {
             ++stats_.sigsegv;
-            tm::metric_add(tm::Metric::kSigsegv, 1, core.id());
+            tm::metric_add(tm::Metric::kSigsegv);
             tm::flight_event(tm::FlightEvent::kSigsegv,
                              static_cast<std::uint32_t>(core.id()), task.tid(),
                              core.now(), vdom, task.vds()->id(),
@@ -487,12 +483,12 @@ VdomSystem::access(hw::Core &core, kernel::Task &task, hw::Vpn vpn,
         }
         if (!mm.fault_in(core, *task.vds(), vpn)) {
             ++stats_.sigsegv;
-            tm::metric_add(tm::Metric::kSigsegv, 1, core.id());
+            tm::metric_add(tm::Metric::kSigsegv);
             return VAccess{false, true, 0};
         }
     }
     ++stats_.sigsegv;
-    tm::metric_add(tm::Metric::kSigsegv, 1, core.id());
+    tm::metric_add(tm::Metric::kSigsegv);
     return VAccess{false, true, 0};
 }
 

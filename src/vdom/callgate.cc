@@ -13,7 +13,7 @@ namespace tm = ::vdom::telemetry;
 GateFrame
 CallGate::enter(hw::Core &core) const
 {
-    tm::metric_add(tm::Metric::kGateEnter, 1, core.id());
+    tm::metric_add(tm::Metric::kGateEnter);
     tm::span_begin("gate", static_cast<std::uint64_t>(core.now()),
                    static_cast<std::uint32_t>(core.id()), 0);
     GateFrame frame;
@@ -39,14 +39,14 @@ CallGate::exit(hw::Core &core, GateFrame &frame,
     std::uint32_t eax = (target_pkru & ~mask) | ad;
     core.perm_reg().load_raw(eax);
     frame.on_secure_stack = false;
-    tm::metric_add(tm::Metric::kGateExit, 1, core.id());
+    tm::metric_add(tm::Metric::kGateExit);
     tm::span_end("gate", static_cast<std::uint64_t>(core.now()),
                  static_cast<std::uint32_t>(core.id()), 0);
     // Lines 29-31: defend against a hijacked eax that would keep pdom1
     // open past the gate.
     bool legal = exit_value_legal(eax);
     if (!legal)
-        tm::metric_add(tm::Metric::kGateExitBlocked, 1, core.id());
+        tm::metric_add(tm::Metric::kGateExitBlocked);
     return legal;
 }
 

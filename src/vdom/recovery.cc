@@ -61,7 +61,7 @@ recover(VdomSystem &sys, hw::Core &core, const kernel::Wal &wal,
     stats.committed = static_cast<std::uint64_t>(scan.committed.size());
     stats.uncommitted = static_cast<std::uint64_t>(scan.uncommitted.size());
     stats.aborted = scan.aborted;
-    tm::metric_add(tm::Metric::kRecoveryTorn, scan.torn, core.id());
+    tm::metric_add(tm::Metric::kRecoveryTorn, scan.torn);
 
     kernel::Process &proc = sys.process();
     kernel::MmStruct &mm = proc.mm();
@@ -177,7 +177,7 @@ recover(VdomSystem &sys, hw::Core &core, const kernel::Wal &wal,
         }
         if (stats.ok) {
             ++stats.replayed;
-            tm::metric_add(tm::Metric::kRecoveryReplayed, 1, core.id());
+            tm::metric_add(tm::Metric::kRecoveryReplayed);
             record_replay(core, begin);
         }
     }

@@ -97,14 +97,12 @@ Sandbox::sandbox_mprotect(hw::Core &core, hw::Vpn vpn, std::uint64_t pages,
         return VdomStatus::kPermissionDenied;
     }
     kernel::MmStruct &mm = sys_->process().mm();
-    kernel::WalTxn wtxn(mm.wal(), core, kernel::WalOp::kSandboxMprotect, 0,
-                        vpn, pages, vdom);
-    kernel::ScopedTxn txn(mm.journal(), core, 0, "sandbox_mprotect");
+    kernel::OpTxn txn(mm, core, kernel::WalOp::kSandboxMprotect, 0, vpn,
+                      pages, vdom);
     VdomStatus st = sys_->vdom_mprotect(core, vpn, pages, vdom);
     if (st != VdomStatus::kOk)
         return st;
     txn.commit();
-    wtxn.commit();
     return st;
 }
 

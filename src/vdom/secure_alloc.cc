@@ -34,17 +34,15 @@ DomainAllocator::grow(hw::Core &core, std::uint64_t pages)
     // mapping instead of leaking an unprotected chunk into the pool.
     // The WAL intent makes the same pair atomic across power loss (the
     // inner vdom_mprotect's own logging nests away under this record).
-    kernel::WalTxn wtxn(mm.wal(), core, kernel::WalOp::kSecureGrow, 0,
-                        vdom_, pages);
-    kernel::ScopedTxn txn(mm.journal(), core, 0, "secure_alloc.grow");
+    kernel::OpTxn txn(mm, core, kernel::WalOp::kSecureGrow, 0, vdom_,
+                      pages);
     Chunk chunk;
     chunk.start = mm.mmap(pages);
     chunk.pages = pages;
     last_status_ = sys_->vdom_mprotect(core, chunk.start, pages, vdom_);
     if (last_status_ != VdomStatus::kOk)
         return nullptr;  // Rollback unwinds the mmap.
-    txn.commit();
-    wtxn.commit(chunk.start);
+    txn.commit(chunk.start);
     total_pages_ += pages;
     chunks_.push_back(chunk);
     return &chunks_.back();

@@ -32,7 +32,7 @@ DomainVirtualizer::ensure_mapped_slow(hw::Core &core, kernel::Task &task,
             proc_->switch_vds(core, task, *owned, hw::CostKind::kPgdSwitch);
             owned->touch(vdom, core.now());
             ++stats_.vds_switches;
-            tm::metric_add(tm::Metric::kVdsSwitch, 1, core.id());
+            tm::metric_add(tm::Metric::kVdsSwitch);
             tm::flight_event(tm::FlightEvent::kVdsSwitch,
                              static_cast<std::uint32_t>(core.id()), task.tid(),
                              core.now(), vdom, cur.id(), owned->id());
@@ -46,7 +46,7 @@ DomainVirtualizer::ensure_mapped_slow(hw::Core &core, kernel::Task &task,
         map_into(core, cur, vdom, *free, hw::CostKind::kMemSync);
         cur.touch(vdom, core.now());
         ++stats_.maps_free;
-        tm::metric_add(tm::Metric::kDomainMapFree, 1, core.id());
+        tm::metric_add(tm::Metric::kDomainMapFree);
         tm::flight_event(tm::FlightEvent::kMapFree,
                          static_cast<std::uint32_t>(core.id()), task.tid(),
                          core.now(), vdom, cur.id(), cur.id());
@@ -74,7 +74,7 @@ DomainVirtualizer::ensure_mapped_slow(hw::Core &core, kernel::Task &task,
     kernel::Vds *fresh = mm.create_vds();
     core.charge(hw::CostKind::kMigration, core.costs().vds_alloc);
     ++stats_.vds_allocs;
-    tm::metric_add(tm::Metric::kVdsAlloc, 1, core.id());
+    tm::metric_add(tm::Metric::kVdsAlloc);
     tm::flight_event(tm::FlightEvent::kVdsCreate,
                      static_cast<std::uint32_t>(core.id()), task.tid(),
                      core.now(), vdom, cur.id(), fresh->id());
@@ -123,7 +123,7 @@ DomainVirtualizer::switch_or_evict(hw::Core &core, kernel::Task &task,
                                   hw::CostKind::kPgdSwitch);
                 owned->touch(vdom, core.now());
                 ++stats_.vds_switches;
-                tm::metric_add(tm::Metric::kVdsSwitch, 1, core.id());
+                tm::metric_add(tm::Metric::kVdsSwitch);
                 tm::flight_event(tm::FlightEvent::kVdsSwitch,
                                  static_cast<std::uint32_t>(core.id()),
                                  task.tid(), core.now(), vdom, cur.id(),
@@ -138,14 +138,14 @@ DomainVirtualizer::switch_or_evict(hw::Core &core, kernel::Task &task,
             kernel::Vds *fresh = mm.create_vds();
             core.charge(hw::CostKind::kPgdSwitch, core.costs().vds_alloc);
             ++stats_.vds_allocs;
-            tm::metric_add(tm::Metric::kVdsAlloc, 1, core.id());
+            tm::metric_add(tm::Metric::kVdsAlloc);
             tm::flight_event(tm::FlightEvent::kVdsCreate,
                              static_cast<std::uint32_t>(core.id()), task.tid(),
                              core.now(), vdom, cur.id(), fresh->id());
             task.add_owned(fresh);
             proc_->switch_vds(core, task, *fresh, hw::CostKind::kPgdSwitch);
             ++stats_.vds_switches;
-            tm::metric_add(tm::Metric::kVdsSwitch, 1, core.id());
+            tm::metric_add(tm::Metric::kVdsSwitch);
             auto free = fresh->find_free_pdom(std::nullopt);
             map_into(core, *fresh, vdom, *free, hw::CostKind::kMemSync);
             fresh->touch(vdom, core.now());
@@ -165,7 +165,7 @@ DomainVirtualizer::migrate(hw::Core &core, kernel::Task &task,
     tm::Span span("migrate", core, task.tid());
     core.charge(hw::CostKind::kMigration, costs.migrate_fixed);
     ++stats_.migrations;
-    tm::metric_add(tm::Metric::kMigration, 1, core.id());
+    tm::metric_add(tm::Metric::kMigration);
     tm::flight_event(tm::FlightEvent::kMigration,
                      static_cast<std::uint32_t>(core.id()), task.tid(),
                      core.now(), vdom, cur.id(), target.id());
@@ -238,7 +238,7 @@ DomainVirtualizer::evict_and_map(hw::Core &core, kernel::Task &task,
     tm::Span span("evict", core, task.tid());
     core.charge(hw::CostKind::kEviction, costs.evict_fixed);
     ++stats_.evictions;
-    tm::metric_add(tm::Metric::kHlruEvict, 1, core.id());
+    tm::metric_add(tm::Metric::kHlruEvict);
     tm::flight_event(tm::FlightEvent::kEvict,
                      static_cast<std::uint32_t>(core.id()), task.tid(),
                      core.now(), victim, vds.id(), vds.id());

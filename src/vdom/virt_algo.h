@@ -65,8 +65,7 @@ class DomainVirtualizer {
         if (auto pdom = cur.pdom_of(vdom)) {
             cur.touch(vdom, core.now());
             ++stats_.hits;
-            telemetry::metric_add(telemetry::Metric::kDomainMapHit, 1,
-                                  core.id());
+            telemetry::metric_add(telemetry::Metric::kDomainMapHit);
             return pdom;
         }
         return ensure_mapped_slow(core, task, vdom, charge_kernel_entry);

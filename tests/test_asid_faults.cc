@@ -74,7 +74,7 @@ TEST(ArmAsidFaults, NaturalExhaustionRollsOverAtTheSamePoint)
 
 TEST(ArmAsidFaults, ForcedRolloverCountsTheRolloverMetric)
 {
-    telemetry::MetricsRegistry registry(1);
+    telemetry::MetricsRegistry registry;
     telemetry::ScopedMetrics metrics(registry);
     ArmAsidAllocator alloc;
     alloc.assign(0, 1);
@@ -153,7 +153,7 @@ TEST(X86PcidFaults, NaturalThrashWhenWorkingSetExceedsSlots)
 
 TEST(X86PcidFaults, ForcedThrashCountsTheRecycleMetric)
 {
-    telemetry::MetricsRegistry registry(1);
+    telemetry::MetricsRegistry registry;
     telemetry::ScopedMetrics metrics(registry);
     X86PcidAllocator alloc(1, 4);
     alloc.assign(0, 1);

@@ -113,7 +113,7 @@ TEST(FaultPlan, NullHookIsANoOp)
 
 TEST(FaultPlan, FiresAreCountedInTelemetry)
 {
-    telemetry::MetricsRegistry registry(1);
+    telemetry::MetricsRegistry registry;
     telemetry::ScopedMetrics metrics(registry);
     FaultPlan plan(7);
     plan.arm(FaultSite::kGateEntryDenied, {.every = 2});
@@ -339,7 +339,7 @@ InstrumentedRun
 run_instrumented(const ChaosConfig &config)
 {
     InstrumentedRun out;
-    telemetry::MetricsRegistry registry(config.cores);
+    telemetry::MetricsRegistry registry;
     ChaosHarness harness(config);
     {
         telemetry::ScopedMetrics metrics(registry);

@@ -88,5 +88,20 @@ TEST(Machine, CoreIdsAndParams)
               machine.params().tlb_entries);
 }
 
+TEST(Machine, EveryCoreTlbIsFullyAssociative)
+{
+    // The per-core TLB takes (capacity, ways): passing anything else as
+    // the second argument (a core id, say) would silently turn cores
+    // 1..N-1 set-associative and change every eviction order.
+    for (const ArchParams &params : {ArchParams::x86(4), ArchParams::arm(4)}) {
+        Machine machine(params);
+        for (std::size_t c = 0; c < machine.num_cores(); ++c) {
+            const Tlb &tlb = machine.core(c).tlb();
+            EXPECT_EQ(tlb.num_sets(), 1u) << "core " << c;
+            EXPECT_EQ(tlb.ways(), params.tlb_entries) << "core " << c;
+        }
+    }
+}
+
 }  // namespace
 }  // namespace vdom::hw

@@ -121,7 +121,7 @@ check_random_world(const hw::ArchParams &params, std::uint64_t seed,
             vdr.set(kApiVdom, random_perm(rng));
     }
 
-    telemetry::MetricsRegistry registry(params.num_cores);
+    telemetry::MetricsRegistry registry;
     telemetry::ScopedMetrics attach(registry);
     hw::Core &core = w.core(0);
     for (Task *task : tasks) {
@@ -205,7 +205,7 @@ TEST(PermRebuild, NoVdrResetsWithoutCountingWrites)
     VdomId v = w.make_domain(1).first;
     w.sys.wrvdr(w.core(0), *owner, v, VPerm::kFullAccess);
     Task *plain = w.proc.create_task();  // Never called vdr_alloc.
-    telemetry::MetricsRegistry registry(2);
+    telemetry::MetricsRegistry registry;
     telemetry::ScopedMetrics attach(registry);
     Process::rebuild_perm_reg(w.core(0), *plain, *owner->vds());
     EXPECT_EQ(w.core(0).perm_reg().raw(), hw::PermRegister().raw());
@@ -220,7 +220,7 @@ TEST(PermRebuild, RebuildLeavesVdrMemoAlone)
     VdomId b = w.make_domain(1).first;
     w.sys.wrvdr(w.core(0), *task, a, VPerm::kFullAccess);
     w.sys.wrvdr(w.core(0), *task, b, VPerm::kFullAccess);
-    telemetry::MetricsRegistry registry(2);
+    telemetry::MetricsRegistry registry;
     telemetry::ScopedMetrics attach(registry);
     EXPECT_EQ(task->vdr()->get(b), VPerm::kFullAccess);  // Memo: b.
     std::uint64_t hits = registry.value(telemetry::Metric::kVdrMemoHit);

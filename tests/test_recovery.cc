@@ -32,12 +32,12 @@ namespace vdom {
 namespace {
 
 using ::vdom::testing::World;
+using kernel::OpTxn;
 using kernel::Wal;
 using kernel::WalOp;
 using kernel::WalRecord;
 using kernel::WalRecType;
 using kernel::WalScan;
-using kernel::WalTxn;
 using sim::FaultPlan;
 using sim::FaultSite;
 using sim::ScopedFaults;
@@ -210,9 +210,9 @@ drive_history(hw::ArchKind arch, Wal &wal)
     // mirroring the crash sweep's harness-level intent record.
     hw::Vpn vpn;
     {
-        WalTxn wtxn(&wal, core, WalOp::kMmap, 0, 2, 0);
+        OpTxn txn(w->proc.mm(), core, WalOp::kMmap, 0, 2, 0);
         vpn = w->proc.mm().mmap(2);
-        wtxn.commit(vpn);
+        txn.commit(vpn);
     }
     EXPECT_EQ(w->sys.vdom_mprotect(core, vpn, 2, vdom), VdomStatus::kOk);
     EXPECT_EQ(w->sys.wrvdr(core, *task, vdom, VPerm::kFullAccess),
@@ -546,7 +546,7 @@ TEST(Shootdown, ExponentialBackoffChargesCappedSchedule)
     hw::Machine machine(hw::ArchParams::x86(2));
     kernel::ShootdownManager sd(machine);
     const hw::CostTable &costs = machine.params().costs;
-    telemetry::MetricsRegistry registry(2);
+    telemetry::MetricsRegistry registry;
 
     // Sticky drop from the first crossing: all four retries fire, then
     // the post-retry delivery goes through unconditionally.
@@ -585,7 +585,7 @@ TEST(Shootdown, UnarmedPathChargesNoBackoff)
     hw::Machine machine(hw::ArchParams::x86(2));
     kernel::ShootdownManager sd(machine);
     const hw::CostTable &costs = machine.params().costs;
-    telemetry::MetricsRegistry registry(2);
+    telemetry::MetricsRegistry registry;
     {
         telemetry::ScopedMetrics attach(registry);
         sd.shoot(machine.core(0), 0b0010, kernel::FlushKind::kAll);

@@ -75,7 +75,7 @@ TEST_F(SandboxTest, GateCheckCountsNoRegisterWrites)
     auto [v, vpn] = world->make_domain(1);
     (void)vpn;
     world->sys.wrvdr(world->core(0), *task, v, VPerm::kFullAccess);
-    telemetry::MetricsRegistry registry(world->machine.num_cores());
+    telemetry::MetricsRegistry registry;
     telemetry::ScopedMetrics attach(registry);
     EXPECT_TRUE(sandbox.check_gate_exit(world->core(0), *task));
     EXPECT_EQ(registry.value(telemetry::Metric::kPermRegWrite), 0u);

@@ -1,8 +1,7 @@
 /// \file
-/// Telemetry tests: metrics registry (counters/gauges/histograms, shard
-/// merging, dynamic registration), spans in the flight record, the
-/// flight-trace export, and the cycle-identity guarantee (instrumentation
-/// never charges cycles).
+/// Telemetry tests: metrics registry (counters, gauges, histograms and
+/// snapshots), spans in the flight record, the flight-trace export, and
+/// the cycle-identity guarantee (instrumentation never charges cycles).
 
 #include <gtest/gtest.h>
 
@@ -29,67 +28,49 @@ namespace {
 using kernel::Task;
 using ::vdom::testing::World;
 
-TEST(MetricsRegistry, CountersMergeAcrossShards)
+TEST(MetricsRegistry, CountersAccumulate)
 {
-    MetricsRegistry registry(4);
-    registry.add(Metric::kTlbMiss, 3, 0);
-    registry.add(Metric::kTlbMiss, 5, 1);
-    registry.add(Metric::kTlbMiss, 7, 3);
-    EXPECT_EQ(registry.value(Metric::kTlbMiss), 15u);
+    MetricsRegistry registry;
+    registry.add(Metric::kTlbMiss, 3);
+    registry.add(Metric::kTlbMiss, 5);
+    registry.add(Metric::kTlbMiss);
+    EXPECT_EQ(registry.value(Metric::kTlbMiss), 9u);
     EXPECT_EQ(registry.value(Metric::kTlbHit), 0u);
 }
 
-TEST(MetricsRegistry, OutOfRangeShardFoldsIntoShardZero)
+TEST(MetricsRegistry, GaugeOverwrites)
 {
-    MetricsRegistry registry(2);
-    registry.add(Metric::kWrvdrCalls, 1, 99);
-    EXPECT_EQ(registry.value(Metric::kWrvdrCalls), 1u);
-    auto id = static_cast<MetricId>(Metric::kWrvdrCalls);
-    EXPECT_EQ(registry.shard_value(id, 0), 1u);
-    EXPECT_EQ(registry.shard_value(id, 1), 0u);
-}
-
-TEST(MetricsRegistry, GaugeSetsPerShard)
-{
-    MetricsRegistry registry(2);
-    registry.set(Metric::kVdsCount, 4, 0);
-    registry.set(Metric::kVdsCount, 4, 0);  // Overwrites, no accumulation.
-    registry.set(Metric::kVdsCount, 2, 1);
-    EXPECT_EQ(registry.value(Metric::kVdsCount), 6u);
-}
-
-TEST(MetricsRegistry, DynamicRegistration)
-{
-    MetricsRegistry registry(2);
-    MetricId id = registry.register_metric("bench.custom",
-                                           MetricKind::kCounter);
-    EXPECT_GE(id, kNumWellKnownMetrics);
-    registry.add(id, 9, 1);
-    EXPECT_EQ(registry.value(id), 9u);
-    // Re-registering the same name returns the same id.
-    EXPECT_EQ(registry.register_metric("bench.custom", MetricKind::kCounter),
-              id);
-    EXPECT_EQ(registry.name(id), "bench.custom");
-    EXPECT_EQ(registry.kind(id), MetricKind::kCounter);
+    MetricsRegistry registry;
+    registry.set(Metric::kVdsCount, 4);
+    registry.set(Metric::kVdsCount, 4);  // Overwrites, no accumulation.
+    EXPECT_EQ(registry.value(Metric::kVdsCount), 4u);
+    registry.set(Metric::kVdsCount, 2);
+    EXPECT_EQ(registry.value(Metric::kVdsCount), 2u);
 }
 
 TEST(MetricsRegistry, SnapshotSkipsZeroesByDefault)
 {
-    MetricsRegistry registry(1);
+    MetricsRegistry registry;
     registry.add(Metric::kShootdowns, 2);
     auto samples = registry.snapshot();
     ASSERT_EQ(samples.size(), 1u);
     EXPECT_EQ(samples[0].name, "shootdown.count");
     EXPECT_EQ(samples[0].value, 2u);
-    EXPECT_GE(registry.snapshot(/*include_zeroes=*/true).size(),
-              kNumWellKnownMetrics);
+    // With zeroes: exactly one sample per well-known metric, in table
+    // order.
+    auto all = registry.snapshot(/*include_zeroes=*/true);
+    ASSERT_EQ(all.size(), kNumWellKnownMetrics);
+    for (std::size_t i = 0; i < kNumWellKnownMetrics; ++i) {
+        EXPECT_EQ(all[i].name, kMetricDefs[i].name);
+        EXPECT_EQ(all[i].kind, kMetricDefs[i].kind);
+    }
 }
 
 TEST(MetricsRegistry, ResetZeroesEverything)
 {
-    MetricsRegistry registry(2);
-    registry.add(Metric::kTlbHit, 5, 1);
-    registry.observe(Metric::kWrvdrLatency, 100, 0);
+    MetricsRegistry registry;
+    registry.add(Metric::kTlbHit, 5);
+    registry.observe(Metric::kWrvdrLatency, 100);
     registry.reset();
     EXPECT_EQ(registry.value(Metric::kTlbHit), 0u);
     EXPECT_EQ(registry.histogram(Metric::kWrvdrLatency).count, 0u);
@@ -141,12 +122,14 @@ TEST(Histogram, MergeAddsBucketsCountAndSum)
 
 TEST(MetricsRegistry, HistogramMergesShards)
 {
-    MetricsRegistry registry(2);
-    registry.observe(Metric::kShootdownLatency, 100, 0);
-    registry.observe(Metric::kShootdownLatency, 200, 1);
+    MetricsRegistry registry;
+    registry.observe(Metric::kShootdownLatency, 100);
+    registry.observe(Metric::kShootdownLatency, 200);
     Histogram h = registry.histogram(Metric::kShootdownLatency);
     EXPECT_EQ(h.count, 2u);
     EXPECT_EQ(h.sum, 300u);
+    // A histogram's scalar value is its sample count.
+    EXPECT_EQ(registry.value(Metric::kShootdownLatency), 2u);
 }
 
 TEST(MetricNames, WellKnownTableIsComplete)
@@ -267,7 +250,7 @@ TEST(MetricHooks, NullSinkIsSafeAndScopedAttachRestores)
     metric_add(Metric::kTlbHit);  // Must not crash.
     metric_set(Metric::kVdsCount, 3);
     metric_observe(Metric::kWrvdrLatency, 10);
-    MetricsRegistry registry(1);
+    MetricsRegistry registry;
     {
         ScopedMetrics attach(registry);
         metric_add(Metric::kTlbHit, 2);
@@ -303,7 +286,7 @@ TEST(FlightTrace, ExportsSpansWithAttribution)
         span_end("request", 200, 0, 7);
     }
 
-    MetricsRegistry registry(2);
+    MetricsRegistry registry;
     registry.add(Metric::kWrvdrCalls, 1);
 
     std::string json = flight_trace_json(rec, &registry);
@@ -407,7 +390,7 @@ TEST(CycleIdentity, SinksNeverChargeCycles)
     // attached, plus an attached-but-unarmed fault plan — injection sites
     // that never fire must not perturb a single cycle either.
     auto traced = std::unique_ptr<World>(World::x86(4));
-    MetricsRegistry registry(4);
+    MetricsRegistry registry;
     sim::FaultPlan unarmed_plan(1);
     FlightRecorder flight(4);
     {
@@ -444,7 +427,7 @@ TEST(CycleIdentity, SinksNeverChargeCycles)
 TEST(Integration, MetricsAgreeWithEventTrace)
 {
     auto world = std::unique_ptr<World>(World::x86(2));
-    MetricsRegistry registry(2);
+    MetricsRegistry registry;
     FlightRecorder events(2, 1 << 16);
     {
         ScopedMetrics attach_metrics(registry);

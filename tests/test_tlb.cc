@@ -133,7 +133,7 @@ struct TlbGeometry {
 
 class TlbSparseFlush : public ::testing::TestWithParam<TlbGeometry> {
   protected:
-    Tlb make() const { return Tlb(GetParam().capacity, 0, GetParam().ways); }
+    Tlb make() const { return Tlb(GetParam().capacity, GetParam().ways); }
 
     /// The first \p n VPNs whose (asid, vpn) lands in \p set.
     static std::vector<Vpn>
@@ -245,7 +245,7 @@ class TlbIndexGrowth : public ::testing::TestWithParam<TlbGeometry> {
     };
 
     TlbIndexGrowth()
-        : tlb_(GetParam().capacity, 0, GetParam().ways),
+        : tlb_(GetParam().capacity, GetParam().ways),
           sets_(tlb_.num_sets())
     {
     }
@@ -360,7 +360,7 @@ TEST_P(TlbIndexGrowth, FlushRightAfterDoublingKeepsSurvivorsAndLru)
         SCOPED_TRACE("flush after insert " + std::to_string(point));
         // A fresh TLB each time: the index never shrinks, so only a new
         // one doubles again at this insert.
-        tlb_ = Tlb(GetParam().capacity, 0, GetParam().ways);
+        tlb_ = Tlb(GetParam().capacity, GetParam().ways);
         for (std::list<Page> &set : sets_)
             set.clear();
         Vpn first = next_vpn_ * 7;

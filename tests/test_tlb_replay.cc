@@ -266,7 +266,7 @@ TEST(TlbReplay, WaysEqualCapacityIsTheSameAsDefault)
     // Explicit ways == capacity must pick the identical fully-associative
     // geometry (the degenerate set-assoc case).
     Tlb a(64);
-    Tlb b(64, 0, 64);
+    Tlb b(64, 64);
     EXPECT_EQ(b.num_sets(), 1u);
     EXPECT_EQ(b.ways(), 64u);
     std::uint64_t rng = 7;
@@ -297,13 +297,13 @@ TEST(TlbReplay, WaysEqualCapacityIsTheSameAsDefault)
 
 TEST(TlbReplay, SetAssocGeometryRoundsToPowerOfTwoSets)
 {
-    Tlb tlb(512, 0, 8);
+    Tlb tlb(512, 8);
     EXPECT_EQ(tlb.num_sets(), 64u);
     EXPECT_EQ(tlb.ways(), 8u);
 
     // Non-power-of-two capacity/ways: sets round down to a power of two
     // and ways absorb the remainder, never exceeding capacity.
-    Tlb odd(1536, 0, 8);
+    Tlb odd(1536, 8);
     EXPECT_EQ(odd.num_sets(), 128u);
     EXPECT_EQ(odd.ways(), 12u);
     EXPECT_LE(odd.num_sets() * odd.ways(), 1536u);
@@ -313,8 +313,8 @@ TEST(TlbReplay, SetAssocIsDeterministic)
 {
     // Two identically-configured instances replay the same trace to the
     // same stats: policy divergence from global LRU is fixed, not random.
-    Tlb a(512, 0, 8);
-    Tlb b(512, 0, 8);
+    Tlb a(512, 8);
+    Tlb b(512, 8);
     std::vector<Op> trace = record_trace(512, 42);
     for (const Op &op : trace) {
         switch (op.kind) {
@@ -351,7 +351,7 @@ TEST(TlbReplay, SetAssocIsDeterministic)
 
 TEST(TlbReplay, SetAssocConflictsAreCountedAndBounded)
 {
-    Tlb tlb(512, 0, 8);
+    Tlb tlb(512, 8);
     // Build a conflict set: vpns that land in one specific set.  2x ways
     // of them round-robin must evict within the set while the TLB as a
     // whole stays nearly empty.

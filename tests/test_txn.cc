@@ -14,10 +14,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "common.h"
 #include "kernel/journal.h"
+#include "kernel/mm.h"
+#include "kernel/wal.h"
 #include "sim/chaos.h"
 #include "sim/fault.h"
 #include "telemetry/flightrec.h"
@@ -31,7 +34,10 @@ namespace {
 
 using ::vdom::testing::World;
 using kernel::Journal;
-using kernel::ScopedTxn;
+using kernel::OpTxn;
+using kernel::Wal;
+using kernel::WalOp;
+using kernel::WalRecType;
 using sim::FaultPlan;
 using sim::FaultSite;
 using sim::ScopedFaults;
@@ -41,7 +47,8 @@ using sim::ScopedFaults;
 TEST(Journal, RecordsOnlyInsideTxnAndUnwindsInReverse)
 {
     auto w = std::unique_ptr<World>(World::x86(1));
-    Journal journal;
+    kernel::MmStruct &mm = w->proc.mm();
+    Journal &journal = mm.journal();
     std::string order;
 
     // Outside any transaction, record() is a no-op.
@@ -50,7 +57,7 @@ TEST(Journal, RecordsOnlyInsideTxnAndUnwindsInReverse)
     EXPECT_FALSE(journal.active());
 
     {
-        ScopedTxn txn(journal, w->core(), 0, "test");
+        OpTxn txn(mm, w->core(), WalOp::kNone, 0);
         EXPECT_TRUE(journal.active());
         journal.record([&] { order += "a"; });
         journal.record([&] { order += "b"; });
@@ -59,12 +66,13 @@ TEST(Journal, RecordsOnlyInsideTxnAndUnwindsInReverse)
     }
     EXPECT_EQ(order, "cba");
     EXPECT_EQ(journal.entries(), 0u);
+    EXPECT_EQ(journal.depth(), 0u);
     EXPECT_EQ(journal.rollbacks(), 1u);
 
     // A committed transaction runs nothing and clears the log.
     order.clear();
     {
-        ScopedTxn txn(journal, w->core(), 0, "test");
+        OpTxn txn(mm, w->core(), WalOp::kNone, 0);
         journal.record([&] { order += "d"; });
         txn.commit();
     }
@@ -76,13 +84,14 @@ TEST(Journal, RecordsOnlyInsideTxnAndUnwindsInReverse)
 TEST(Journal, NestedCommitKeepsEntriesForOuterRollback)
 {
     auto w = std::unique_ptr<World>(World::x86(1));
-    Journal journal;
+    kernel::MmStruct &mm = w->proc.mm();
+    Journal &journal = mm.journal();
     std::string order;
     {
-        ScopedTxn outer(journal, w->core(), 0, "outer");
+        OpTxn outer(mm, w->core(), WalOp::kNone, 0);
         journal.record([&] { order += "o"; });
         {
-            ScopedTxn inner(journal, w->core(), 0, "inner");
+            OpTxn inner(mm, w->core(), WalOp::kNone, 0);
             journal.record([&] { order += "i"; });
             inner.commit();
         }
@@ -97,10 +106,11 @@ TEST(Journal, NestedCommitKeepsEntriesForOuterRollback)
 TEST(Journal, UndoClosuresDoNotSelfJournal)
 {
     auto w = std::unique_ptr<World>(World::x86(1));
-    Journal journal;
+    kernel::MmStruct &mm = w->proc.mm();
+    Journal &journal = mm.journal();
     int undone = 0;
     {
-        ScopedTxn txn(journal, w->core(), 0, "test");
+        OpTxn txn(mm, w->core(), WalOp::kNone, 0);
         journal.record([&] {
             ++undone;
             // An undo closure re-issuing forward work must not append
@@ -110,6 +120,74 @@ TEST(Journal, UndoClosuresDoNotSelfJournal)
     }
     EXPECT_EQ(undone, 1);
     EXPECT_EQ(journal.entries(), 0u);
+}
+
+TEST(Journal, OpTxnSealsWalOutcomeOnlyWhenGracefulAndOutermost)
+{
+    auto w = std::unique_ptr<World>(World::x86(1));
+    kernel::MmStruct &mm = w->proc.mm();
+    Journal &journal = mm.journal();
+    hw::Core &core = w->core();
+    Wal wal;
+    mm.set_wal(&wal);
+    std::string order;
+
+    // Graceful failure: the journal unwinds, then exactly one ABORT seals
+    // the transaction the BEGIN opened.
+    {
+        OpTxn txn(mm, core, WalOp::kMprotect, 0, 1, 2, 3);
+        EXPECT_TRUE(wal.in_txn());
+        journal.record([&] { order += "g"; });
+    }
+    EXPECT_EQ(order, "g");
+    EXPECT_EQ(journal.depth(), 0u);
+    ASSERT_EQ(wal.size(), 2u);
+    EXPECT_EQ(wal.records()[0].type, WalRecType::kBegin);
+    EXPECT_EQ(wal.records()[0].op, WalOp::kMprotect);
+    EXPECT_EQ(wal.records()[1].type, WalRecType::kAbort);
+    EXPECT_EQ(wal.aborts(), 1u);
+    EXPECT_FALSE(wal.in_txn());
+
+    // Power loss inside the guard body: the journal still unwinds, but
+    // the medium takes no ABORT and the transaction stays open until the
+    // WAL reboots.
+    order.clear();
+    try {
+        OpTxn txn(mm, core, WalOp::kWrvdr, 7, 1, 2);
+        journal.record([&] { order += "p"; });
+        throw sim::PowerLoss{1, 1};
+    } catch (const sim::PowerLoss &) {
+    }
+    EXPECT_EQ(order, "p");
+    EXPECT_EQ(journal.depth(), 0u);
+    EXPECT_EQ(journal.entries(), 0u);
+    ASSERT_EQ(wal.size(), 3u);
+    EXPECT_EQ(wal.records()[2].type, WalRecType::kBegin);
+    EXPECT_EQ(wal.aborts(), 1u);
+    EXPECT_TRUE(wal.in_txn());
+    wal.reboot();
+
+    // Nested guard: no WAL record of its own, and the entries it commits
+    // are still unwound by the outer rollback, which seals the ABORT.
+    order.clear();
+    {
+        OpTxn outer(mm, core, WalOp::kSandboxMprotect, 0, 1, 2, 3);
+        journal.record([&] { order += "o"; });
+        std::size_t before = wal.size();
+        {
+            OpTxn inner(mm, core, WalOp::kMprotect, 0, 1, 2, 3);
+            journal.record([&] { order += "i"; });
+            inner.commit();
+        }
+        EXPECT_EQ(wal.size(), before);
+        EXPECT_EQ(wal.commits(), 0u);
+    }
+    EXPECT_EQ(order, "io");
+    ASSERT_EQ(wal.size(), 5u);
+    EXPECT_EQ(wal.records()[3].op, WalOp::kSandboxMprotect);
+    EXPECT_EQ(wal.records()[4].type, WalRecType::kAbort);
+    EXPECT_EQ(wal.aborts(), 2u);
+    mm.set_wal(nullptr);
 }
 
 // -- Per-op rollback under injected faults --------------------------------
@@ -288,7 +366,7 @@ TEST(Txn, RollbackEmitsFlightRecordAndMetrics)
     auto [vdom, vpn] = w->make_domain(1);
     (void)vpn;
 
-    telemetry::MetricsRegistry registry(2);
+    telemetry::MetricsRegistry registry;
     telemetry::FlightRecorder flight(2, 64);
     FaultPlan plan(1);
     plan.arm_exact(FaultSite::kPermRegWriteFail, 1, /*sticky=*/true);
@@ -326,9 +404,9 @@ drive_and_clock(World &w, bool journaled)
 {
     kernel::Task *task = w.ready_thread();
     hw::Core &core = w.core();
-    std::optional<ScopedTxn> txn;
+    std::optional<OpTxn> txn;
     if (journaled)
-        txn.emplace(w.proc.mm().journal(), core, 0, "cycle_identity");
+        txn.emplace(w.proc.mm(), core, WalOp::kNone, 0);
     auto [vdom, vpn] = w.make_domain(2);
     w.sys.wrvdr(core, *task, vdom, VPerm::kFullAccess);
     w.sys.access(core, *task, vpn, true);
