@@ -361,6 +361,33 @@ BM_WorldBuild(benchmark::State &state)
 }
 BENCHMARK(BM_WorldBuild);
 
+void
+BM_AssignFreshPageManyVds(benchmark::State &state)
+{
+    // The tls_alloc registration shape: one vdom_mprotect of a fresh page
+    // (with the vdom_alloc and mmap that make it fresh) in a process with
+    // 32 VDSes, each holding the same 64 faulted-in pages.  Nothing is
+    // present in a fresh page, so this must not pay a retag per VDS.
+    BenchWorld world(hw::ArchParams::x86(1));
+    hw::Core &core = world.core(0);
+    world.sys.vdom_init(core);
+    kernel::MmStruct &mm = world.proc.mm();
+    hw::Vpn data = mm.mmap(64);
+    while (mm.num_vdses() < 32)
+        mm.create_vds();
+    for (const auto &vds : mm.vdses()) {
+        for (hw::Vpn v = data; v < data + 64; ++v)
+            mm.fault_in(core, *vds, v);
+    }
+    for (auto _ : state) {
+        VdomId vdom = world.sys.vdom_alloc(core);
+        hw::Vpn vpn = mm.mmap(1);
+        VdomStatus st = world.sys.vdom_mprotect(core, vpn, 1, vdom);
+        benchmark::DoNotOptimize(st);
+    }
+}
+BENCHMARK(BM_AssignFreshPageManyVds);
+
 /// One simulated thread of the share-nothing engine workload: MMU-heavy
 /// steps against its own process's address space.
 class ShareNothingWorker final : public sim::SimThread {

@@ -403,6 +403,31 @@ PageTable::install_from(const PageTable &src, Vpn vpn, std::uint64_t count,
     return ops;
 }
 
+bool
+PageTable::any_present(Vpn vpn, std::uint64_t count) const
+{
+    Vpn v = vpn;
+    Vpn end = vpn + count;
+    while (v < end) {
+        Vpn idx = pmd_index(v);
+        Vpn span_start = idx * pmd_span_;
+        Vpn chunk_end = std::min(end, span_start + pmd_span_);
+        if (const Leaf *leaf = leaf_at(idx)) {
+            if (leaf->kind == PmdKind::kHuge ||
+                (leaf->kind == PmdKind::kDisabled && leaf->was_huge))
+                return true;
+            std::size_t lo = v - span_start;
+            std::size_t hi = chunk_end - span_start;
+            if (hi - lo == pmd_span_ ? leaf->present > 0
+                                     : plane_sum(planes(*leaf).present, lo,
+                                                 hi) > 0)
+                return true;
+        }
+        v = chunk_end;
+    }
+    return false;
+}
+
 std::uint64_t
 PageTable::present_pages() const
 {

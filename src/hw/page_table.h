@@ -118,6 +118,12 @@ class PageTable {
     PtOps install_from(const PageTable &src, Vpn vpn, std::uint64_t count,
                        Pdom pdom, bool allow_pmd_fast_path);
 
+    /// True when any page of [vpn, vpn+count) has a populated PTE (even
+    /// one that is prot_none or sits under a disabled PMD) or is covered
+    /// by a huge PMD, enabled or disabled.  Reads leaf present counts for
+    /// whole spans and sums the present plane for partial ones.
+    bool any_present(Vpn vpn, std::uint64_t count) const;
+
     /// Returns the number of present 4KB-equivalent pages (huge counts as
     /// pmd_span).  Debug/test helper.
     std::uint64_t present_pages() const;

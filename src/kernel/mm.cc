@@ -181,7 +181,16 @@ MmStruct::assign_vdom(hw::Core &core, hw::Vpn start, std::uint64_t pages,
         vdm_.vdt().add_area(vdom, VdtArea{lo, hi - lo, v_huge});
         journal_.record([this, vdom] { vdm_.vdt().pop_area(vdom); });
         // Eager revocation across every VDS (§6.2): present pages lose
-        // their default-pdom tag right away.
+        // their default-pdom tag right away.  A VDS only maps what the
+        // shadow maps (see MmStruct), so an area the shadow has never
+        // populated, such as a fresh key page, has nothing to revoke.  An
+        // area covering a whole PMD span still takes the sweep: a VDS may
+        // keep a disabled PMD there, emptied by reclaim_range, and the
+        // retag re-enables it.
+        std::uint64_t span = params_->pmd_span_pages;
+        bool covers_span = (lo + span - 1) / span * span + span <= hi;
+        if (!covers_span && !shadow_.any_present(lo, hi - lo))
+            continue;
         for (auto &vds : vdses_) {
             hw::Pdom tag = params_->access_never_pdom;
             if (auto mapped = vds->pdom_of(vdom))

@@ -33,6 +33,17 @@
 namespace vdom::kernel {
 
 /// Per-process memory state.
+///
+/// Invariant: a VDS maps a page (a PTE, possibly prot_none or under a
+/// disabled PMD, or a huge PMD) only where the shadow maps it.  VDS
+/// tables are filled only from the shadow (fault_in, install_vdom_in_vds),
+/// and munmap and reclaim_range remove a page from every VDS when they
+/// remove it from the shadow (a huge mmap is assumed to fill whole PMD
+/// spans, as every caller's does).  reclaim_range relies on this to visit
+/// shadow-present pages only, and assign_vdom to skip revoking areas the
+/// shadow has never populated.  The one exception is libmpk
+/// (baselines/libmpk.cc), which maps its pages straight into vds0; those
+/// ranges never reach assign_vdom.
 class MmStruct {
   public:
     MmStruct(const hw::ArchParams &params, ShootdownManager *shootdown);
@@ -90,7 +101,9 @@ class MmStruct {
     /// Enforces address-space integrity (§7.2): pages already owned by a
     /// different protected vdom are rejected.  Splits VMAs as needed,
     /// chains the area into the VDT, and eagerly retags present pages in
-    /// every VDS (revocation is eager, §6.2), with shootdowns.
+    /// every VDS (revocation is eager, §6.2), with shootdowns.  An area
+    /// with no shadow-present page and no whole PMD span is not swept:
+    /// by the invariant above no VDS has anything there to retag.
     VdomStatus assign_vdom(hw::Core &core, hw::Vpn start,
                            std::uint64_t pages, VdomId vdom);
 

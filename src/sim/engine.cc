@@ -55,12 +55,25 @@ Engine::rebuild_heap()
     for (std::size_t c = 0; c < queues_.size(); ++c)
         if (!queues_[c].empty())
             heap_.push_back({machine_->core(c).now(), c});
-    auto after = [](const HeapEntry &a, const HeapEntry &b) {
-        return a.clock > b.clock ||
-               (a.clock == b.clock && a.core > b.core);
-    };
     std::make_heap(heap_.begin(), heap_.end(), after);
     heap_stale_ = false;
+}
+
+void
+Engine::sift_down_top()
+{
+    std::size_t n = heap_.size();
+    HeapEntry moving = heap_.front();
+    std::size_t i = 0;
+    for (std::size_t child = 1; child < n; child = 2 * i + 1) {
+        if (child + 1 < n && after(heap_[child], heap_[child + 1]))
+            ++child;
+        if (!after(moving, heap_[child]))
+            break;
+        heap_[i] = heap_[child];
+        i = child;
+    }
+    heap_[i] = moving;
 }
 
 std::size_t
@@ -68,17 +81,13 @@ Engine::pick_core()
 {
     if (heap_stale_)
         rebuild_heap();
-    auto after = [](const HeapEntry &a, const HeapEntry &b) {
-        return a.clock > b.clock ||
-               (a.clock == b.clock && a.core > b.core);
-    };
     // Lazy refresh: clocks only move forward, so an entry can only
-    // understate its core's clock.  Popping understated entries and
-    // re-pushing the true clock converges on the true (clock, core)
-    // minimum — the same core the old linear scan picked, including the
+    // understate its core's clock.  Raising a stale top to its true clock
+    // and sifting it down in place converges on the true (clock, core)
+    // minimum — the same core a linear scan picks, including the
     // lowest-id tie-break.
     while (!heap_.empty()) {
-        HeapEntry top = heap_.front();
+        HeapEntry &top = heap_.front();
         if (queues_[top.core].empty()) {
             std::pop_heap(heap_.begin(), heap_.end(), after);
             heap_.pop_back();
@@ -87,9 +96,8 @@ Engine::pick_core()
         hw::Cycles now = machine_->core(top.core).now();
         if (now == top.clock)
             return top.core;
-        std::pop_heap(heap_.begin(), heap_.end(), after);
-        heap_.back().clock = now;
-        std::push_heap(heap_.begin(), heap_.end(), after);
+        top.clock = now;
+        sift_down_top();
     }
     return 0;
 }

@@ -5,6 +5,8 @@
 /// clock (threads pinned to cores, slice preemption through the kernel
 /// Process).  Scheduling uses a lazy min-heap keyed by (clock, core id),
 /// so large simulated machines do not pay an O(num_cores) scan per step.
+/// An entry is refreshed only when it reaches the top; since a core's
+/// clock only grows, the refresh is one sift-down of the top in place.
 ///
 /// See docs/INTERNALS.md ("Serial engine").
 
@@ -70,8 +72,17 @@ class Engine {
         std::size_t core;
     };
 
+    /// Heap order: true when \p a picks after \p b, by (clock, core id).
+    static bool
+    after(const HeapEntry &a, const HeapEntry &b)
+    {
+        return a.clock > b.clock || (a.clock == b.clock && a.core > b.core);
+    }
+
     std::size_t pick_core();
     void rebuild_heap();
+    /// Restores heap order after the top entry's clock rose.
+    void sift_down_top();
     void step_core(std::size_t c);
     void switch_in(hw::Core &core, SimThread &thread);
     kernel::Process *process_for(SimThread &thread) const;

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -169,6 +170,120 @@ TEST(Engine, RoundRobinPlacement)
     // Each landed on its own core: all four cores advanced.
     for (std::size_t c = 0; c < 4; ++c)
         EXPECT_GT(machine.core(c).now(), 0.0) << c;
+}
+
+/// Shared by PickProbe threads: checks every pick against a linear scan
+/// of the runnable cores (minimum clock, lowest core id first).
+struct PickReference {
+    hw::Machine *machine;
+    std::vector<int> live;  ///< Unfinished threads per core.
+    hw::Cycles deadline = std::numeric_limits<hw::Cycles>::max();
+    std::size_t picks = 0;
+    std::size_t mismatches = 0;
+    std::size_t past_deadline = 0;
+
+    explicit PickReference(hw::Machine &m)
+        : machine(&m), live(m.num_cores(), 0)
+    {
+    }
+
+    std::size_t
+    expected() const
+    {
+        std::size_t best = live.size();
+        for (std::size_t c = 0; c < live.size(); ++c) {
+            if (live[c] == 0)
+                continue;
+            if (best == live.size() ||
+                machine->core(c).now() < machine->core(best).now())
+                best = c;
+        }
+        return best;
+    }
+};
+
+/// A thread whose every step first checks that the engine picked the
+/// reference core, then charges one of a few costs (so clocks tie often),
+/// sometimes charges other cores' clocks as an IPI would, and sometimes
+/// yields.
+class PickProbe final : public SimThread {
+  public:
+    PickProbe(PickReference &ref, std::size_t core, std::uint64_t seed,
+              int steps)
+        : ref_(&ref), rng_(seed), steps_(steps)
+    {
+        ++ref_->live[core];
+    }
+
+    bool
+    step(hw::Core &core) override
+    {
+        ++ref_->picks;
+        if (ref_->expected() != core.id())
+            ++ref_->mismatches;
+        if (core.now() >= ref_->deadline)
+            ++ref_->past_deadline;
+        static constexpr hw::Cycles kCosts[] = {100, 100, 100, 250, 600};
+        core.charge(hw::CostKind::kCompute, kCosts[rng_.below(5)]);
+        if (rng_.below(4) == 0) {
+            // IPI shape: the handler runs on remote cores, charging their
+            // clocks between their own steps.
+            std::size_t n = ref_->machine->num_cores();
+            for (int k = 0; k < 3; ++k) {
+                ref_->machine->core(rng_.below(n))
+                    .charge(hw::CostKind::kShootdown, 40);
+            }
+        }
+        if (rng_.below(5) == 0)
+            yield();
+        if (--steps_ > 0)
+            return true;
+        --ref_->live[core.id()];
+        return false;
+    }
+
+  private:
+    PickReference *ref_;
+    Rng rng_;
+    int steps_;
+};
+
+TEST(Engine, PickOrderMatchesLinearScanOn26Cores)
+{
+    hw::Machine machine(hw::ArchParams::x86(26));
+    // No process: context switches charge nothing, so a core's clock at
+    // step() is its clock at the pick.  A short slice still preempts.
+    Engine engine(machine, nullptr, /*time_slice=*/700);
+    PickReference ref(machine);
+    std::vector<std::unique_ptr<PickProbe>> threads;
+    Rng rng(26);
+    auto spawn = [&](std::size_t count) {
+        for (std::size_t i = 0; i < count; ++i) {
+            std::size_t core = rng.below(26);
+            threads.push_back(std::make_unique<PickProbe>(
+                ref, core, rng.next(), 20 + static_cast<int>(rng.below(60))));
+            engine.add_thread(threads.back().get(), static_cast<int>(core));
+        }
+    };
+    spawn(60);
+    for (hw::Cycles deadline : {2'000.0, 2'000.0, 9'000.0, 15'500.0}) {
+        ref.deadline = deadline;
+        engine.run_until(deadline);
+        // Stopped because the reference minimum reached the deadline.
+        std::size_t next = ref.expected();
+        ASSERT_LT(next, machine.num_cores());
+        EXPECT_GE(machine.core(next).now(), deadline);
+        spawn(5);  // Threads added mid-run rebuild the heap.
+    }
+    ref.deadline = std::numeric_limits<hw::Cycles>::max();
+    engine.run();
+    EXPECT_EQ(engine.live_threads(), 0u);
+    EXPECT_EQ(ref.picks, engine.steps());
+    EXPECT_GT(ref.picks, 2'000u);
+    EXPECT_GT(engine.yields(), 0u);
+    EXPECT_GT(engine.context_switches(), 0u);
+    EXPECT_EQ(ref.mismatches, 0u);
+    EXPECT_EQ(ref.past_deadline, 0u);
 }
 
 TEST(Rng, DeterministicAndUniform)

@@ -464,6 +464,22 @@ class RefPageTable {
         return ops;
     }
 
+    bool
+    any_present(Vpn vpn, std::uint64_t count) const
+    {
+        for (Vpn v = vpn; v < vpn + count; ++v) {
+            auto it = leaves_.find(v / span_);
+            if (it == leaves_.end())
+                continue;
+            const Leaf &leaf = it->second;
+            if (leaf.kind == Kind::kHuge ||
+                (leaf.kind == Kind::kDisabled && leaf.was_huge) ||
+                (!leaf.ptes.empty() && leaf.ptes[v % span_].present))
+                return true;
+        }
+        return false;
+    }
+
     std::uint64_t
     present_pages() const
     {
@@ -661,6 +677,13 @@ run_random(std::size_t span, bool fast, std::uint64_t seed, int steps)
         ASSERT_TRUE(same_ops(got, want))
             << "seed " << seed << " step " << step << " op " << op
             << " vpn " << vpn << " count " << count;
+        Vpn q = rng.below(checked);
+        std::uint64_t q_count = 1 + rng.below(2 * span);
+        for (auto [a, n] : {std::pair{vpn, count}, std::pair{q, q_count}}) {
+            ASSERT_EQ(p.pt.any_present(a, n), p.ref.any_present(a, n))
+                << "any_present " << a << "+" << n << ", seed " << seed
+                << " step " << step;
+        }
         ASSERT_TRUE(same_pages(dst, 0, checked))
             << "dst, seed " << seed << " step " << step << " op " << op;
         ASSERT_TRUE(same_pages(src, 0, checked))

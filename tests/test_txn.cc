@@ -16,6 +16,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common.h"
 #include "kernel/journal.h"
@@ -190,6 +191,145 @@ TEST(Journal, OpTxnSealsWalOutcomeOnlyWhenGracefulAndOutermost)
     mm.set_wal(nullptr);
 }
 
+/// Undo closure that reports its lifetime.  Every non-husk object of
+/// closure `id` counts its destruction (so a stray copy shows as a second
+/// one) and its runs; a moved-from husk (id -1) counts only towards
+/// `live`, the number of Tracked objects in existence.
+struct Tracked {
+    struct Counts {
+        std::vector<int> destroyed;
+        std::vector<int> ran;
+        std::string order;
+        int live = 0;
+
+        explicit Counts(std::size_t n) : destroyed(n), ran(n) {}
+    };
+
+    Tracked(Counts *counts, int id) : counts_(counts), id_(id)
+    {
+        ++counts_->live;
+    }
+
+    Tracked(Tracked &&other) noexcept : counts_(other.counts_), id_(other.id_)
+    {
+        other.id_ = -1;
+        ++counts_->live;
+    }
+
+    Tracked(const Tracked &other) : counts_(other.counts_), id_(other.id_)
+    {
+        ++counts_->live;
+    }
+
+    Tracked &operator=(const Tracked &) = delete;
+    Tracked &operator=(Tracked &&) = delete;
+
+    ~Tracked()
+    {
+        --counts_->live;
+        if (id_ >= 0)
+            ++counts_->destroyed[static_cast<std::size_t>(id_)];
+    }
+
+    void
+    operator()()
+    {
+        ++counts_->ran[static_cast<std::size_t>(id_)];
+        counts_->order += std::to_string(id_) + " ";
+    }
+
+  private:
+    Counts *counts_;
+    int id_;
+};
+
+TEST(Journal, EntriesDestroyEachClosureExactlyOnce)
+{
+    auto w = std::unique_ptr<World>(World::x86(1));
+    kernel::MmStruct &mm = w->proc.mm();
+    Journal &journal = mm.journal();
+    const int n = 40;  // Enough records to grow the log several times.
+
+    // Commit: nothing runs, and clearing the log destroys every closure.
+    {
+        Tracked::Counts counts(n);
+        {
+            OpTxn txn(mm, w->core(), WalOp::kNone, 0);
+            for (int i = 0; i < n; ++i)
+                journal.record(Tracked(&counts, i));
+            // Growing the log relocated entries without destroying a live
+            // closure or leaking a husk.
+            EXPECT_EQ(counts.live, n);
+            for (int i = 0; i < n; ++i)
+                EXPECT_EQ(counts.destroyed[i], 0) << i;
+            txn.commit();
+        }
+        EXPECT_EQ(counts.live, 0);
+        for (int i = 0; i < n; ++i) {
+            EXPECT_EQ(counts.destroyed[i], 1) << i;
+            EXPECT_EQ(counts.ran[i], 0) << i;
+        }
+    }
+
+    // Rollback: each closure runs once, newest first, then is destroyed.
+    {
+        Tracked::Counts counts(n);
+        std::string expected;
+        {
+            OpTxn txn(mm, w->core(), WalOp::kNone, 0);
+            for (int i = 0; i < n; ++i) {
+                journal.record(Tracked(&counts, i));
+                expected = std::to_string(i) + " " + expected;
+            }
+        }
+        EXPECT_EQ(counts.order, expected);
+        EXPECT_EQ(counts.live, 0);
+        for (int i = 0; i < n; ++i) {
+            EXPECT_EQ(counts.destroyed[i], 1) << i;
+            EXPECT_EQ(counts.ran[i], 1) << i;
+        }
+    }
+
+    // Nested guards: an inner rollback unwinds only its own entries; an
+    // inner commit keeps them for the outer rollback, in reverse order.
+    {
+        Tracked::Counts counts(7);
+        {
+            OpTxn outer(mm, w->core(), WalOp::kNone, 0);
+            journal.record(Tracked(&counts, 0));
+            journal.record(Tracked(&counts, 1));
+            {
+                OpTxn inner(mm, w->core(), WalOp::kNone, 0);
+                journal.record(Tracked(&counts, 2));
+            }
+            EXPECT_EQ(counts.order, "2 ");
+            EXPECT_EQ(counts.destroyed[2], 1);
+            {
+                OpTxn inner(mm, w->core(), WalOp::kNone, 0);
+                journal.record(Tracked(&counts, 3));
+                journal.record(Tracked(&counts, 4));
+                inner.commit();
+            }
+            journal.record(Tracked(&counts, 5));
+            EXPECT_EQ(journal.entries(), 5u);
+            EXPECT_EQ(counts.live, 5);
+        }
+        EXPECT_EQ(counts.order, "2 5 4 3 1 0 ");
+        EXPECT_EQ(counts.live, 0);
+        for (int i = 0; i < 6; ++i) {
+            EXPECT_EQ(counts.destroyed[i], 1) << i;
+            EXPECT_EQ(counts.ran[i], 1) << i;
+        }
+        // Outside a transaction record() drops the closure at once.
+        journal.record(Tracked(&counts, 6));
+        EXPECT_EQ(counts.destroyed[6], 1);
+        EXPECT_EQ(counts.ran[6], 0);
+        EXPECT_EQ(counts.live, 0);
+    }
+    EXPECT_EQ(journal.entries(), 0u);
+    EXPECT_EQ(journal.depth(), 0u);
+}
+
 // -- Per-op rollback under injected faults --------------------------------
 
 TEST(Txn, VdomInitRollsBackOnVdtFault)
@@ -262,6 +402,41 @@ TEST(Txn, MprotectMidRangeRollsBackAcrossVmas)
                   VdomStatus::kOk);
         EXPECT_TRUE(w->sys.access(core, *task, r1, true).ok);
     }
+}
+
+TEST(Txn, MprotectRollbackFlushesOnlyWhenItRetaggedLivePages)
+{
+    auto w = std::unique_ptr<World>(World::x86(2));
+    kernel::Task *task = w->ready_thread();
+    hw::Core &core = w->core();
+    kernel::MmStruct &mm = w->proc.mm();
+    // Fails at the second VMA's VDT chain step, after the first VMA has
+    // been retagged.
+    auto fail_second_area = [&](hw::Vpn start, std::uint64_t pages) {
+        VdomId vdom = w->sys.vdom_alloc(core);
+        FaultPlan plan(1);
+        plan.arm_exact(FaultSite::kVdtAllocFail, 2);
+        ScopedFaults armed(plan);
+        EXPECT_EQ(w->sys.vdom_mprotect(core, start, pages, vdom),
+                  VdomStatus::kResourceExhausted);
+    };
+
+    // Fresh pages: nothing was retagged, so the rollback flushes nothing.
+    hw::Vpn f1 = mm.mmap(2);
+    hw::Vpn f2 = mm.mmap(3);
+    std::uint64_t gen = mm.vds0()->tlb_gen();
+    fail_second_area(f1, f2 + 3 - f1);
+    EXPECT_EQ(mm.vds0()->tlb_gen(), gen);
+
+    // Live pages: undoing the retag rewrites translations cores may have
+    // cached, so the rollback flushes everywhere exactly once.
+    hw::Vpn r1 = mm.mmap(2);
+    hw::Vpn r2 = mm.mmap(3);
+    ASSERT_TRUE(w->sys.access(core, *task, r1, true).ok);
+    ASSERT_TRUE(w->sys.access(core, *task, r2, true).ok);
+    gen = mm.vds0()->tlb_gen();
+    fail_second_area(r1, r2 + 3 - r1);
+    EXPECT_EQ(mm.vds0()->tlb_gen(), gen + 1);
 }
 
 TEST(Txn, WrvdrStickyPermRegFailureRestoresVdr)
