@@ -17,8 +17,6 @@
 #include "hw/mmu.h"
 #include "hw/page_table.h"
 #include "hw/tlb.h"
-#include "kernel/asid.h"
-#include "kernel/vds.h"
 #include "kernel/vma.h"
 #include "sim/engine.h"
 #include "sim/rng.h"
@@ -352,8 +350,6 @@ BM_WorldBuild(benchmark::State &state)
     // one TLB per core, so this trips the perf-smoke gate if building a
     // TLB goes back to costing O(capacity).
     for (auto _ : state) {
-        kernel::reset_unique_asids();
-        kernel::Vds::reset_ctx_ids();
         BenchWorld world(hw::ArchParams::x86(26));
         VdomStatus init = world.sys.vdom_init(world.core(0));
         benchmark::DoNotOptimize(init);

@@ -3,6 +3,8 @@
 
 #pragma once
 
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -11,7 +13,7 @@
 
 namespace vdom::hw {
 
-/// Owns the cores of one simulated platform.
+/// Owns the cores of one simulated platform and numbers its TLB tags.
 class Machine {
   public:
     explicit Machine(const ArchParams &params) : params_(params)
@@ -26,6 +28,22 @@ class Machine {
 
     Core &core(std::size_t id) { return *cores_[id]; }
     const Core &core(std::size_t id) const { return *cores_[id]; }
+
+    /// Hands out TLB tags 1, 2, 3, ..., never recycled.  Every process on
+    /// the machine draws from here, so processes sharing its TLBs never
+    /// match each other's entries (real hardware gets this from flushes).
+    /// Stops the run, in every build type, rather than hand out a tag past
+    /// Tlb::kMaxAsid, which the TLB key would alias to a live one.
+    Asid
+    next_asid()
+    {
+        if (last_asid_ == Tlb::kMaxAsid) {
+            std::fprintf(stderr, "hw::Machine: out of TLB tags (%u)\n",
+                         last_asid_);
+            std::abort();
+        }
+        return ++last_asid_;
+    }
 
     /// Aggregate cycle breakdown across all cores.
     CycleBreakdown
@@ -58,6 +76,7 @@ class Machine {
   private:
     ArchParams params_;
     std::vector<std::unique_ptr<Core>> cores_;
+    Asid last_asid_ = 0;
 };
 
 }  // namespace vdom::hw

@@ -90,6 +90,10 @@ class Tlb {
     /// pages actually touched (for range-flush cost accounting).
     std::uint64_t flush_range(Asid asid, Vpn vpn, std::uint64_t count);
 
+    /// Largest tag a key keeps intact: make_key stores the tag above a
+    /// 48-bit vpn, so a larger tag would alias one below it.
+    static constexpr Asid kMaxAsid = 0xffff;
+
     std::size_t size() const { return size_; }
     std::size_t capacity() const { return capacity_; }
     std::size_t num_sets() const { return num_sets_; }

@@ -3,48 +3,34 @@
 
 #include "kernel/asid.h"
 
-#include <atomic>
 #include <limits>
 
+#include "hw/machine.h"
 #include "sim/fault.h"
 #include "telemetry/flightrec.h"
 #include "telemetry/metrics.h"
 
 namespace vdom::kernel {
 
-namespace {
-// Process-global: every world built in this OS process draws from it,
-// and reset_unique_asids() restarts it.  The simulator runs on one host
-// thread, so the atomic is not needed for correctness.
-std::atomic<hw::Asid> g_asid_counter{0};
-}  // namespace
-
-hw::Asid
-next_unique_asid()
-{
-    return g_asid_counter.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
 void
 reset_unique_asids()
 {
-    g_asid_counter.store(0, std::memory_order_relaxed);
 }
 
 std::unique_ptr<AsidAllocator>
-AsidAllocator::make(const hw::ArchParams &params)
+AsidAllocator::make(hw::Machine &machine)
 {
-    if (params.kind == hw::ArchKind::kX86) {
-        return std::make_unique<X86PcidAllocator>(params.num_cores,
-                                                  params.asid_slots);
+    if (machine.params().kind == hw::ArchKind::kX86) {
+        return std::make_unique<X86PcidAllocator>(
+            machine, machine.params().asid_slots);
     }
-    return std::make_unique<ArmAsidAllocator>();
+    return std::make_unique<ArmAsidAllocator>(machine);
 }
 
-X86PcidAllocator::X86PcidAllocator(std::size_t num_cores,
+X86PcidAllocator::X86PcidAllocator(hw::Machine &machine,
                                    std::size_t slots_per_core)
-    : slots_per_core_(slots_per_core),
-      slots_(num_cores, std::vector<Slot>(slots_per_core))
+    : machine_(&machine),
+      slots_(machine.num_cores(), std::vector<Slot>(slots_per_core))
 {
 }
 
@@ -96,14 +82,15 @@ X86PcidAllocator::assign(std::size_t core, std::uint64_t ctx_id)
         telemetry::metric_add(telemetry::Metric::kAsidRecycle);
     }
     victim->ctx_id = ctx_id;
-    victim->asid = next_unique_asid();
+    victim->asid = machine_->next_asid();
     victim->lru = tick_;
     return {victim->asid, recycled, false,
             recycled ? telemetry::flight_new_flow() : 0};
 }
 
-ArmAsidAllocator::ArmAsidAllocator(std::size_t space_size)
-    : space_size_(space_size)
+ArmAsidAllocator::ArmAsidAllocator(hw::Machine &machine,
+                                   std::size_t space_size)
+    : machine_(&machine), space_size_(space_size)
 {
 }
 
@@ -126,12 +113,12 @@ ArmAsidAllocator::assign(std::size_t core, std::uint64_t ctx_id)
         used_ = 0;
         ++flushes_;
         telemetry::metric_add(telemetry::Metric::kAsidRollover);
-        hw::Asid asid = next_unique_asid();
+        hw::Asid asid = machine_->next_asid();
         active_[ctx_id] = asid;
         ++used_;
         return {asid, false, true, telemetry::flight_new_flow()};
     }
-    hw::Asid asid = next_unique_asid();
+    hw::Asid asid = machine_->next_asid();
     active_[ctx_id] = asid;
     ++used_;
     return {asid, false, false};

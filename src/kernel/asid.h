@@ -10,8 +10,9 @@
 ///  - ARM: a global ASID space with generation rollover; exhausting the
 ///    space flushes everything everywhere.
 ///
-/// The model hands out globally unique TLB tags, so stale entries can never
-/// be matched; the `need_flush*` flags report when the real hardware would
+/// The model hands out TLB tags that are machine-unique and never recycled
+/// within a world (hw::Machine::next_asid), so stale entries can never be
+/// matched; the `need_flush*` flags report when the real hardware would
 /// have paid an invalidation, and callers charge cycles accordingly.
 
 #pragma once
@@ -22,6 +23,10 @@
 #include <vector>
 
 #include "hw/arch.h"
+
+namespace vdom::hw {
+class Machine;
+}  // namespace vdom::hw
 
 namespace vdom::kernel {
 
@@ -41,8 +46,9 @@ class AsidAllocator {
   public:
     virtual ~AsidAllocator() = default;
 
-    /// Builds the allocator matching \p params' architecture.
-    static std::unique_ptr<AsidAllocator> make(const hw::ArchParams &params);
+    /// Builds the allocator matching \p machine's architecture; its tags
+    /// come from \p machine.
+    static std::unique_ptr<AsidAllocator> make(hw::Machine &machine);
 
     /// Returns the ASID to run \p ctx_id under on \p core.
     virtual AsidAssignment assign(std::size_t core, std::uint64_t ctx_id) = 0;
@@ -54,7 +60,8 @@ class AsidAllocator {
 /// X86 PCID-slot cache (Linux-style dynamic ASIDs + TLB generations).
 class X86PcidAllocator final : public AsidAllocator {
   public:
-    X86PcidAllocator(std::size_t num_cores, std::size_t slots_per_core);
+    /// One cache of \p slots_per_core slots per core of \p machine.
+    X86PcidAllocator(hw::Machine &machine, std::size_t slots_per_core);
 
     AsidAssignment assign(std::size_t core, std::uint64_t ctx_id) override;
     std::uint64_t flush_count() const override { return flushes_; }
@@ -66,28 +73,21 @@ class X86PcidAllocator final : public AsidAllocator {
         std::uint64_t lru = 0;
     };
 
-    std::size_t slots_per_core_;
+    hw::Machine *machine_;
     std::vector<std::vector<Slot>> slots_;  ///< [core][slot]
     std::uint64_t tick_ = 0;
     std::uint64_t flushes_ = 0;
 };
 
-/// Hands out a machine-unique TLB tag.  Tags are process-agnostic so two
-/// processes sharing a machine can never alias each other's TLB entries
-/// (real hardware reaches the same guarantee through flushes; unique tags
-/// are the simulator's cheaper equivalent).
-hw::Asid next_unique_asid();
-
-/// Restarts the unique-tag counter.  Only for harnesses that build several
-/// same-seed worlds in one OS process and need their ASID streams (and
-/// thus flight records / post-mortem bundles) byte-identical; never call
-/// while a machine built under the old counter is still in use.
+/// Does nothing (hw::Machine numbers its own tags); perfbench is its only
+/// caller.
 void reset_unique_asids();
 
 /// ARM global ASID allocator with generation rollover.
 class ArmAsidAllocator final : public AsidAllocator {
   public:
-    explicit ArmAsidAllocator(std::size_t space_size = 256);
+    explicit ArmAsidAllocator(hw::Machine &machine,
+                              std::size_t space_size = 256);
 
     AsidAssignment assign(std::size_t core, std::uint64_t ctx_id) override;
     std::uint64_t flush_count() const override { return flushes_; }
@@ -95,6 +95,7 @@ class ArmAsidAllocator final : public AsidAllocator {
     std::uint64_t generation() const { return generation_; }
 
   private:
+    hw::Machine *machine_;
     std::size_t space_size_;
     std::size_t used_ = 0;
     std::uint64_t generation_ = 1;

@@ -29,7 +29,7 @@ class Process {
     explicit Process(hw::Machine &machine)
         : machine_(&machine),
           shootdown_(machine),
-          asid_(AsidAllocator::make(machine.params())),
+          asid_(AsidAllocator::make(machine)),
           mm_(machine.params(), &shootdown_)
     {
     }

@@ -4,23 +4,16 @@
 #include "kernel/vds.h"
 
 #include <algorithm>
-#include <atomic>
 
 namespace vdom::kernel {
-
-namespace {
-std::atomic<std::uint64_t> g_next_ctx_id{1};
-}  // namespace
 
 void
 Vds::reset_ctx_ids()
 {
-    g_next_ctx_id.store(1, std::memory_order_relaxed);
 }
 
 Vds::Vds(std::uint32_t id, const hw::ArchParams &params)
     : id_(id),
-      ctx_id_(g_next_ctx_id.fetch_add(1, std::memory_order_relaxed)),
       params_(&params),
       pgd_(params.pmd_span_pages),
       first_usable_(static_cast<hw::Pdom>(params.num_reserved_pdoms)),

@@ -32,7 +32,8 @@ class Vds {
         hw::Cycles last_use = 0;  ///< LRU tick for HLRU eviction.
     };
 
-    /// Draws the context id from the machine-wide counter.
+    /// \p id is unique within the owning process (MmStruct numbers its
+    /// VDSes 0, 1, 2, ...).
     Vds(std::uint32_t id, const hw::ArchParams &params);
 
     std::uint32_t id() const { return id_; }
@@ -40,11 +41,13 @@ class Vds {
     hw::PageTable &pgd() { return pgd_; }
     const hw::PageTable &pgd() const { return pgd_; }
 
-    /// Unique context identifier (feeds the ASID allocators).
-    std::uint64_t ctx_id() const { return ctx_id_; }
+    /// Context identifier the owning process's ASID allocator keys on:
+    /// id() + 1, unique within the process and never 0 (the X86
+    /// allocator's empty-slot marker).
+    std::uint64_t ctx_id() const { return std::uint64_t{id_} + 1; }
 
-    /// Restarts the context-id counter (pairs with reset_unique_asids():
-    /// only for harnesses rebuilding same-seed worlds in one process).
+    /// Does nothing (context ids derive from id()); perfbench is its only
+    /// caller.
     static void reset_ctx_ids();
 
     // --- domain map -------------------------------------------------------
@@ -222,7 +225,6 @@ class Vds {
 
   private:
     std::uint32_t id_;
-    std::uint64_t ctx_id_;
     const hw::ArchParams *params_;
     hw::PageTable pgd_;
 

@@ -9,7 +9,6 @@
 #include "apps/httpd.h"
 #include "apps/mysql.h"
 #include "apps/strategy.h"
-#include "kernel/asid.h"
 #include "sim/rng.h"
 #include "telemetry/metrics.h"
 #include "telemetry/postmortem.h"
@@ -499,11 +498,6 @@ auto
 FaultPointHarness<M>::build_world(kernel::Wal *wal) const
     -> std::unique_ptr<World>
 {
-    // Same-config worlds must be bit-identical — replay determinism is
-    // what lets recovery reconverge on recorded ids and addresses — so the
-    // global id counters restart with every rebuild.
-    kernel::reset_unique_asids();
-    kernel::Vds::reset_ctx_ids();
     auto w = std::make_unique<World>();
     w->params = config_.arch == hw::ArchKind::kX86
                     ? hw::ArchParams::x86(config_.cores)
@@ -1130,8 +1124,6 @@ ChaosAppsResult
 run_chaos_apps(const ChaosAppsConfig &config)
 {
     ChaosAppsResult result;
-    kernel::reset_unique_asids();
-    kernel::Vds::reset_ctx_ids();
     hw::ArchParams params = config.arch == hw::ArchKind::kX86
                                 ? hw::ArchParams::x86(config.cores)
                                 : hw::ArchParams::arm(config.cores);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "hw/arch.h"
+#include "hw/machine.h"
 #include "kernel/asid.h"
 
 namespace vdom::kernel {
@@ -11,7 +12,8 @@ namespace {
 
 TEST(X86Pcid, HitReusesAsidWithoutFlush)
 {
-    X86PcidAllocator alloc(2, 6);
+    hw::Machine machine(hw::ArchParams::x86(2));
+    X86PcidAllocator alloc(machine, 6);
     AsidAssignment a = alloc.assign(0, 100);
     EXPECT_FALSE(a.need_flush_asid);
     AsidAssignment b = alloc.assign(0, 100);
@@ -21,7 +23,8 @@ TEST(X86Pcid, HitReusesAsidWithoutFlush)
 
 TEST(X86Pcid, PerCoreSlots)
 {
-    X86PcidAllocator alloc(2, 6);
+    hw::Machine machine(hw::ArchParams::x86(2));
+    X86PcidAllocator alloc(machine, 6);
     AsidAssignment a = alloc.assign(0, 100);
     AsidAssignment b = alloc.assign(1, 100);
     // The same context gets different tags on different cores (PCIDs are
@@ -31,7 +34,8 @@ TEST(X86Pcid, PerCoreSlots)
 
 TEST(X86Pcid, EvictionFlushesRecycledSlot)
 {
-    X86PcidAllocator alloc(1, 2);
+    hw::Machine machine(hw::ArchParams::x86(1));
+    X86PcidAllocator alloc(machine, 2);
     alloc.assign(0, 1);
     alloc.assign(0, 2);
     // Third context overflows the 2-slot cache: recycled slot must flush.
@@ -45,7 +49,8 @@ TEST(X86Pcid, EvictionFlushesRecycledSlot)
 
 TEST(X86Pcid, LruSlotIsVictim)
 {
-    X86PcidAllocator alloc(1, 2);
+    hw::Machine machine(hw::ArchParams::x86(1));
+    X86PcidAllocator alloc(machine, 2);
     AsidAssignment a1 = alloc.assign(0, 1);
     alloc.assign(0, 2);
     alloc.assign(0, 1);  // Touch 1: now 2 is LRU.
@@ -57,7 +62,8 @@ TEST(X86Pcid, LruSlotIsVictim)
 
 TEST(ArmAsid, StableUntilRollover)
 {
-    ArmAsidAllocator alloc(256);
+    hw::Machine machine(hw::ArchParams::arm(4));
+    ArmAsidAllocator alloc(machine, 256);
     AsidAssignment a = alloc.assign(0, 42);
     AsidAssignment b = alloc.assign(3, 42);
     EXPECT_EQ(a.asid, b.asid);  // Global space: same tag on every core.
@@ -66,7 +72,8 @@ TEST(ArmAsid, StableUntilRollover)
 
 TEST(ArmAsid, RolloverFlushesEverything)
 {
-    ArmAsidAllocator alloc(4);
+    hw::Machine machine(hw::ArchParams::arm(1));
+    ArmAsidAllocator alloc(machine, 4);
     alloc.assign(0, 1);
     alloc.assign(0, 2);
     alloc.assign(0, 3);
@@ -81,17 +88,21 @@ TEST(ArmAsid, RolloverFlushesEverything)
 
 TEST(AsidFactory, PicksPerArch)
 {
-    auto x86 = AsidAllocator::make(hw::ArchParams::x86(2));
-    auto arm = AsidAllocator::make(hw::ArchParams::arm(2));
+    hw::Machine x86_machine(hw::ArchParams::x86(2));
+    hw::Machine arm_machine(hw::ArchParams::arm(2));
+    auto x86 = AsidAllocator::make(x86_machine);
+    auto arm = AsidAllocator::make(arm_machine);
     EXPECT_NE(dynamic_cast<X86PcidAllocator *>(x86.get()), nullptr);
     EXPECT_NE(dynamic_cast<ArmAsidAllocator *>(arm.get()), nullptr);
 }
 
 TEST(AsidUniqueness, TagsNeverRecycledAcrossContexts)
 {
-    // The model's tags are globally unique, which is what guarantees a
-    // stale TLB entry can never be matched by a new context.
-    X86PcidAllocator alloc(1, 2);
+    // The model's tags are machine-unique and never recycled within a
+    // world, which is what guarantees a stale TLB entry can never be
+    // matched by a new context.
+    hw::Machine machine(hw::ArchParams::x86(1));
+    X86PcidAllocator alloc(machine, 2);
     std::vector<hw::Asid> seen;
     for (std::uint64_t ctx = 1; ctx <= 20; ++ctx) {
         AsidAssignment a = alloc.assign(0, ctx);
@@ -99,6 +110,17 @@ TEST(AsidUniqueness, TagsNeverRecycledAcrossContexts)
             EXPECT_NE(a.asid, old);
         seen.push_back(a.asid);
     }
+}
+
+TEST(AsidUniquenessDeathTest, MachineStopsBeforeATagWouldAlias)
+{
+    // A TLB key keeps 16 bits of the tag: tag 65536 would alias tag 0 and
+    // 65537 tag 1, so the machine stops the run instead of handing one
+    // out, in every build type.
+    hw::Machine machine(hw::ArchParams::x86(1));
+    for (hw::Asid expect = 1; expect <= hw::Tlb::kMaxAsid; ++expect)
+        ASSERT_EQ(machine.next_asid(), expect);
+    EXPECT_DEATH(machine.next_asid(), "out of TLB tags");
 }
 
 }  // namespace

@@ -32,7 +32,8 @@ using sim::ScopedFaults;
 
 TEST(ArmAsidFaults, ForcedExhaustionTakesTheRolloverPath)
 {
-    ArmAsidAllocator alloc(/*space_size=*/64);
+    hw::Machine machine(hw::ArchParams::arm(1));
+    ArmAsidAllocator alloc(machine, /*space_size=*/64);
     AsidAssignment first = alloc.assign(0, 1);
     EXPECT_FALSE(first.need_flush_all);
     EXPECT_FALSE(alloc.assign(0, 1).need_flush_all);  // warm hit
@@ -61,7 +62,8 @@ TEST(ArmAsidFaults, NaturalExhaustionRollsOverAtTheSamePoint)
 {
     // Small space: contexts 1..3 fit, the 4th exhausts it.  The flag must
     // fire exactly once, exactly there — not before, not after.
-    ArmAsidAllocator alloc(/*space_size=*/4);
+    hw::Machine machine(hw::ArchParams::arm(1));
+    ArmAsidAllocator alloc(machine, /*space_size=*/4);
     for (std::uint64_t ctx = 1; ctx <= 3; ++ctx)
         EXPECT_FALSE(alloc.assign(0, ctx).need_flush_all) << ctx;
     EXPECT_EQ(alloc.generation(), 1u);
@@ -76,7 +78,8 @@ TEST(ArmAsidFaults, ForcedRolloverCountsTheRolloverMetric)
 {
     telemetry::MetricsRegistry registry;
     telemetry::ScopedMetrics metrics(registry);
-    ArmAsidAllocator alloc;
+    hw::Machine machine(hw::ArchParams::arm(1));
+    ArmAsidAllocator alloc(machine);
     alloc.assign(0, 1);
     FaultPlan plan(7);
     plan.arm(FaultSite::kAsidExhaustion, {.every = 1, .max_fires = 3});
@@ -117,7 +120,8 @@ TEST(ArmAsidFaults, RolloverBroadcastsFlushAllThroughTheProcess)
 
 TEST(X86PcidFaults, ForcedThrashTakesTheRecyclePath)
 {
-    X86PcidAllocator alloc(/*num_cores=*/1, /*slots_per_core=*/4);
+    hw::Machine machine(hw::ArchParams::x86(1));
+    X86PcidAllocator alloc(machine, /*slots_per_core=*/4);
     AsidAssignment first = alloc.assign(0, 1);
     EXPECT_FALSE(first.need_flush_asid);
     EXPECT_FALSE(alloc.assign(0, 1).need_flush_asid);  // warm hit
@@ -141,7 +145,8 @@ TEST(X86PcidFaults, ForcedThrashTakesTheRecyclePath)
 
 TEST(X86PcidFaults, NaturalThrashWhenWorkingSetExceedsSlots)
 {
-    X86PcidAllocator alloc(/*num_cores=*/1, /*slots_per_core=*/2);
+    hw::Machine machine(hw::ArchParams::x86(1));
+    X86PcidAllocator alloc(machine, /*slots_per_core=*/2);
     EXPECT_FALSE(alloc.assign(0, 1).need_flush_asid);
     EXPECT_FALSE(alloc.assign(0, 2).need_flush_asid);
     // Third context evicts the LRU slot (ctx 1) and pays the flush; ctx 1
@@ -155,7 +160,8 @@ TEST(X86PcidFaults, ForcedThrashCountsTheRecycleMetric)
 {
     telemetry::MetricsRegistry registry;
     telemetry::ScopedMetrics metrics(registry);
-    X86PcidAllocator alloc(1, 4);
+    hw::Machine machine(hw::ArchParams::x86(1));
+    X86PcidAllocator alloc(machine, 4);
     alloc.assign(0, 1);
     FaultPlan plan(7);
     plan.arm(FaultSite::kAsidExhaustion, {.every = 1, .max_fires = 2});

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "sim/fault.h"
 #include "telemetry/flightrec.h"
 #include "telemetry/metrics.h"
+#include "vdom/introspect.h"
 
 namespace vdom {
 namespace {
@@ -333,6 +335,9 @@ struct InstrumentedRun {
     ChaosResult result;
     std::vector<telemetry::MetricsRegistry::Sample> metrics;
     std::size_t span_events = 0;  ///< Span records the flight rings kept.
+    std::uint64_t flight_digest = 0;  ///< Over every record's text form.
+    std::string dump;                 ///< Introspect report at the end.
+    std::vector<hw::Cycles> clocks;   ///< Per-core clocks at the end.
 };
 
 InstrumentedRun
@@ -351,6 +356,15 @@ run_instrumented(const ChaosConfig &config)
     out.span_events = flight.count(FlightEvent::kSpanBegin) +
                       flight.count(FlightEvent::kSpanEnd) +
                       flight.count(FlightEvent::kSpanInstant);
+    std::string records;
+    for (const telemetry::FlightRecord &rec : flight.merged())
+        records += telemetry::FlightRecorder::format(rec) + "\n";
+    out.flight_digest = snapshot_hash(records);
+    std::ostringstream dump;
+    dump_state(harness.system(), dump);
+    out.dump = dump.str();
+    for (std::size_t c = 0; c < harness.machine().num_cores(); ++c)
+        out.clocks.push_back(harness.machine().core(c).now());
     return out;
 }
 
@@ -370,8 +384,26 @@ TEST(ChaosDeterminism, SameFaultedScheduleTwiceIsIdentical)
         };
 
         InstrumentedRun a = run_instrumented(config);
+        // A result depends only on its inputs, not on how many worlds the
+        // binary built before it: each world numbers its own TLB tags and
+        // VDS context ids, which the flight records and the introspect
+        // report print.  So throwaway worlds of another shape in between
+        // change nothing.
+        for (std::uint64_t i = 0; i < 3; ++i) {
+            ChaosConfig other = config;
+            other.arch = arch == hw::ArchKind::kX86 ? hw::ArchKind::kArm
+                                                    : hw::ArchKind::kX86;
+            other.cores = 2;
+            other.ops = 150;
+            other.seed = 31 + i;
+            EXPECT_TRUE(ChaosHarness(other).run().ok());
+        }
         InstrumentedRun b = run_instrumented(config);
 
+        EXPECT_GT(a.result.faults_injected, 0u);
+        EXPECT_EQ(a.flight_digest, b.flight_digest);
+        EXPECT_EQ(a.dump, b.dump);
+        EXPECT_EQ(a.clocks, b.clocks);
         EXPECT_EQ(a.result.max_clock, b.result.max_clock);
         EXPECT_EQ(a.result.faults_injected, b.result.faults_injected);
         EXPECT_EQ(a.result.ok_accesses, b.result.ok_accesses);

@@ -12,9 +12,7 @@
 #include <vector>
 
 #include "common.h"
-#include "kernel/asid.h"
 #include "kernel/shootdown.h"
-#include "kernel/vds.h"
 #include "sim/chaos.h"
 #include "telemetry/flat_ring.h"
 #include "telemetry/flightrec.h"
@@ -215,12 +213,6 @@ TEST(FlightTrace, SkipsDegenerateFlows)
 TEST(Postmortem, SameSeedBundlesAreByteIdentical)
 {
     auto bundle_for = [](std::uint64_t seed) {
-        // Same-process reruns share the global unique-ASID and context-id
-        // counters; reset both so the worlds see identical tag streams
-        // (two separate OS processes — the run_all.sh determinism check —
-        // get this free).
-        kernel::reset_unique_asids();
-        kernel::Vds::reset_ctx_ids();
         sim::ChaosConfig config;
         config.arch = hw::ArchKind::kX86;
         config.ops = 120;

@@ -4,14 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "hw/machine.h"
-#include "kernel/asid.h"
 #include "kernel/process.h"
-#include "kernel/vds.h"
 #include "sim/engine.h"
 #include "sim/fault.h"
 #include "sim/thread.h"
@@ -109,7 +109,7 @@ TEST(MultiProcess, TwoVdomProcessesShareTheMachine)
 TEST(MultiProcess, TlbNeverLeaksTranslationsAcrossProcesses)
 {
     // Both processes map the SAME numeric vpn with different domains; the
-    // globally unique ASIDs must keep the cached translations apart.
+    // machine-unique ASIDs must keep the cached translations apart.
     hw::Machine machine(hw::ArchParams::x86(1));
     kernel::Process proc_a(machine), proc_b(machine);
     VdomSystem sys_a(proc_a), sys_b(proc_b);
@@ -234,58 +234,101 @@ struct SwitchRun {
     std::uint64_t flight = 0;
 };
 
-/// Four processes on eight cores (two switching workers each), from
-/// freshly reset tag and context-id counters.  With \p with_faults, ASID
-/// exhaustion is forced every 97th assignment: on ARM each one is a
-/// generation rollover whose flush-all reaches the other processes' cores.
-SwitchRun
-run_switch_world(hw::ArchKind arch, bool with_faults)
-{
-    kernel::reset_unique_asids();
-    kernel::Vds::reset_ctx_ids();
-    hw::Machine machine(arch == hw::ArchKind::kX86 ? hw::ArchParams::x86(8)
-                                                   : hw::ArchParams::arm(8));
-    telemetry::FlightRecorder flight(8, 4096);
-    sim::FaultPlan plan(11);
-    if (with_faults)
-        plan.arm(sim::FaultSite::kAsidExhaustion,
-                 sim::FaultSpec{.every = 97});
-    SwitchRun out;
+/// Four processes on eight cores (two switching workers each).  With
+/// \p with_faults, ASID exhaustion is forced every 97th assignment: on ARM
+/// each one is a generation rollover whose flush-all reaches the other
+/// processes' cores.  The world owns its flight recorder and fault plan
+/// and attaches them only while it runs, so several worlds can be alive
+/// and advanced in turn.
+class SwitchWorld {
+  public:
+    SwitchWorld(hw::ArchKind arch, bool with_faults)
+        : machine_(arch == hw::ArchKind::kX86 ? hw::ArchParams::x86(8)
+                                              : hw::ArchParams::arm(8)),
+          with_faults_(with_faults)
     {
-        telemetry::ScopedFlightRecorder attach_flight(flight);
-        std::unique_ptr<sim::ScopedFaults> armed;
         if (with_faults)
-            armed = std::make_unique<sim::ScopedFaults>(plan);
-        std::vector<std::unique_ptr<kernel::Process>> procs;
-        std::vector<std::unique_ptr<SwitchWorker>> workers;
-        sim::Engine engine(machine, nullptr, 1'000'000);
+            plan_.arm(sim::FaultSite::kAsidExhaustion,
+                      sim::FaultSpec{.every = 97});
         for (std::size_t p = 0; p < 4; ++p) {
-            procs.push_back(std::make_unique<kernel::Process>(machine));
-            kernel::Process &proc = *procs.back();
+            procs_.push_back(std::make_unique<kernel::Process>(machine_));
+            kernel::Process &proc = *procs_.back();
             for (std::size_t t = 0; t < 2; ++t) {
                 kernel::Task *main_task = proc.create_task();
                 kernel::Task *alt = proc.create_task();
-                workers.push_back(std::make_unique<SwitchWorker>(
+                workers_.push_back(std::make_unique<SwitchWorker>(
                     proc, main_task, alt, 300));
-                workers.back()->set_task(proc, main_task);
-                engine.add_thread(workers.back().get(),
-                                  static_cast<int>(p * 2 + t));
+                workers_.back()->set_task(proc, main_task);
+                engine_.add_thread(workers_.back().get(),
+                                   static_cast<int>(p * 2 + t));
             }
         }
-        engine.run();
-        out.steps = engine.steps();
-        out.switches = engine.context_switches();
     }
-    for (std::size_t c = 0; c < machine.num_cores(); ++c)
-        out.clocks.push_back(machine.core(c).now());
-    out.breakdown = machine.total_breakdown();
-    out.faults = plan.total_fires();
-    out.flight = digest_flight(flight);
-    return out;
+
+    bool done() const { return engine_.live_threads() == 0; }
+
+    /// Runs until every core has reached \p deadline (or the workers are
+    /// done), with this world's flight recorder and fault plan attached.
+    void
+    advance(hw::Cycles deadline)
+    {
+        telemetry::ScopedFlightRecorder attach_flight(flight_);
+        std::optional<sim::ScopedFaults> armed;
+        if (with_faults_)
+            armed.emplace(plan_);
+        engine_.run_until(deadline);
+    }
+
+    SwitchRun
+    result() const
+    {
+        SwitchRun out;
+        for (std::size_t c = 0; c < machine_.num_cores(); ++c)
+            out.clocks.push_back(machine_.core(c).now());
+        out.breakdown = machine_.total_breakdown();
+        out.steps = engine_.steps();
+        out.switches = engine_.context_switches();
+        out.faults = plan_.total_fires();
+        out.flight = digest_flight(flight_);
+        return out;
+    }
+
+  private:
+    hw::Machine machine_;
+    bool with_faults_;
+    telemetry::FlightRecorder flight_{8, 4096};
+    sim::FaultPlan plan_{11};
+    std::vector<std::unique_ptr<kernel::Process>> procs_;
+    std::vector<std::unique_ptr<SwitchWorker>> workers_;
+    sim::Engine engine_{machine_, nullptr, 1'000'000};
+};
+
+/// One SwitchWorld, built and run to completion on its own.
+SwitchRun
+run_switch_world(hw::ArchKind arch, bool with_faults)
+{
+    SwitchWorld world(arch, with_faults);
+    world.advance(std::numeric_limits<hw::Cycles>::max());
+    return world.result();
+}
+
+void
+expect_same_run(const SwitchRun &first, const SwitchRun &second,
+                const std::string &label)
+{
+    EXPECT_GT(first.steps, 0u) << label;
+    EXPECT_EQ(first.clocks, second.clocks) << label;
+    for (std::size_t i = 0; i < hw::kNumCostKinds; ++i)
+        EXPECT_EQ(first.breakdown.by_kind[i], second.breakdown.by_kind[i])
+            << label << " cost kind " << i;
+    EXPECT_EQ(first.steps, second.steps) << label;
+    EXPECT_EQ(first.switches, second.switches) << label;
+    EXPECT_EQ(first.faults, second.faults) << label;
+    EXPECT_EQ(first.flight, second.flight) << label;
 }
 
 /// Cross-process TLB interactions (ARM rollover broadcast_flush_all over
-/// every process's cores) replay exactly from reset counters.
+/// every process's cores) replay exactly in a second world.
 TEST(MultiProcess, RolloverBroadcastAcrossProcessesIsRepeatable)
 {
     for (hw::ArchKind arch : {hw::ArchKind::kX86, hw::ArchKind::kArm}) {
@@ -297,18 +340,29 @@ TEST(MultiProcess, RolloverBroadcastAcrossProcessesIsRepeatable)
             if (faults && arch == hw::ArchKind::kArm) {
                 EXPECT_GT(first.faults, 0u) << label;
             }
-            EXPECT_GT(first.steps, 0u) << label;
-            EXPECT_EQ(first.clocks, second.clocks) << label;
-            for (std::size_t i = 0; i < hw::kNumCostKinds; ++i)
-                EXPECT_EQ(first.breakdown.by_kind[i],
-                          second.breakdown.by_kind[i])
-                    << label << " cost kind " << i;
-            EXPECT_EQ(first.steps, second.steps) << label;
-            EXPECT_EQ(first.switches, second.switches) << label;
-            EXPECT_EQ(first.faults, second.faults) << label;
-            EXPECT_EQ(first.flight, second.flight) << label;
+            expect_same_run(first, second, label);
         }
     }
+}
+
+/// Two worlds alive at once, advanced in turn, each match the same world
+/// run alone: a world numbers its own TLB tags and context ids, so
+/// nothing one world does moves another's tags, clocks or flight records.
+TEST(MultiProcess, InterleavedWorldsMatchTheirSoloRuns)
+{
+    SwitchRun solo_x86 = run_switch_world(hw::ArchKind::kX86, true);
+    SwitchRun solo_arm = run_switch_world(hw::ArchKind::kArm, true);
+
+    SwitchWorld x86(hw::ArchKind::kX86, true);
+    SwitchWorld arm(hw::ArchKind::kArm, true);
+    hw::Cycles deadline = 0;
+    while (!x86.done() || !arm.done()) {
+        deadline += 25'000;
+        x86.advance(deadline);
+        arm.advance(deadline);
+    }
+    expect_same_run(x86.result(), solo_x86, "X86");
+    expect_same_run(arm.result(), solo_arm, "ARM");
 }
 
 }  // namespace

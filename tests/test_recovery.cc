@@ -17,9 +17,7 @@
 
 #include "apps/pmo.h"
 #include "common.h"
-#include "kernel/asid.h"
 #include "kernel/shootdown.h"
-#include "kernel/vds.h"
 #include "kernel/wal.h"
 #include "sim/fault.h"
 #include "telemetry/metrics.h"
@@ -42,13 +40,11 @@ using sim::FaultPlan;
 using sim::FaultSite;
 using sim::ScopedFaults;
 
-/// Deterministic worlds: the global id counters restart before every
-/// build so replay reconverges on recorded ids (mirrors sim/chaos.cc).
+/// A fresh world.  Same-arch worlds are identical, so replay reconverges
+/// on recorded ids.
 std::unique_ptr<World>
 fresh_world(hw::ArchKind arch, std::size_t cores = 2)
 {
-    kernel::reset_unique_asids();
-    kernel::Vds::reset_ctx_ids();
     return std::unique_ptr<World>(arch == hw::ArchKind::kX86
                                       ? World::x86(cores)
                                       : World::arm(cores));
