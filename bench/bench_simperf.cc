@@ -49,25 +49,6 @@ BM_TlbInsertEvict(benchmark::State &state)
 }
 BENCHMARK(BM_TlbInsertEvict);
 
-void
-BM_TlbSetAssocConflict(benchmark::State &state)
-{
-    // Opt-in set-associative geometry: 64 sets x 8 ways.  Round-robin over
-    // 2x-ways vpns that all land in one set, so every insert past the
-    // first 8 is a conflict eviction while the TLB is otherwise empty.
-    hw::Tlb tlb(512, 8);
-    std::vector<hw::Vpn> conflicting;
-    std::size_t target = tlb.set_index(1, 0x1000);
-    for (hw::Vpn v = 0x1000; conflicting.size() < 2 * tlb.ways(); ++v) {
-        if (tlb.set_index(1, v) == target)
-            conflicting.push_back(v);
-    }
-    std::size_t i = 0;
-    for (auto _ : state)
-        tlb.insert(1, conflicting[i++ % conflicting.size()], {});
-}
-BENCHMARK(BM_TlbSetAssocConflict);
-
 // Domain switches flush a nearly empty TLB (about 1-15 live entries on the
 // Fig. 7 workload).  These two cases hold 4 live entries in a 1536-entry
 // TLB, so they trip the perf-smoke gate if a flush goes back to costing
@@ -144,17 +125,11 @@ BENCHMARK(BM_InstallFromShadow2MB);
 void
 BM_RadixTranslateSparse(benchmark::State &state)
 {
-    // Pages scattered one-per-PMD across the dense directory plus a band
-    // beyond the dense limit, exercising both radix paths.
+    // Pages scattered one-per-PMD across the low end of the directory.
     hw::PageTable pt(512);
     std::vector<hw::Vpn> mapped;
     for (hw::Vpn pmd = 0; pmd < 1024; pmd += 8) {
         hw::Vpn v = pmd * 512 + (pmd % 512);
-        pt.map_page(v, 3);
-        mapped.push_back(v);
-    }
-    for (hw::Vpn pmd = 1u << 17; pmd < (1u << 17) + 256; pmd += 8) {
-        hw::Vpn v = static_cast<hw::Vpn>(pmd) * 512;
         pt.map_page(v, 3);
         mapped.push_back(v);
     }

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -44,16 +43,15 @@ struct BenchWorld {
     }
 };
 
-/// Quick mode: scaled-down iteration counts (VDOM_BENCH_QUICK=1 or
-/// --quick).  The default sizes finish each bench in well under a minute.
+/// Quick mode (--quick): scaled-down iteration counts.  The default sizes
+/// finish each bench in well under a minute.
 inline bool
 quick_mode(int argc, char **argv)
 {
     for (int i = 1; i < argc; ++i)
         if (std::strcmp(argv[i], "--quick") == 0)
             return true;
-    const char *env = std::getenv("VDOM_BENCH_QUICK");
-    return env && env[0] == '1';
+    return false;
 }
 
 /// Formats "measured (paper X)" cells.

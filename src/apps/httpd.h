@@ -62,7 +62,6 @@ struct HttpdResult {
     std::uint64_t completed = 0;
     hw::Cycles elapsed = 0;
     hw::CycleBreakdown breakdown;
-    std::uint64_t busy_waits = 0;   ///< libmpk spin quanta (Fig. 1).
     std::uint64_t vdoms_allocated = 0;
 };
 

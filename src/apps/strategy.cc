@@ -64,8 +64,7 @@ bool
 VdomStrategy::enable(hw::Core &core, kernel::Task &task, int obj,
                      VPerm perm)
 {
-    sys_->wrvdr(core, task, objects_[static_cast<std::size_t>(obj)], perm,
-                mode_);
+    sys_->wrvdr(core, task, objects_[static_cast<std::size_t>(obj)], perm);
     return true;
 }
 
@@ -73,7 +72,7 @@ void
 VdomStrategy::disable(hw::Core &core, kernel::Task &task, int obj)
 {
     sys_->wrvdr(core, task, objects_[static_cast<std::size_t>(obj)],
-                VPerm::kAccessDisable, mode_);
+                VPerm::kAccessDisable);
 }
 
 // --- LowerboundStrategy ------------------------------------------------------
@@ -112,7 +111,7 @@ LowerboundStrategy::enable(hw::Core &core, kernel::Task &task, int obj,
                            VPerm perm)
 {
     (void)obj;
-    sys_->wrvdr(core, task, shared_, perm, mode_);
+    sys_->wrvdr(core, task, shared_, perm);
     return true;
 }
 
@@ -120,7 +119,7 @@ void
 LowerboundStrategy::disable(hw::Core &core, kernel::Task &task, int obj)
 {
     (void)obj;
-    sys_->wrvdr(core, task, shared_, VPerm::kAccessDisable, mode_);
+    sys_->wrvdr(core, task, shared_, VPerm::kAccessDisable);
 }
 
 // --- LibmpkStrategy ---------------------------------------------------------

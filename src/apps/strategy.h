@@ -113,9 +113,7 @@ class VdomStrategy final : public Strategy {
   public:
     /// \param nas address spaces each thread may own (vdr_alloc);
     ///        1 forces the eviction flavour, >1 allows VDS switching.
-    VdomStrategy(VdomSystem &sys, std::size_t nas,
-                 ApiMode mode = ApiMode::kSecure)
-        : sys_(&sys), nas_(nas), mode_(mode)
+    VdomStrategy(VdomSystem &sys, std::size_t nas) : sys_(&sys), nas_(nas)
     {
     }
     const char *name() const override { return "VDom"; }
@@ -137,17 +135,13 @@ class VdomStrategy final : public Strategy {
   private:
     VdomSystem *sys_;
     std::size_t nas_;
-    ApiMode mode_;
     std::vector<VdomId> objects_;
 };
 
 /// Lowerbound: every object in the same single vdom (Fig. 7's line).
 class LowerboundStrategy final : public Strategy {
   public:
-    LowerboundStrategy(VdomSystem &sys, ApiMode mode = ApiMode::kSecure)
-        : sys_(&sys), mode_(mode)
-    {
-    }
+    explicit LowerboundStrategy(VdomSystem &sys) : sys_(&sys) {}
     const char *name() const override { return "lowerbound"; }
     void thread_init(hw::Core &core, kernel::Task &task) override;
     int register_object(hw::Core &core, kernel::Task &task, hw::Vpn vpn,
@@ -166,7 +160,6 @@ class LowerboundStrategy final : public Strategy {
 
   private:
     VdomSystem *sys_;
-    ApiMode mode_;
     VdomId shared_ = kInvalidVdom;
     int objects_ = 0;
 };

@@ -28,11 +28,7 @@ namespace vdom::baselines {
 /// EPK instance for one in-VM process.
 class Epk {
   public:
-    /// \param keys_per_ept usable protection keys per EPT (15).
-    explicit Epk(const hw::ArchParams &params, std::size_t keys_per_ept = 15)
-        : params_(&params), keys_per_ept_(keys_per_ept)
-    {
-    }
+    explicit Epk(const hw::ArchParams &params) : params_(&params) {}
 
     /// Allocates a key; keys fill EPT groups in order.
     int
@@ -49,8 +45,8 @@ class Epk {
     {
         return next_key_ == 0
             ? 1
-            : (static_cast<std::size_t>(next_key_) + keys_per_ept_ - 1) /
-                keys_per_ept_;
+            : (static_cast<std::size_t>(next_key_) + kKeysPerEpt - 1) /
+                kKeysPerEpt;
     }
 
     /// Per-VMFUNC cycle cost at the current EPT count (§7.4: "350 cycles
@@ -71,7 +67,7 @@ class Epk {
     key_set(hw::Core &core, kernel::Task &task, int key, VPerm perm)
     {
         (void)perm;
-        std::size_t ept = static_cast<std::size_t>(key) / keys_per_ept_;
+        std::size_t ept = static_cast<std::size_t>(key) / kKeysPerEpt;
         std::size_t &cur = current_ept_[task.tid()];
         if (ept == cur) {
             core.charge(hw::CostKind::kPermReg, params_->costs.pkey_set);
@@ -96,8 +92,10 @@ class Epk {
     const Stats &stats() const { return stats_; }
 
   private:
+    /// Usable protection keys per EPT.
+    static constexpr std::size_t kKeysPerEpt = 15;
+
     const hw::ArchParams *params_;
-    std::size_t keys_per_ept_;
     int next_key_ = 0;
     std::unordered_map<std::uint32_t, std::size_t> current_ept_;
     VmModel vm_;

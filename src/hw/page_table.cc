@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 namespace vdom::hw {
@@ -36,20 +38,21 @@ retag_present(const std::uint8_t *present, std::uint8_t *tag, Pdom pdom,
 PageTable::Leaf &
 PageTable::leaf_grow(Vpn idx)
 {
-    if (idx < kDenseLimit) {
-        if (idx >= dense_.size()) {
-            std::size_t grown =
-                std::max<std::size_t>(idx + 1, dense_.size() * 2);
-            dense_.resize(std::min<std::size_t>(grown, kDenseLimit));
-        }
-        if (!dense_[idx])
-            dense_[idx] = std::make_unique<Leaf>(pmd_span_);
-        return *dense_[idx];
+    if (idx >= kDenseLimit) {
+        std::fprintf(stderr,
+                     "hw::PageTable: PMD index %llu past the directory "
+                     "(%llu spans)\n",
+                     static_cast<unsigned long long>(idx),
+                     static_cast<unsigned long long>(kDenseLimit));
+        std::abort();
     }
-    auto &slot = sparse_[idx];
-    if (!slot)
-        slot = std::make_unique<Leaf>(pmd_span_);
-    return *slot;
+    if (idx >= dense_.size()) {
+        std::size_t grown = std::max<std::size_t>(idx + 1, dense_.size() * 2);
+        dense_.resize(std::min<std::size_t>(grown, kDenseLimit));
+    }
+    if (!dense_[idx])
+        dense_[idx] = std::make_unique<Leaf>(pmd_span_);
+    return *dense_[idx];
 }
 
 void
@@ -57,8 +60,6 @@ PageTable::leaf_drop(Vpn idx)
 {
     if (idx < dense_.size())
         dense_[idx].reset();
-    else if (idx >= kDenseLimit)
-        sparse_.erase(idx);
 }
 
 Translation
@@ -432,18 +433,12 @@ std::uint64_t
 PageTable::present_pages() const
 {
     std::uint64_t count = 0;
-    auto tally = [&](const Leaf *leaf) {
+    for (const auto &leaf : dense_) {
         if (!leaf)
-            return;
+            continue;
         count += leaf->kind == PmdKind::kHuge
                      ? pmd_span_
                      : plane_sum(planes(*leaf).present, 0, pmd_span_);
-    };
-    for (const auto &leaf : dense_)
-        tally(leaf.get());
-    for (const auto &[idx, leaf] : sparse_) {
-        (void)idx;
-        tally(leaf.get());
     }
     return count;
 }

@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "hw/arch.h"
@@ -133,6 +132,12 @@ class PageTable {
     /// PMD-span index containing \p vpn.
     Vpn pmd_index(Vpn vpn) const { return vpn / pmd_span_; }
 
+    /// The directory is a flat pointer array over PMD indices [0, this):
+    /// 2^16 spans, 128 GB of 4 KB pages.  mmap allocates VPNs bottom-up,
+    /// so real address spaces stay far below it (the largest shipped world
+    /// reaches index 502); mapping a page past it stops the run.
+    static constexpr Vpn kDenseLimit = Vpn{1} << 16;
+
   private:
     enum class PmdKind : std::uint8_t {
         kTable,     ///< Points to a PTE table (the leaf's flat PTE block).
@@ -182,24 +187,15 @@ class PageTable {
         return {b, b + pmd_span_, b + 2 * pmd_span_};
     }
 
-    /// PMD indices below this use the dense directory (a flat pointer
-    /// array — mmap allocates VPNs bottom-up, so real address spaces land
-    /// here); pathological sparse indices overflow into a hash map.
-    static constexpr Vpn kDenseLimit = Vpn{1} << 16;
-
     /// Leaf covering PMD index \p idx, or nullptr.
     Leaf *
     leaf_at(Vpn idx) const
     {
-        if (idx < dense_.size())
-            return dense_[idx].get();
-        if (idx < kDenseLimit)
-            return nullptr;
-        auto it = sparse_.find(idx);
-        return it == sparse_.end() ? nullptr : it->second.get();
+        return idx < dense_.size() ? dense_[idx].get() : nullptr;
     }
 
-    /// Leaf covering PMD index \p idx, created on demand.
+    /// Leaf covering PMD index \p idx, created on demand.  Aborts, in
+    /// every build type, when \p idx is at or past kDenseLimit.
     Leaf &leaf_grow(Vpn idx);
 
     /// Drops the leaf at \p idx entirely (PMD entry + PTE block).
@@ -212,7 +208,6 @@ class PageTable {
     std::size_t pmd_span_;
     Pdom access_never_;
     std::vector<std::unique_ptr<Leaf>> dense_;
-    std::unordered_map<Vpn, std::unique_ptr<Leaf>> sparse_;
 };
 
 }  // namespace vdom::hw

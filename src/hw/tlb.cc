@@ -1,7 +1,7 @@
 /// \file
-/// TLB model implementation: flat set-associative array with exact per-set
-/// LRU, indexed by an open-addressing hash table (no per-entry allocation
-/// on any path).
+/// TLB model implementation: flat fully associative array with exact LRU,
+/// indexed by an open-addressing hash table (no per-entry allocation on
+/// any path).
 
 #include "hw/tlb.h"
 
@@ -14,27 +14,11 @@ namespace vdom::hw {
 
 namespace tm = ::vdom::telemetry;
 
-Tlb::Tlb(std::size_t capacity, std::size_t ways) : capacity_(capacity)
+Tlb::Tlb(std::size_t capacity)
+    : capacity_(capacity), slot_count_(capacity == 0 ? 1 : capacity)
 {
-    std::size_t effective = capacity == 0 ? 1 : capacity;
-    if (ways == 0 || ways >= effective) {
-        // Fully associative: one set, global exact LRU (the default — the
-        // eviction order the paper-reproduction results were produced
-        // with).
-        num_sets_ = 1;
-        ways_ = effective;
-    } else {
-        num_sets_ = std::bit_floor(effective / ways);
-        if (num_sets_ == 0)
-            num_sets_ = 1;
-        ways_ = effective / num_sets_;
-    }
-    slot_count_ = num_sets_ * ways_;
     // Reserved, not filled: `insert` hands out slots by a bump pointer.
     slots_.reserve(slot_count_);
-    set_head_.assign(num_sets_, kNil);
-    set_tail_.assign(num_sets_, kNil);
-    set_size_.assign(num_sets_, 0);
     resize_index(kMinIndex);
 }
 
@@ -44,11 +28,8 @@ Tlb::resize_index(std::size_t cells)
     index_.assign(cells, Cell{});
     index_mask_ = cells - 1;
     hash_shift_ = 64 - static_cast<unsigned>(std::bit_width(cells) - 1);
-    for (std::size_t set = 0; set < num_sets_; ++set) {
-        for (std::uint32_t slot = set_head_[set]; slot != kNil;
-             slot = slots_[slot].next)
-            index_insert(slots_[slot].key, slot);
-    }
+    for (std::uint32_t slot = head_; slot != kNil; slot = slots_[slot].next)
+        index_insert(slots_[slot].key, slot);
 }
 
 void
@@ -101,7 +82,6 @@ Tlb::remove_slot(std::uint32_t slot)
     Slot &s = slots_[slot];
     index_erase(s.key);
     list_unlink(slot);
-    --set_size_[s.set];
     --size_;
     s.prev = kNil;
     s.next = free_head_;
@@ -118,16 +98,10 @@ Tlb::insert(Asid asid, Vpn vpn, const TlbEntry &entry)
         touch_front(slot);
         return;
     }
-    std::size_t set = set_of(key);
-    if (set_size_[set] >= ways_) {
-        std::uint32_t victim = set_tail_[set];
+    if (size_ >= slot_count_) {
         ++stats_.evictions;
         tm::metric_add(tm::Metric::kTlbEvict);
-        if (size_ < slot_count_) {
-            ++stats_.assoc_conflicts;
-            tm::metric_add(tm::Metric::kTlbAssocConflict);
-        }
-        remove_slot(victim);
+        remove_slot(tail_);
     }
     // Removed slots are reused (LIFO) before the bump pointer moves on.
     std::uint32_t fresh = free_head_;
@@ -141,10 +115,8 @@ Tlb::insert(Asid asid, Vpn vpn, const TlbEntry &entry)
         resize_index(2 * index_.size());
     Slot &s = slots_[fresh];
     s.key = key;
-    s.set = static_cast<std::uint32_t>(set);
     s.entry = entry;
     list_push_front(fresh);
-    ++set_size_[set];
     ++size_;
     index_insert(key, fresh);
 }
@@ -154,10 +126,8 @@ Tlb::flush_all()
 {
     ++stats_.flushes_all;
     tm::metric_add(tm::Metric::kTlbFlush);
-    for (std::size_t set = 0; size_ != 0 && set < num_sets_; ++set) {
-        while (set_head_[set] != kNil)
-            remove_slot(set_head_[set]);
-    }
+    while (head_ != kNil)
+        remove_slot(head_);
 }
 
 void
@@ -165,14 +135,12 @@ Tlb::flush_asid(Asid asid)
 {
     ++stats_.flushes_asid;
     tm::metric_add(tm::Metric::kTlbFlush);
-    for (std::size_t set = 0; size_ != 0 && set < num_sets_; ++set) {
-        std::uint32_t slot = set_head_[set];
-        while (slot != kNil) {
-            std::uint32_t next = slots_[slot].next;
-            if ((slots_[slot].key >> 48) == asid)
-                remove_slot(slot);
-            slot = next;
-        }
+    std::uint32_t slot = head_;
+    while (slot != kNil) {
+        std::uint32_t next = slots_[slot].next;
+        if ((slots_[slot].key >> 48) == asid)
+            remove_slot(slot);
+        slot = next;
     }
 }
 

@@ -21,7 +21,7 @@ struct TlbEntry {
     bool huge = false;
 };
 
-/// Per-core unified set-associative TLB with exact per-set LRU replacement.
+/// Per-core unified fully associative TLB with exact LRU replacement.
 ///
 /// Entries are tagged by ASID, so switching page tables does not require a
 /// flush — the mechanism VDom leans on for cheap VDS switches (§5).  The
@@ -29,26 +29,20 @@ struct TlbEntry {
 /// misses and the shootdown manager charges flush cycles.
 ///
 /// Storage is flat (no per-entry allocation): a slot array threaded with
-/// per-set intrusive LRU lists, indexed by an open-addressing hash table.
-/// Construction is O(sets): the slot array is reserved at full capacity
+/// one intrusive LRU list, indexed by an open-addressing hash table.
+/// Construction is O(1): the slot array is reserved at full capacity
 /// but filled by a bump pointer (removed slots are reused first, LIFO),
 /// and the index starts at 8 cells and doubles whenever an insert would
 /// push its load above ½, up to 2× capacity.  A world builds one TLB per
 /// core and most never fill, so writing every slot and cell up front
-/// dominated world construction.  The default geometry is fully
-/// associative (one set of `capacity` ways), whose eviction order is
-/// bit-identical to the previous `unordered_map` + `list` global-LRU
-/// implementation — proven by the golden-replay test in
-/// tests/test_tlb_replay.cc.  Passing `ways` selects
-/// a real set-associative geometry (sets is the largest power of two
-/// ≤ capacity/ways; per-set ways = capacity/sets): more hardware-faithful,
-/// but the conflict misses it introduces change hit/miss sequences, so the
-/// paper-reproduction machines keep the fully-associative default.
+/// dominated world construction.  The eviction order is bit-identical to
+/// the previous `unordered_map` + `list` global-LRU implementation —
+/// proven by the golden-replay test in tests/test_tlb_replay.cc.
 ///
 /// Flush cost is O(live entries), not O(capacity): `flush_all` and
-/// `flush_asid` walk the per-set LRU lists and remove only the entries
-/// present.  Domain switches flush often but find the TLB nearly empty
-/// (about 1 live entry per full flush and 15 per ASID flush on the Fig. 7
+/// `flush_asid` walk the LRU list and remove only the entries present.
+/// Domain switches flush often but find the TLB nearly empty (about 1
+/// live entry per full flush and 15 per ASID flush on the Fig. 7
 /// workload), so a flush that rewrote every slot dominated host time.
 class Tlb {
   public:
@@ -59,16 +53,12 @@ class Tlb {
         std::uint64_t flushes_asid = 0;
         std::uint64_t flushed_pages = 0;  ///< Entries dropped by range flush.
         std::uint64_t evictions = 0;      ///< Capacity evictions.
-        std::uint64_t assoc_conflicts = 0;  ///< Evictions while the TLB as a
-                                            ///  whole still had free slots
-                                            ///  (set-associative mode only).
         std::uint64_t fault_drops = 0;    ///< Injected spurious invalidations.
     };
 
-    /// \param capacity total entries.
-    /// \param ways     target associativity; 0 (default) = fully
-    ///        associative.
-    explicit Tlb(std::size_t capacity, std::size_t ways = 0);
+    /// \param capacity total entries; 0 still holds one entry, as the
+    ///        reference LRU in tests/test_tlb_replay.cc does.
+    explicit Tlb(std::size_t capacity);
 
     /// Looks up (asid, vpn); refreshes LRU position on hit.  Defined
     /// inline below: this is the single hottest simulator function (every
@@ -76,8 +66,8 @@ class Tlb {
     /// MMU lets the compiler fold the whole hit path into do_translate.
     std::optional<TlbEntry> lookup(Asid asid, Vpn vpn);
 
-    /// Installs a translation, evicting the set's LRU victim when the set
-    /// is full.
+    /// Installs a translation, evicting the LRU victim when the TLB is
+    /// full.
     void insert(Asid asid, Vpn vpn, const TlbEntry &entry);
 
     /// Drops every entry; O(live entries).
@@ -96,18 +86,8 @@ class Tlb {
 
     std::size_t size() const { return size_; }
     std::size_t capacity() const { return capacity_; }
-    std::size_t num_sets() const { return num_sets_; }
-    std::size_t ways() const { return ways_; }
     const Stats &stats() const { return stats_; }
     void reset_stats() { stats_ = Stats{}; }
-
-    /// Set an (asid, vpn) pair indexes into — exposed so tests and benches
-    /// can construct conflict-miss workloads deterministically.
-    std::size_t
-    set_index(Asid asid, Vpn vpn) const
-    {
-        return set_of(make_key(asid, vpn));
-    }
 
   private:
     using Key = std::uint64_t;
@@ -131,12 +111,11 @@ class Tlb {
         return key * 0x9e3779b97f4a7c15ULL;
     }
 
-    /// One TLB entry slot, threaded into its set's LRU list.
+    /// One TLB entry slot, threaded into the LRU list.
     struct Slot {
         Key key = 0;
         std::uint32_t prev = kNil;  ///< Towards MRU.
         std::uint32_t next = kNil;  ///< Towards LRU.
-        std::uint32_t set = 0;
         TlbEntry entry;
     };
 
@@ -146,11 +125,6 @@ class Tlb {
         Key key = 0;
         std::uint32_t slot = kNil;  ///< kNil = empty cell.
     };
-
-    std::size_t set_of(Key key) const
-    {
-        return (mix(key) >> 32) & (num_sets_ - 1);
-    }
 
     /// Index cell a key ideally lands in: the hash's top bits (the mixed
     /// ones), taken by shift rather than mask.
@@ -177,7 +151,7 @@ class Tlb {
     static constexpr std::size_t kMinIndex = 8;
 
     /// Reallocates the index at \p cells (a power of two) and re-inserts
-    /// every live slot, walking each set's LRU list.
+    /// every live slot, walking the LRU list.
     void resize_index(std::size_t cells);
 
     void
@@ -187,11 +161,11 @@ class Tlb {
         if (s.prev != kNil)
             slots_[s.prev].next = s.next;
         else
-            set_head_[s.set] = s.next;
+            head_ = s.next;
         if (s.next != kNil)
             slots_[s.next].prev = s.prev;
         else
-            set_tail_[s.set] = s.prev;
+            tail_ = s.prev;
     }
 
     void
@@ -199,18 +173,18 @@ class Tlb {
     {
         Slot &s = slots_[slot];
         s.prev = kNil;
-        s.next = set_head_[s.set];
+        s.next = head_;
         if (s.next != kNil)
             slots_[s.next].prev = slot;
         else
-            set_tail_[s.set] = slot;
-        set_head_[s.set] = slot;
+            tail_ = slot;
+        head_ = slot;
     }
 
     void
     touch_front(std::uint32_t slot)
     {
-        if (set_head_[slots_[slot].set] == slot)
+        if (head_ == slot)
             return;
         list_unlink(slot);
         list_push_front(slot);
@@ -219,19 +193,16 @@ class Tlb {
     /// Removes an occupied slot entirely (index + list + free list).
     void remove_slot(std::uint32_t slot);
 
-    std::size_t capacity_;      ///< Reported capacity (constructor value).
-    std::size_t slot_count_;    ///< Effective capacity (num_sets_ * ways_).
-    std::size_t num_sets_;      ///< Power of two.
-    std::size_t ways_;
+    std::size_t capacity_;    ///< Reported capacity (constructor value).
+    std::size_t slot_count_;  ///< Effective capacity: max(capacity_, 1).
     std::size_t size_ = 0;
 
     /// Reserved at `slot_count_`, so it never reallocates; grows by one
     /// slot only when the free list is empty.
     std::vector<Slot> slots_;
     std::uint32_t free_head_ = kNil;  ///< Removed slots chained via `next`.
-    std::vector<std::uint32_t> set_head_;  ///< Per-set MRU.
-    std::vector<std::uint32_t> set_tail_;  ///< Per-set LRU.
-    std::vector<std::uint32_t> set_size_;
+    std::uint32_t head_ = kNil;  ///< MRU.
+    std::uint32_t tail_ = kNil;  ///< LRU.
     std::vector<Cell> index_;  ///< kMinIndex .. bit_ceil(2 × slot_count_).
     std::size_t index_mask_ = 0;
     unsigned hash_shift_ = 63;  ///< 64 - log2(index size).

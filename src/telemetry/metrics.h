@@ -44,7 +44,6 @@ enum class Metric : std::uint16_t {
     kTlbEvict,
     kTlbFlush,
     kTlbFlushedPages,
-    kTlbAssocConflict,
     kPermRegWrite,
     // kernel: shootdowns, ASID management, memory synchronization.
     kShootdowns,
@@ -112,7 +111,6 @@ constexpr std::array<MetricDef, kNumWellKnownMetrics> kMetricDefs = {{
     {"tlb.evict", MetricKind::kCounter},
     {"tlb.flush", MetricKind::kCounter},
     {"tlb.flushed_pages", MetricKind::kCounter},
-    {"tlb.assoc_conflict", MetricKind::kCounter},
     {"perm_reg.write", MetricKind::kCounter},
     {"shootdown.count", MetricKind::kCounter},
     {"shootdown.ipi", MetricKind::kCounter},

@@ -812,5 +812,18 @@ TEST(PageTableRef, InstallMidSpanAcrossSeveralSpans)
     }
 }
 
+TEST(PageTableDeathTest, DirectoryStopsTheRunAtItsLimit)
+{
+    // The PMD directory is a flat array of kDenseLimit spans: the last
+    // page under it maps, the first page past it stops the run in every
+    // build type instead of growing the directory.
+    PageTable pt(kSpan);
+    const Vpn last = PageTable::kDenseLimit * kSpan - 1;
+    pt.map_page(last, 3);
+    EXPECT_TRUE(pt.translate(last).present);
+    EXPECT_EQ(pt.present_pages(), 1u);
+    EXPECT_DEATH(pt.map_page(last + 1, 3), "past the directory");
+}
+
 }  // namespace
 }  // namespace vdom::hw

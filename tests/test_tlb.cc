@@ -123,29 +123,20 @@ TEST_P(TlbCapacitySweep, NeverExceedsCapacity)
 INSTANTIATE_TEST_SUITE_P(Capacities, TlbCapacitySweep,
                          ::testing::Values(1, 2, 16, 512, 1536));
 
-/// Sparse-flush tests run on both the fully associative default and a
-/// real set-associative geometry: flushes walk the per-set LRU lists, so
-/// each must leave the free list, the index and LRU order intact.
-struct TlbGeometry {
+/// The two shipped per-core TLBs: x86 (1536 entries) and ARM (512).
+struct TlbShape {
     std::size_t capacity;
-    std::size_t ways;
+    std::size_t index_cells;  ///< Index size once full: bit_ceil(2 × cap).
 };
 
-class TlbSparseFlush : public ::testing::TestWithParam<TlbGeometry> {
-  protected:
-    Tlb make() const { return Tlb(GetParam().capacity, GetParam().ways); }
+constexpr TlbShape kX86Tlb{1536, 4096};
+constexpr TlbShape kArmTlb{512, 1024};
 
-    /// The first \p n VPNs whose (asid, vpn) lands in \p set.
-    static std::vector<Vpn>
-    vpns_in_set(const Tlb &tlb, Asid asid, std::size_t set, std::size_t n)
-    {
-        std::vector<Vpn> out;
-        for (Vpn v = 0; out.size() < n; ++v) {
-            if (tlb.set_index(asid, v) == set)
-                out.push_back(v);
-        }
-        return out;
-    }
+/// Sparse-flush tests: flushes walk the LRU list, so each must leave the
+/// free list, the index and LRU order intact.
+class TlbSparseFlush : public ::testing::TestWithParam<TlbShape> {
+  protected:
+    Tlb make() const { return Tlb(GetParam().capacity); }
 };
 
 TEST_P(TlbSparseFlush, FlushAllRefillsToCapacityWithoutEviction)
@@ -159,21 +150,13 @@ TEST_P(TlbSparseFlush, FlushAllRefillsToCapacityWithoutEviction)
         EXPECT_FALSE(tlb.lookup(1 + static_cast<Asid>(v % 2), v * 1000)
                          .has_value());
 
-    // Fill every set to its ways exactly: the whole slot array must be
-    // back on the free list.
-    std::vector<std::size_t> per_set(tlb.num_sets(), 0);
-    std::vector<Vpn> filled;
-    for (Vpn v = 0; filled.size() < tlb.capacity(); ++v) {
-        std::size_t set = tlb.set_index(3, v);
-        if (per_set[set] == tlb.ways())
-            continue;
-        ++per_set[set];
+    // Fill to capacity exactly: the whole slot array must be back on the
+    // free list.
+    for (Vpn v = 0; v < tlb.capacity(); ++v)
         tlb.insert(3, v, TlbEntry{static_cast<Pdom>(v % 16), false});
-        filled.push_back(v);
-    }
     EXPECT_EQ(tlb.size(), tlb.capacity());
     EXPECT_EQ(tlb.stats().evictions, 0u);
-    for (Vpn v : filled) {
+    for (Vpn v = 0; v < tlb.capacity(); ++v) {
         auto hit = tlb.lookup(3, v);
         ASSERT_TRUE(hit.has_value()) << "vpn " << v;
         EXPECT_EQ(hit->pdom, static_cast<Pdom>(v % 16));
@@ -183,31 +166,27 @@ TEST_P(TlbSparseFlush, FlushAllRefillsToCapacityWithoutEviction)
 TEST_P(TlbSparseFlush, FlushAsidKeepsSurvivorLruOrder)
 {
     Tlb tlb = make();
-    const std::size_t set = tlb.set_index(2, 0);
-    std::vector<Vpn> a = vpns_in_set(tlb, 1, set, 3);
-    std::vector<Vpn> b = vpns_in_set(tlb, 2, set, 3);
-    for (std::size_t i = 0; i < 3; ++i) {
-        tlb.insert(1, a[i], {});
-        tlb.insert(2, b[i], {});
+    for (Vpn v = 0; v < 3; ++v) {
+        tlb.insert(1, v, {});
+        tlb.insert(2, v, {});
     }
     // LRU -> MRU: a0 b0 a1 b1 a2 b2; touching b0 makes it MRU, so after
     // the flush the survivors are b1 (LRU), b2, b0.
-    ASSERT_TRUE(tlb.lookup(2, b[0]).has_value());
+    ASSERT_TRUE(tlb.lookup(2, 0).has_value());
     tlb.flush_asid(1);
-    for (Vpn v : a)
+    for (Vpn v = 0; v < 3; ++v)
         EXPECT_FALSE(tlb.lookup(1, v).has_value());
     EXPECT_EQ(tlb.size(), 3u);
 
-    // Fill the set with fresh entries; one more must evict exactly b1.
-    std::vector<Vpn> fresh = vpns_in_set(tlb, 3, set, tlb.ways() - 2);
-    for (std::size_t i = 0; i + 1 < fresh.size(); ++i)
-        tlb.insert(3, fresh[i], {});
+    // Fill the TLB with fresh entries; one more must evict exactly b1.
+    for (Vpn v = 0; tlb.size() < tlb.capacity(); ++v)
+        tlb.insert(3, v, {});
     EXPECT_EQ(tlb.stats().evictions, 0u);
-    tlb.insert(3, fresh.back(), {});
+    tlb.insert(4, 0, {});
     EXPECT_EQ(tlb.stats().evictions, 1u);
-    EXPECT_FALSE(tlb.lookup(2, b[1]).has_value());
-    EXPECT_TRUE(tlb.lookup(2, b[2]).has_value());
-    EXPECT_TRUE(tlb.lookup(2, b[0]).has_value());
+    EXPECT_FALSE(tlb.lookup(2, 1).has_value());
+    EXPECT_TRUE(tlb.lookup(2, 2).has_value());
+    EXPECT_TRUE(tlb.lookup(2, 0).has_value());
 }
 
 TEST_P(TlbSparseFlush, EmptyFlushStillCounts)
@@ -226,69 +205,45 @@ TEST_P(TlbSparseFlush, EmptyFlushStillCounts)
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Geometries, TlbSparseFlush,
-    ::testing::Values(TlbGeometry{1536, 0}, TlbGeometry{512, 8}),
-    [](const ::testing::TestParamInfo<TlbGeometry> &info) {
-        return info.param.ways == 0 ? std::string("FullyAssociative")
-                                    : std::string("SetAssociative");
+    Geometries, TlbSparseFlush, ::testing::Values(kX86Tlb, kArmTlb),
+    [](const ::testing::TestParamInfo<TlbShape> &info) {
+        // The x86 case keeps the suite's unsuffixed test id.
+        std::string name = "FullyAssociative";
+        if (info.param.capacity != kX86Tlb.capacity)
+            name += std::to_string(info.param.capacity);
+        return name;
     });
 
 /// Index-growth tests: a fresh TLB's index starts at 8 cells and doubles
 /// as it fills, so every insert, flush and injected drop must keep the
-/// index consistent with the slots across each resize.  A per-set exact
-/// LRU model pins membership and eviction order.
-class TlbIndexGrowth : public ::testing::TestWithParam<TlbGeometry> {
+/// index consistent with the slots across each resize.  An exact LRU
+/// list model pins membership and eviction order.
+class TlbIndexGrowth : public ::testing::TestWithParam<TlbShape> {
   protected:
     struct Page {
         Asid asid;
         Vpn vpn;
     };
 
-    TlbIndexGrowth()
-        : tlb_(GetParam().capacity, GetParam().ways),
-          sets_(tlb_.num_sets())
-    {
-    }
+    TlbIndexGrowth() : tlb_(GetParam().capacity) {}
 
     /// Inserts after which the index has just doubled: it grows before an
     /// insert would push its load above one half, from 8 cells up to
-    /// bit_ceil(2 * capacity).
+    /// index_cells.
     std::vector<std::size_t>
     doubling_points() const
     {
         std::vector<std::size_t> out;
-        for (std::size_t cells = 8; cells < 2 * tlb_.capacity(); cells *= 2)
+        for (std::size_t cells = 8; cells < GetParam().index_cells;
+             cells *= 2)
             out.push_back(cells / 2 + 1);
         return out;
     }
 
     static Pdom pdom_of(const Page &page) { return Pdom(page.vpn % 16); }
 
-    std::list<Page> &set_of(Asid asid, Vpn vpn)
-    {
-        return sets_[tlb_.set_index(asid, vpn)];
-    }
-
-    std::size_t
-    model_size() const
-    {
-        std::size_t n = 0;
-        for (const std::list<Page> &set : sets_)
-            n += set.size();
-        return n;
-    }
-
-    /// A page never inserted before; with \p fit, one whose set has a
-    /// free way, so inserting it evicts nothing.
-    Page
-    fresh(Asid asid, bool fit)
-    {
-        while (true) {
-            Page page{asid, next_vpn_++ * 7};
-            if (!fit || set_of(page.asid, page.vpn).size() < tlb_.ways())
-                return page;
-        }
-    }
+    /// A page never inserted before.
+    Page fresh(Asid asid) { return Page{asid, next_vpn_++ * 7}; }
 
     /// Inserts \p page into the TLB and the model; checks the size, that
     /// the page is found, and that the evicted page (if any) is the
@@ -297,15 +252,14 @@ class TlbIndexGrowth : public ::testing::TestWithParam<TlbGeometry> {
     void
     insert(Page page)
     {
-        std::list<Page> &set = set_of(page.asid, page.vpn);
         std::optional<Page> victim;
-        if (set.size() == tlb_.ways()) {
-            victim = set.back();
-            set.pop_back();
+        if (lru_.size() == tlb_.capacity()) {
+            victim = lru_.back();
+            lru_.pop_back();
         }
-        set.push_front(page);
+        lru_.push_front(page);
         tlb_.insert(page.asid, page.vpn, TlbEntry{pdom_of(page), false});
-        EXPECT_EQ(tlb_.size(), model_size());
+        EXPECT_EQ(tlb_.size(), lru_.size());
         if (victim) {
             EXPECT_FALSE(tlb_.lookup(victim->asid, victim->vpn).has_value())
                 << "vpn " << victim->vpn << " should have been evicted";
@@ -314,38 +268,28 @@ class TlbIndexGrowth : public ::testing::TestWithParam<TlbGeometry> {
             << "vpn " << page.vpn;
     }
 
-    /// Checks that the TLB holds exactly the model's pages.  Each set is
-    /// looked up from LRU to MRU, which leaves its order unchanged.
+    /// Checks that the TLB holds exactly the model's pages.  They are
+    /// looked up from LRU to MRU, which leaves the order unchanged.
     void
     expect_matches_model()
     {
-        ASSERT_EQ(tlb_.size(), model_size());
-        for (const std::list<Page> &set : sets_) {
-            for (auto it = set.rbegin(); it != set.rend(); ++it) {
-                auto hit = tlb_.lookup(it->asid, it->vpn);
-                ASSERT_TRUE(hit.has_value()) << "vpn " << it->vpn;
-                ASSERT_EQ(hit->pdom, pdom_of(*it));
-            }
+        ASSERT_EQ(tlb_.size(), lru_.size());
+        for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
+            auto hit = tlb_.lookup(it->asid, it->vpn);
+            ASSERT_TRUE(hit.has_value()) << "vpn " << it->vpn;
+            ASSERT_EQ(hit->pdom, pdom_of(*it));
         }
     }
 
-    template <typename Pred>
-    void
-    model_erase_if(Pred pred)
-    {
-        for (std::list<Page> &set : sets_)
-            set.remove_if(pred);
-    }
-
     Tlb tlb_;
-    std::vector<std::list<Page>> sets_;  ///< Per set, MRU first.
+    std::list<Page> lru_;  ///< MRU first.
     Vpn next_vpn_ = 1;
 };
 
 TEST_P(TlbIndexGrowth, FillToCapacityKeepsEveryKey)
 {
     for (std::size_t n = 0; n < tlb_.capacity(); ++n) {
-        insert(fresh(1 + static_cast<Asid>(n % 3), true));
+        insert(fresh(1 + static_cast<Asid>(n % 3)));
         expect_matches_model();
         if (HasFatalFailure())
             return;
@@ -360,36 +304,33 @@ TEST_P(TlbIndexGrowth, FlushRightAfterDoublingKeepsSurvivorsAndLru)
         SCOPED_TRACE("flush after insert " + std::to_string(point));
         // A fresh TLB each time: the index never shrinks, so only a new
         // one doubles again at this insert.
-        tlb_ = Tlb(GetParam().capacity, GetParam().ways);
-        for (std::list<Page> &set : sets_)
-            set.clear();
+        tlb_ = Tlb(GetParam().capacity);
+        lru_.clear();
         Vpn first = next_vpn_ * 7;
         for (std::size_t n = 0; n < point; ++n)
-            insert(fresh(1 + static_cast<Asid>(n % 2), true));
+            insert(fresh(1 + static_cast<Asid>(n % 2)));
         Vpn last = next_vpn_ * 7;
 
         // Drop the lower half of ASID 1's pages, then all of ASID 2.
         Vpn mid = first + (last - first) / 2;
         std::size_t expected = 0;
-        for (const std::list<Page> &set : sets_) {
-            for (const Page &p : set)
-                expected += p.asid == 1 && p.vpn < mid;
-        }
+        for (const Page &p : lru_)
+            expected += p.asid == 1 && p.vpn < mid;
         EXPECT_EQ(tlb_.flush_range(1, first, mid - first), expected);
-        model_erase_if(
+        lru_.remove_if(
             [mid](const Page &p) { return p.asid == 1 && p.vpn < mid; });
         tlb_.flush_asid(2);
-        model_erase_if([](const Page &p) { return p.asid == 2; });
+        lru_.remove_if([](const Page &p) { return p.asid == 2; });
         expect_matches_model();
         if (HasFatalFailure())
             return;
 
         // Refill to capacity, then push every survivor out: each insert
-        // into a full set must evict exactly the model's LRU page.
+        // into a full TLB must evict exactly the model's LRU page.
         while (tlb_.size() < tlb_.capacity())
-            insert(fresh(3, true));
+            insert(fresh(3));
         for (std::size_t n = 0; n < tlb_.capacity(); ++n)
-            insert(fresh(4, false));
+            insert(fresh(4));
         expect_matches_model();
         if (HasFatalFailure())
             return;
@@ -399,13 +340,12 @@ TEST_P(TlbIndexGrowth, FlushRightAfterDoublingKeepsSurvivorsAndLru)
 TEST_P(TlbIndexGrowth, FlushAllRefillsToCapacityWithoutEviction)
 {
     while (tlb_.size() < tlb_.capacity())
-        insert(fresh(1, true));
+        insert(fresh(1));
     tlb_.flush_all();
-    for (std::list<Page> &set : sets_)
-        set.clear();
+    lru_.clear();
     EXPECT_EQ(tlb_.size(), 0u);
     while (tlb_.size() < tlb_.capacity())
-        insert(fresh(2, true));
+        insert(fresh(2));
     EXPECT_EQ(tlb_.stats().evictions, 0u);
     expect_matches_model();
 }
@@ -416,7 +356,7 @@ TEST_P(TlbIndexGrowth, EntryDropDuringFillErasesItsCell)
     plan.arm(sim::FaultSite::kTlbEntryDrop, {.every = 5});
     std::vector<Page> inserted;
     for (std::size_t n = 0; n < tlb_.capacity(); ++n) {
-        Page page = fresh(1, true);
+        Page page = fresh(1);
         insert(page);
         inserted.push_back(page);
         // Look up an older page with the drop armed: on a drop the entry
@@ -427,14 +367,13 @@ TEST_P(TlbIndexGrowth, EntryDropDuringFillErasesItsCell)
             sim::ScopedFaults faults(plan);
             tlb_.lookup(old.asid, old.vpn);
         }
-        std::list<Page> &set = set_of(old.asid, old.vpn);
-        for (auto it = set.begin(); it != set.end(); ++it) {
+        for (auto it = lru_.begin(); it != lru_.end(); ++it) {
             if (it->vpn != old.vpn)
                 continue;
             if (tlb_.stats().fault_drops != drops)
-                set.erase(it);
+                lru_.erase(it);
             else
-                set.splice(set.begin(), set, it);
+                lru_.splice(lru_.begin(), lru_, it);
             break;
         }
         expect_matches_model();
@@ -446,15 +385,9 @@ TEST_P(TlbIndexGrowth, EntryDropDuringFillErasesItsCell)
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Shapes, TlbIndexGrowth,
-    ::testing::Values(TlbGeometry{1536, 0}, TlbGeometry{512, 0},
-                      TlbGeometry{512, 8}),
-    [](const ::testing::TestParamInfo<TlbGeometry> &info) {
-        const TlbGeometry &g = info.param;
-        std::string cap = std::to_string(g.capacity);
-        return g.ways == 0 ? "FullyAssociative" + cap
-                           : "SetAssociative" + cap + "x" +
-                                 std::to_string(g.ways);
+    Shapes, TlbIndexGrowth, ::testing::Values(kX86Tlb, kArmTlb),
+    [](const ::testing::TestParamInfo<TlbShape> &info) {
+        return "FullyAssociative" + std::to_string(info.param.capacity);
     });
 
 }  // namespace
