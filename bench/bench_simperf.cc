@@ -333,6 +333,23 @@ BM_WorldBuild(benchmark::State &state)
 BENCHMARK(BM_WorldBuild);
 
 void
+BM_SweepWorldLifecycle(benchmark::State &state)
+{
+    // The world one fault-point injection builds and tears down: x86 with
+    // 2 cores and 2 tasks, then vdom_init, whose API region is the VDT's
+    // first area.  A VDT leaf that built all of its 1024 chains up front
+    // again would cost about 2.1x this case's perf-smoke reference.
+    for (auto _ : state) {
+        BenchWorld world(hw::ArchParams::x86(2));
+        for (int t = 0; t < 2; ++t)
+            world.proc.create_task();
+        VdomStatus init = world.sys.vdom_init(world.core(0));
+        benchmark::DoNotOptimize(init);
+    }
+}
+BENCHMARK(BM_SweepWorldLifecycle);
+
+void
 BM_AssignFreshPageManyVds(benchmark::State &state)
 {
     // The tls_alloc registration shape: one vdom_mprotect of a fresh page

@@ -9,6 +9,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -149,9 +150,25 @@ class BenchRecord {
     double p50_ = 0, p90_ = 0, p99_ = 0;
 };
 
+/// The compiler that built the bench, e.g. "gcc 12.2.0".
+inline std::string
+compiler_name()
+{
+#if defined(__clang__)
+    return std::string("clang ") + __clang_version__;
+#elif defined(__GNUC__)
+    return std::string("gcc ") + __VERSION__;
+#else
+    return "unknown";
+#endif
+}
+
 /// Collects BenchRecords and writes them as a JSON array when the bench
 /// was invoked with `--json <path>`.  With no --json flag everything is a
-/// no-op, so benches can record unconditionally.
+/// no-op, so benches can record unconditionally.  The array opens with
+/// one meta record that says which code produced the rest:
+///   {meta{bench, git_rev, build_type, compiler, host_cpus}}
+/// git_rev and build_type are fixed when CMake configures bench/.
 class BenchReport {
   public:
     BenchReport(std::string bench, int argc, char **argv)
@@ -183,6 +200,7 @@ class BenchReport {
         }
         telemetry::JsonWriter w(out);
         w.begin_array();
+        write_meta(w);
         for (const BenchRecord &rec : records_)
             write_record(w, rec);
         w.end_array();
@@ -193,6 +211,21 @@ class BenchReport {
     }
 
   private:
+    void
+    write_meta(telemetry::JsonWriter &w) const
+    {
+        w.begin_object();
+        w.key("meta").begin_object();
+        w.key("bench").value(bench_);
+        w.key("git_rev").value(VDOM_GIT_REV);
+        w.key("build_type").value(VDOM_BUILD_TYPE);
+        w.key("compiler").value(compiler_name());
+        w.key("host_cpus").value(
+            static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
+        w.end_object();
+        w.end_object();
+    }
+
     void
     write_record(telemetry::JsonWriter &w, const BenchRecord &rec) const
     {

@@ -11,6 +11,10 @@ headline metric or counter, breakdown cost kind and percentile that
 differs.  A value absent from one side counts as 0, because snapshots
 leave out zero-valued counters.
 
+Each file's meta record (git revision, build type, compiler, host CPUs)
+is compared per bench too.  A meta mismatch is reported but never fails
+the diff: two revisions are expected to differ there.
+
 Exits non-zero when a row is missing from NEW or extra in NEW, or when a
 delta's magnitude exceeds REL.  The default bound is 0: the trees must
 match exactly.
@@ -28,19 +32,25 @@ SECTIONS = ("metrics", "breakdown", "percentiles")
 
 
 def load_rows(tree):
-    """{(bench, config): record} over every *.json file in TREE."""
+    """({(bench, config): record}, {bench: meta}) over every *.json file
+    in TREE."""
     rows = {}
+    metas = {}
     for path in sorted(glob.glob(os.path.join(tree, "*.json"))):
         with open(path) as f:
             records = json.load(f)
         for rec in records:
+            if "meta" in rec:
+                if rec["meta"]["bench"] not in SKIPPED_BENCHES:
+                    metas[rec["meta"]["bench"]] = rec["meta"]
+                continue
             if rec["bench"] in SKIPPED_BENCHES:
                 continue
             key = (rec["bench"], json.dumps(rec["config"], sort_keys=True))
             if key in rows:
                 sys.exit(f"{path}: duplicate row {key[0]} {key[1]}")
             rows[key] = rec
-    return rows
+    return rows, metas
 
 
 def rel_delta(old, new):
@@ -72,8 +82,19 @@ def main():
                     help="largest allowed |relative delta| (default 0)")
     args = ap.parse_args()
 
-    old_rows = load_rows(args.old)
-    new_rows = load_rows(args.new)
+    old_rows, old_metas = load_rows(args.old)
+    new_rows, new_metas = load_rows(args.new)
+    for bench in sorted(old_metas.keys() | new_metas.keys()):
+        if bench not in old_metas or bench not in new_metas:
+            side = "OLD" if bench not in old_metas else "NEW"
+            print(f"meta mismatch (not a failure): {bench} has no meta "
+                  f"record in {side}")
+            continue
+        a, b = old_metas[bench], new_metas[bench]
+        for name in sorted(set(a) | set(b)):
+            if a.get(name) != b.get(name):
+                print(f"meta mismatch (not a failure): {bench} {name}: "
+                      f"{a.get(name)} -> {b.get(name)}")
     failed = False
     for key in sorted(old_rows.keys() - new_rows.keys()):
         print(f"missing in NEW: {key[0]} {key[1]}")

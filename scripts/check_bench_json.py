@@ -5,11 +5,13 @@ Usage: scripts/check_bench_json.py FILE [FILE...]
        scripts/check_bench_json.py --bundle BUNDLE [BUNDLE...]
        scripts/check_bench_json.py --trace TRACE [TRACE...]
 
-Each bench file must hold a non-empty JSON array of records shaped as
+Each bench file must hold a JSON array of one or more records shaped as
     {bench, config{...}, metrics{...}, breakdown{...},
      percentiles{p50, p90, p99}}
 where breakdown keys are the simulator's cost-kind names and the
-percentiles are ordered (p50 <= p90 <= p99).
+percentiles are ordered (p50 <= p90 <= p99).  The array may open with
+one meta record (bench/bench_util.h), naming the same bench:
+    {meta{bench, git_rev, build_type, compiler, host_cpus}}
 
 With --bundle, each file must hold one post-mortem bundle object
 (telemetry/postmortem.h):
@@ -38,9 +40,29 @@ COST_KINDS = {
 
 REQUIRED_KEYS = ("bench", "config", "metrics", "breakdown", "percentiles")
 
+META_STR_KEYS = ("bench", "git_rev", "build_type", "compiler")
+
 
 def fail(path, i, msg):
     sys.exit(f"{path}: record {i}: {msg}")
+
+
+def check_meta(path, meta):
+    """Validates the meta record's object; returns the bench it names."""
+    if not isinstance(meta, dict):
+        fail(path, 0, "meta must be an object")
+    expected = set(META_STR_KEYS) | {"host_cpus"}
+    if set(meta) != expected:
+        fail(path, 0, f"meta keys {sorted(meta)} != {sorted(expected)}")
+    for key in META_STR_KEYS:
+        if not isinstance(meta[key], str):
+            fail(path, 0, f"meta.{key} must be a string")
+    if not meta["bench"]:
+        fail(path, 0, "meta.bench must be non-empty")
+    cpus = meta["host_cpus"]
+    if not isinstance(cpus, int) or isinstance(cpus, bool) or cpus < 0:
+        fail(path, 0, "meta.host_cpus must be an int >= 0")
+    return meta["bench"]
 
 
 def check_file(path):
@@ -51,16 +73,27 @@ def check_file(path):
             sys.exit(f"{path}: invalid JSON: {e}")
     if not isinstance(records, list):
         sys.exit(f"{path}: top-level value must be an array")
-    if not records:
+    meta_bench = None
+    if records and isinstance(records[0], dict) and "meta" in records[0]:
+        if set(records[0]) != {"meta"}:
+            fail(path, 0, "a meta record holds only the meta key")
+        meta_bench = check_meta(path, records[0]["meta"])
+    first = 0 if meta_bench is None else 1
+    if len(records) == first:
         sys.exit(f"{path}: no records")
-    for i, rec in enumerate(records):
+    for i, rec in enumerate(records[first:], start=first):
         if not isinstance(rec, dict):
             fail(path, i, "record is not an object")
+        if "meta" in rec:
+            fail(path, i, "meta record must come first, at most once")
         for key in REQUIRED_KEYS:
             if key not in rec:
                 fail(path, i, f"missing key {key!r}")
         if not isinstance(rec["bench"], str) or not rec["bench"]:
             fail(path, i, "bench must be a non-empty string")
+        if meta_bench is not None and rec["bench"] != meta_bench:
+            fail(path, i, f"bench {rec['bench']!r} differs from "
+                          f"meta.bench {meta_bench!r}")
         for key in ("config", "metrics", "breakdown", "percentiles"):
             if not isinstance(rec[key], dict):
                 fail(path, i, f"{key} must be an object")
@@ -82,7 +115,7 @@ def check_file(path):
                 fail(path, i, f"percentiles.{q} is not a number")
         if not pct["p50"] <= pct["p90"] <= pct["p99"]:
             fail(path, i, f"percentiles not ordered: {pct}")
-    return len(records)
+    return len(records) - first
 
 
 # Must match fault_site_name() in src/sim/fault.h.

@@ -119,7 +119,7 @@ import json, pathlib
 
 summary = {}
 for path in sorted(pathlib.Path("results/json").glob("*.json")):
-    records = json.loads(path.read_text())
+    records = [r for r in json.loads(path.read_text()) if "meta" not in r]
     total = {}
     for rec in records:
         for kind, cycles in rec["breakdown"].items():

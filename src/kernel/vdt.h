@@ -5,11 +5,12 @@
 /// whose last-level entries point to chained virtual memory areas protected
 /// by the indexing vdom."  The two-level radix bounds memory for sparse id
 /// spaces while keeping lookup O(1); the kernel walks it during eviction to
-/// find every area of the victim vdom.
+/// find every area of the victim vdom.  A leaf's chain array grows on
+/// demand up to the highest slot it has chained, so a process with a few
+/// vdoms pays for a few chains, not for 1024.
 
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -36,7 +37,11 @@ class Vdt {
     void
     add_area(VdomId vdom, const VdtArea &area)
     {
-        leaf_for(vdom, true)->chains[vdom & (kLeafSize - 1)].push_back(area);
+        std::vector<std::vector<VdtArea>> &chains = leaf_for(vdom).chains;
+        std::size_t lo = vdom & (kLeafSize - 1);
+        if (lo >= chains.size())
+            chains.resize(lo + 1);
+        chains[lo].push_back(area);
     }
 
     /// Removes the most recently chained area of \p vdom (transaction
@@ -46,19 +51,17 @@ class Vdt {
     void
     pop_area(VdomId vdom)
     {
-        if (Leaf *leaf = leaf_for(vdom, false)) {
-            auto &chain = leaf->chains[vdom & (kLeafSize - 1)];
-            if (!chain.empty())
-                chain.pop_back();
-        }
+        std::vector<VdtArea> *chain = chain_for(vdom);
+        if (chain && !chain->empty())
+            chain->pop_back();
     }
 
     /// Removes all areas of \p vdom (vdom_free).
     void
     clear(VdomId vdom)
     {
-        if (Leaf *leaf = leaf_for(vdom, false))
-            leaf->chains[vdom & (kLeafSize - 1)].clear();
+        if (std::vector<VdtArea> *chain = chain_for(vdom))
+            chain->clear();
     }
 
     /// Removes areas overlapping [vpn, vpn+count) from \p vdom's chain
@@ -66,12 +69,11 @@ class Vdt {
     void
     remove_range(VdomId vdom, hw::Vpn vpn, std::uint64_t count)
     {
-        Leaf *leaf = leaf_for(vdom, false);
-        if (!leaf)
+        std::vector<VdtArea> *chain = chain_for(vdom);
+        if (!chain)
             return;
-        auto &chain = leaf->chains[vdom & (kLeafSize - 1)];
         std::vector<VdtArea> kept;
-        for (const VdtArea &a : chain) {
+        for (const VdtArea &a : *chain) {
             hw::Vpn a_end = a.start + a.pages;
             hw::Vpn r_end = vpn + count;
             if (a_end <= vpn || a.start >= r_end) {
@@ -83,7 +85,7 @@ class Vdt {
             if (a_end > r_end)
                 kept.push_back({r_end, a_end - r_end, a.huge});
         }
-        chain = std::move(kept);
+        *chain = std::move(kept);
     }
 
     /// Returns the chained areas of \p vdom (empty when none).
@@ -91,10 +93,9 @@ class Vdt {
     areas(VdomId vdom) const
     {
         static const std::vector<VdtArea> kEmpty;
-        std::size_t hi = vdom >> kLeafBits;
-        if (hi >= roots_.size() || !roots_[hi])
-            return kEmpty;
-        return roots_[hi]->chains[vdom & (kLeafSize - 1)];
+        const std::vector<VdtArea> *chain =
+            const_cast<Vdt *>(this)->chain_for(vdom);
+        return chain ? *chain : kEmpty;
     }
 
     /// Total pages protected by \p vdom.
@@ -120,24 +121,33 @@ class Vdt {
 
   private:
     struct Leaf {
-        std::array<std::vector<VdtArea>, kLeafSize> chains;
+        /// Indexed by the vdom's low kLeafBits; slots past the end have
+        /// never been chained and hold no areas.
+        std::vector<std::vector<VdtArea>> chains;
     };
 
-    Leaf *
-    leaf_for(VdomId vdom, bool create)
+    /// The chain of \p vdom, or null when its slot was never chained.
+    std::vector<VdtArea> *
+    chain_for(VdomId vdom)
     {
         std::size_t hi = vdom >> kLeafBits;
-        if (hi >= roots_.size()) {
-            if (!create)
-                return nullptr;
+        if (hi >= roots_.size() || !roots_[hi])
+            return nullptr;
+        std::vector<std::vector<VdtArea>> &chains = roots_[hi]->chains;
+        std::size_t lo = vdom & (kLeafSize - 1);
+        return lo < chains.size() ? &chains[lo] : nullptr;
+    }
+
+    /// The leaf holding \p vdom, created on first use.
+    Leaf &
+    leaf_for(VdomId vdom)
+    {
+        std::size_t hi = vdom >> kLeafBits;
+        if (hi >= roots_.size())
             roots_.resize(hi + 1);
-        }
-        if (!roots_[hi]) {
-            if (!create)
-                return nullptr;
+        if (!roots_[hi])
             roots_[hi] = std::make_unique<Leaf>();
-        }
-        return roots_[hi].get();
+        return *roots_[hi];
     }
 
     std::vector<std::unique_ptr<Leaf>> roots_;

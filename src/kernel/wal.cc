@@ -3,8 +3,6 @@
 
 #include "kernel/wal.h"
 
-#include <unordered_map>
-
 #include "sim/fault.h"
 
 namespace vdom::kernel {
@@ -48,25 +46,30 @@ Wal::scan() const
     out.torn = static_cast<std::uint64_t>(log_.size() - sealed);
     out.records = static_cast<std::uint64_t>(sealed);
 
-    // Pass 2: resolve each transaction's outcome over the sealed prefix.
-    std::unordered_map<std::uint64_t, WalRecType> outcome;
+    // Pass 2: resolve each transaction's outcome over the sealed prefix;
+    // the last COMMIT or ABORT of a txn wins.  Txn ids are dense
+    // (1..next_txn_), so flat vectors index them.  An outcome for an id
+    // past next_txn_ names a txn that never began and resolves nothing.
+    constexpr std::uint8_t kNoOutcome = 0xff;
+    std::vector<std::uint8_t> outcome(next_txn_ + 1, kNoOutcome);
     for (std::size_t i = 0; i < sealed; ++i) {
         const WalRecord &rec = log_[i];
-        if (rec.type != WalRecType::kBegin)
-            outcome[rec.txn] = rec.type;
+        if (rec.type != WalRecType::kBegin && rec.txn <= next_txn_)
+            outcome[rec.txn] = static_cast<std::uint8_t>(rec.type);
     }
 
     // Pass 3: emit committed intents in log order (= original program
     // order, which replay must preserve for allocator determinism).
-    std::unordered_map<std::uint64_t, std::size_t> committed_at;
+    constexpr std::size_t kNotCommitted = ~std::size_t{0};
+    std::vector<std::size_t> committed_at(next_txn_ + 1, kNotCommitted);
     for (std::size_t i = 0; i < sealed; ++i) {
         const WalRecord &rec = log_[i];
         if (rec.type != WalRecType::kBegin)
             continue;
-        auto it = outcome.find(rec.txn);
-        if (it == outcome.end()) {
+        std::uint8_t result = outcome[rec.txn];
+        if (result == kNoOutcome) {
             out.uncommitted.push_back(rec);
-        } else if (it->second == WalRecType::kAbort) {
+        } else if (result == static_cast<std::uint8_t>(WalRecType::kAbort)) {
             ++out.aborted;
         } else {
             committed_at[rec.txn] = out.committed.size();
@@ -77,12 +80,12 @@ Wal::scan() const
     }
     for (std::size_t i = 0; i < sealed; ++i) {
         const WalRecord &rec = log_[i];
-        if (rec.type != WalRecType::kCommit)
+        if (rec.type != WalRecType::kCommit || rec.txn > next_txn_)
             continue;
-        auto it = committed_at.find(rec.txn);
-        if (it != committed_at.end()) {
-            out.committed[it->second].result_a = rec.a;
-            out.committed[it->second].result_b = rec.b;
+        std::size_t at = committed_at[rec.txn];
+        if (at != kNotCommitted) {
+            out.committed[at].result_a = rec.a;
+            out.committed[at].result_b = rec.b;
         }
     }
     return out;

@@ -20,7 +20,7 @@
 /// run stays cycle-identical (pinned by tests/test_recovery.cc).
 ///
 /// Torn-write protocol: each append is two ordering points.  The record
-/// is first pushed with checksum 0 (torn), then sealed with its FNV
+/// is first pushed with checksum 0 (torn), then sealed with its
 /// checksum and charged wal_append + wal_flush through the CostTable.
 /// A crash between the two leaves a detectably torn tail record; a crash
 /// before the push loses the record entirely.  Both crossings call
@@ -99,17 +99,18 @@ struct WalRecord {
     std::uint64_t a = 0, b = 0, c = 0, d = 0;  ///< Payload words.
     std::uint64_t checksum = 0;
 
-    /// FNV-1a over every field except the checksum itself.  Never 0 for
-    /// a sealed record (0 is reserved as the torn marker).
+    /// Hash of every field except the checksum itself, one 64-bit word
+    /// per field.  Each step is a bijection of the running hash and of
+    /// the field, so changing any single field changes the result (up to
+    /// the final fold of 0 onto 1).  Never 0 for a sealed record (0 is
+    /// reserved as the torn marker).
     std::uint64_t
     expected_checksum() const
     {
         std::uint64_t h = 1469598103934665603ULL;
         auto mix = [&h](std::uint64_t v) {
-            for (int i = 0; i < 8; ++i) {
-                h ^= (v >> (i * 8)) & 0xff;
-                h *= 1099511628211ULL;
-            }
+            h = (h ^ v) * 0x9e3779b97f4a7c15ULL;  // Odd multiplier.
+            h ^= h >> 32;
         };
         mix(lsn);
         mix(txn);

@@ -451,11 +451,13 @@ struct FaultPointHarness<M>::World {
 };
 
 /// Power-loss probe state after each script op: the durable snapshot a
-/// recovered world must reproduce, the WAL commit count that selects it,
-/// and the PMO objects the store must hold intact.
+/// recovered world must reproduce (and its hash, which the verdict folds),
+/// the WAL commit count that selects it, and the PMO objects the store
+/// must hold intact.
 template <FaultMode M>
 struct FaultPointHarness<M>::Golden {
     std::string durable;
+    std::uint64_t hash = 0;  ///< snapshot_hash(durable).
     std::uint64_t commits = 0;
     /// pmo -> (pages, seed) expected durable at this boundary.
     std::map<int, std::pair<std::uint64_t, std::uint64_t>> pmos;
@@ -868,8 +870,8 @@ FaultPointHarness<M>::verify_recovered(World &w, const Golden &expect,
         }
     }
 
-    fold(result, label + " recovered " +
-                     std::to_string(snapshot_hash(after)));
+    // after == expect.durable, so the stored hash is the hash of after.
+    fold(result, label + " recovered " + std::to_string(expect.hash));
 }
 
 template <FaultMode M>
@@ -1042,8 +1044,10 @@ FaultPointHarness<M>::run() -> Result
         for (std::size_t s = first; s < last; ++s)
             probe.arm_probe(static_cast<FaultSite>(s));
         ScopedFaults armed(probe);
-        if constexpr (!kGraceful)
+        if constexpr (!kGraceful) {
             golden[0].durable = snapshot_durable_state(*w->sys);
+            golden[0].hash = snapshot_hash(golden[0].durable);
+        }
         std::map<int, std::pair<std::uint64_t, std::uint64_t>> live;
         for (std::size_t i = 0; i < script.size(); ++i) {
             const Op &op = script[i];
@@ -1082,10 +1086,10 @@ FaultPointHarness<M>::run() -> Result
                     live.erase(op.pmo);
                 Golden &g = golden[i + 1];
                 g.durable = snapshot_durable_state(*w->sys);
+                g.hash = snapshot_hash(g.durable);
                 g.commits = wal_.commits();
                 g.pmos = live;
-                fold(result, label + " " +
-                                 std::to_string(snapshot_hash(g.durable)) +
+                fold(result, label + " " + std::to_string(g.hash) +
                                  " crossings=" +
                                  std::to_string(crossings[i][first]) +
                                  " commits=" + std::to_string(g.commits));

@@ -154,6 +154,122 @@ TEST(Wal, ChecksumDetectsCorruptedPayload)
     EXPECT_TRUE(rec.torn());
 }
 
+TEST(Wal, ChecksumCatchesEverySingleFieldFlip)
+{
+    WalRecord sealed;
+    sealed.lsn = 9;
+    sealed.txn = 4;
+    sealed.type = WalRecType::kCommit;
+    sealed.op = WalOp::kPmoAttach;
+    sealed.tid = 3;
+    sealed.a = 0x1234;
+    sealed.b = 1ULL << 40;
+    sealed.c = 77;
+    sealed.d = ~0ULL;
+    sealed.checksum = sealed.expected_checksum();
+    ASSERT_FALSE(sealed.torn());
+    EXPECT_NE(sealed.checksum, 0u);
+
+    // Flip bits 0, 7, 31 and 63 of each field, each modulo its width.
+    using Flip = void (*)(WalRecord &, int);
+    const std::vector<std::pair<const char *, Flip>> fields = {
+        {"lsn", [](WalRecord &r, int bit) { r.lsn ^= 1ULL << bit; }},
+        {"txn", [](WalRecord &r, int bit) { r.txn ^= 1ULL << bit; }},
+        {"type",
+         [](WalRecord &r, int bit) {
+             r.type = static_cast<WalRecType>(
+                 static_cast<std::uint8_t>(r.type) ^ (1u << (bit % 8)));
+         }},
+        {"op",
+         [](WalRecord &r, int bit) {
+             r.op = static_cast<WalOp>(static_cast<std::uint8_t>(r.op) ^
+                                       (1u << (bit % 8)));
+         }},
+        {"tid", [](WalRecord &r, int bit) { r.tid ^= 1u << (bit % 32); }},
+        {"a", [](WalRecord &r, int bit) { r.a ^= 1ULL << bit; }},
+        {"b", [](WalRecord &r, int bit) { r.b ^= 1ULL << bit; }},
+        {"c", [](WalRecord &r, int bit) { r.c ^= 1ULL << bit; }},
+        {"d", [](WalRecord &r, int bit) { r.d ^= 1ULL << bit; }},
+    };
+    for (const auto &[name, flip] : fields) {
+        for (int bit : {0, 7, 31, 63}) {
+            WalRecord rec = sealed;
+            flip(rec, bit);
+            EXPECT_TRUE(rec.torn()) << name << " bit " << bit;
+        }
+    }
+
+    // Sealing never yields the torn marker: not for the all-zero record,
+    // nor for any lsn near it.
+    for (std::uint64_t lsn = 0; lsn < 4096; ++lsn) {
+        WalRecord rec;
+        rec.lsn = lsn;
+        EXPECT_NE(rec.expected_checksum(), 0u) << "lsn " << lsn;
+    }
+}
+
+TEST(Wal, ScanResolvesInterleavedOutcomes)
+{
+    Wal wal;
+    auto w = fresh_world(hw::ArchKind::kX86);
+    hw::Core &core = w->core();
+
+    std::uint64_t t1 = wal.begin(core, WalOp::kVdomAlloc, 0, 1);
+    std::uint64_t t2 = wal.begin(core, WalOp::kMmap, 0, 8, 0);
+    std::uint64_t t3 = wal.begin(core, WalOp::kWrvdr, 5, 2, 1);
+    wal.commit(core, t2, 40, 41);
+    wal.abort(core, t1);
+    std::uint64_t t4 = wal.begin(core, WalOp::kVdrAlloc, 6, 4);
+    wal.commit(core, 99, 7, 7);  // A txn that never began.
+    wal.commit(core, t4, 50);
+    std::uint64_t t5 = wal.begin(core, WalOp::kVdomFree, 0, 3);
+    // Sealed twice: the last outcome wins, and the last COMMIT's payload.
+    wal.abort(core, t5);
+    wal.commit(core, t5, 60, 61);
+    wal.commit(core, t5, 62, 63);
+    std::uint64_t t6 = wal.begin(core, WalOp::kMprotect, 0, 10, 2, 3);
+    wal.abort(core, t6);
+    wal.commit(core, t6, 70, 71);
+    wal.abort(core, t6);
+    // Torn tail: the next BEGIN is pushed but never sealed.
+    {
+        FaultPlan plan(1);
+        plan.arm_exact(FaultSite::kCrash, 2);
+        ScopedFaults armed(plan);
+        EXPECT_THROW(wal.begin(core, WalOp::kVdomAlloc, 0),
+                     sim::PowerLoss);
+    }
+    ASSERT_EQ(wal.size(), 17u);
+
+    WalScan scan = wal.scan();
+    EXPECT_EQ(scan.records, 16u);
+    EXPECT_EQ(scan.torn, 1u);
+    EXPECT_EQ(scan.aborted, 2u);  // t1 and t6.
+
+    ASSERT_EQ(scan.committed.size(), 3u);  // BEGIN order: t2, t4, t5.
+    EXPECT_EQ(scan.committed[0].begin.txn, t2);
+    EXPECT_EQ(scan.committed[0].begin.lsn, 2u);
+    EXPECT_EQ(scan.committed[0].begin.op, WalOp::kMmap);
+    EXPECT_EQ(scan.committed[0].begin.a, 8u);
+    EXPECT_EQ(scan.committed[0].result_a, 40u);
+    EXPECT_EQ(scan.committed[0].result_b, 41u);
+    EXPECT_EQ(scan.committed[1].begin.txn, t4);
+    EXPECT_EQ(scan.committed[1].begin.tid, 6u);
+    EXPECT_EQ(scan.committed[1].result_a, 50u);
+    EXPECT_EQ(scan.committed[1].result_b, 0u);
+    EXPECT_EQ(scan.committed[2].begin.txn, t5);
+    EXPECT_EQ(scan.committed[2].begin.op, WalOp::kVdomFree);
+    EXPECT_EQ(scan.committed[2].result_a, 62u);
+    EXPECT_EQ(scan.committed[2].result_b, 63u);
+
+    ASSERT_EQ(scan.uncommitted.size(), 1u);  // t3; the torn BEGIN is cut.
+    EXPECT_EQ(scan.uncommitted[0].txn, t3);
+    EXPECT_EQ(scan.uncommitted[0].lsn, 3u);
+    EXPECT_EQ(scan.uncommitted[0].op, WalOp::kWrvdr);
+    EXPECT_EQ(scan.uncommitted[0].tid, 5u);
+    EXPECT_EQ(scan.uncommitted[0].b, 1u);
+}
+
 TEST(Wal, CrashBetweenPushAndSealLeavesDetectablyTornTail)
 {
     Wal wal;

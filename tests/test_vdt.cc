@@ -40,6 +40,31 @@ TEST(Vdt, SparseIdsShareNothing)
     EXPECT_EQ(vdt.num_leaves(), 3u);
 }
 
+TEST(Vdt, UnseenSlotInAnExistingLeafIsEmpty)
+{
+    Vdt vdt;
+    vdt.add_area(3, VdtArea{100, 10, false});
+    ASSERT_EQ(vdt.num_leaves(), 1u);
+    // Slot 700 shares slot 3's leaf but was never chained: one past the
+    // chained slots, and one far past them.
+    for (VdomId unseen : {VdomId{4}, VdomId{700}}) {
+        EXPECT_TRUE(vdt.areas(unseen).empty());
+        EXPECT_EQ(vdt.protected_pages(unseen), 0u);
+        vdt.pop_area(unseen);
+        vdt.clear(unseen);
+        vdt.remove_range(unseen, 0, 1000);
+        EXPECT_TRUE(vdt.areas(unseen).empty());
+        EXPECT_EQ(vdt.num_leaves(), 1u);
+    }
+    // Slot 3's chain is untouched; a later, higher slot still chains.
+    EXPECT_EQ(vdt.protected_pages(3), 10u);
+    vdt.add_area(1023, VdtArea{5, 1, true});
+    EXPECT_EQ(vdt.areas(1023).size(), 1u);
+    EXPECT_EQ(vdt.areas(3).size(), 1u);
+    EXPECT_TRUE(vdt.areas(700).empty());
+    EXPECT_EQ(vdt.num_leaves(), 1u);
+}
+
 TEST(Vdt, Clear)
 {
     Vdt vdt;
