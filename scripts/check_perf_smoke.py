@@ -4,9 +4,12 @@
 Usage: scripts/check_perf_smoke.py BENCH_JSON REFERENCE_JSON
 
 BENCH_JSON is bench_simperf's --json report (the repo record schema:
-one record per case with metrics.cpu_time_ns_per_iter).  REFERENCE_JSON
-is the checked-in bench/perf_reference.json: per-case reference ns/op
-plus a multiplicative threshold.  A case fails when
+one record per case and repetition with metrics.cpu_time_ns_per_iter).
+REFERENCE_JSON is the checked-in bench/perf_reference.json: per-case
+reference ns/op plus a multiplicative threshold.  A case's measurement
+is its minimum over the repetitions (--benchmark_repetitions): a
+neighbour on a shared host only ever slows a repetition down, so the
+minimum is the repetition least disturbed.  A case fails when
 
     measured_ns > reference_ns * threshold
 
@@ -32,11 +35,13 @@ def main(argv):
 
     threshold = float(ref["threshold"])
     measured = {}
+    repetitions = {}
     for rec in records:
         case = rec.get("config", {}).get("case")
         ns = rec.get("metrics", {}).get("cpu_time_ns_per_iter")
         if case is not None and ns is not None:
-            measured[case] = float(ns)
+            measured[case] = min(float(ns), measured.get(case, float(ns)))
+            repetitions[case] = repetitions.get(case, 0) + 1
 
     failures = []
     for case, ref_ns in ref["cases"].items():
@@ -46,8 +51,8 @@ def main(argv):
         limit = float(ref_ns) * threshold
         got = measured[case]
         verdict = "ok" if got <= limit else "FAIL"
-        print(f"{case}: {got:.2f} ns/op (reference {ref_ns}, "
-              f"limit {limit:.2f}) {verdict}")
+        print(f"{case}: {got:.2f} ns/op, min of {repetitions[case]} "
+              f"(reference {ref_ns}, limit {limit:.2f}) {verdict}")
         if got > limit:
             failures.append(
                 f"{case}: {got:.2f} ns/op exceeds {limit:.2f} "

@@ -104,12 +104,15 @@ LibMpk::evict(hw::Core &core, VKey &victim)
     // Process-wide shootdown: every core running the process, plus a local
     // flush — libmpk has no CPU-bitmap narrowing (§3.2).
     kernel::ShootdownManager &sd = proc_->shootdown();
-    mm.vds0()->bump_tlb_gen();
-    sd.shoot(core, mm.union_cpu_bitmap(), kernel::FlushKind::kAll);
+    kernel::Vds &vds0 = *mm.vds0();
+    vds0.bump_tlb_gen();
+    std::uint64_t cpus = mm.union_cpu_bitmap();
+    sd.shoot(core, cpus, kernel::FlushKind::kAll);
     sd.local_flush(core, kernel::FlushKind::kAll);
+    std::uint64_t covered = cpus | (1ULL << core.id());
     for (std::size_t c = 0; c < 64; ++c) {
-        if ((mm.union_cpu_bitmap() | (1ULL << core.id())) & (1ULL << c))
-            mm.vds0()->set_core_seen_gen(c, mm.vds0()->tlb_gen());
+        if (covered & (1ULL << c))
+            vds0.set_core_seen_gen(c, vds0.tlb_gen());
     }
     hw_owner_[static_cast<std::size_t>(victim.hw_key)] = -1;
     victim.hw_key = -1;

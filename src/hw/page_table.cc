@@ -62,38 +62,6 @@ PageTable::leaf_drop(Vpn idx)
         dense_[idx].reset();
 }
 
-Translation
-PageTable::translate(Vpn vpn) const
-{
-    Translation t;
-    Vpn idx = pmd_index(vpn);
-    const Leaf *leaf = leaf_at(idx);
-    if (!leaf)
-        return t;
-    if (leaf->kind == PmdKind::kDisabled) {
-        t.present = false;
-        t.pmd_disabled = true;
-        return t;
-    }
-    if (leaf->kind == PmdKind::kHuge) {
-        t.present = true;
-        t.huge = true;
-        t.pdom = leaf->pdom;
-        return t;
-    }
-    auto pl = planes(*leaf);
-    std::size_t i = vpn - idx * pmd_span_;
-    if (!pl.present[i])
-        return t;
-    if (pl.prot[i]) {
-        t.prot_none = true;
-        return t;
-    }
-    t.present = true;
-    t.pdom = pl.tag[i];
-    return t;
-}
-
 PtOps
 PageTable::protect_none_range(Vpn vpn, std::uint64_t count)
 {
@@ -130,12 +98,11 @@ PageTable::protect_none_range(Vpn vpn, std::uint64_t count)
 }
 
 PtOps
-PageTable::map_page(Vpn vpn, Pdom pdom)
+PageTable::map_page_slow(Vpn vpn, Pdom pdom)
 {
     PtOps ops;
     Vpn idx = pmd_index(vpn);
     Leaf &leaf = leaf_grow(idx);
-    auto pl = planes(leaf);
     std::size_t off = vpn - idx * pmd_span_;
     if (leaf.kind != PmdKind::kTable) {
         // Re-enable the span as a PTE table before installing the page.
@@ -143,6 +110,7 @@ PageTable::map_page(Vpn vpn, Pdom pdom)
         // tags; neutralize them so re-enabling one page cannot resurrect
         // the whole evicted span.  (A huge leaf's planes are all zero.)
         if (leaf.kind == PmdKind::kDisabled) {
+            auto pl = planes(leaf);
             ops.pte_writes += leaf.present - pl.present[off];
             retag_present(pl.present, pl.tag, access_never_, 0, pmd_span_);
         }
@@ -150,9 +118,7 @@ PageTable::map_page(Vpn vpn, Pdom pdom)
         leaf.was_huge = false;
         ++ops.pmd_writes;
     }
-    leaf.present += 1 - pl.present[off];
-    pl.present[off] = 1;
-    pl.tag[off] = pdom;
+    write_pte(leaf, off, pdom);
     ++ops.pte_writes;
     return ops;
 }

@@ -16,6 +16,12 @@
 /// The hardware layer is cost-agnostic: every mutator returns the number of
 /// PTE/PMD writes it performed so the caller can charge cycles from the
 /// architecture's CostTable.
+///
+/// `translate` and the common case of `map_page` (the span's leaf exists
+/// and is a PTE table) are defined inline at the end of this header, so
+/// `MmStruct::fault_in`, which runs two translations and one or two
+/// `map_page`s per page it installs, folds them into its body.  A missing
+/// leaf or a huge or disabled PMD takes `map_page_slow` in page_table.cc.
 
 #pragma once
 
@@ -198,6 +204,21 @@ class PageTable {
     /// every build type, when \p idx is at or past kDenseLimit.
     Leaf &leaf_grow(Vpn idx);
 
+    /// map_page for a span with no leaf yet, or under a huge or disabled
+    /// PMD: creates the leaf or re-enables the span as a PTE table first.
+    PtOps map_page_slow(Vpn vpn, Pdom pdom);
+
+    /// Makes PTE \p off of table leaf \p leaf present, tagged \p pdom
+    /// (prot_none is kept); one PTE write.
+    void
+    write_pte(Leaf &leaf, std::size_t off, Pdom pdom) const
+    {
+        auto pl = planes(leaf);
+        leaf.present += 1 - pl.present[off];
+        pl.present[off] = 1;
+        pl.tag[off] = pdom;
+    }
+
     /// Drops the leaf at \p idx entirely (PMD entry + PTE block).
     void leaf_drop(Vpn idx);
 
@@ -209,5 +230,47 @@ class PageTable {
     Pdom access_never_;
     std::vector<std::unique_ptr<Leaf>> dense_;
 };
+
+inline Translation
+PageTable::translate(Vpn vpn) const
+{
+    Translation t;
+    Vpn idx = pmd_index(vpn);
+    const Leaf *leaf = leaf_at(idx);
+    if (!leaf)
+        return t;
+    if (leaf->kind == PmdKind::kDisabled) {
+        t.pmd_disabled = true;
+        return t;
+    }
+    if (leaf->kind == PmdKind::kHuge) {
+        t.present = true;
+        t.huge = true;
+        t.pdom = leaf->pdom;
+        return t;
+    }
+    auto pl = planes(*leaf);
+    std::size_t i = vpn - idx * pmd_span_;
+    if (!pl.present[i])
+        return t;
+    if (pl.prot[i]) {
+        t.prot_none = true;
+        return t;
+    }
+    t.present = true;
+    t.pdom = pl.tag[i];
+    return t;
+}
+
+inline PtOps
+PageTable::map_page(Vpn vpn, Pdom pdom)
+{
+    Vpn idx = pmd_index(vpn);
+    Leaf *leaf = leaf_at(idx);
+    if (!leaf || leaf->kind != PmdKind::kTable)
+        return map_page_slow(vpn, pdom);
+    write_pte(*leaf, vpn - idx * pmd_span_, pdom);
+    return PtOps{1, 0};
+}
 
 }  // namespace vdom::hw

@@ -83,6 +83,7 @@ Tlb::remove_slot(std::uint32_t slot)
     index_erase(s.key);
     list_unlink(slot);
     --size_;
+    --tag_live_[tag_of(s.key)];
     s.prev = kNil;
     s.next = free_head_;
     free_head_ = slot;
@@ -118,6 +119,9 @@ Tlb::insert(Asid asid, Vpn vpn, const TlbEntry &entry)
     s.entry = entry;
     list_push_front(fresh);
     ++size_;
+    if (tag_of(key) >= tag_live_.size())
+        tag_live_.resize(tag_of(key) + 1);
+    ++tag_live_[tag_of(key)];
     index_insert(key, fresh);
 }
 
@@ -135,10 +139,12 @@ Tlb::flush_asid(Asid asid)
 {
     ++stats_.flushes_asid;
     tm::metric_add(tm::Metric::kTlbFlush);
-    std::uint32_t slot = head_;
-    while (slot != kNil) {
+    if (asid >= tag_live_.size())
+        return;
+    std::uint32_t &live = tag_live_[asid];
+    for (std::uint32_t slot = head_; live != 0;) {
         std::uint32_t next = slots_[slot].next;
-        if ((slots_[slot].key >> 48) == asid)
+        if (tag_of(slots_[slot].key) == asid)
             remove_slot(slot);
         slot = next;
     }

@@ -132,6 +132,39 @@ TEST_F(LibMpkTest, EvictionBroadcastsToProcessCores)
         world->core(1).tlb().lookup(world->core(1).asid(), 42).has_value());
 }
 
+TEST(LibMpkEviction, SeenGenerationCoversUnionBitmapAndEvictingCore)
+{
+    // Eight cores: vds0 runs on 1 and 3, a second VDS on 4, and core 6
+    // performs the eviction without any VDS listing it.
+    std::unique_ptr<World> world(World::x86(8));
+    LibMpk mpk(world->proc);
+    kernel::MmStruct &mm = world->proc.mm();
+    Task *task = world->spawn(1);
+    world->spawn(3);
+    Task *other = world->spawn(4);
+    world->proc.switch_vds(world->core(4), *other, *mm.create_vds(),
+                           hw::CostKind::kContextSwitch);
+    ASSERT_EQ(mm.union_cpu_bitmap(), (1ULL << 1) | (1ULL << 3) | (1ULL << 4));
+
+    for (int i = 0; i < 16; ++i) {
+        hw::Vpn vpn = mm.mmap(1);
+        int key = mpk.pkey_alloc(world->core(0));
+        mpk.pkey_mprotect(world->core(0), vpn, 1, key);
+        ASSERT_EQ(mpk.pkey_set(world->core(6), *task, key,
+                               VPerm::kFullAccess),
+                  MpkResult::kOk);
+        mpk.pkey_set(world->core(6), *task, key, VPerm::kAccessDisable);
+    }
+    ASSERT_EQ(mpk.stats().evictions, 1u);
+
+    const kernel::Vds &vds0 = *mm.vds0();
+    for (std::size_t c = 0; c < world->machine.num_cores(); ++c) {
+        bool covered = c == 1 || c == 3 || c == 4 || c == 6;
+        EXPECT_EQ(vds0.core_seen_gen(c) == vds0.tlb_gen(), covered)
+            << "core " << c;
+    }
+}
+
 TEST_F(LibMpkTest, EvictionCostScalesWithPages)
 {
     Task *task = world->spawn();

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <list>
 #include <optional>
 #include <string>
@@ -10,6 +12,7 @@
 
 #include "hw/tlb.h"
 #include "sim/fault.h"
+#include "sim/rng.h"
 #include "telemetry/metrics.h"
 
 namespace vdom::hw {
@@ -217,7 +220,9 @@ INSTANTIATE_TEST_SUITE_P(
 /// Index-growth tests: a fresh TLB's index starts at 8 cells and doubles
 /// as it fills, so every insert, flush and injected drop must keep the
 /// index consistent with the slots across each resize.  An exact LRU
-/// list model pins membership and eviction order.
+/// list model pins membership and eviction order, and the per-tag live
+/// counts that let flush_asid skip an empty tag and stop after its last
+/// match.
 class TlbIndexGrowth : public ::testing::TestWithParam<TlbShape> {
   protected:
     struct Page {
@@ -245,15 +250,26 @@ class TlbIndexGrowth : public ::testing::TestWithParam<TlbShape> {
     /// A page never inserted before.
     Page fresh(Asid asid) { return Page{asid, next_vpn_++ * 7}; }
 
+    std::list<Page>::iterator
+    find(Page page)
+    {
+        return std::find_if(lru_.begin(), lru_.end(), [page](const Page &p) {
+            return p.asid == page.asid && p.vpn == page.vpn;
+        });
+    }
+
     /// Inserts \p page into the TLB and the model; checks the size, that
     /// the page is found, and that the evicted page (if any) is the
-    /// model's LRU victim.  Neither lookup changes LRU order: a miss
-    /// touches nothing and the page is already MRU.
+    /// model's LRU victim.  A page already present only becomes MRU.
+    /// Neither lookup changes LRU order: a miss touches nothing and the
+    /// page is already MRU.
     void
     insert(Page page)
     {
         std::optional<Page> victim;
-        if (lru_.size() == tlb_.capacity()) {
+        if (auto it = find(page); it != lru_.end()) {
+            lru_.erase(it);
+        } else if (lru_.size() == tlb_.capacity()) {
             victim = lru_.back();
             lru_.pop_back();
         }
@@ -266,6 +282,39 @@ class TlbIndexGrowth : public ::testing::TestWithParam<TlbShape> {
         }
         EXPECT_TRUE(tlb_.lookup(page.asid, page.vpn).has_value())
             << "vpn " << page.vpn;
+    }
+
+    /// Looks \p page up with \p plan armed: on a drop the entry leaves
+    /// the TLB and the model; on a hit it becomes MRU.
+    void
+    lookup_armed(sim::FaultPlan &plan, Page page)
+    {
+        std::uint64_t drops = tlb_.stats().fault_drops;
+        {
+            sim::ScopedFaults faults(plan);
+            tlb_.lookup(page.asid, page.vpn);
+        }
+        auto it = find(page);
+        if (it == lru_.end())
+            return;
+        if (tlb_.stats().fault_drops != drops)
+            lru_.erase(it);
+        else
+            lru_.splice(lru_.begin(), lru_, it);
+    }
+
+    /// Checks that every tag's live count, for tags 0 ..= \p max_tag and
+    /// for kMaxAsid (never inserted here), is the model's.
+    void
+    expect_tag_counts(Asid max_tag)
+    {
+        ASSERT_EQ(tlb_.size(), lru_.size());
+        std::vector<std::size_t> expected(max_tag + 1, 0);
+        for (const Page &p : lru_)
+            ++expected[p.asid];
+        for (Asid asid = 0; asid <= max_tag; ++asid)
+            ASSERT_EQ(tlb_.size(asid), expected[asid]) << "tag " << asid;
+        ASSERT_EQ(tlb_.size(Tlb::kMaxAsid), 0u);
     }
 
     /// Checks that the TLB holds exactly the model's pages.  They are
@@ -359,29 +408,115 @@ TEST_P(TlbIndexGrowth, EntryDropDuringFillErasesItsCell)
         Page page = fresh(1);
         insert(page);
         inserted.push_back(page);
-        // Look up an older page with the drop armed: on a drop the entry
-        // leaves the TLB; on a hit it becomes MRU.
-        const Page &old = inserted[n / 2];
-        std::uint64_t drops = tlb_.stats().fault_drops;
-        {
-            sim::ScopedFaults faults(plan);
-            tlb_.lookup(old.asid, old.vpn);
-        }
-        for (auto it = lru_.begin(); it != lru_.end(); ++it) {
-            if (it->vpn != old.vpn)
-                continue;
-            if (tlb_.stats().fault_drops != drops)
-                lru_.erase(it);
-            else
-                lru_.splice(lru_.begin(), lru_, it);
-            break;
-        }
+        // Look up an older page with the drop armed.
+        lookup_armed(plan, inserted[n / 2]);
         expect_matches_model();
         if (HasFatalFailure())
             return;
     }
     EXPECT_GT(tlb_.stats().fault_drops, 0u);
     EXPECT_EQ(tlb_.stats().evictions, 0u);
+}
+
+TEST_P(TlbIndexGrowth, TagCountsFollowRandomSequences)
+{
+    // Tags 1..5 over a vpn space twice the capacity, so inserts both hit
+    // live pages and push past capacity and range flushes find pages.
+    // Tag 9 is flushed but never inserted; tag 10 refills at the end.
+    constexpr Asid kTags = 5;
+    constexpr Asid kAbsent = 9;
+    const std::size_t cap = tlb_.capacity();
+    sim::FaultPlan drops;
+    drops.arm(sim::FaultSite::kTlbEntryDrop, {.every = 4});
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        tlb_ = Tlb(cap);
+        lru_.clear();
+        sim::Rng rng(seed);
+        auto random_page = [&rng, cap] {
+            return Page{1 + static_cast<Asid>(rng.below(kTags)),
+                        rng.below(2 * cap)};
+        };
+        for (int round = 0; round < 3; ++round) {
+            // Fill past capacity: inserts, and lookups with drops armed
+            // of live pages or of random ones.
+            for (std::size_t n = 0; n < 3 * cap; ++n) {
+                std::uint64_t op = rng.below(10);
+                if (op < 7) {
+                    insert(random_page());
+                } else if (op < 9 && !lru_.empty()) {
+                    lookup_armed(drops, *std::next(lru_.begin(),
+                                                   rng.below(lru_.size())));
+                } else {
+                    lookup_armed(drops, random_page());
+                }
+                if (n % 64 == 0)
+                    expect_tag_counts(kAbsent);
+                if (HasFatalFailure())
+                    return;
+            }
+            // Flush: ranges, ASID flushes of present tags, of a tag never
+            // seen and of one past every tag seen, rarely everything.
+            for (int n = 0; n < 24; ++n) {
+                std::uint64_t op = rng.below(20);
+                if (op < 8) {
+                    Page first = random_page();
+                    std::uint64_t count = 1 + rng.below(64);
+                    std::size_t before = lru_.size();
+                    lru_.remove_if([&](const Page &p) {
+                        return p.asid == first.asid && p.vpn >= first.vpn &&
+                               p.vpn < first.vpn + count;
+                    });
+                    EXPECT_EQ(tlb_.flush_range(first.asid, first.vpn, count),
+                              before - lru_.size());
+                } else if (op < 19) {
+                    std::uint64_t pick = rng.below(kTags + 2);
+                    Asid asid = pick < kTags ? 1 + static_cast<Asid>(pick)
+                              : pick == kTags ? kAbsent : Tlb::kMaxAsid;
+                    lru_.remove_if(
+                        [asid](const Page &p) { return p.asid == asid; });
+                    tlb_.flush_asid(asid);
+                } else {
+                    lru_.clear();
+                    tlb_.flush_all();
+                }
+                expect_tag_counts(kAbsent);
+                expect_matches_model();
+                if (HasFatalFailure())
+                    return;
+            }
+        }
+        EXPECT_GT(tlb_.stats().evictions, 0u);
+        EXPECT_GT(tlb_.stats().fault_drops, 0u);
+        EXPECT_GT(tlb_.stats().flushed_pages, 0u);
+        EXPECT_GT(tlb_.stats().flushes_asid, 0u);
+        // The survivors leave in the model's LRU order.
+        for (std::size_t n = 0; n < 2 * cap; ++n)
+            insert(fresh(kAbsent + 1));
+        expect_tag_counts(kAbsent + 1);
+        if (HasFatalFailure())
+            return;
+    }
+}
+
+TEST_P(TlbIndexGrowth, EmptyTagFlushKeepsEveryEntry)
+{
+    while (tlb_.size() < tlb_.capacity())
+        insert(fresh(1 + static_cast<Asid>(lru_.size() % 3)));
+    telemetry::MetricsRegistry registry;
+    {
+        telemetry::ScopedMetrics attach(registry);
+        tlb_.flush_asid(9);
+        tlb_.flush_asid(Tlb::kMaxAsid);
+        // Tag 2 held entries; its second flush finds none.
+        tlb_.flush_asid(2);
+        tlb_.flush_asid(2);
+    }
+    lru_.remove_if([](const Page &p) { return p.asid == 2; });
+    EXPECT_EQ(tlb_.stats().flushes_asid, 4u);
+    EXPECT_EQ(registry.value(telemetry::Metric::kTlbFlush), 4u);
+    expect_tag_counts(9);
+    expect_matches_model();
 }
 
 INSTANTIATE_TEST_SUITE_P(
