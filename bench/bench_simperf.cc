@@ -285,9 +285,14 @@ switch_to_loop(benchmark::State &state, std::size_t vdr_entries)
         VdomId v = world.sys.vdom_alloc(world.core(0));
         world.sys.wrvdr(world.core(0), *task, v, VPerm::kPinned);
     }
+    // Only the switch is timed: the rebuilt register stays observable
+    // through its address and a compiler barrier, instead of folding its
+    // 16 slots into a raw image on every iteration.
+    hw::PermRegister &reg = world.core(0).perm_reg();
     for (auto _ : state) {
         world.proc.switch_to(world.core(0), *task);
-        benchmark::DoNotOptimize(world.core(0).perm_reg().raw());
+        benchmark::DoNotOptimize(&reg);
+        benchmark::ClobberMemory();
     }
 }
 

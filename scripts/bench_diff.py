@@ -15,9 +15,10 @@ Each file's meta record (git revision, build type, compiler, host CPUs)
 is compared per bench too.  A meta mismatch is reported but never fails
 the diff: two revisions are expected to differ there.
 
-Exits non-zero when a row is missing from NEW or extra in NEW, or when a
-delta's magnitude exceeds REL.  The default bound is 0: the trees must
-match exactly.
+Exits non-zero when OLD or NEW is not a directory or holds no *.json
+file (a diff of nothing proves nothing), when a row is missing from NEW
+or extra in NEW, or when a delta's magnitude exceeds REL.  The default
+bound is 0: the trees must match exactly.
 """
 
 import argparse
@@ -34,9 +35,14 @@ SECTIONS = ("metrics", "breakdown", "percentiles")
 def load_rows(tree):
     """({(bench, config): record}, {bench: meta}) over every *.json file
     in TREE."""
+    if not os.path.isdir(tree):
+        sys.exit(f"{tree}: not a directory of bench --json files")
+    paths = sorted(glob.glob(os.path.join(tree, "*.json")))
+    if not paths:
+        sys.exit(f"{tree}: no *.json files to compare")
     rows = {}
     metas = {}
-    for path in sorted(glob.glob(os.path.join(tree, "*.json"))):
+    for path in paths:
         with open(path) as f:
             records = json.load(f)
         for rec in records:

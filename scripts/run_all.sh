@@ -113,6 +113,11 @@ echo "chaos_stress --crash-sweep: every crash point recovered, digest stable"
 python3 scripts/test_vdom_inspect.py > /dev/null
 echo "vdom_inspect: corrupt-bundle handling ok"
 
+# The JSON tree diff must refuse a file, a missing path or a tree without
+# *.json instead of passing on zero rows compared.
+python3 scripts/test_bench_diff.py > /dev/null
+echo "bench_diff: empty-input refusal ok"
+
 # Aggregate every bench's records into one summary document.
 python3 - <<'EOF'
 import json, pathlib

@@ -875,12 +875,96 @@ FaultPointHarness<M>::verify_recovered(World &w, const Golden &expect,
 }
 
 template <FaultMode M>
+std::string
+FaultPointHarness<M>::injection_label(std::size_t i, const Op &op,
+                                      FaultSite site, std::uint64_t k,
+                                      bool sticky) const
+{
+    // Labels are folded into the digest, so their wording is fixed:
+    // power-loss labels read "crash k=N", with no "site" word.
+    return "op " + std::to_string(i) + " (" + Op::name(op.kind) + ") " +
+           (M == FaultMode::kGraceful ? "site " : "") +
+           fault_site_name(site) + " k=" + std::to_string(k) +
+           (sticky ? " sticky" : "") + " (seed " +
+           std::to_string(config_.seed) + ", " +
+           hw::arch_name(config_.arch) + ")";
+}
+
+template <FaultMode M>
 void
 FaultPointHarness<M>::run_injection(const std::vector<Op> &script,
-                                    const std::vector<Golden> &golden,
                                     std::size_t i, FaultSite site,
                                     std::uint64_t k, bool sticky,
-                                    Result &result)
+                                    SweepResult &result)
+{
+    auto w = replay_prefix(script, i, result);
+    if (w == nullptr)
+        return;
+    const Op &op = script[i];
+    prepare(*w, op);
+    const std::string label = injection_label(i, op, site, k, sticky);
+    const std::string before = snapshot_state(*w->sys);
+    const std::uint64_t rollbacks_before =
+        w->proc->mm().journal().rollbacks();
+
+    FaultPlan plan(config_.seed);
+    plan.arm_exact(site, k, sticky);
+    flight_.clear();
+    bool verdict_ok = true;
+    VdomStatus st = VdomStatus::kOk;
+    {
+        ScopedFaults armed(plan);
+        telemetry::ScopedFlightRecorder recording(flight_);
+        st = perform(*w, op, &verdict_ok);
+    }
+    ++result.injected_runs;
+
+    result.rollbacks += w->proc->mm().journal().rollbacks() - rollbacks_before;
+    const std::string after = snapshot_state(*w->sys);
+    if (is_fault_status(st)) {
+        // A graceful failure must be a perfect no-op architecturally.
+        ++result.failed_ops;
+        ++result.snapshot_checks;
+        if (after != before)
+            record_violation(result, w.get(), &plan,
+                             label + ": failed op mutated state");
+    } else if (st == VdomStatus::kOk) {
+        if (plan.total_fires() > 0)
+            ++result.degraded_ops;
+        if (!verdict_ok)
+            record_violation(
+                result, w.get(), &plan,
+                label + ": access verdict diverged from VDR policy");
+    } else {
+        record_violation(result, w.get(), &plan,
+                         label + ": unexpected status " + status_name(st));
+    }
+
+    std::string bad = check_design_invariants(*w->proc, w->params,
+                                              &result.invariant_checks);
+    if (!bad.empty())
+        record_violation(result, w.get(), &plan, label + ": " + bad);
+
+    // Rolled-back ops must be cleanly retryable once the fault clears.
+    if (is_fault_status(st)) {
+        bool retry_ok = true;
+        VdomStatus retry = perform(*w, op, &retry_ok);
+        if (retry != VdomStatus::kOk || !retry_ok)
+            record_violation(result, w.get(), &plan,
+                             label + ": retry after rollback failed: " +
+                                 status_name(retry));
+    }
+
+    fold(result, label + " -> " + status_name(st) + " " +
+                     std::to_string(snapshot_hash(after)));
+}
+
+template <FaultMode M>
+void
+FaultPointHarness<M>::run_power_losses(const std::vector<Op> &script,
+                                       const std::vector<Golden> &golden,
+                                       std::size_t i, std::uint64_t n,
+                                       CrashSweepResult &result)
 {
     auto w = replay_prefix(script, i, result);
     if (w == nullptr)
@@ -888,92 +972,49 @@ FaultPointHarness<M>::run_injection(const std::vector<Op> &script,
     const Op &op = script[i];
     prepare(*w, op);
 
-    // Labels are folded into the digest, so their wording is fixed:
-    // power-loss labels read "crash k=N", with no "site" word.
-    const std::string label =
-        "op " + std::to_string(i) + " (" + Op::name(op.kind) + ") " +
-        (M == FaultMode::kGraceful ? "site " : "") + fault_site_name(site) +
-        " k=" + std::to_string(k) + (sticky ? " sticky" : "") + " (seed " +
-        std::to_string(config_.seed) + ", " + hw::arch_name(config_.arch) +
-        ")";
-
-    std::string before;
-    std::uint64_t rollbacks_before = 0;
-    if constexpr (M == FaultMode::kGraceful) {
-        before = snapshot_state(*w->sys);
-        rollbacks_before = w->proc->mm().journal().rollbacks();
-    }
-
+    // One run of the op with power failing at each of its n crossings.
+    // Nothing runs after a real power loss, so the durable image at the
+    // crossing is all a crash leaves: the WAL's extent (append-only, so a
+    // mark of it) and a copy of the PMO store.  The op runs on past every
+    // tap, and what it does afterwards is never seen by recovery.
+    struct Image {
+        kernel::WalMark wal;
+        apps::PmoStore store;
+    };
+    std::vector<Image> images;
+    images.reserve(n);
     FaultPlan plan(config_.seed);
-    plan.arm_exact(site, k, sticky);
+    plan.arm(FaultSite::kCrash, FaultSpec{.every = 1, .max_fires = n});
+    plan.set_crash_tap([&](const PowerLoss &) {
+        images.push_back({wal_.mark(), store_});
+    });
     flight_.clear();
-    bool verdict_ok = true;
-    bool crashed = false;
-    VdomStatus st = VdomStatus::kOk;
     {
         ScopedFaults armed(plan);
         telemetry::ScopedFlightRecorder recording(flight_);
-        try {
-            st = perform(*w, op, &verdict_ok);
-        } catch (const PowerLoss &) {
-            crashed = true;
-        }
+        (void)perform(*w, op, nullptr);
     }
-    ++result.injected_runs;
+    const kernel::Wal full = wal_;
 
-    if constexpr (M == FaultMode::kGraceful) {
-        result.rollbacks +=
-            w->proc->mm().journal().rollbacks() - rollbacks_before;
-        const std::string after = snapshot_state(*w->sys);
-        if (is_fault_status(st)) {
-            // A graceful failure must be a perfect no-op architecturally.
-            ++result.failed_ops;
-            ++result.snapshot_checks;
-            if (after != before)
-                record_violation(result, w.get(), &plan,
-                                 label + ": failed op mutated state");
-        } else if (st == VdomStatus::kOk) {
-            if (plan.total_fires() > 0)
-                ++result.degraded_ops;
-            if (!verdict_ok)
-                record_violation(
-                    result, w.get(), &plan,
-                    label + ": access verdict diverged from VDR policy");
-        } else {
-            record_violation(result, w.get(), &plan,
-                             label + ": unexpected status " +
-                                 status_name(st));
-        }
-
-        std::string bad = check_design_invariants(
-            *w->proc, w->params, &result.invariant_checks);
-        if (!bad.empty())
-            record_violation(result, w.get(), &plan, label + ": " + bad);
-
-        // Rolled-back ops must be cleanly retryable once the fault clears.
-        if (is_fault_status(st)) {
-            bool retry_ok = true;
-            VdomStatus retry = perform(*w, op, &retry_ok);
-            if (retry != VdomStatus::kOk || !retry_ok)
-                record_violation(result, w.get(), &plan,
-                                 label + ": retry after rollback failed: " +
-                                     status_name(retry));
-        }
-
-        fold(result, label + " -> " + status_name(st) + " " +
-                         std::to_string(snapshot_hash(after)));
-    } else {
-        if (!crashed) {
+    for (std::uint64_t k = 1; k <= n; ++k) {
+        ++result.injected_runs;
+        const std::string label =
+            injection_label(i, op, FaultSite::kCrash, k, false);
+        if (k > images.size()) {
             record_violation(result, w.get(), &plan,
                              label + ": armed crash never fired");
-            return;
+            continue;
         }
 
-        // Reboot: the crashed world is discarded wholesale; only the WAL
-        // and the PMO store survive.  The recovered world runs with no
-        // WAL attached (redo must not re-log) and no fault plan armed.
-        w.reset();
+        // Reboot from image k: the crashed world is gone wholesale; only
+        // the WAL and the PMO store survive.  The recovered world runs
+        // with no WAL attached (redo must not re-log) and no fault plan
+        // armed.
+        const Image &image = images[k - 1];
+        wal_ = full;
+        wal_.rewind(image.wal);
         wal_.reboot();
+        store_ = image.store;
         auto fresh = build_world(nullptr);
         RecoveryStats stats;
         {
@@ -987,7 +1028,7 @@ FaultPointHarness<M>::run_injection(const std::vector<Op> &script,
         if (!stats.ok) {
             record_violation(result, fresh.get(), &plan,
                              label + ": recovery failed: " + stats.error);
-            return;
+            continue;
         }
         ++result.recoveries;
 
@@ -1005,7 +1046,7 @@ FaultPointHarness<M>::run_injection(const std::vector<Op> &script,
                              label + ": committed count " +
                                  std::to_string(stats.committed) +
                                  " matches no op boundary");
-            return;
+            continue;
         }
 
         verify_recovered(*fresh, *expect, label, result);
@@ -1109,10 +1150,14 @@ FaultPointHarness<M>::run() -> Result
                 result.fault_points += n;
             else
                 result.crash_points += n;
-            for (std::uint64_t k = 1; k <= n; ++k) {
-                run_injection(script, golden, i, site, k, false, result);
-                if (kGraceful && sticky_swept(site))
-                    run_injection(script, golden, i, site, k, true, result);
+            if constexpr (kGraceful) {
+                for (std::uint64_t k = 1; k <= n; ++k) {
+                    run_injection(script, i, site, k, false, result);
+                    if (sticky_swept(site))
+                        run_injection(script, i, site, k, true, result);
+                }
+            } else if (n > 0) {
+                run_power_losses(script, golden, i, n, result);
             }
         }
     }

@@ -12,14 +12,15 @@
 /// Alongside the randomized harness lives its systematic sibling, the
 /// scripted fault-point harness (FaultPointHarness): a deterministic
 /// script of public API ops is probed once to count every fault-point
-/// crossing, then each (op, site, k-th crossing) is replayed in a fresh
-/// world with the fault fired exactly there.  It has two fault modes.
-/// In graceful mode (SweepHarness) a failed op must leave the
+/// crossing, then every (op, site, k-th crossing) fails exactly there.
+/// It has two fault modes.  In graceful mode (SweepHarness) each
+/// crossing is replayed in a fresh world, and a failed op must leave the
 /// architectural snapshot (vdom/introspect.h) byte-identical — the
 /// atomicity oracle for the undo journal (kernel/journal.h).  In
-/// power-loss mode (CrashSweepHarness) the world crashes there, reboots
-/// and recovers from the WAL (kernel/wal.h), and the recovered durable
-/// state must sit exactly on an op boundary.
+/// power-loss mode (CrashSweepHarness) each op runs once, capturing the
+/// durable image at every crossing; each image reboots and recovers
+/// from the WAL (kernel/wal.h), and the recovered durable state must sit
+/// exactly on an op boundary.
 
 #pragma once
 
@@ -131,8 +132,8 @@ enum class FaultMode : std::uint8_t {
     /// A graceful site fires: the op must fail with a fault status and
     /// leave no trace, or complete with its guarantees intact.
     kGraceful,
-    /// Power fails at the crossing (FaultSite::kCrash): the world is
-    /// discarded and a fresh one recovers from the surviving WAL.
+    /// Power fails at the crossing (FaultSite::kCrash): only the durable
+    /// image survives, and a fresh world recovers from it.
     kPowerLoss,
 };
 
@@ -188,8 +189,7 @@ struct CrashSweepResult : FaultPointTally {
 /// script from the seed, over one op set: the domain API, secure-pool
 /// growth, sandbox_mprotect and PMO attach/detach.  The script runs once
 /// in a probe world that counts every crossing of the mode's fault
-/// sites.  Then each (op, site, k-th crossing) replays the script prefix
-/// in a fresh world and fails exactly there.
+/// sites.  Then each (op, site, k-th crossing) fails exactly there.
 ///
 /// Graceful mode sweeps every graceful site, once transiently and once
 /// sticky (the fault keeps firing from crossing k on, defeating in-op
@@ -199,11 +199,16 @@ struct CrashSweepResult : FaultPointTally {
 ///     disarmed retry of the same op must succeed;
 ///   - a kOk under injection must keep the access-verdict policy.
 ///
-/// Power-loss mode sweeps kCrash alone, with the WAL attached; the probe
-/// also records the golden durable snapshot and PMO set at every op
-/// boundary.  Each injected run crashes (sim::PowerLoss), reboots into a
-/// fresh world and recovers from the surviving WAL and PmoStore.  Its
-/// oracle:
+/// Graceful mode replays the script prefix in a fresh world for each
+/// crossing.  Power-loss mode sweeps kCrash alone, with the WAL
+/// attached; the probe also records the golden durable snapshot and PMO
+/// set at every op boundary.  Each op with n crossings replays its
+/// prefix once and runs once with kCrash firing at crossings 1..n
+/// through a crash tap (FaultPlan::set_crash_tap), which copies the
+/// durable image — the WAL's mark and the PmoStore — at each.  Nothing
+/// the op does after a crossing is part of that crossing's image.  Each
+/// image k then reboots into a fresh world and recovers.  Its oracle,
+/// per crossing:
 ///   - recovery must succeed with no replay divergence;
 ///   - the recovered durable snapshot must equal the golden one at the
 ///     last committed op boundary: golden[i] when the WAL says op i
@@ -247,10 +252,18 @@ class FaultPointHarness {
     void prepare(World &w, const Op &op) const;
     /// Non-const: PMO ops write through the harness-owned durable store.
     VdomStatus perform(World &w, const Op &op, bool *verdict_ok);
-    void run_injection(const std::vector<Op> &script,
-                       const std::vector<Golden> &golden, std::size_t i,
+    /// The digest label of crossing \p k of \p site in op \p i.
+    std::string injection_label(std::size_t i, const Op &op, FaultSite site,
+                                std::uint64_t k, bool sticky) const;
+    /// Graceful mode: one fresh world firing \p site at crossing \p k.
+    void run_injection(const std::vector<Op> &script, std::size_t i,
                        FaultSite site, std::uint64_t k, bool sticky,
-                       Result &result);
+                       SweepResult &result);
+    /// Power-loss mode: one run of op \p i tapping the durable image at
+    /// each of its \p n crossings, then one recovery per image.
+    void run_power_losses(const std::vector<Op> &script,
+                          const std::vector<Golden> &golden, std::size_t i,
+                          std::uint64_t n, CrashSweepResult &result);
     void verify_recovered(World &w, const Golden &expect,
                           const std::string &label,
                           CrashSweepResult &result);
@@ -260,7 +273,8 @@ class FaultPointHarness {
     Config config_;
     telemetry::FlightRecorder flight_;
     /// Power-loss mode's durable media: owned here (the "NVDIMM"), so they
-    /// outlive every crashed world.  Reset before each prefix replay.
+    /// outlive every crashed world.  Reset before each prefix replay and
+    /// set to a tapped image before each recovery.
     kernel::Wal wal_;
     apps::PmoStore store_;
 };

@@ -38,8 +38,15 @@ FaultPlan::should_fire(FaultSite site)
     telemetry::metric_add(telemetry::Metric::kFaultsInjected);
     // kCrash is fail-stop: halt the world after the fire is booked, so a
     // post-mortem of the caught PowerLoss still sees accurate counters.
-    if (site == FaultSite::kCrash)
-        throw PowerLoss{st.fires, st.occurrences};
+    // A tap takes the durable image instead and the op runs on, which the
+    // crossing cannot observe: fault_fires(kCrash) is only ever a bare
+    // ordering point.
+    if (site == FaultSite::kCrash) {
+        if (!crash_tap_)
+            throw PowerLoss{st.fires, st.occurrences};
+        crash_tap_(PowerLoss{st.fires, st.occurrences});
+        return false;
+    }
     return true;
 }
 

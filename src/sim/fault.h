@@ -23,7 +23,9 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <limits>
+#include <utility>
 
 #include "sim/rng.h"
 #include "telemetry/metrics.h"
@@ -46,8 +48,9 @@ enum class FaultSite : std::uint8_t {
     kGateEntryDenied,  ///< Secure call-gate entry aborted; retryable.
     kNumSites,
     // sim (fail-stop)
-    /// Power loss: the world halts on the spot (a `PowerLoss` is thrown)
-    /// instead of degrading gracefully.  Deliberately aliased past
+    /// Power loss: the world halts on the spot (a `PowerLoss` is thrown,
+    /// or the plan's crash tap captures the durable image and the op runs
+    /// on) instead of degrading gracefully.  Deliberately aliased past
     /// kNumSites so it is *excluded* from kNumFaultSites: every existing
     /// arm-all-sites loop and sweep stays graceful-only, and crash
     /// injection is opt-in via an explicit arm of kCrash.  When armed,
@@ -61,12 +64,14 @@ enum class FaultSite : std::uint8_t {
 constexpr std::size_t kNumFaultSites =
     static_cast<std::size_t>(FaultSite::kNumSites);
 
-/// Thrown by FaultPlan::should_fire when an armed kCrash site fires:
-/// simulated power loss, halting the world mid-op.  Harnesses catch it,
-/// discard the torn world, and drive recovery from durable state (the
-/// WAL, kernel/wal.h).  kCrash must not be armed sticky: stack unwinding
-/// runs journal rollbacks whose undo closures cross fault points, and a
-/// sticky crash would re-fire during unwind (std::terminate).
+/// Thrown by FaultPlan::should_fire when an armed kCrash site fires and
+/// the plan has no crash tap: simulated power loss, halting the world
+/// mid-op.  Harnesses catch it, discard the torn world, and drive
+/// recovery from durable state (the WAL, kernel/wal.h).  Without a tap,
+/// kCrash must not be armed sticky: stack unwinding runs journal
+/// rollbacks whose undo closures cross fault points, and a sticky crash
+/// would re-fire during unwind (std::terminate).  With a tap it is
+/// passed to the tap instead of thrown.
 struct PowerLoss {
     std::uint64_t fires = 0;     ///< Total kCrash fires including this one.
     std::uint64_t crossing = 0;  ///< 1-based kCrash occurrence that fired.
@@ -101,6 +106,10 @@ struct FaultSpec {
         std::numeric_limits<std::uint64_t>::max();  ///< Fire budget.
 };
 
+/// Observer of a kCrash fire on a plan with a crash tap: it captures
+/// the durable image at that instant (sim/chaos.h).
+using CrashTap = std::function<void(const PowerLoss &)>;
+
 /// An armed set of fault sites driven by one seeded RNG.
 ///
 /// Determinism: the RNG is consumed once per occurrence of a
@@ -125,8 +134,10 @@ class FaultPlan {
     //
     // The sweep oracle (sim/chaos.h) runs an op once with every site
     // probe-armed to count fault-point crossings N, then replays the op N
-    // times firing exactly at crossing k.  Neither mode consumes the RNG
-    // (probability stays 0), so the sweep is bit-reproducible.
+    // times firing exactly at crossing k (the power-loss sweep instead
+    // runs it once more, firing kCrash at all N through a crash tap).
+    // Neither mode consumes the RNG (probability stays 0), so the sweep
+    // is bit-reproducible.
 
     /// Count-only: occurrences are tallied, nothing ever fires.
     void arm_probe(FaultSite site) { arm(site, FaultSpec{}); }
@@ -146,6 +157,14 @@ class FaultPlan {
     }
 
     bool armed(FaultSite site) const { return state(site).armed; }
+
+    /// Makes every kCrash fire call \p tap and return false instead of
+    /// throwing PowerLoss; the fire is still booked.  Nothing runs after
+    /// a real power loss, so everything the op does past the fire is
+    /// invisible to a harness that recovers from the tapped images — which
+    /// is what lets one run capture every crossing of an op, and lets
+    /// kCrash be armed sticky.
+    void set_crash_tap(CrashTap tap) { crash_tap_ = std::move(tap); }
 
     /// The trigger spec last armed for \p site (meaningful while armed).
     const FaultSpec &spec(FaultSite site) const { return state(site).spec; }
@@ -202,6 +221,7 @@ class FaultPlan {
     // outside the kNumFaultSites range swept by graceful-fault loops.
     std::array<SiteState, kNumFaultSites + 1> sites_;
     std::uint64_t total_fires_ = 0;
+    CrashTap crash_tap_;
 };
 
 // -- Global hook (null by default, zero-cost when detached) ---------------

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -592,6 +593,283 @@ TEST(Recovery, PmoDetachEraseIsRedoneAcrossEveryCrashPointBothArches)
                     << hw::arch_name(arch) << " k=" << k;
             }
         }
+    }
+}
+
+// -- Tapped crash images --------------------------------------------------
+
+/// One op script over every WAL-wired entry point, replayed from scratch
+/// for each crash.  The arena is declared after the world so it goes
+/// first.
+struct ImageRun {
+    std::unique_ptr<World> world;
+    kernel::Task *task = nullptr;
+    VdomId vdom = kInvalidVdom;
+    hw::Vpn vpn = 0;
+    VdomId pmo_vdom = kInvalidVdom;
+    std::unique_ptr<DomainAllocator> arena;
+};
+
+constexpr int kImagePmo = 1;
+constexpr std::size_t kImagePmoPages = 3;
+constexpr std::uint64_t kImagePmoSeed = 77;
+
+using ImageStep = void (*)(ImageRun &, apps::PmoStore &);
+
+const std::vector<ImageStep> kImageSteps = {
+    [](ImageRun &r, apps::PmoStore &) {
+        (void)r.world->sys.vdom_init(r.world->core());
+    },
+    [](ImageRun &r, apps::PmoStore &) {
+        (void)r.world->sys.vdr_alloc(r.world->core(), *r.task, 4);
+    },
+    [](ImageRun &r, apps::PmoStore &) {
+        r.vdom = r.world->sys.vdom_alloc(r.world->core(), false);
+    },
+    [](ImageRun &r, apps::PmoStore &) {
+        kernel::MmStruct &mm = r.world->proc.mm();
+        OpTxn txn(mm, r.world->core(), WalOp::kMmap, 0, 2, 0);
+        r.vpn = mm.mmap(2);
+        txn.commit(r.vpn);
+    },
+    [](ImageRun &r, apps::PmoStore &) {
+        (void)r.world->sys.vdom_mprotect(r.world->core(), r.vpn, 2, r.vdom);
+    },
+    [](ImageRun &r, apps::PmoStore &) {
+        (void)r.world->sys.wrvdr(r.world->core(), *r.task, r.vdom,
+                                 VPerm::kFullAccess);
+    },
+    [](ImageRun &r, apps::PmoStore &) {
+        (void)r.world->sys.access(r.world->core(), *r.task, r.vpn, true);
+    },
+    [](ImageRun &r, apps::PmoStore &) {
+        r.arena = std::make_unique<DomainAllocator>(r.world->sys,
+                                                    r.world->core(), false, 2);
+    },
+    [](ImageRun &r, apps::PmoStore &) {
+        (void)r.arena->allocate(r.world->core(), 64);
+    },
+    [](ImageRun &r, apps::PmoStore &store) {
+        r.pmo_vdom = apps::pmo_attach(r.world->sys, r.world->core(), store,
+                                      kImagePmo, kImagePmoPages,
+                                      kImagePmoSeed)
+                         .vdom;
+    },
+    [](ImageRun &r, apps::PmoStore &store) {
+        (void)apps::pmo_detach(r.world->sys, r.world->core(), store,
+                               kImagePmo, r.pmo_vdom);
+    },
+    [](ImageRun &r, apps::PmoStore &) {
+        (void)r.world->sys.wrvdr(r.world->core(), *r.task, r.vdom,
+                                 VPerm::kAccessDisable);
+    },
+    [](ImageRun &r, apps::PmoStore &) {
+        (void)r.world->sys.vdom_free(r.world->core(), r.vdom);
+    },
+};
+
+/// A fresh world logging to \p wal, with steps [0, i) run clean.
+std::unique_ptr<ImageRun>
+replay_steps(hw::ArchKind arch, std::size_t i, Wal &wal,
+             apps::PmoStore &store)
+{
+    auto run = std::make_unique<ImageRun>();
+    run->world = fresh_world(arch);
+    run->task = run->world->spawn();
+    run->world->proc.mm().set_wal(&wal);
+    for (std::size_t j = 0; j < i; ++j)
+        kImageSteps[j](*run, store);
+    return run;
+}
+
+/// What a power loss leaves: the WAL's extent and the PMO store.
+struct CrashImage {
+    kernel::WalMark wal;
+    apps::PmoStore store;
+};
+
+/// Runs step \p i once with kCrash firing at each of its \p n crossings
+/// through a tap; \p full receives the log as the run left it.
+std::vector<CrashImage>
+tap_images(hw::ArchKind arch, std::size_t i, std::uint64_t n, Wal &full)
+{
+    full.reset();
+    apps::PmoStore store;
+    auto run = replay_steps(arch, i, full, store);
+    std::vector<CrashImage> images;
+    FaultPlan plan(1);
+    plan.arm(FaultSite::kCrash, sim::FaultSpec{.every = 1, .max_fires = n});
+    plan.set_crash_tap([&](const sim::PowerLoss &loss) {
+        EXPECT_EQ(loss.crossing, images.size() + 1);
+        images.push_back({full.mark(), store});
+    });
+    {
+        ScopedFaults armed(plan);
+        kImageSteps[i](*run, store);
+    }
+    EXPECT_EQ(plan.fires(FaultSite::kCrash), n);
+    return images;
+}
+
+/// A recovered world's durable outcome.
+struct Recovered {
+    RecoveryStats stats;
+    std::string durable;
+    std::map<int, std::vector<std::uint64_t>> store;
+};
+
+Recovered
+recover_into_fresh_world(hw::ArchKind arch, Wal &wal, apps::PmoStore store)
+{
+    wal.reboot();
+    auto fresh = fresh_world(arch);
+    fresh->spawn();  // Replay finds the task by tid.
+    Recovered out;
+    out.stats = recover(fresh->sys, fresh->core(), wal, pmo_hook(store));
+    out.durable = snapshot_durable_state(fresh->sys);
+    out.store = std::move(store.content);
+    return out;
+}
+
+bool
+same_record(const WalRecord &x, const WalRecord &y)
+{
+    return x.lsn == y.lsn && x.txn == y.txn && x.type == y.type &&
+           x.op == y.op && x.tid == y.tid && x.a == y.a && x.b == y.b &&
+           x.c == y.c && x.d == y.d && x.checksum == y.checksum;
+}
+
+TEST(CrashImage, TappedImagesRecoverLikeThrownPowerLossBothArches)
+{
+    for (hw::ArchKind arch : {hw::ArchKind::kX86, hw::ArchKind::kArm}) {
+        for (std::size_t i = 0; i < kImageSteps.size(); ++i) {
+            std::uint64_t n = 0;
+            {
+                Wal wal;
+                apps::PmoStore store;
+                auto run = replay_steps(arch, i, wal, store);
+                FaultPlan probe(1);
+                probe.arm_probe(FaultSite::kCrash);
+                ScopedFaults armed(probe);
+                kImageSteps[i](*run, store);
+                n = probe.occurrences(FaultSite::kCrash);
+            }
+            EXPECT_GT(n, 0u) << hw::arch_name(arch) << " step " << i;
+            Wal full;
+            std::vector<CrashImage> images = tap_images(arch, i, n, full);
+            ASSERT_EQ(images.size(), n);
+
+            for (std::uint64_t k = 1; k <= n; ++k) {
+                const std::string at = std::string(hw::arch_name(arch)) +
+                                       " step " + std::to_string(i) +
+                                       " k=" + std::to_string(k);
+                // Today's path: replay, throw at crossing k, unwind.
+                Wal thrown;
+                apps::PmoStore thrown_store;
+                {
+                    auto run = replay_steps(arch, i, thrown, thrown_store);
+                    FaultPlan plan(1);
+                    plan.arm_exact(FaultSite::kCrash, k);
+                    ScopedFaults armed(plan);
+                    EXPECT_THROW(kImageSteps[i](*run, thrown_store),
+                                 sim::PowerLoss)
+                        << at;
+                }
+                // The tapped path: the one run's log, rewound to image k.
+                Wal rewound = full;
+                rewound.rewind(images[k - 1].wal);
+                ASSERT_EQ(rewound.size(), thrown.size()) << at;
+                for (std::size_t r = 0; r < rewound.size(); ++r)
+                    EXPECT_TRUE(same_record(rewound.records()[r],
+                                            thrown.records()[r]))
+                        << at << " lsn " << r + 1;
+                EXPECT_EQ(rewound.commits(), thrown.commits()) << at;
+
+                Recovered a = recover_into_fresh_world(
+                    arch, rewound, images[k - 1].store);
+                Recovered b =
+                    recover_into_fresh_world(arch, thrown, thrown_store);
+                ASSERT_TRUE(a.stats.ok) << at << ": " << a.stats.error;
+                ASSERT_TRUE(b.stats.ok) << at << ": " << b.stats.error;
+                EXPECT_EQ(a.durable, b.durable) << at;
+                EXPECT_EQ(a.store, b.store) << at;
+                EXPECT_EQ(a.stats.records, b.stats.records) << at;
+                EXPECT_EQ(a.stats.torn, b.stats.torn) << at;
+                EXPECT_EQ(a.stats.committed, b.stats.committed) << at;
+                EXPECT_EQ(a.stats.uncommitted, b.stats.uncommitted) << at;
+                EXPECT_EQ(a.stats.aborted, b.stats.aborted) << at;
+                EXPECT_EQ(a.stats.replayed, b.stats.replayed) << at;
+                EXPECT_EQ(a.stats.undone, b.stats.undone) << at;
+            }
+        }
+    }
+}
+
+TEST(CrashImage, CrossingMidPmoPersistLeavesPartialEntryThatRecoveryUndoes)
+{
+    const std::size_t attach = 9;  // kImageSteps[9] is the pmo_attach.
+    for (hw::ArchKind arch : {hw::ArchKind::kX86, hw::ArchKind::kArm}) {
+        std::uint64_t n = 0;
+        {
+            Wal wal;
+            apps::PmoStore store;
+            auto run = replay_steps(arch, attach, wal, store);
+            FaultPlan probe(1);
+            probe.arm_probe(FaultSite::kCrash);
+            ScopedFaults armed(probe);
+            kImageSteps[attach](*run, store);
+            ASSERT_TRUE(store.intact(kImagePmo, kImagePmoSeed,
+                                     kImagePmoPages));
+            n = probe.occurrences(FaultSite::kCrash);
+        }
+        Wal full;
+        std::vector<CrashImage> images = tap_images(arch, attach, n, full);
+        ASSERT_EQ(images.size(), n);
+
+        // The crossings between the first page persist and the last one
+        // see the object's store entry holding 1..kPages-1 pages.
+        std::vector<bool> seen(kImagePmoPages, false);
+        for (std::uint64_t k = 1; k <= n; ++k) {
+            const CrashImage &image = images[k - 1];
+            auto it = image.store.content.find(kImagePmo);
+            if (it == image.store.content.end() || it->second.empty() ||
+                it->second.size() >= kImagePmoPages)
+                continue;
+            const std::string at = std::string(hw::arch_name(arch)) +
+                                   " k=" + std::to_string(k);
+            seen[it->second.size()] = true;
+            for (std::size_t p = 0; p < it->second.size(); ++p)
+                EXPECT_EQ(it->second[p],
+                          apps::PmoStore::pattern(kImagePmo, kImagePmoSeed,
+                                                  p))
+                    << at;
+
+            Wal rewound = full;
+            rewound.rewind(image.wal);
+            std::uint64_t commits = rewound.commits();
+            Recovered rec =
+                recover_into_fresh_world(arch, rewound, image.store);
+            ASSERT_TRUE(rec.stats.ok) << at << ": " << rec.stats.error;
+            EXPECT_EQ(rec.stats.committed, commits) << at;
+            EXPECT_EQ(rec.stats.uncommitted, 1u) << at;
+            EXPECT_EQ(rec.stats.undone, 1u) << at;
+            EXPECT_EQ(rec.store.count(kImagePmo), 0u) << at;
+
+            // The thrown power loss never shows recovery this entry: the
+            // unwind runs pmo_attach's journal undo, which erases it.
+            Wal thrown;
+            apps::PmoStore thrown_store;
+            auto run = replay_steps(arch, attach, thrown, thrown_store);
+            FaultPlan plan(1);
+            plan.arm_exact(FaultSite::kCrash, k);
+            ScopedFaults armed(plan);
+            EXPECT_THROW(kImageSteps[attach](*run, thrown_store),
+                         sim::PowerLoss);
+            EXPECT_FALSE(thrown_store.has(kImagePmo)) << at;
+        }
+        for (std::size_t p = 1; p < kImagePmoPages; ++p)
+            EXPECT_TRUE(seen[p]) << hw::arch_name(arch) << " " << p
+                                 << " pages persisted";
     }
 }
 
