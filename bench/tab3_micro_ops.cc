@@ -10,7 +10,6 @@
 
 #include <cstdio>
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "bench_util.h"
@@ -38,10 +37,12 @@ struct Sample {
 /// \param nas vdr_alloc limit (1 = eviction mode).
 /// \param mode secure or fast API.
 /// \param filter "all" | "evict" | "switch" | "mapped".
+/// \param registry the attached metrics registry; each call is classified
+///        by the `virt.hlru_evict` and `virt.vds_switch` counts it adds.
 double
 measure_wrvdr(hw::ArchKind arch, std::uint64_t pages, std::size_t domains,
               std::size_t nas, ApiMode mode, const char *filter,
-              int rounds)
+              int rounds, const telemetry::MetricsRegistry &registry)
 {
     BenchWorld world(arch == hw::ArchKind::kX86 ? hw::ArchParams::x86(2)
                                                 : hw::ArchParams::arm(2));
@@ -65,18 +66,18 @@ measure_wrvdr(hw::ArchKind arch, std::uint64_t pages, std::size_t domains,
         world.sys.wrvdr(core, *task, v, VPerm::kAccessDisable, mode);
     }
 
-    DomainVirtualizer &virt = world.sys.virtualizer();
+    using telemetry::Metric;
     Sample sample;
     for (int r = 0; r < rounds; ++r) {
         for (auto &[v, vpn] : doms) {
             (void)vpn;
-            std::uint64_t evict0 = virt.stats().evictions;
-            std::uint64_t switch0 = virt.stats().vds_switches;
+            std::uint64_t evict0 = registry.value(Metric::kHlruEvict);
+            std::uint64_t switch0 = registry.value(Metric::kVdsSwitch);
             hw::Cycles t0 = core.now();
             world.sys.wrvdr(core, *task, v, VPerm::kFullAccess, mode);
             hw::Cycles cost = core.now() - t0;
-            bool evicted = virt.stats().evictions > evict0;
-            bool switched = virt.stats().vds_switches > switch0;
+            bool evicted = registry.value(Metric::kHlruEvict) > evict0;
+            bool switched = registry.value(Metric::kVdsSwitch) > switch0;
             bool keep = false;
             if (std::string(filter) == "all")
                 keep = true;
@@ -157,8 +158,9 @@ run(int rounds, BenchReport &report)
                      "[measured (paper)]");
     table.columns({"Operation", "X86 cycles", "ARM cycles"});
 
-    // One record per (operation, arch) cell; wrvdr-family rows attach the
-    // metrics registry so the kWrvdrLatency histogram backs percentiles.
+    // One record per (operation, arch) cell.  wrvdr-family rows attach a
+    // metrics registry: its virt.* counts classify each sampled call, and
+    // its kWrvdrLatency histogram backs the record's percentiles.
     auto rec_simple = [&](const char *op, const char *arch, double v,
                           double paper) {
         if (report.enabled())
@@ -175,11 +177,9 @@ run(int rounds, BenchReport &report)
         telemetry::MetricsRegistry registry;
         double v;
         {
-            std::optional<telemetry::ScopedMetrics> attach;
-            if (report.enabled())
-                attach.emplace(registry);
+            telemetry::ScopedMetrics attach(registry);
             v = measure_wrvdr(arch, pages, domains, nas, mode, filter,
-                              rounds);
+                              rounds, registry);
         }
         if (report.enabled()) {
             report.add()

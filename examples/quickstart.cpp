@@ -12,12 +12,18 @@
 
 #include "hw/machine.h"
 #include "kernel/process.h"
+#include "telemetry/metrics.h"
 #include "vdom/api.h"
 
 int
 main()
 {
     using namespace vdom;
+    using telemetry::Metric;
+
+    // Event counts (evictions, VDS switches, ...) land in this registry.
+    telemetry::MetricsRegistry metrics;
+    telemetry::ScopedMetrics attach(metrics);
 
     // A 4-core Intel-like platform with MPK (16 pdoms, PKRU in user space).
     hw::Machine machine(hw::ArchParams::x86(4));
@@ -84,14 +90,13 @@ main()
     std::printf("other thread's read:      %s\n",
                 cross.sigsegv ? "SIGSEGV (blocked)" : "allowed?!");
 
-    const auto &stats = vdom.virtualizer().stats();
     std::printf("\nvirtualization activity: %llu free-maps, %llu "
                 "evictions, %llu VDS switches, %llu migrations, "
                 "%zu address spaces\n",
-                (unsigned long long)stats.maps_free,
-                (unsigned long long)stats.evictions,
-                (unsigned long long)stats.vds_switches,
-                (unsigned long long)stats.migrations,
+                (unsigned long long)metrics.value(Metric::kDomainMapFree),
+                (unsigned long long)metrics.value(Metric::kHlruEvict),
+                (unsigned long long)metrics.value(Metric::kVdsSwitch),
+                (unsigned long long)metrics.value(Metric::kMigration),
                 proc.mm().num_vdses());
     std::printf("simulated cycles on core 0: %.0f\n", core.now());
     return 0;

@@ -16,6 +16,7 @@
 #include "hw/machine.h"
 #include "kernel/process.h"
 #include "sim/rng.h"
+#include "telemetry/metrics.h"
 #include "vdom/api.h"
 
 namespace {
@@ -56,6 +57,10 @@ int
 main()
 {
     using namespace vdom;
+    using telemetry::Metric;
+    telemetry::MetricsRegistry metrics;  // Event counts for the summary.
+    telemetry::ScopedMetrics attach(metrics);
+
     hw::Machine machine(hw::ArchParams::x86(4));
     kernel::Process proc(machine);
     VdomSystem sys(proc);
@@ -119,10 +124,9 @@ main()
                 live.size(), blocked);
     std::printf("domains allocated in total:  %zu (hardware has 16)\n",
                 proc.mm().vdm().high_water());
-    const auto &stats = sys.virtualizer().stats();
     std::printf("evictions %llu | VDS switches %llu | address spaces %zu\n",
-                (unsigned long long)stats.evictions,
-                (unsigned long long)stats.vds_switches,
+                (unsigned long long)metrics.value(Metric::kHlruEvict),
+                (unsigned long long)metrics.value(Metric::kVdsSwitch),
                 proc.mm().num_vdses());
     return blocked == live.size() ? 0 : 1;
 }

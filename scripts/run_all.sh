@@ -2,9 +2,8 @@
 # Builds the project, runs the full test suite, and regenerates every
 # paper table/figure, mirroring the artifact-evaluation flow (§A.5).
 #
-# Usage: scripts/run_all.sh [--quick] [--csv]
+# Usage: scripts/run_all.sh [--quick]
 #   --quick  scaled-down bench runs (seconds instead of minutes)
-#   --csv    plotting-ready CSV bench output
 #
 # Results land in results/: test_output.txt, one .txt + .json file per
 # bench (schema-checked machine-readable records), the aggregated
@@ -20,7 +19,6 @@ QUICK=""
 for arg in "$@"; do
     case "$arg" in
       --quick) QUICK="--quick" ;;
-      --csv) export VDOM_BENCH_CSV=1 ;;
       *) echo "unknown argument: $arg" >&2; exit 2 ;;
     esac
 done

@@ -83,14 +83,15 @@ class Core {
     const CycleBreakdown &breakdown() const { return breakdown_; }
     CycleBreakdown &breakdown() { return breakdown_; }
 
-    /// Resets clock, stats and architectural state (benchmark setup).
+    /// Resets clock, cycle breakdown and architectural state (benchmark
+    /// setup).  Event counts live in the metrics registry, so the TLB
+    /// flush here counts as one `tlb.flush` like any other.
     void
     reset()
     {
         clock_ = 0;
         breakdown_ = CycleBreakdown{};
         tlb_.flush_all();
-        tlb_.reset_stats();
         perm_reg_.reset();
         pgd_ = nullptr;
         asid_ = 0;

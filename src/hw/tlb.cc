@@ -100,7 +100,6 @@ Tlb::insert(Asid asid, Vpn vpn, const TlbEntry &entry)
         return;
     }
     if (size_ >= slot_count_) {
-        ++stats_.evictions;
         tm::metric_add(tm::Metric::kTlbEvict);
         remove_slot(tail_);
     }
@@ -128,7 +127,6 @@ Tlb::insert(Asid asid, Vpn vpn, const TlbEntry &entry)
 void
 Tlb::flush_all()
 {
-    ++stats_.flushes_all;
     tm::metric_add(tm::Metric::kTlbFlush);
     while (head_ != kNil)
         remove_slot(head_);
@@ -137,7 +135,6 @@ Tlb::flush_all()
 void
 Tlb::flush_asid(Asid asid)
 {
-    ++stats_.flushes_asid;
     tm::metric_add(tm::Metric::kTlbFlush);
     if (asid >= tag_live_.size())
         return;
@@ -161,7 +158,6 @@ Tlb::flush_range(Asid asid, Vpn vpn, std::uint64_t count)
             ++touched;
         }
     }
-    stats_.flushed_pages += touched;
     if (touched)
         tm::metric_add(tm::Metric::kTlbFlushedPages, touched);
     return touched;

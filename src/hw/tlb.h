@@ -24,9 +24,10 @@ struct TlbEntry {
 /// Per-core unified fully associative TLB with exact LRU replacement.
 ///
 /// Entries are tagged by ASID, so switching page tables does not require a
-/// flush — the mechanism VDom leans on for cheap VDS switches (§5).  The
-/// model tracks hit/miss/flush statistics; the MMU charges walk cycles for
-/// misses and the shootdown manager charges flush cycles.
+/// flush — the mechanism VDom leans on for cheap VDS switches (§5).  Hits,
+/// misses, evictions and flushes are counted in the metrics registry
+/// (`tlb.*`); the MMU charges walk cycles for misses and the shootdown
+/// manager charges flush cycles.
 ///
 /// Storage is flat (no per-entry allocation): a slot array threaded with
 /// one intrusive LRU list, indexed by an open-addressing hash table.
@@ -49,16 +50,6 @@ struct TlbEntry {
 /// entry to remove none, dominated host time.
 class Tlb {
   public:
-    struct Stats {
-        std::uint64_t hits = 0;
-        std::uint64_t misses = 0;
-        std::uint64_t flushes_all = 0;
-        std::uint64_t flushes_asid = 0;
-        std::uint64_t flushed_pages = 0;  ///< Entries dropped by range flush.
-        std::uint64_t evictions = 0;      ///< Capacity evictions.
-        std::uint64_t fault_drops = 0;    ///< Injected spurious invalidations.
-    };
-
     /// \param capacity total entries; 0 still holds one entry, as the
     ///        reference LRU in tests/test_tlb_replay.cc does.
     explicit Tlb(std::size_t capacity);
@@ -98,8 +89,6 @@ class Tlb {
     }
 
     std::size_t capacity() const { return capacity_; }
-    const Stats &stats() const { return stats_; }
-    void reset_stats() { stats_ = Stats{}; }
 
   private:
     using Key = std::uint64_t;
@@ -224,7 +213,6 @@ class Tlb {
     /// Live entries per stored tag, grown on insert to the largest tag
     /// seen (at most kMaxAsid + 1 cells).
     std::vector<std::uint32_t> tag_live_;
-    Stats stats_;
 };
 
 inline std::optional<TlbEntry>
@@ -237,14 +225,11 @@ Tlb::lookup(Asid asid, Vpn vpn)
         // lookup misses; the subsequent page-table walk re-fills it.
         remove_slot(slot);
         slot = kNil;
-        ++stats_.fault_drops;
     }
     if (slot == kNil) {
-        ++stats_.misses;
         telemetry::metric_add(telemetry::Metric::kTlbMiss);
         return std::nullopt;
     }
-    ++stats_.hits;
     telemetry::metric_add(telemetry::Metric::kTlbHit);
     touch_front(slot);
     return slots_[slot].entry;

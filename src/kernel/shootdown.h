@@ -28,13 +28,6 @@ enum class FlushKind : std::uint8_t {
     kRange,  ///< Flush a page range within an ASID (§5.5 range flushes).
 };
 
-/// Shootdown statistics.
-struct ShootdownStats {
-    std::uint64_t shootdowns = 0;
-    std::uint64_t ipis = 0;
-    std::uint64_t retries = 0;  ///< Dropped IPIs that were re-posted.
-};
-
 /// Executes TLB shootdowns over the simulated machine.
 class ShootdownManager {
   public:
@@ -64,7 +57,6 @@ class ShootdownManager {
         const hw::CostTable &costs = initiator.costs();
         hw::Cycles start = initiator.now();
         std::uint64_t ipis = 0;
-        std::uint64_t retries = 0;
         // Flight recorder: the issue record must precede every receipt in
         // program order, so the fan-out is pre-counted off-path.  All of
         // this is skipped (one branch) when no recorder is attached, and
@@ -110,7 +102,6 @@ class ShootdownManager {
                 telemetry::metric_observe(
                     telemetry::Metric::kShootdownBackoff,
                     static_cast<std::uint64_t>(backoff));
-                ++retries;
                 telemetry::metric_add(telemetry::Metric::kShootdownRetries);
                 telemetry::flight_record(
                     {telemetry::FlightEvent::kIpiRetry,
@@ -136,9 +127,6 @@ class ShootdownManager {
             ++ipis;
         }
         if (ipis) {
-            ++stats_.shootdowns;
-            stats_.ipis += ipis;
-            stats_.retries += retries;
             telemetry::flight_event(telemetry::FlightEvent::kShootdown,
                                     static_cast<std::uint32_t>(initiator.id()),
                                     0, initiator.now(), kInvalidVdom, 0, 0);
@@ -185,9 +173,6 @@ class ShootdownManager {
         local_flush(initiator, FlushKind::kAll);
     }
 
-    const ShootdownStats &stats() const { return stats_; }
-    void reset_stats() { stats_ = ShootdownStats{}; }
-
   private:
     /// Re-post budget per target; the delivery after the last retry
     /// always succeeds, so a shootdown can never hang.
@@ -221,7 +206,6 @@ class ShootdownManager {
     }
 
     hw::Machine *machine_;
-    ShootdownStats stats_;
 };
 
 }  // namespace vdom::kernel

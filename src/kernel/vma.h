@@ -42,11 +42,6 @@ struct Vma {
 /// that could invalidate or re-route the cached pointer.
 class VmaTree {
   public:
-    struct CacheStats {
-        std::uint64_t hits = 0;
-        std::uint64_t misses = 0;
-    };
-
     /// Inserts a region.  The caller guarantees no overlap (MmStruct's
     /// mmap allocates disjoint ranges).
     void
@@ -69,11 +64,9 @@ class VmaTree {
     find(hw::Vpn vpn) const
     {
         if (cache_gen_ == gen_ && cached_ && cached_->contains(vpn)) {
-            ++cache_stats_.hits;
             telemetry::metric_add(telemetry::Metric::kVmaCacheHit);
             return cached_;
         }
-        ++cache_stats_.misses;
         telemetry::metric_add(telemetry::Metric::kVmaCacheMiss);
         auto it = vmas_.upper_bound(vpn);
         if (it == vmas_.begin())
@@ -119,8 +112,6 @@ class VmaTree {
     auto begin() const { return vmas_.begin(); }
     auto end() const { return vmas_.end(); }
 
-    const CacheStats &cache_stats() const { return cache_stats_; }
-
   private:
     std::map<hw::Vpn, Vma> vmas_;
 
@@ -129,7 +120,6 @@ class VmaTree {
     std::uint64_t gen_ = 0;
     mutable const Vma *cached_ = nullptr;
     mutable std::uint64_t cache_gen_ = ~std::uint64_t{0};
-    mutable CacheStats cache_stats_;
 };
 
 }  // namespace vdom::kernel

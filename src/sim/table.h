@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstdio>
-#include <cstdlib>
 #include <iomanip>
 #include <iostream>
 #include <sstream>
@@ -51,13 +50,6 @@ class Table {
     void
     print(std::ostream &out = std::cout) const
     {
-        // VDOM_BENCH_CSV=1 switches every bench to plotting-ready CSV
-        // without touching the harnesses.
-        const char *csv = std::getenv("VDOM_BENCH_CSV");
-        if (csv && csv[0] == '1') {
-            print_csv(out);
-            return;
-        }
         std::vector<std::size_t> widths(header_.size(), 0);
         auto widen = [&](const std::vector<std::string> &cells) {
             for (std::size_t i = 0; i < cells.size(); ++i) {
@@ -86,38 +78,6 @@ class Table {
         out << std::string(total, '-') << "\n";
         for (const auto &r : rows_)
             print_row(r);
-        out << "\n";
-    }
-
-    /// CSV rendering: `# title` comment, header row, data rows.  Cells
-    /// containing commas/quotes are quoted.
-    void
-    print_csv(std::ostream &out) const
-    {
-        out << "# " << title_ << "\n";
-        auto emit = [&](const std::vector<std::string> &cells) {
-            for (std::size_t i = 0; i < cells.size(); ++i) {
-                if (i)
-                    out << ",";
-                bool quote =
-                    cells[i].find_first_of(",\"\n") != std::string::npos;
-                if (!quote) {
-                    out << cells[i];
-                    continue;
-                }
-                out << '"';
-                for (char c : cells[i]) {
-                    if (c == '"')
-                        out << '"';
-                    out << c;
-                }
-                out << '"';
-            }
-            out << "\n";
-        };
-        emit(header_);
-        for (const auto &r : rows_)
-            emit(r);
         out << "\n";
     }
 

@@ -258,7 +258,6 @@ VdomStatus
 VdomSystem::wrvdr(hw::Core &core, kernel::Task &task, VdomId vdom,
                   VPerm perm, ApiMode mode)
 {
-    ++stats_.wrvdr_calls;
     if (!initialized_)
         return VdomStatus::kNotInitialized;
     if (!task.has_vdr())
@@ -394,7 +393,6 @@ VdomStatus
 VdomSystem::rdvdr(hw::Core &core, kernel::Task &task, VdomId vdom,
                   VPerm *out, ApiMode mode)
 {
-    ++stats_.rdvdr_calls;
     tm::metric_add(tm::Metric::kRdvdrCalls);
     if (out)
         *out = VPerm::kAccessDisable;
@@ -427,7 +425,6 @@ VAccess
 VdomSystem::access(hw::Core &core, kernel::Task &task, hw::Vpn vpn,
                    bool write)
 {
-    ++stats_.accesses;
     kernel::MmStruct &mm = proc_->mm();
     const hw::CostTable &costs = core.costs();
 
@@ -436,7 +433,6 @@ VdomSystem::access(hw::Core &core, kernel::Task &task, hw::Vpn vpn,
         if (res.outcome == hw::AccessOutcome::kOk)
             return VAccess{true, false, res.pdom};
 
-        ++stats_.faults;
         tm::metric_add(tm::Metric::kFaultsHandled);
         tm::Span fault_span("fault", core, task.tid());
         LatencyProbe fault_latency(tm::Metric::kFaultLatency, core);
@@ -450,7 +446,6 @@ VdomSystem::access(hw::Core &core, kernel::Task &task, hw::Vpn vpn,
         // vm_flags and inspects the per-thread VDR; violations SIGSEGV.
         const kernel::Vma *vma = mm.vmas().find(vpn);
         if (!vma) {
-            ++stats_.sigsegv;
             tm::metric_add(tm::Metric::kSigsegv);
             return VAccess{false, true, 0};
         }
@@ -465,7 +460,6 @@ VdomSystem::access(hw::Core &core, kernel::Task &task, hw::Vpn vpn,
                 write ? perm == VPerm::kFullAccess : vperm_active(perm);
         }
         if (!allowed) {
-            ++stats_.sigsegv;
             tm::metric_add(tm::Metric::kSigsegv);
             tm::flight_event(tm::FlightEvent::kSigsegv,
                              static_cast<std::uint32_t>(core.id()), task.tid(),
@@ -482,21 +476,12 @@ VdomSystem::access(hw::Core &core, kernel::Task &task, hw::Vpn vpn,
                 sync_hw_slot(core, task, vdom, *pdom);
         }
         if (!mm.fault_in(core, *task.vds(), vpn)) {
-            ++stats_.sigsegv;
             tm::metric_add(tm::Metric::kSigsegv);
             return VAccess{false, true, 0};
         }
     }
-    ++stats_.sigsegv;
     tm::metric_add(tm::Metric::kSigsegv);
     return VAccess{false, true, 0};
-}
-
-void
-VdomSystem::reset_stats()
-{
-    stats_ = Stats{};
-    virt_.reset_stats();
 }
 
 }  // namespace vdom

@@ -129,16 +129,6 @@ class VdomSystem {
     hw::Vpn api_region() const { return api_region_; }
     std::uint64_t api_region_pages() const { return kApiRegionPages; }
 
-    struct Stats {
-        std::uint64_t wrvdr_calls = 0;
-        std::uint64_t rdvdr_calls = 0;
-        std::uint64_t accesses = 0;
-        std::uint64_t faults = 0;
-        std::uint64_t sigsegv = 0;
-    };
-    const Stats &stats() const { return stats_; }
-    void reset_stats();
-
   private:
     static constexpr std::uint64_t kApiRegionPages = 16;
 
@@ -159,7 +149,6 @@ class VdomSystem {
     CallGate gate_;
     bool initialized_ = false;
     hw::Vpn api_region_ = 0;
-    Stats stats_;
 };
 
 }  // namespace vdom

@@ -272,12 +272,6 @@ dump_state(VdomSystem &sys, std::ostream &out)
         }
         out << "\n";
     }
-
-    const DomainVirtualizer::Stats &vs = sys.virtualizer().stats();
-    out << "\nalgorithm counters: hits " << vs.hits << ", map-free "
-        << vs.maps_free << ", switches " << vs.vds_switches
-        << ", evictions " << vs.evictions << ", migrations "
-        << vs.migrations << ", vds-allocs " << vs.vds_allocs << "\n";
 }
 
 }  // namespace vdom

@@ -3,9 +3,10 @@
 ///
 /// The vdomctl-style view a kernel developer would get from a debugfs
 /// node: per-VDS domain maps (the Fig. 3 tables), per-thread VDR
-/// summaries, VDT occupancy, and the virtualization-algorithm counters.
-/// Used by tests to assert on global state and by examples for
-/// explanatory output.
+/// summaries and VDT occupancy.  The virtualization-algorithm counters
+/// are not repeated here: they live in the metrics registry (`virt.*`),
+/// which every post-mortem bundle already carries.  Used by tests to
+/// assert on global state and by examples for explanatory output.
 
 #pragma once
 
@@ -31,7 +32,7 @@ struct IntrospectSummary {
 /// Computes the snapshot metrics for \p sys's process.
 IntrospectSummary summarize(VdomSystem &sys);
 
-/// Writes the full report (domain maps, threads, counters) to \p out.
+/// Writes the full report (domain maps, threads) to \p out.
 void dump_state(VdomSystem &sys, std::ostream &out);
 
 /// Renders one VDS's domain map in the Fig. 3 table format:

@@ -31,7 +31,6 @@ DomainVirtualizer::ensure_mapped_slow(hw::Core &core, kernel::Task &task,
         if (owned != &cur && owned->is_mapped(vdom)) {
             proc_->switch_vds(core, task, *owned, hw::CostKind::kPgdSwitch);
             owned->touch(vdom, core.now());
-            ++stats_.vds_switches;
             tm::metric_add(tm::Metric::kVdsSwitch);
             tm::flight_event(tm::FlightEvent::kVdsSwitch,
                              static_cast<std::uint32_t>(core.id()), task.tid(),
@@ -45,7 +44,6 @@ DomainVirtualizer::ensure_mapped_slow(hw::Core &core, kernel::Task &task,
     if (auto free = cur.find_free_pdom(cur.last_pdom(vdom))) {
         map_into(core, cur, vdom, *free, hw::CostKind::kMemSync);
         cur.touch(vdom, core.now());
-        ++stats_.maps_free;
         tm::metric_add(tm::Metric::kDomainMapFree);
         tm::flight_event(tm::FlightEvent::kMapFree,
                          static_cast<std::uint32_t>(core.id()), task.tid(),
@@ -73,7 +71,6 @@ DomainVirtualizer::ensure_mapped_slow(hw::Core &core, kernel::Task &task,
     }
     kernel::Vds *fresh = mm.create_vds();
     core.charge(hw::CostKind::kMigration, core.costs().vds_alloc);
-    ++stats_.vds_allocs;
     tm::metric_add(tm::Metric::kVdsAlloc);
     tm::flight_event(tm::FlightEvent::kVdsCreate,
                      static_cast<std::uint32_t>(core.id()), task.tid(),
@@ -122,7 +119,6 @@ DomainVirtualizer::switch_or_evict(hw::Core &core, kernel::Task &task,
                 proc_->switch_vds(core, task, *owned,
                                   hw::CostKind::kPgdSwitch);
                 owned->touch(vdom, core.now());
-                ++stats_.vds_switches;
                 tm::metric_add(tm::Metric::kVdsSwitch);
                 tm::flight_event(tm::FlightEvent::kVdsSwitch,
                                  static_cast<std::uint32_t>(core.id()),
@@ -137,14 +133,12 @@ DomainVirtualizer::switch_or_evict(hw::Core &core, kernel::Task &task,
             !sim::fault_fires(sim::FaultSite::kVdsAllocFail)) {
             kernel::Vds *fresh = mm.create_vds();
             core.charge(hw::CostKind::kPgdSwitch, core.costs().vds_alloc);
-            ++stats_.vds_allocs;
             tm::metric_add(tm::Metric::kVdsAlloc);
             tm::flight_event(tm::FlightEvent::kVdsCreate,
                              static_cast<std::uint32_t>(core.id()), task.tid(),
                              core.now(), vdom, cur.id(), fresh->id());
             task.add_owned(fresh);
             proc_->switch_vds(core, task, *fresh, hw::CostKind::kPgdSwitch);
-            ++stats_.vds_switches;
             tm::metric_add(tm::Metric::kVdsSwitch);
             auto free = fresh->find_free_pdom(std::nullopt);
             map_into(core, *fresh, vdom, *free, hw::CostKind::kMemSync);
@@ -164,7 +158,6 @@ DomainVirtualizer::migrate(hw::Core &core, kernel::Task &task,
     const hw::CostTable &costs = core.costs();
     tm::Span span("migrate", core, task.tid());
     core.charge(hw::CostKind::kMigration, costs.migrate_fixed);
-    ++stats_.migrations;
     tm::metric_add(tm::Metric::kMigration);
     tm::flight_event(tm::FlightEvent::kMigration,
                      static_cast<std::uint32_t>(core.id()), task.tid(),
@@ -237,7 +230,6 @@ DomainVirtualizer::evict_and_map(hw::Core &core, kernel::Task &task,
     VdomId victim = vds.vdom_at(*victim_pdom);
     tm::Span span("evict", core, task.tid());
     core.charge(hw::CostKind::kEviction, costs.evict_fixed);
-    ++stats_.evictions;
     tm::metric_add(tm::Metric::kHlruEvict);
     tm::flight_event(tm::FlightEvent::kEvict,
                      static_cast<std::uint32_t>(core.id()), task.tid(),

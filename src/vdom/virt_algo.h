@@ -30,19 +30,12 @@
 
 namespace vdom {
 
-/// Executes the virtualization algorithm over one process.
+/// Executes the virtualization algorithm over one process.  Each outcome
+/// is counted in the metrics registry, and only there: `virt.map_hit`
+/// (❶), `virt.map_free` (❸), `virt.vds_switch` and `virt.hlru_evict`
+/// (❺), `virt.migration` (❼/❽) and `virt.vds_alloc` (❽).
 class DomainVirtualizer {
   public:
-    /// Outcome counters (consumed by tests and benches).
-    struct Stats {
-        std::uint64_t hits = 0;          ///< ❶ already mapped.
-        std::uint64_t maps_free = 0;     ///< ❸ mapped to a free pdom.
-        std::uint64_t vds_switches = 0;  ///< ❺ pgd switch.
-        std::uint64_t evictions = 0;     ///< ❺ vdom eviction.
-        std::uint64_t migrations = 0;    ///< ❼/❽ thread migration.
-        std::uint64_t vds_allocs = 0;    ///< ❽ new VDS created.
-    };
-
     explicit DomainVirtualizer(kernel::Process &proc) : proc_(&proc) {}
 
     /// Makes \p vdom usable by \p task: on return, \p task->vds() maps
@@ -64,15 +57,11 @@ class DomainVirtualizer {
         // ❶ Already mapped in the current VDS: nothing to do.
         if (auto pdom = cur.pdom_of(vdom)) {
             cur.touch(vdom, core.now());
-            ++stats_.hits;
             telemetry::metric_add(telemetry::Metric::kDomainMapHit);
             return pdom;
         }
         return ensure_mapped_slow(core, task, vdom, charge_kernel_entry);
     }
-
-    const Stats &stats() const { return stats_; }
-    void reset_stats() { stats_ = Stats{}; }
 
   private:
     /// Steps ❷..❽ (vdom not mapped in the current VDS).
@@ -105,7 +94,6 @@ class DomainVirtualizer {
                   hw::Pdom pdom, hw::CostKind kind);
 
     kernel::Process *proc_;
-    Stats stats_;
 };
 
 }  // namespace vdom

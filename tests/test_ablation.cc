@@ -8,6 +8,7 @@
 #include <memory>
 
 #include "common.h"
+#include "telemetry/metrics.h"
 
 namespace vdom {
 namespace {
@@ -40,16 +41,18 @@ eviction_cost(World &world)
         world.sys.wrvdr(core, *task, v, VPerm::kAccessDisable);
     }
     // Steady state: average over two full thrash rounds.
+    telemetry::MetricsRegistry metrics;
     hw::Cycles t0 = core.now();
-    std::uint64_t evictions0 = world.sys.virtualizer().stats().evictions;
-    for (int round = 0; round < 2; ++round) {
-        for (VdomId v : doms) {
-            world.sys.wrvdr(core, *task, v, VPerm::kFullAccess);
-            world.sys.wrvdr(core, *task, v, VPerm::kAccessDisable);
+    {
+        telemetry::ScopedMetrics attach(metrics);
+        for (int round = 0; round < 2; ++round) {
+            for (VdomId v : doms) {
+                world.sys.wrvdr(core, *task, v, VPerm::kFullAccess);
+                world.sys.wrvdr(core, *task, v, VPerm::kAccessDisable);
+            }
         }
     }
-    std::uint64_t evictions =
-        world.sys.virtualizer().stats().evictions - evictions0;
+    std::uint64_t evictions = metrics.value(telemetry::Metric::kHlruEvict);
     return evictions ? (core.now() - t0) / evictions : 0;
 }
 
@@ -149,10 +152,11 @@ TEST(Ablation, NarrowShootdownOffBroadcasts)
         (void)vpn;
         world->sys.wrvdr(world->core(0), *task, v, VPerm::kFullAccess);
         EXPECT_EQ(task->vds(), mine);
-        std::uint64_t before = world->proc.shootdown().stats().ipis;
+        telemetry::MetricsRegistry metrics;
+        telemetry::ScopedMetrics attach(metrics);
         world->proc.mm().evict_vdom_from_vds(world->core(0), *task->vds(),
                                              v);
-        return world->proc.shootdown().stats().ipis - before;
+        return metrics.value(telemetry::Metric::kShootdownIpis);
     };
     hw::DesignKnobs wide;
     wide.narrow_shootdown = false;

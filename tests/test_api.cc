@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "common.h"
+#include "telemetry/metrics.h"
 
 namespace vdom {
 namespace {
@@ -208,13 +209,46 @@ TEST_F(ApiTest, StatsCount)
 {
     Task *task = world->ready_thread();
     auto [v, vpn] = world->make_domain(1);
-    world->sys.reset_stats();
+    telemetry::MetricsRegistry metrics;
+    telemetry::ScopedMetrics attach(metrics);
     world->sys.wrvdr(world->core(0), *task, v, VPerm::kFullAccess);
-    world->sys.access(world->core(0), *task, vpn, false);
+    EXPECT_TRUE(world->sys.access(world->core(0), *task, vpn, false).ok);
     world->sys.rdvdr(world->core(0), *task, v);
-    EXPECT_EQ(world->sys.stats().wrvdr_calls, 1u);
-    EXPECT_EQ(world->sys.stats().accesses, 1u);
-    EXPECT_EQ(world->sys.stats().rdvdr_calls, 1u);
+    EXPECT_EQ(metrics.value(telemetry::Metric::kWrvdrCalls), 1u);
+    EXPECT_EQ(metrics.value(telemetry::Metric::kRdvdrCalls), 1u);
+}
+
+// `api.wrvdr` and `api.wrvdr_cycles` count calls that pass validation:
+// a call rejected at any validation step leaves both unchanged, and a
+// valid call bumps each exactly once.
+TEST_F(ApiTest, WrvdrMetricsCountOnlyValidatedCalls)
+{
+    using telemetry::Metric;
+    telemetry::MetricsRegistry metrics;
+    telemetry::ScopedMetrics attach(metrics);
+    hw::Core &core = world->core(0);
+    auto expect_uncounted = [&](Task &task, VdomId vdom,
+                                VdomStatus expected) {
+        EXPECT_EQ(world->sys.wrvdr(core, task, vdom, VPerm::kFullAccess),
+                  expected);
+        EXPECT_EQ(metrics.value(Metric::kWrvdrCalls), 0u);
+        EXPECT_EQ(metrics.histogram(Metric::kWrvdrLatency).count, 0u);
+    };
+
+    Task *task = world->spawn();
+    expect_uncounted(*task, 2, VdomStatus::kNotInitialized);
+    world->sys.vdom_init(core);
+    expect_uncounted(*task, 2, VdomStatus::kNoVdr);
+    world->sys.vdr_alloc(core, *task, 4);
+    expect_uncounted(*task, kApiVdom, VdomStatus::kPermissionDenied);
+    auto [v, vpn] = world->make_domain(1);
+    (void)vpn;
+    expect_uncounted(*task, v + 1, VdomStatus::kInvalidVdom);
+
+    EXPECT_EQ(world->sys.wrvdr(core, *task, v, VPerm::kFullAccess),
+              VdomStatus::kOk);
+    EXPECT_EQ(metrics.value(Metric::kWrvdrCalls), 1u);
+    EXPECT_EQ(metrics.histogram(Metric::kWrvdrLatency).count, 1u);
 }
 
 // -- Argument validation: every entry point rejects bad vdom ids ----------

@@ -7,6 +7,7 @@
 #include <memory>
 
 #include "common.h"
+#include "telemetry/metrics.h"
 #include "sim/rng.h"
 
 namespace vdom {
@@ -19,6 +20,8 @@ class ArmTest : public ::testing::Test {
   protected:
     ArmTest() : world(World::arm(4)) {}
 
+    telemetry::MetricsRegistry metrics;
+    telemetry::ScopedMetrics attach{metrics};
     std::unique_ptr<World> world;
 };
 
@@ -67,11 +70,11 @@ TEST_F(ArmTest, TwelveUsableDomainsPerVds)
         (void)vpn;
         world->sys.wrvdr(world->core(0), *task, v, VPerm::kFullAccess);
     }
-    EXPECT_EQ(world->sys.virtualizer().stats().evictions, 0u);
+    EXPECT_EQ(metrics.value(telemetry::Metric::kHlruEvict), 0u);
     auto [extra, evpn] = world->make_domain(1);
     (void)evpn;
     world->sys.wrvdr(world->core(0), *task, extra, VPerm::kFullAccess);
-    EXPECT_EQ(world->sys.virtualizer().stats().evictions, 1u);
+    EXPECT_EQ(metrics.value(telemetry::Metric::kHlruEvict), 1u);
 }
 
 TEST_F(ArmTest, ReservedKernelIoDomainsNeverHandedOut)
@@ -119,7 +122,7 @@ TEST_F(ArmTest, EvictionCostlierThanX86)
 {
     // Table 3: ARM 4KB eviction (2,274) vs X86 (1,639): slower syscalls,
     // PTE ops and flushes.
-    auto measure = [](World &w) {
+    auto measure = [this](World &w) {
         Task *task = w.ready_thread(1);
         std::size_t usable = w.machine.params().usable_pdoms();
         std::vector<VdomId> doms;
@@ -130,7 +133,7 @@ TEST_F(ArmTest, EvictionCostlierThanX86)
             w.sys.wrvdr(w.core(0), *task, v, VPerm::kFullAccess);
             w.sys.wrvdr(w.core(0), *task, v, VPerm::kAccessDisable);
         }
-        std::uint64_t evict0 = w.sys.virtualizer().stats().evictions;
+        std::uint64_t evict0 = metrics.value(telemetry::Metric::kHlruEvict);
         hw::Cycles t0 = w.core(0).now();
         for (int r = 0; r < 3; ++r) {
             for (VdomId v : doms) {
@@ -139,7 +142,7 @@ TEST_F(ArmTest, EvictionCostlierThanX86)
             }
         }
         std::uint64_t evictions =
-            w.sys.virtualizer().stats().evictions - evict0;
+            metrics.value(telemetry::Metric::kHlruEvict) - evict0;
         return evictions ? (w.core(0).now() - t0) / evictions : 0.0;
     };
     auto x86 = std::unique_ptr<World>(World::x86(2));

@@ -28,6 +28,20 @@ using sim::FaultPlan;
 using sim::FaultSite;
 using sim::ScopedFaults;
 
+/// Tags 1..kFillTags cover every tag a small world hands out; each core's
+/// TLB holds kFillPages entries under each of them.
+constexpr hw::Asid kFillTags = 16;
+constexpr std::size_t kFillPages = 2;
+
+void
+fill_tlbs(World &world)
+{
+    for (std::size_t c = 0; c < world.machine.num_cores(); ++c)
+        for (hw::Asid tag = 1; tag <= kFillTags; ++tag)
+            for (hw::Vpn vpn = 0; vpn < kFillPages; ++vpn)
+                world.core(c).tlb().insert(tag, vpn, {});
+}
+
 // -- ARM: generation rollover ---------------------------------------------
 
 TEST(ArmAsidFaults, ForcedExhaustionTakesTheRolloverPath)
@@ -94,10 +108,9 @@ TEST(ArmAsidFaults, RolloverBroadcastsFlushAllThroughTheProcess)
 {
     auto world = std::unique_ptr<World>(World::arm(2));
     kernel::Task *task = world->ready_thread();
-    auto flushes = [&](std::size_t c) {
-        return world->core(c).tlb().stats().flushes_all;
-    };
-    std::uint64_t before0 = flushes(0), before1 = flushes(1);
+    telemetry::MetricsRegistry registry;
+    telemetry::ScopedMetrics metrics(registry);
+    fill_tlbs(*world);
 
     FaultPlan plan(7);
     plan.arm(FaultSite::kAsidExhaustion, {.every = 1, .max_fires = 1});
@@ -106,14 +119,17 @@ TEST(ArmAsidFaults, RolloverBroadcastsFlushAllThroughTheProcess)
         world->proc.switch_to(world->core(0), *task, false);
     }
     // ARM rollover flushes every TLB in the machine, not just the
-    // initiating core's.
-    EXPECT_GT(flushes(0), before0);
-    EXPECT_GT(flushes(1), before1);
+    // initiating core's: one remote and one local flush-all.
+    EXPECT_EQ(world->core(0).tlb().size(), 0u);
+    EXPECT_EQ(world->core(1).tlb().size(), 0u);
+    EXPECT_EQ(registry.value(telemetry::Metric::kTlbFlush), 2u);
 
     // Unarmed switches go back to paying nothing.
-    std::uint64_t settled0 = flushes(0);
+    fill_tlbs(*world);
     world->proc.switch_to(world->core(0), *task, false);
-    EXPECT_EQ(flushes(0), settled0);
+    for (std::size_t c = 0; c < 2; ++c)
+        EXPECT_EQ(world->core(c).tlb().size(), kFillTags * kFillPages) << c;
+    EXPECT_EQ(registry.value(telemetry::Metric::kTlbFlush), 2u);
 }
 
 // -- X86: PCID cache thrash -----------------------------------------------
@@ -175,12 +191,10 @@ TEST(X86PcidFaults, ThrashFlushesOnlyTheLocalAsidThroughTheProcess)
 {
     auto world = std::unique_ptr<World>(World::x86(2));
     kernel::Task *task = world->ready_thread();
-    auto stats = [&](std::size_t c) {
-        return world->core(c).tlb().stats();
-    };
-    std::uint64_t asid_before = stats(0).flushes_asid;
-    std::uint64_t all_before0 = stats(0).flushes_all;
-    std::uint64_t all_before1 = stats(1).flushes_all;
+    telemetry::MetricsRegistry registry;
+    telemetry::ScopedMetrics metrics(registry);
+    fill_tlbs(*world);
+    hw::Asid before = world->core(0).asid();
 
     FaultPlan plan(7);
     plan.arm(FaultSite::kAsidExhaustion, {.every = 1, .max_fires = 1});
@@ -188,10 +202,19 @@ TEST(X86PcidFaults, ThrashFlushesOnlyTheLocalAsidThroughTheProcess)
         ScopedFaults armed(plan);
         world->proc.switch_to(world->core(0), *task, false);
     }
-    // The recycle costs a local ASID flush; nobody broadcasts anything.
-    EXPECT_GT(stats(0).flushes_asid, asid_before);
-    EXPECT_EQ(stats(0).flushes_all, all_before0);
-    EXPECT_EQ(stats(1).flushes_all, all_before1);
+    // The recycle costs one local flush of the recycled ASID; nobody
+    // broadcasts anything.  Core 0 loses exactly that tag's entries and
+    // core 1 keeps every entry.
+    hw::Asid recycled = world->core(0).asid();
+    ASSERT_NE(recycled, before);
+    ASSERT_LE(recycled, kFillTags);
+    EXPECT_EQ(registry.value(telemetry::Metric::kTlbFlush), 1u);
+    for (hw::Asid tag = 1; tag <= kFillTags; ++tag) {
+        EXPECT_EQ(world->core(0).tlb().size(tag),
+                  tag == recycled ? 0u : kFillPages)
+            << "tag " << tag;
+        EXPECT_EQ(world->core(1).tlb().size(tag), kFillPages) << "tag " << tag;
+    }
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common.h"
+#include "telemetry/metrics.h"
 
 namespace vdom {
 namespace {
@@ -53,14 +54,16 @@ wrvdr_evicting(hw::ArchKind arch, std::uint64_t pages)
             world->sys.access(core, *task, vpn + p, true);
         world->sys.wrvdr(core, *task, v, VPerm::kAccessDisable);
     }
+    telemetry::MetricsRegistry metrics;
+    telemetry::ScopedMetrics attach(metrics);
     double sum = 0;
     std::uint64_t count = 0;
     for (int round = 0; round < 6; ++round) {
         for (VdomId v : doms) {
-            std::uint64_t e0 = world->sys.virtualizer().stats().evictions;
+            std::uint64_t e0 = metrics.value(telemetry::Metric::kHlruEvict);
             hw::Cycles t0 = core.now();
             world->sys.wrvdr(core, *task, v, VPerm::kFullAccess);
-            if (world->sys.virtualizer().stats().evictions > e0) {
+            if (metrics.value(telemetry::Metric::kHlruEvict) > e0) {
                 sum += core.now() - t0;
                 ++count;
             }
@@ -88,14 +91,16 @@ wrvdr_switching(hw::ArchKind arch)
         world->sys.wrvdr(core, *task, v, VPerm::kFullAccess);
         world->sys.wrvdr(core, *task, v, VPerm::kAccessDisable);
     }
+    telemetry::MetricsRegistry metrics;
+    telemetry::ScopedMetrics attach(metrics);
     double sum = 0;
     std::uint64_t count = 0;
     for (int round = 0; round < 4; ++round) {
         for (VdomId v : doms) {
-            std::uint64_t s0 = world->sys.virtualizer().stats().vds_switches;
+            std::uint64_t s0 = metrics.value(telemetry::Metric::kVdsSwitch);
             hw::Cycles t0 = core.now();
             world->sys.wrvdr(core, *task, v, VPerm::kFullAccess);
-            if (world->sys.virtualizer().stats().vds_switches > s0) {
+            if (metrics.value(telemetry::Metric::kVdsSwitch) > s0) {
                 sum += core.now() - t0;
                 ++count;
             }

@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "common.h"
+#include "telemetry/metrics.h"
 #include "vdom/compartment.h"
 
 namespace vdom {
@@ -107,9 +108,12 @@ TEST_F(CompartmentTest, ParkKeepsMappingWarm)
     // ...but still mapped (the pin's purpose): reopening is the cheap
     // mapped-wrvdr path, no eviction.
     ASSERT_TRUE(task->vds()->is_mapped(comp.domain()));
-    std::uint64_t evictions0 = world->sys.virtualizer().stats().evictions;
-    comp.open(world->core(0), *task);
-    EXPECT_EQ(world->sys.virtualizer().stats().evictions, evictions0);
+    telemetry::MetricsRegistry metrics;
+    {
+        telemetry::ScopedMetrics attach(metrics);
+        comp.open(world->core(0), *task);
+    }
+    EXPECT_EQ(metrics.value(telemetry::Metric::kHlruEvict), 0u);
     EXPECT_TRUE(
         world->sys.access(world->core(0), *task, buf.page(ps), true).ok);
 }

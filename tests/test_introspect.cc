@@ -76,7 +76,6 @@ TEST(Introspect, FullDump)
     dump_state(world->sys, out);
     std::string text = out.str();
     EXPECT_NE(text.find("VDom process state"), std::string::npos);
-    EXPECT_NE(text.find("algorithm counters"), std::string::npos);
     EXPECT_NE(text.find(":WD"), std::string::npos);
     EXPECT_NE(text.find("tid " + std::to_string(task->tid())),
               std::string::npos);

@@ -6,6 +6,7 @@
 #include "hw/machine.h"
 #include "hw/mmu.h"
 #include "hw/page_table.h"
+#include "telemetry/metrics.h"
 
 namespace vdom::hw {
 namespace {
@@ -25,13 +26,15 @@ class MmuTest : public ::testing::Test {
 
 TEST_F(MmuTest, HitAfterMissFillsTlb)
 {
+    telemetry::MetricsRegistry metrics;
+    telemetry::ScopedMetrics attach(metrics);
     pt.map_page(10, 0);
     AccessResult first = Mmu::access(core(), 10, false);
     EXPECT_EQ(first.outcome, AccessOutcome::kOk);
     EXPECT_FALSE(first.tlb_hit);
     AccessResult second = Mmu::access(core(), 10, false);
     EXPECT_TRUE(second.tlb_hit);
-    EXPECT_EQ(core().tlb().stats().hits, 1u);
+    EXPECT_EQ(metrics.value(telemetry::Metric::kTlbHit), 1u);
 }
 
 TEST_F(MmuTest, WalkCostsMoreThanHit)

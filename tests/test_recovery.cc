@@ -947,7 +947,7 @@ TEST(Shootdown, ExponentialBackoffChargesCappedSchedule)
         telemetry::ScopedMetrics attach(registry);
         sd.shoot(machine.core(0), 0b0010, kernel::FlushKind::kAll);
     }
-    EXPECT_EQ(sd.stats().retries, 4u);
+    EXPECT_EQ(registry.value(telemetry::Metric::kShootdownRetries), 4u);
 
     // Deterministic capped doubling: waits of 1x, 2x, 4x, 8x ipi_wait
     // (the shift saturates at 3), plus the final uncontended delivery.
@@ -982,7 +982,7 @@ TEST(Shootdown, UnarmedPathChargesNoBackoff)
     }
     EXPECT_NEAR(machine.core(0).breakdown().get(hw::CostKind::kShootdown),
                 costs.ipi_post + costs.ipi_wait, 0.01);
-    EXPECT_EQ(sd.stats().retries, 0u);
+    EXPECT_EQ(registry.value(telemetry::Metric::kShootdownRetries), 0u);
     EXPECT_EQ(registry.histogram(telemetry::Metric::kShootdownBackoff)
                   .count,
               0u);

@@ -8,6 +8,7 @@
 #include <memory>
 
 #include "common.h"
+#include "telemetry/metrics.h"
 
 namespace vdom {
 namespace {
@@ -122,10 +123,12 @@ TEST(RefCounts, MigrationMovesRefsPrecisely)
     ASSERT_EQ(vds0->free_pdoms(), 0u);
     auto [trigger, tvpn] = world->make_domain(1);
     (void)tvpn;
-    std::uint64_t migrations0 =
-        world->sys.virtualizer().stats().migrations;
-    world->sys.wrvdr(world->core(0), *t, trigger, VPerm::kFullAccess);
-    ASSERT_GT(world->sys.virtualizer().stats().migrations, migrations0);
+    telemetry::MetricsRegistry metrics;
+    {
+        telemetry::ScopedMetrics attach(metrics);
+        world->sys.wrvdr(world->core(0), *t, trigger, VPerm::kFullAccess);
+    }
+    ASSERT_GT(metrics.value(telemetry::Metric::kMigration), 0u);
     ASSERT_NE(t->vds(), vds0);
 
     // t's ref on shared_dom moved with it; the peer's stayed.

@@ -5,6 +5,7 @@
 
 #include "hw/machine.h"
 #include "kernel/shootdown.h"
+#include "telemetry/metrics.h"
 
 namespace vdom::kernel {
 namespace {
@@ -13,6 +14,8 @@ class ShootdownTest : public ::testing::Test {
   protected:
     ShootdownTest() : machine(hw::ArchParams::x86(4)), sd(machine) {}
 
+    telemetry::MetricsRegistry metrics;
+    telemetry::ScopedMetrics attach{metrics};
     hw::Machine machine;
     ShootdownManager sd;
 };
@@ -27,8 +30,8 @@ TEST_F(ShootdownTest, OnlyBitmapTargetsFlushed)
     EXPECT_FALSE(machine.core(1).tlb().lookup(9, 1).has_value());
     EXPECT_TRUE(machine.core(2).tlb().lookup(9, 1).has_value());
     EXPECT_FALSE(machine.core(3).tlb().lookup(9, 1).has_value());
-    EXPECT_EQ(sd.stats().shootdowns, 1u);
-    EXPECT_EQ(sd.stats().ipis, 2u);
+    EXPECT_EQ(metrics.value(telemetry::Metric::kShootdowns), 1u);
+    EXPECT_EQ(metrics.value(telemetry::Metric::kShootdownIpis), 2u);
 }
 
 TEST_F(ShootdownTest, InitiatorExcludedFromItsOwnBitmapBit)
@@ -36,7 +39,7 @@ TEST_F(ShootdownTest, InitiatorExcludedFromItsOwnBitmapBit)
     machine.core(0).tlb().insert(9, 1, {});
     sd.shoot(machine.core(0), 0b0001, FlushKind::kAll);
     EXPECT_TRUE(machine.core(0).tlb().lookup(9, 1).has_value());
-    EXPECT_EQ(sd.stats().ipis, 0u);
+    EXPECT_EQ(metrics.value(telemetry::Metric::kShootdownIpis), 0u);
 }
 
 TEST_F(ShootdownTest, CostsLandOnBothSides)
@@ -79,7 +82,7 @@ TEST_F(ShootdownTest, LocalFlush)
     machine.core(0).tlb().insert(3, 1, {});
     sd.local_flush(machine.core(0), FlushKind::kAsid, 3);
     EXPECT_FALSE(machine.core(0).tlb().lookup(3, 1).has_value());
-    EXPECT_EQ(sd.stats().ipis, 0u);
+    EXPECT_EQ(metrics.value(telemetry::Metric::kShootdownIpis), 0u);
 }
 
 TEST_F(ShootdownTest, BroadcastFlushAll)

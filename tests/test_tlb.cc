@@ -20,14 +20,16 @@ namespace {
 
 TEST(Tlb, MissThenHit)
 {
+    telemetry::MetricsRegistry registry;
+    telemetry::ScopedMetrics attach(registry);
     Tlb tlb(8);
     EXPECT_FALSE(tlb.lookup(1, 100).has_value());
     tlb.insert(1, 100, TlbEntry{3, false});
     auto hit = tlb.lookup(1, 100);
     ASSERT_TRUE(hit.has_value());
     EXPECT_EQ(hit->pdom, 3);
-    EXPECT_EQ(tlb.stats().hits, 1u);
-    EXPECT_EQ(tlb.stats().misses, 1u);
+    EXPECT_EQ(registry.value(telemetry::Metric::kTlbHit), 1u);
+    EXPECT_EQ(registry.value(telemetry::Metric::kTlbMiss), 1u);
 }
 
 TEST(Tlb, AsidTaggingSeparatesAddressSpaces)
@@ -41,6 +43,8 @@ TEST(Tlb, AsidTaggingSeparatesAddressSpaces)
 
 TEST(Tlb, CapacityEvictsLru)
 {
+    telemetry::MetricsRegistry registry;
+    telemetry::ScopedMetrics attach(registry);
     Tlb tlb(4);
     for (Vpn v = 0; v < 4; ++v)
         tlb.insert(1, v, TlbEntry{0, false});
@@ -49,7 +53,7 @@ TEST(Tlb, CapacityEvictsLru)
     tlb.insert(1, 99, TlbEntry{0, false});
     EXPECT_TRUE(tlb.lookup(1, 0).has_value());
     EXPECT_FALSE(tlb.lookup(1, 1).has_value());
-    EXPECT_EQ(tlb.stats().evictions, 1u);
+    EXPECT_EQ(registry.value(telemetry::Metric::kTlbEvict), 1u);
 }
 
 TEST(Tlb, InsertExistingUpdates)
@@ -63,12 +67,14 @@ TEST(Tlb, InsertExistingUpdates)
 
 TEST(Tlb, FlushAll)
 {
+    telemetry::MetricsRegistry registry;
+    telemetry::ScopedMetrics attach(registry);
     Tlb tlb(8);
     tlb.insert(1, 1, {});
     tlb.insert(2, 2, {});
     tlb.flush_all();
     EXPECT_EQ(tlb.size(), 0u);
-    EXPECT_EQ(tlb.stats().flushes_all, 1u);
+    EXPECT_EQ(registry.value(telemetry::Metric::kTlbFlush), 1u);
 }
 
 TEST(Tlb, FlushAsidIsSelective)
@@ -85,6 +91,8 @@ TEST(Tlb, FlushAsidIsSelective)
 
 TEST(Tlb, FlushRangeCountsTouchedPages)
 {
+    telemetry::MetricsRegistry registry;
+    telemetry::ScopedMetrics attach(registry);
     Tlb tlb(16);
     for (Vpn v = 0; v < 8; ++v)
         tlb.insert(3, v, {});
@@ -93,7 +101,7 @@ TEST(Tlb, FlushRangeCountsTouchedPages)
     EXPECT_TRUE(tlb.lookup(3, 0).has_value());
     EXPECT_FALSE(tlb.lookup(3, 3).has_value());
     EXPECT_TRUE(tlb.lookup(3, 6).has_value());
-    EXPECT_EQ(tlb.stats().flushed_pages, 4u);
+    EXPECT_EQ(registry.value(telemetry::Metric::kTlbFlushedPages), 4u);
 }
 
 TEST(Tlb, FlushRangeOtherAsidUntouched)
@@ -140,6 +148,9 @@ constexpr TlbShape kArmTlb{512, 1024};
 class TlbSparseFlush : public ::testing::TestWithParam<TlbShape> {
   protected:
     Tlb make() const { return Tlb(GetParam().capacity); }
+
+    telemetry::MetricsRegistry metrics_;
+    telemetry::ScopedMetrics attach_{metrics_};
 };
 
 TEST_P(TlbSparseFlush, FlushAllRefillsToCapacityWithoutEviction)
@@ -158,7 +169,7 @@ TEST_P(TlbSparseFlush, FlushAllRefillsToCapacityWithoutEviction)
     for (Vpn v = 0; v < tlb.capacity(); ++v)
         tlb.insert(3, v, TlbEntry{static_cast<Pdom>(v % 16), false});
     EXPECT_EQ(tlb.size(), tlb.capacity());
-    EXPECT_EQ(tlb.stats().evictions, 0u);
+    EXPECT_EQ(metrics_.value(telemetry::Metric::kTlbEvict), 0u);
     for (Vpn v = 0; v < tlb.capacity(); ++v) {
         auto hit = tlb.lookup(3, v);
         ASSERT_TRUE(hit.has_value()) << "vpn " << v;
@@ -184,9 +195,9 @@ TEST_P(TlbSparseFlush, FlushAsidKeepsSurvivorLruOrder)
     // Fill the TLB with fresh entries; one more must evict exactly b1.
     for (Vpn v = 0; tlb.size() < tlb.capacity(); ++v)
         tlb.insert(3, v, {});
-    EXPECT_EQ(tlb.stats().evictions, 0u);
+    EXPECT_EQ(metrics_.value(telemetry::Metric::kTlbEvict), 0u);
     tlb.insert(4, 0, {});
-    EXPECT_EQ(tlb.stats().evictions, 1u);
+    EXPECT_EQ(metrics_.value(telemetry::Metric::kTlbEvict), 1u);
     EXPECT_FALSE(tlb.lookup(2, 1).has_value());
     EXPECT_TRUE(tlb.lookup(2, 2).has_value());
     EXPECT_TRUE(tlb.lookup(2, 0).has_value());
@@ -194,17 +205,12 @@ TEST_P(TlbSparseFlush, FlushAsidKeepsSurvivorLruOrder)
 
 TEST_P(TlbSparseFlush, EmptyFlushStillCounts)
 {
-    telemetry::MetricsRegistry registry;
     Tlb tlb = make();
-    {
-        telemetry::ScopedMetrics attach(registry);
-        tlb.flush_all();
-        tlb.flush_asid(7);
-    }
+    tlb.flush_all();
+    EXPECT_EQ(metrics_.value(telemetry::Metric::kTlbFlush), 1u);
+    tlb.flush_asid(7);
+    EXPECT_EQ(metrics_.value(telemetry::Metric::kTlbFlush), 2u);
     EXPECT_EQ(tlb.size(), 0u);
-    EXPECT_EQ(tlb.stats().flushes_all, 1u);
-    EXPECT_EQ(tlb.stats().flushes_asid, 1u);
-    EXPECT_EQ(registry.value(telemetry::Metric::kTlbFlush), 2u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -289,7 +295,7 @@ class TlbIndexGrowth : public ::testing::TestWithParam<TlbShape> {
     void
     lookup_armed(sim::FaultPlan &plan, Page page)
     {
-        std::uint64_t drops = tlb_.stats().fault_drops;
+        std::uint64_t drops = plan.fires(sim::FaultSite::kTlbEntryDrop);
         {
             sim::ScopedFaults faults(plan);
             tlb_.lookup(page.asid, page.vpn);
@@ -297,7 +303,7 @@ class TlbIndexGrowth : public ::testing::TestWithParam<TlbShape> {
         auto it = find(page);
         if (it == lru_.end())
             return;
-        if (tlb_.stats().fault_drops != drops)
+        if (plan.fires(sim::FaultSite::kTlbEntryDrop) != drops)
             lru_.erase(it);
         else
             lru_.splice(lru_.begin(), lru_, it);
@@ -330,6 +336,8 @@ class TlbIndexGrowth : public ::testing::TestWithParam<TlbShape> {
         }
     }
 
+    telemetry::MetricsRegistry metrics_;
+    telemetry::ScopedMetrics attach_{metrics_};
     Tlb tlb_;
     std::list<Page> lru_;  ///< MRU first.
     Vpn next_vpn_ = 1;
@@ -344,7 +352,7 @@ TEST_P(TlbIndexGrowth, FillToCapacityKeepsEveryKey)
             return;
     }
     EXPECT_EQ(tlb_.size(), tlb_.capacity());
-    EXPECT_EQ(tlb_.stats().evictions, 0u);
+    EXPECT_EQ(metrics_.value(telemetry::Metric::kTlbEvict), 0u);
 }
 
 TEST_P(TlbIndexGrowth, FlushRightAfterDoublingKeepsSurvivorsAndLru)
@@ -395,7 +403,7 @@ TEST_P(TlbIndexGrowth, FlushAllRefillsToCapacityWithoutEviction)
     EXPECT_EQ(tlb_.size(), 0u);
     while (tlb_.size() < tlb_.capacity())
         insert(fresh(2));
-    EXPECT_EQ(tlb_.stats().evictions, 0u);
+    EXPECT_EQ(metrics_.value(telemetry::Metric::kTlbEvict), 0u);
     expect_matches_model();
 }
 
@@ -414,8 +422,8 @@ TEST_P(TlbIndexGrowth, EntryDropDuringFillErasesItsCell)
         if (HasFatalFailure())
             return;
     }
-    EXPECT_GT(tlb_.stats().fault_drops, 0u);
-    EXPECT_EQ(tlb_.stats().evictions, 0u);
+    EXPECT_GT(plan.fires(sim::FaultSite::kTlbEntryDrop), 0u);
+    EXPECT_EQ(metrics_.value(telemetry::Metric::kTlbEvict), 0u);
 }
 
 TEST_P(TlbIndexGrowth, TagCountsFollowRandomSequences)
@@ -432,6 +440,9 @@ TEST_P(TlbIndexGrowth, TagCountsFollowRandomSequences)
         SCOPED_TRACE("seed " + std::to_string(seed));
         tlb_ = Tlb(cap);
         lru_.clear();
+        metrics_.reset();
+        std::uint64_t drops0 = drops.fires(sim::FaultSite::kTlbEntryDrop);
+        std::uint64_t asid_flushes = 0;
         sim::Rng rng(seed);
         auto random_page = [&rng, cap] {
             return Page{1 + static_cast<Asid>(rng.below(kTags)),
@@ -476,6 +487,7 @@ TEST_P(TlbIndexGrowth, TagCountsFollowRandomSequences)
                     lru_.remove_if(
                         [asid](const Page &p) { return p.asid == asid; });
                     tlb_.flush_asid(asid);
+                    ++asid_flushes;
                 } else {
                     lru_.clear();
                     tlb_.flush_all();
@@ -486,10 +498,10 @@ TEST_P(TlbIndexGrowth, TagCountsFollowRandomSequences)
                     return;
             }
         }
-        EXPECT_GT(tlb_.stats().evictions, 0u);
-        EXPECT_GT(tlb_.stats().fault_drops, 0u);
-        EXPECT_GT(tlb_.stats().flushed_pages, 0u);
-        EXPECT_GT(tlb_.stats().flushes_asid, 0u);
+        EXPECT_GT(metrics_.value(telemetry::Metric::kTlbEvict), 0u);
+        EXPECT_GT(drops.fires(sim::FaultSite::kTlbEntryDrop), drops0);
+        EXPECT_GT(metrics_.value(telemetry::Metric::kTlbFlushedPages), 0u);
+        EXPECT_GT(asid_flushes, 0u);
         // The survivors leave in the model's LRU order.
         for (std::size_t n = 0; n < 2 * cap; ++n)
             insert(fresh(kAbsent + 1));
@@ -513,7 +525,6 @@ TEST_P(TlbIndexGrowth, EmptyTagFlushKeepsEveryEntry)
         tlb_.flush_asid(2);
     }
     lru_.remove_if([](const Page &p) { return p.asid == 2; });
-    EXPECT_EQ(tlb_.stats().flushes_asid, 4u);
     EXPECT_EQ(registry.value(telemetry::Metric::kTlbFlush), 4u);
     expect_tag_counts(9);
     expect_matches_model();

@@ -9,12 +9,14 @@
 #include "baselines/libmpk.h"
 #include "common.h"
 #include "sim/rng.h"
+#include "telemetry/metrics.h"
 
 namespace vdom {
 namespace {
 
 using kernel::Task;
 using ::vdom::testing::World;
+using telemetry::Metric;
 
 TEST(TlbPressure, SmallWorkingSetHitsAfterWarmup)
 {
@@ -23,11 +25,12 @@ TEST(TlbPressure, SmallWorkingSetHitsAfterWarmup)
     hw::Vpn region = world->proc.mm().mmap(64);
     for (int i = 0; i < 64; ++i)
         world->sys.access(world->core(0), *task, region + i, true);
-    std::uint64_t misses0 = world->core(0).tlb().stats().misses;
+    telemetry::MetricsRegistry metrics;
+    telemetry::ScopedMetrics attach(metrics);
     for (int round = 0; round < 10; ++round)
         for (int i = 0; i < 64; ++i)
             world->sys.access(world->core(0), *task, region + i, false);
-    EXPECT_EQ(world->core(0).tlb().stats().misses, misses0);
+    EXPECT_EQ(metrics.value(Metric::kTlbMiss), 0u);
 }
 
 TEST(TlbPressure, OversizedWorkingSetThrashes)
@@ -40,16 +43,19 @@ TEST(TlbPressure, OversizedWorkingSetThrashes)
     // (LRU + cyclic sweep is the worst case).
     for (std::size_t i = 0; i < 2 * capacity; ++i)
         world->sys.access(world->core(0), *task, region + i, true);
-    std::uint64_t misses0 = world->core(0).tlb().stats().misses;
+    telemetry::MetricsRegistry metrics;
+    telemetry::ScopedMetrics attach(metrics);
     for (std::size_t i = 0; i < 2 * capacity; ++i)
         world->sys.access(world->core(0), *task, region + i, false);
-    EXPECT_EQ(world->core(0).tlb().stats().misses, misses0 + 2 * capacity);
+    EXPECT_EQ(metrics.value(Metric::kTlbMiss), 2 * capacity);
 }
 
 TEST(TlbPressure, VdsSwitchKeepsBothWorkingSetsWarm)
 {
     // The §5 design point: two address spaces' TLB entries coexist under
     // distinct ASIDs, so ping-ponging between VDSes stays warm.
+    telemetry::MetricsRegistry metrics;
+    telemetry::ScopedMetrics attach(metrics);
     auto world = std::unique_ptr<World>(World::x86(1));
     Task *task = world->ready_thread(4);
     std::size_t usable = world->machine.params().usable_pdoms();
@@ -68,7 +74,7 @@ TEST(TlbPressure, VdsSwitchKeepsBothWorkingSetsWarm)
                          VPerm::kAccessDisable);
     }
     ASSERT_GE(world->proc.mm().num_vdses(), 2u);
-    ASSERT_EQ(world->sys.virtualizer().stats().evictions, 0u);
+    ASSERT_EQ(metrics.value(Metric::kHlruEvict), 0u);
     // Warm pass across everything (faults settled), then measure.
     for (auto &[v, vpn] : doms) {
         world->sys.wrvdr(world->core(0), *task, v, VPerm::kFullAccess);
@@ -76,7 +82,7 @@ TEST(TlbPressure, VdsSwitchKeepsBothWorkingSetsWarm)
             world->sys.access(world->core(0), *task, vpn + p, false);
         world->sys.wrvdr(world->core(0), *task, v, VPerm::kAccessDisable);
     }
-    std::uint64_t misses0 = world->core(0).tlb().stats().misses;
+    std::uint64_t misses0 = metrics.value(Metric::kTlbMiss);
     for (auto &[v, vpn] : doms) {
         world->sys.wrvdr(world->core(0), *task, v, VPerm::kFullAccess);
         for (int p = 0; p < 16; ++p)
@@ -84,7 +90,7 @@ TEST(TlbPressure, VdsSwitchKeepsBothWorkingSetsWarm)
         world->sys.wrvdr(world->core(0), *task, v, VPerm::kAccessDisable);
     }
     // No new misses: both address spaces' translations stayed cached.
-    EXPECT_EQ(world->core(0).tlb().stats().misses, misses0);
+    EXPECT_EQ(metrics.value(Metric::kTlbMiss), misses0);
 }
 
 TEST(TlbPressure, EvictionInvalidatesOnlyTheVictimRange)
@@ -106,7 +112,8 @@ TEST(TlbPressure, EvictionInvalidatesOnlyTheVictimRange)
     world->sys.wrvdr(world->core(0), *task, extra, VPerm::kFullAccess);
     world->sys.access(world->core(0), *task, evpn, true);
     // Count how many of the surviving domains' pages still hit.
-    std::uint64_t misses0 = world->core(0).tlb().stats().misses;
+    telemetry::MetricsRegistry metrics;
+    telemetry::ScopedMetrics attach(metrics);
     std::size_t survivors = 0;
     for (auto &[v, vpn] : doms) {
         if (!task->vds()->is_mapped(v))
@@ -116,7 +123,7 @@ TEST(TlbPressure, EvictionInvalidatesOnlyTheVictimRange)
             world->sys.access(world->core(0), *task, vpn + p, false);
     }
     // §5.5 range flushes: survivors' entries were untouched.
-    EXPECT_EQ(world->core(0).tlb().stats().misses, misses0);
+    EXPECT_EQ(metrics.value(Metric::kTlbMiss), 0u);
     EXPECT_EQ(survivors, usable - 1);
 }
 
@@ -151,19 +158,17 @@ TEST(TlbPressure, LibmpkEvictionNukesEverything)
 
 TEST(TlbPressure, StatsAccumulateAcrossKinds)
 {
+    telemetry::MetricsRegistry metrics;
+    telemetry::ScopedMetrics attach(metrics);
     hw::Tlb tlb(8);
     tlb.lookup(1, 5);
     tlb.insert(1, 5, {});
     tlb.lookup(1, 5);
     tlb.flush_asid(1);
     tlb.flush_all();
-    const hw::Tlb::Stats &s = tlb.stats();
-    EXPECT_EQ(s.misses, 1u);
-    EXPECT_EQ(s.hits, 1u);
-    EXPECT_EQ(s.flushes_asid, 1u);
-    EXPECT_EQ(s.flushes_all, 1u);
-    tlb.reset_stats();
-    EXPECT_EQ(tlb.stats().hits, 0u);
+    EXPECT_EQ(metrics.value(Metric::kTlbMiss), 1u);
+    EXPECT_EQ(metrics.value(Metric::kTlbHit), 1u);
+    EXPECT_EQ(metrics.value(Metric::kTlbFlush), 2u);
 }
 
 }  // namespace

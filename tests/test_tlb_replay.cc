@@ -20,6 +20,7 @@
 
 #include "hw/arch.h"
 #include "hw/tlb.h"
+#include "telemetry/metrics.h"
 
 namespace vdom::hw {
 namespace {
@@ -187,6 +188,8 @@ record_trace(std::size_t capacity, std::uint64_t seed)
 void
 replay_against_reference(std::size_t capacity, std::uint64_t seed)
 {
+    telemetry::MetricsRegistry metrics;
+    telemetry::ScopedMetrics attach(metrics);
     ReferenceTlb ref(capacity);
     Tlb tlb(capacity);
 
@@ -224,9 +227,13 @@ replay_against_reference(std::size_t capacity, std::uint64_t seed)
             break;
         }
         ASSERT_EQ(ref.size(), tlb.size()) << "op " << i;
-        ASSERT_EQ(ref.hits(), tlb.stats().hits) << "op " << i;
-        ASSERT_EQ(ref.misses(), tlb.stats().misses) << "op " << i;
-        ASSERT_EQ(ref.evictions(), tlb.stats().evictions) << "op " << i;
+        ASSERT_EQ(ref.hits(), metrics.value(telemetry::Metric::kTlbHit))
+            << "op " << i;
+        ASSERT_EQ(ref.misses(), metrics.value(telemetry::Metric::kTlbMiss))
+            << "op " << i;
+        ASSERT_EQ(ref.evictions(),
+                  metrics.value(telemetry::Metric::kTlbEvict))
+            << "op " << i;
     }
 }
 

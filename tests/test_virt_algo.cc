@@ -7,6 +7,7 @@
 #include <memory>
 
 #include "common.h"
+#include "telemetry/metrics.h"
 
 namespace vdom {
 namespace {
@@ -30,6 +31,8 @@ class VirtAlgoTest : public ::testing::Test {
         return world->ready_thread(nas);
     }
 
+    telemetry::MetricsRegistry metrics;
+    telemetry::ScopedMetrics attach{metrics};
     std::unique_ptr<World> world;
 };
 
@@ -45,7 +48,7 @@ TEST_F(VirtAlgoTest, HitWhenAlreadyMapped)
     auto p2 = world->sys.virtualizer().ensure_mapped(world->core(0), *task,
                                                      vdom);
     EXPECT_EQ(*p1, *p2);
-    EXPECT_EQ(world->sys.virtualizer().stats().hits, 1u);
+    EXPECT_EQ(metrics.value(telemetry::Metric::kDomainMapHit), 1u);
 }
 
 TEST_F(VirtAlgoTest, MapsToFreePdom)
@@ -58,7 +61,7 @@ TEST_F(VirtAlgoTest, MapsToFreePdom)
         world->sys.virtualizer().ensure_mapped(world->core(0), *task, vdom);
     ASSERT_TRUE(pdom.has_value());
     EXPECT_TRUE(task->vds()->is_mapped(vdom));
-    EXPECT_EQ(world->sys.virtualizer().stats().maps_free, 1u);
+    EXPECT_EQ(metrics.value(telemetry::Metric::kDomainMapFree), 1u);
 }
 
 TEST_F(VirtAlgoTest, SoloThreadSwitchesVdsWhenFullAndDetached)
@@ -82,8 +85,8 @@ TEST_F(VirtAlgoTest, SoloThreadSwitchesVdsWhenFullAndDetached)
     world->sys.wrvdr(world->core(0), *task, extra, VPerm::kFullAccess);
     EXPECT_NE(task->vds(), before);  // Moved to a fresh VDS.
     EXPECT_TRUE(task->vds()->is_mapped(extra));
-    EXPECT_GE(world->sys.virtualizer().stats().vds_switches, 1u);
-    EXPECT_EQ(world->sys.virtualizer().stats().evictions, 0u);
+    EXPECT_GE(metrics.value(telemetry::Metric::kVdsSwitch), 1u);
+    EXPECT_EQ(metrics.value(telemetry::Metric::kHlruEvict), 0u);
 }
 
 TEST_F(VirtAlgoTest, SwitchBackFindsVdomInOwnedVds)
@@ -131,7 +134,7 @@ TEST_F(VirtAlgoTest, FrequentVdomPrefersEviction)
     (void)fvpn;
     world->sys.wrvdr(world->core(0), *task, freq, VPerm::kFullAccess);
     EXPECT_EQ(task->vds(), before);  // Stayed: eviction, not switch.
-    EXPECT_GE(world->sys.virtualizer().stats().evictions, 1u);
+    EXPECT_GE(metrics.value(telemetry::Metric::kHlruEvict), 1u);
     EXPECT_TRUE(before->is_mapped(freq));
 }
 
@@ -157,7 +160,7 @@ TEST_F(VirtAlgoTest, AccessibleOthersPreferEviction)
     // The thread still holds vdoms[0]: switching away would lose
     // simultaneous access, so the algorithm evicts in place (§5.4).
     EXPECT_EQ(task->vds(), before);
-    EXPECT_GE(world->sys.virtualizer().stats().evictions, 1u);
+    EXPECT_GE(metrics.value(telemetry::Metric::kHlruEvict), 1u);
     // The accessible vdom survived.
     EXPECT_TRUE(before->is_mapped(vdoms[0]));
 }
@@ -178,8 +181,8 @@ TEST_F(VirtAlgoTest, NasLimitForcesEviction)
     (void)evpn;
     world->sys.wrvdr(world->core(0), *task, extra, VPerm::kFullAccess);
     EXPECT_EQ(task->vds(), before);  // nas=1: no second VDS allowed.
-    EXPECT_EQ(world->sys.virtualizer().stats().vds_switches, 0u);
-    EXPECT_GE(world->sys.virtualizer().stats().evictions, 1u);
+    EXPECT_EQ(metrics.value(telemetry::Metric::kVdsSwitch), 0u);
+    EXPECT_GE(metrics.value(telemetry::Metric::kHlruEvict), 1u);
 }
 
 TEST_F(VirtAlgoTest, HlruRemapsEvictedVdomToSamePdom)
@@ -257,7 +260,7 @@ TEST_F(VirtAlgoTest, Figure3ThreadMigration)
         w.sys.virtualizer().ensure_mapped(w.core(0), *t, d);
     ASSERT_TRUE(pdom.has_value());
     EXPECT_EQ(t->vds(), vds1);
-    EXPECT_EQ(w.sys.virtualizer().stats().migrations, 1u);
+    EXPECT_EQ(metrics.value(telemetry::Metric::kMigration), 1u);
 
     // VDS1 now maps vdom4, 14, D into its free pdoms 6, 7, 8.
     EXPECT_TRUE(vds1->is_mapped(4));
@@ -306,7 +309,7 @@ TEST_F(VirtAlgoTest, SharedFullVdsAllocatesNewVdsWhenNothingFits)
     (void)evpn;
     w.sys.wrvdr(w.core(0), *t, extra, VPerm::kFullAccess);
     EXPECT_GT(w.proc.mm().num_vdses(), before);
-    EXPECT_GE(w.sys.virtualizer().stats().migrations, 1u);
+    EXPECT_GE(metrics.value(telemetry::Metric::kMigration), 1u);
     EXPECT_TRUE(t->vds()->is_mapped(extra));
 }
 
