@@ -27,6 +27,9 @@
 /// log, and checks the durable-state, PMO-integrity and access-verdict
 /// oracles.  Its digest also lands in the JSON for double-run diffing.
 ///
+/// `--quick` shortens only the churn.  The sweeps have one size, as a
+/// full one takes a few milliseconds.
+///
 /// Unknown flags are rejected (exit 2) so a typo cannot silently run the
 /// default churn.
 ///
@@ -148,14 +151,14 @@ run_config(BenchReport &report, hw::ArchKind arch, bool armed, int ops,
 }
 
 int
-run_sweep(BenchReport &report, hw::ArchKind arch, bool quick,
-          std::uint64_t seed, const std::string &postmortem)
+run_sweep(BenchReport &report, hw::ArchKind arch, std::uint64_t seed,
+          const std::string &postmortem)
 {
     sim::SweepConfig config;
     config.arch = arch;
     config.seed = seed;
-    config.churn_ops = quick ? 8 : 24;
-    config.domains = quick ? 3 : 6;
+    config.churn_ops = 24;
+    config.domains = 6;
     config.postmortem_path = postmortem;
 
     telemetry::MetricsRegistry registry;
@@ -217,14 +220,14 @@ run_sweep(BenchReport &report, hw::ArchKind arch, bool quick,
 }
 
 int
-run_crash_sweep(BenchReport &report, hw::ArchKind arch, bool quick,
-                std::uint64_t seed, const std::string &postmortem)
+run_crash_sweep(BenchReport &report, hw::ArchKind arch, std::uint64_t seed,
+                const std::string &postmortem)
 {
     sim::CrashSweepConfig config;
     config.arch = arch;
     config.seed = seed;
-    config.churn_ops = quick ? 6 : 12;
-    config.domains = quick ? 3 : 4;
+    config.churn_ops = 12;
+    config.domains = 4;
     config.postmortem_path = postmortem;
 
     telemetry::MetricsRegistry registry;
@@ -364,13 +367,13 @@ main(int argc, char **argv)
                     "(seed %llu)\n",
                     static_cast<unsigned long long>(seed));
         for (hw::ArchKind arch : {hw::ArchKind::kX86, hw::ArchKind::kArm})
-            rc |= run_crash_sweep(report, arch, quick, seed, postmortem);
+            rc |= run_crash_sweep(report, arch, seed, postmortem);
     } else if (sweep) {
         std::printf("chaos_stress: systematic fault-point sweep "
                     "(seed %llu)\n",
                     static_cast<unsigned long long>(seed));
         for (hw::ArchKind arch : {hw::ArchKind::kX86, hw::ArchKind::kArm})
-            rc |= run_sweep(report, arch, quick, seed, postmortem);
+            rc |= run_sweep(report, arch, seed, postmortem);
     } else {
         std::printf("chaos_stress: fault-armed churn (seed %llu)\n",
                     static_cast<unsigned long long>(seed));

@@ -78,9 +78,9 @@ echo "chaos_stress: bundle schema ok, report + flow trace rendered"
 # byte-for-byte (the JSON embeds the sweep digest); the bundle path is
 # only written on a violation, so its absence is the passing state.
 echo "== chaos_stress fault-point sweep =="
-./build/bench/chaos_stress --sweep $QUICK --json results/sweep_run1.json \
+./build/bench/chaos_stress --sweep --json results/sweep_run1.json \
     --postmortem results/sweep_postmortem.json | tee results/sweep.txt
-./build/bench/chaos_stress --sweep $QUICK --json results/sweep_run2.json \
+./build/bench/chaos_stress --sweep --json results/sweep_run2.json \
     --postmortem results/sweep_postmortem.json > /dev/null 2>&1
 cmp results/sweep_run1.json results/sweep_run2.json
 rm -f results/sweep_run1.json results/sweep_run2.json
@@ -94,10 +94,10 @@ echo "chaos_stress --sweep: zero violations, two seeded runs byte-identical"
 # crash/recover/verify sequence is deterministic.  The bundle is only
 # written on the first violation; its absence is the passing state.
 echo "== chaos_stress crash-point recovery sweep =="
-./build/bench/chaos_stress --crash-sweep $QUICK \
+./build/bench/chaos_stress --crash-sweep \
     --json results/crash_sweep_run1.json \
     --postmortem results/crash_postmortem.json | tee results/crash_sweep.txt
-./build/bench/chaos_stress --crash-sweep $QUICK \
+./build/bench/chaos_stress --crash-sweep \
     --json results/crash_sweep_run2.json \
     --postmortem results/crash_postmortem.json > /dev/null 2>&1
 cmp results/crash_sweep_run1.json results/crash_sweep_run2.json

@@ -114,13 +114,6 @@ class KardDetector {
     const std::vector<RaceReport> &races() const { return races_; }
     std::size_t watched_objects() const { return objects_.size(); }
 
-    /// The domain backing \p obj (for tests).
-    VdomId
-    domain_of(int obj) const
-    {
-        return objects_[static_cast<std::size_t>(obj)].domain;
-    }
-
   private:
     struct Watched {
         VdomId domain = kInvalidVdom;

@@ -216,4 +216,34 @@ pmo_detach(VdomSystem &sys, hw::Core &core, PmoStore &store, int pmo,
     return VdomStatus::kOk;
 }
 
+RecoveryHook
+pmo_recovery_hook(PmoStore &store)
+{
+    return [&store](const kernel::WalCommitted &entry, bool committed) {
+        const kernel::WalRecord &b = entry.begin;
+        if (b.op == kernel::WalOp::kPmoAttach) {
+            auto pmo = static_cast<int>(b.a);
+            if (!committed) {
+                store.content.erase(pmo);  // Torn attach: undo the content.
+                return true;
+            }
+            // Redo is an idempotent rewrite, not a bare verify: a later
+            // committed detach may already have erased this object (its
+            // own redo will erase it again), and the content is
+            // deterministic from the logged seed.
+            auto pages = static_cast<std::size_t>(b.b);
+            if (!store.intact(pmo, b.c, pages)) {
+                std::vector<std::uint64_t> &content = store.content[pmo];
+                content.clear();
+                for (std::size_t p = 0; p < pages; ++p)
+                    content.push_back(PmoStore::pattern(pmo, b.c, p));
+            }
+        } else if (b.op == kernel::WalOp::kPmoDetach) {
+            // Idempotent erase redo: finishes an interrupted detach.
+            store.content.erase(static_cast<int>(b.a));
+        }
+        return true;
+    };
+}
+
 }  // namespace vdom::apps

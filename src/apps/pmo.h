@@ -21,6 +21,7 @@
 #include "hw/machine.h"
 #include "kernel/process.h"
 #include "vdom/api.h"
+#include "vdom/recovery.h"
 
 namespace vdom::apps {
 
@@ -123,5 +124,10 @@ PmoAttachResult pmo_attach(VdomSystem &sys, hw::Core &core, PmoStore &store,
 /// finished by recovery instead of losing content of a live PMO.
 VdomStatus pmo_detach(VdomSystem &sys, hw::Core &core, PmoStore &store,
                       int pmo, VdomId vdom);
+
+/// Recovery's PMO half over the durable \p store: a committed attach is
+/// rewritten from its logged seed, a committed detach's erase is redone,
+/// and an uncommitted attach's torn content is undone.
+RecoveryHook pmo_recovery_hook(PmoStore &store);
 
 }  // namespace vdom::apps

@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <exception>
 #include <memory>
 #include <vector>
 
@@ -165,15 +164,16 @@ class MmStruct {
 /// failures plus, when a WAL is attached, the op's write-ahead record for
 /// power loss.
 ///
-/// - Construction seals the WAL BEGIN (outermost guard only) *before* the
-///   journal scope opens, so a sim::PowerLoss thrown by the append leaves
-///   no open scope behind.
+/// - Construction seals the WAL BEGIN (outermost guard only), then opens
+///   the journal scope.
 /// - commit() commits the journal scope, then seals the WAL COMMIT, whose
 ///   payload words may carry the op's results.
 /// - Destruction without commit() unwinds this scope's journal entries
-///   newest first, then seals an ABORT — unless a sim::PowerLoss is
-///   unwinding the stack: the power is out and the medium takes no
-///   further writes.
+///   newest first, then seals an ABORT.
+///
+/// A power loss is not an unwind: the crash tap copies the durable media
+/// at the crossing and the op runs on (sim::FaultPlan::arm_crash), so the
+/// guard only ever sees graceful outcomes.
 ///
 /// Guards nest.  An inner commit leaves its journal entries in place so an
 /// enclosing rollback still unwinds them, and the log is discarded only
@@ -209,7 +209,7 @@ class OpTxn {
         if (done_)
             return;
         rollback();
-        if (wal_ != nullptr && std::uncaught_exceptions() == 0)
+        if (wal_ != nullptr)
             wal_->abort(*core_, wal_txn_);
     }
 

@@ -79,24 +79,13 @@ class VmaTree {
         return cached_;
     }
 
-    Vma *
-    find_mutable(hw::Vpn vpn)
-    {
-        // Hand out a mutable pointer: the caller may rewrite the region's
-        // bounds, so the cached pointer can no longer be trusted.
-        ++gen_;
-        auto it = vmas_.upper_bound(vpn);
-        if (it == vmas_.begin())
-            return nullptr;
-        --it;
-        return it->second.contains(vpn) ? &it->second : nullptr;
-    }
-
     /// Collects the VMAs overlapping [vpn, vpn+count).
     std::vector<Vma *>
     overlapping(hw::Vpn vpn, std::uint64_t count)
     {
-        ++gen_;  // Mutable pointers escape, same as find_mutable.
+        // Mutable pointers escape: the caller may rewrite a region's
+        // bounds, so the cached pointer can no longer be trusted.
+        ++gen_;
         std::vector<Vma *> out;
         auto it = vmas_.upper_bound(vpn);
         if (it != vmas_.begin())

@@ -17,7 +17,10 @@
 /// it is attached to.  Attachment follows the telemetry null-hook
 /// pattern: MmStruct holds a `Wal *` that is null by default, every
 /// logging site is a no-op pointer test when detached, and an unattached
-/// run stays cycle-identical (pinned by tests/test_recovery.cc).
+/// run stays cycle-identical (pinned by tests/test_recovery.cc).  A
+/// `Wal` is a plain value: the crash image of a power loss is a copy of
+/// it taken at the crossing (sim::FaultPlan::arm_crash), rebooted and
+/// recovered from in place.
 ///
 /// Torn-write protocol: each append is two ordering points.  The record
 /// is first pushed with checksum 0 (torn), then sealed with its
@@ -144,18 +147,6 @@ struct WalScan {
     std::uint64_t aborted = 0;             ///< Aborted transactions.
 };
 
-/// The log's extent at one instant — the WAL half of a power-loss image.
-/// The log is append-only and only its tail record is ever unsealed, so
-/// the record count and that tail's state pin the durable bytes down; the
-/// counters come along so a rewound log reads back exactly as it did.
-struct WalMark {
-    std::size_t records = 0;
-    bool torn_tail = false;  ///< The last record was pushed, not sealed.
-    std::uint64_t next_txn = 0;
-    std::uint64_t commits = 0;
-    std::uint64_t aborts = 0;
-};
-
 /// The durable log.  Appends are cheap in-memory pushes plus simulated
 /// persist costs; the two-phase push/seal protocol is what gives the
 /// crash sweep its lost-record and torn-record crossings.
@@ -226,28 +217,6 @@ class Wal {
     /// aborted, or uncommitted.  Const — scanning must not disturb the
     /// durable medium, so two scans of the same log agree byte-for-byte.
     WalScan scan() const;
-
-    /// The log as a power loss right now would leave it.
-    WalMark
-    mark() const
-    {
-        return {log_.size(), !log_.empty() && log_.back().checksum == 0,
-                next_txn_, commits_, aborts_};
-    }
-
-    /// Cuts the log back to \p m, taken from this log or from a copy of
-    /// it before later appends: the records past it go, and a tail that
-    /// was torn then is torn again.  Volatile state is left to reboot().
-    void
-    rewind(const WalMark &m)
-    {
-        log_.resize(m.records);
-        if (m.torn_tail)
-            log_.back().checksum = 0;
-        next_txn_ = m.next_txn;
-        commits_ = m.commits;
-        aborts_ = m.aborts;
-    }
 
     /// Clears volatile controller state after a crash (the durable log
     /// is untouched).  A crash mid-transaction leaves `open_` stuck, and

@@ -353,41 +353,6 @@ fold(FaultPointTally &result, const std::string &line)
     result.digest *= 1099511628211ULL;
 }
 
-/// Recovery's PMO hook over the durable \p store: committed attaches and
-/// detaches are redone, a torn attach's content is undone.
-RecoveryHook
-pmo_redo_hook(apps::PmoStore &store)
-{
-    return [&store](const kernel::WalCommitted &entry, bool committed) {
-        const kernel::WalRecord &b = entry.begin;
-        if (b.op == kernel::WalOp::kPmoAttach) {
-            auto pmo = static_cast<int>(b.a);
-            if (committed) {
-                // Redo is an idempotent rewrite, not a bare verify: a
-                // later committed detach may already have erased this
-                // object (its own redo will erase it again), and the
-                // content is deterministic from the logged seed.
-                auto pages = static_cast<std::size_t>(b.b);
-                if (!store.intact(pmo, b.c, pages)) {
-                    std::vector<std::uint64_t> &content = store.content[pmo];
-                    content.clear();
-                    for (std::size_t p = 0; p < pages; ++p)
-                        content.push_back(
-                            apps::PmoStore::pattern(pmo, b.c, p));
-                }
-                return true;
-            }
-            store.content.erase(pmo);  // Torn attach: undo the content.
-            return true;
-        }
-        if (b.op == kernel::WalOp::kPmoDetach) {
-            // Idempotent erase redo: finishes an interrupted detach.
-            store.content.erase(static_cast<int>(b.a));
-        }
-        return true;
-    };
-}
-
 }  // namespace
 
 /// One scripted public-API operation.  Domain/region fields index the
@@ -587,7 +552,7 @@ FaultPointHarness<M>::make_script() const -> std::vector<Op>
 
         churn(0xc2b2ae3d27d4eb4fULL, d + 1, d + 3);
 
-        // Epilogue: grant → revoke → free on a throwaway domain, so the
+        // Epilogue: grant → revoke → free on a disposable domain, so the
         // sweep covers vdom_free of a domain that reached a VDS.
         ops.push_back({.kind = Kind::kAlloc});             // doms[d + 1]
         ops.push_back({.kind = Kind::kMmap, .pages = 1});  // regions[d + 3]
@@ -792,7 +757,7 @@ FaultPointHarness<M>::replay_prefix(const std::vector<Op> &script,
     // power-loss mode only); the prefix replays fault-free.
     wal_.reset();
     store_.content.clear();
-    auto w = build_world(M == FaultMode::kPowerLoss ? &wal_ : nullptr);
+    auto w = build_world(M == FaultMode::kCrash ? &wal_ : nullptr);
     for (std::size_t j = 0; j < i; ++j) {
         prepare(*w, script[j]);
         VdomStatus st = perform(*w, script[j], nullptr);
@@ -808,7 +773,9 @@ FaultPointHarness<M>::replay_prefix(const std::vector<Op> &script,
 
 template <FaultMode M>
 void
-FaultPointHarness<M>::verify_recovered(World &w, const Golden &expect,
+FaultPointHarness<M>::verify_recovered(World &w,
+                                       const apps::PmoStore &store,
+                                       const Golden &expect,
                                        const std::string &label,
                                        CrashSweepResult &result)
 {
@@ -833,13 +800,13 @@ FaultPointHarness<M>::verify_recovered(World &w, const Golden &expect,
     // matching its seed-derived pattern (torn attach content undone,
     // interrupted detach erase redone).
     ++result.pmo_checks;
-    if (store_.content.size() != expect.pmos.size()) {
+    if (store.content.size() != expect.pmos.size()) {
         record_violation(result, &w, nullptr,
                          label + ": PMO store object set diverged");
         return;
     }
     for (const auto &[pmo, shape] : expect.pmos) {
-        if (!store_.intact(pmo, shape.second, shape.first)) {
+        if (!store.intact(pmo, shape.second, shape.first)) {
             record_violation(result, &w, nullptr,
                              label + ": PMO " + std::to_string(pmo) +
                                  " content not intact");
@@ -973,28 +940,25 @@ FaultPointHarness<M>::run_power_losses(const std::vector<Op> &script,
     prepare(*w, op);
 
     // One run of the op with power failing at each of its n crossings.
-    // Nothing runs after a real power loss, so the durable image at the
-    // crossing is all a crash leaves: the WAL's extent (append-only, so a
-    // mark of it) and a copy of the PMO store.  The op runs on past every
-    // tap, and what it does afterwards is never seen by recovery.
+    // A power loss leaves only the durable media, so the image of a
+    // crossing is a copy of the WAL and the PMO store taken there.  The
+    // op runs on past every tap, and what it does afterwards is never
+    // seen by recovery.
     struct Image {
-        kernel::WalMark wal;
+        kernel::Wal wal;
         apps::PmoStore store;
     };
     std::vector<Image> images;
     images.reserve(n);
     FaultPlan plan(config_.seed);
-    plan.arm(FaultSite::kCrash, FaultSpec{.every = 1, .max_fires = n});
-    plan.set_crash_tap([&](const PowerLoss &) {
-        images.push_back({wal_.mark(), store_});
-    });
+    plan.arm_crash(FaultSpec{.every = 1, .max_fires = n},
+                   [&] { images.push_back({wal_, store_}); });
     flight_.clear();
     {
         ScopedFaults armed(plan);
         telemetry::ScopedFlightRecorder recording(flight_);
         (void)perform(*w, op, nullptr);
     }
-    const kernel::Wal full = wal_;
 
     for (std::uint64_t k = 1; k <= n; ++k) {
         ++result.injected_runs;
@@ -1007,20 +971,17 @@ FaultPointHarness<M>::run_power_losses(const std::vector<Op> &script,
         }
 
         // Reboot from image k: the crashed world is gone wholesale; only
-        // the WAL and the PMO store survive.  The recovered world runs
-        // with no WAL attached (redo must not re-log) and no fault plan
-        // armed.
-        const Image &image = images[k - 1];
-        wal_ = full;
-        wal_.rewind(image.wal);
-        wal_.reboot();
-        store_ = image.store;
+        // the WAL and the PMO store survive, and recovery works on them
+        // in place.  The recovered world runs with no WAL attached (redo
+        // must not re-log) and no fault plan armed.
+        Image &image = images[k - 1];
+        image.wal.reboot();
         auto fresh = build_world(nullptr);
         RecoveryStats stats;
         {
             telemetry::ScopedFlightRecorder recording(flight_);
-            stats = recover(*fresh->sys, fresh->machine->core(0), wal_,
-                            pmo_redo_hook(store_));
+            stats = recover(*fresh->sys, fresh->machine->core(0), image.wal,
+                            apps::pmo_recovery_hook(image.store));
         }
         result.replayed_ops += stats.replayed;
         result.torn_records += stats.torn;
@@ -1049,7 +1010,7 @@ FaultPointHarness<M>::run_power_losses(const std::vector<Op> &script,
             continue;
         }
 
-        verify_recovered(*fresh, *expect, label, result);
+        verify_recovered(*fresh, image.store, *expect, label, result);
         fold(result, label + " committed=" +
                          std::to_string(stats.committed) + " replayed=" +
                          std::to_string(stats.replayed) +
@@ -1165,7 +1126,7 @@ FaultPointHarness<M>::run() -> Result
 }
 
 template class FaultPointHarness<FaultMode::kGraceful>;
-template class FaultPointHarness<FaultMode::kPowerLoss>;
+template class FaultPointHarness<FaultMode::kCrash>;
 
 // --- application-workload chaos ------------------------------------------
 

@@ -134,7 +134,7 @@ enum class FaultMode : std::uint8_t {
     kGraceful,
     /// Power fails at the crossing (FaultSite::kCrash): only the durable
     /// image survives, and a fresh world recovers from it.
-    kPowerLoss,
+    kCrash,
 };
 
 /// Shape of one sweep.  Everything derives from the seed; two runs with
@@ -204,10 +204,10 @@ struct CrashSweepResult : FaultPointTally {
 /// attached; the probe also records the golden durable snapshot and PMO
 /// set at every op boundary.  Each op with n crossings replays its
 /// prefix once and runs once with kCrash firing at crossings 1..n
-/// through a crash tap (FaultPlan::set_crash_tap), which copies the
-/// durable image — the WAL's mark and the PmoStore — at each.  Nothing
-/// the op does after a crossing is part of that crossing's image.  Each
-/// image k then reboots into a fresh world and recovers.  Its oracle,
+/// through a crash tap (FaultPlan::arm_crash), which copies the durable
+/// media — the WAL and the PmoStore — at each.  Nothing the op does
+/// after a crossing is part of that crossing's image.  Each image k then
+/// reboots a fresh world and recovers from its own copies.  Its oracle,
 /// per crossing:
 ///   - recovery must succeed with no replay divergence;
 ///   - the recovered durable snapshot must equal the golden one at the
@@ -264,8 +264,10 @@ class FaultPointHarness {
     void run_power_losses(const std::vector<Op> &script,
                           const std::vector<Golden> &golden, std::size_t i,
                           std::uint64_t n, CrashSweepResult &result);
-    void verify_recovered(World &w, const Golden &expect,
-                          const std::string &label,
+    /// Checks world \p w, recovered together with \p store, against
+    /// the golden op boundary \p expect.
+    void verify_recovered(World &w, const apps::PmoStore &store,
+                          const Golden &expect, const std::string &label,
                           CrashSweepResult &result);
     void record_violation(FaultPointTally &result, World *world,
                           const FaultPlan *plan, const std::string &what);
@@ -273,19 +275,19 @@ class FaultPointHarness {
     Config config_;
     telemetry::FlightRecorder flight_;
     /// Power-loss mode's durable media: owned here (the "NVDIMM"), so they
-    /// outlive every crashed world.  Reset before each prefix replay and
-    /// set to a tapped image before each recovery.
+    /// outlive every crashed world.  Reset before each prefix replay; a
+    /// crash image is a copy of both.
     kernel::Wal wal_;
     apps::PmoStore store_;
 };
 
 extern template class FaultPointHarness<FaultMode::kGraceful>;
-extern template class FaultPointHarness<FaultMode::kPowerLoss>;
+extern template class FaultPointHarness<FaultMode::kCrash>;
 
 using SweepConfig = FaultPointConfig<FaultMode::kGraceful>;
 using SweepHarness = FaultPointHarness<FaultMode::kGraceful>;
-using CrashSweepConfig = FaultPointConfig<FaultMode::kPowerLoss>;
-using CrashSweepHarness = FaultPointHarness<FaultMode::kPowerLoss>;
+using CrashSweepConfig = FaultPointConfig<FaultMode::kCrash>;
+using CrashSweepHarness = FaultPointHarness<FaultMode::kCrash>;
 
 // --- application-workload chaos ------------------------------------------
 

@@ -36,15 +36,11 @@ FaultPlan::should_fire(FaultSite site)
     ++st.fires;
     ++total_fires_;
     telemetry::metric_add(telemetry::Metric::kFaultsInjected);
-    // kCrash is fail-stop: halt the world after the fire is booked, so a
-    // post-mortem of the caught PowerLoss still sees accurate counters.
-    // A tap takes the durable image instead and the op runs on, which the
-    // crossing cannot observe: fault_fires(kCrash) is only ever a bare
-    // ordering point.
+    // Power loss: the tap copies the durable media once the fire is
+    // booked, and the op runs on, which the crossing cannot observe:
+    // fault_fires(kCrash) is only ever a bare ordering point.
     if (site == FaultSite::kCrash) {
-        if (!crash_tap_)
-            throw PowerLoss{st.fires, st.occurrences};
-        crash_tap_(PowerLoss{st.fires, st.occurrences});
+        crash_tap_();
         return false;
     }
     return true;

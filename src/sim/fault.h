@@ -22,6 +22,7 @@
 #pragma once
 
 #include <array>
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -48,12 +49,12 @@ enum class FaultSite : std::uint8_t {
     kGateEntryDenied,  ///< Secure call-gate entry aborted; retryable.
     kNumSites,
     // sim (fail-stop)
-    /// Power loss: the world halts on the spot (a `PowerLoss` is thrown,
-    /// or the plan's crash tap captures the durable image and the op runs
-    /// on) instead of degrading gracefully.  Deliberately aliased past
+    /// Power loss: the plan's crash tap copies the durable media at the
+    /// crossing, and nothing the op does afterwards is part of that
+    /// image (FaultPlan::arm_crash).  Deliberately aliased past
     /// kNumSites so it is *excluded* from kNumFaultSites: every existing
     /// arm-all-sites loop and sweep stays graceful-only, and crash
-    /// injection is opt-in via an explicit arm of kCrash.  When armed,
+    /// injection is opt-in via an explicit arm_crash.  When armed,
     /// kCrash piggybacks an occurrence on every other site's crossing
     /// (see FaultPlan::should_fire), so each graceful fault point doubles
     /// as a crash point; WAL ordering points additionally call
@@ -63,19 +64,6 @@ enum class FaultSite : std::uint8_t {
 
 constexpr std::size_t kNumFaultSites =
     static_cast<std::size_t>(FaultSite::kNumSites);
-
-/// Thrown by FaultPlan::should_fire when an armed kCrash site fires and
-/// the plan has no crash tap: simulated power loss, halting the world
-/// mid-op.  Harnesses catch it, discard the torn world, and drive
-/// recovery from durable state (the WAL, kernel/wal.h).  Without a tap,
-/// kCrash must not be armed sticky: stack unwinding runs journal
-/// rollbacks whose undo closures cross fault points, and a sticky crash
-/// would re-fire during unwind (std::terminate).  With a tap it is
-/// passed to the tap instead of thrown.
-struct PowerLoss {
-    std::uint64_t fires = 0;     ///< Total kCrash fires including this one.
-    std::uint64_t crossing = 0;  ///< 1-based kCrash occurrence that fired.
-};
 
 /// Returns a short label for \p site (used in logs and bench JSON).
 constexpr const char *
@@ -106,9 +94,9 @@ struct FaultSpec {
         std::numeric_limits<std::uint64_t>::max();  ///< Fire budget.
 };
 
-/// Observer of a kCrash fire on a plan with a crash tap: it captures
-/// the durable image at that instant (sim/chaos.h).
-using CrashTap = std::function<void(const PowerLoss &)>;
+/// Observer of a kCrash fire: it copies the durable media (the WAL and
+/// the PMO store) as a power loss at that instant would leave them.
+using CrashTap = std::function<void()>;
 
 /// An armed set of fault sites driven by one seeded RNG.
 ///
@@ -120,15 +108,26 @@ class FaultPlan {
   public:
     explicit FaultPlan(std::uint64_t seed = 1) : rng_(seed) {}
 
+    /// Arms a graceful site; kCrash is armed with arm_crash, so that no
+    /// plan fires it without a tap.
     void
     arm(FaultSite site, const FaultSpec &spec)
     {
-        SiteState &st = state(site);
-        st.spec = spec;
-        st.armed = true;
+        assert(site != FaultSite::kCrash);
+        set(site, spec);
     }
 
-    void disarm(FaultSite site) { state(site).armed = false; }
+    /// Arms kCrash to fire per \p spec, calling \p tap at every fire.  A
+    /// fire returns false, so the op runs on as though nothing happened;
+    /// what it does past the crossing is invisible to a harness that
+    /// recovers from the tapped images.  That lets one run capture every
+    /// crossing of an op (sim/chaos.h).
+    void
+    arm_crash(const FaultSpec &spec, CrashTap tap)
+    {
+        crash_tap_ = std::move(tap);
+        set(FaultSite::kCrash, spec);
+    }
 
     // --- systematic sweep arming (deterministic, no RNG) -----------------
     //
@@ -139,8 +138,9 @@ class FaultPlan {
     // Neither mode consumes the RNG (probability stays 0), so the sweep
     // is bit-reproducible.
 
-    /// Count-only: occurrences are tallied, nothing ever fires.
-    void arm_probe(FaultSite site) { arm(site, FaultSpec{}); }
+    /// Count-only: occurrences are tallied, nothing ever fires.  Any
+    /// site, kCrash included.
+    void arm_probe(FaultSite site) { set(site, FaultSpec{}); }
 
     /// Fires exactly at the \p k-th occurrence (1-based).  With \p sticky,
     /// keeps firing at every occurrence from k on — models a persistent
@@ -157,14 +157,6 @@ class FaultPlan {
     }
 
     bool armed(FaultSite site) const { return state(site).armed; }
-
-    /// Makes every kCrash fire call \p tap and return false instead of
-    /// throwing PowerLoss; the fire is still booked.  Nothing runs after
-    /// a real power loss, so everything the op does past the fire is
-    /// invisible to a harness that recovers from the tapped images — which
-    /// is what lets one run capture every crossing of an op, and lets
-    /// kCrash be armed sticky.
-    void set_crash_tap(CrashTap tap) { crash_tap_ = std::move(tap); }
 
     /// The trigger spec last armed for \p site (meaningful while armed).
     const FaultSpec &spec(FaultSite site) const { return state(site).spec; }
@@ -204,6 +196,14 @@ class FaultPlan {
         std::uint64_t occurrences = 0;
         std::uint64_t fires = 0;
     };
+
+    void
+    set(FaultSite site, const FaultSpec &spec)
+    {
+        SiteState &st = state(site);
+        st.spec = spec;
+        st.armed = true;
+    }
 
     SiteState &
     state(FaultSite site)

@@ -165,7 +165,7 @@ VdomStatus
 VdomSystem::vdom_mprotect_bytes(hw::Core &core, hw::VAddr addr,
                                 std::uint64_t len, VdomId vdom)
 {
-    if (len == 0)
+    if (len == 0 || len - 1 > ~addr)  // ~addr: bytes above addr.
         return VdomStatus::kInvalidRange;
     std::uint64_t ps = proc_->params().page_size;
     hw::Vpn first = addr / ps;

@@ -71,8 +71,9 @@ class VdomSystem {
     VdomStatus vdom_mprotect(hw::Core &core, hw::Vpn vpn,
                              std::uint64_t pages, VdomId vdom);
 
-    /// Byte-addressed convenience wrapper ("pages containing any part
-    /// within [addr, addr+len-1]").
+    /// Byte-addressed form, as in the paper's API: the pages containing
+    /// any part of [addr, addr+len-1].  kInvalidRange when \p len is 0 or
+    /// the range runs past the top of the address space.
     VdomStatus vdom_mprotect_bytes(hw::Core &core, hw::VAddr addr,
                                    std::uint64_t len, VdomId vdom);
 
@@ -111,14 +112,6 @@ class VdomSystem {
     /// virtualization algorithm for evicted/unmapped vdoms, then retries.
     VAccess access(hw::Core &core, kernel::Task &task, hw::Vpn vpn,
                    bool write);
-
-    /// Byte-addressed convenience wrapper.
-    VAccess
-    access_bytes(hw::Core &core, kernel::Task &task, hw::VAddr addr,
-                 bool write)
-    {
-        return access(core, task, addr / proc_->params().page_size, write);
-    }
 
     // --- inspection ---------------------------------------------------------
 

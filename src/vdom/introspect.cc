@@ -50,6 +50,43 @@ class SnapshotWriter {
     std::string out_;
 };
 
+/// The sections both snapshots share: the init line, the domain table
+/// (allocated ids, hints and their VDT area chains) and the address-space
+/// layout.
+void
+write_domains_and_layout(SnapshotWriter &out, VdomSystem &sys)
+{
+    kernel::MmStruct &mm = sys.process().mm();
+    out << "init " << (sys.initialized() ? 1 : 0) << " api_region "
+        << sys.api_region() << "\n";
+    auto high_water = static_cast<VdomId>(mm.vdm().high_water());
+    for (VdomId v = 0; v < high_water; ++v) {
+        if (!mm.vdm().is_allocated(v))
+            continue;
+        out << "vdom " << v << " freq " << (mm.vdm().is_frequent(v) ? 1 : 0)
+            << " areas[";
+        for (const kernel::VdtArea &a : mm.vdm().vdt().areas(v))
+            out << "(" << a.start << "," << a.pages << "," << (a.huge ? 1 : 0)
+                << ")";
+        out << "]\n";
+    }
+    for (const auto &[start, vma] : mm.vmas()) {
+        out << "vma " << start << " " << vma.pages << " " << vma.vdom << " "
+            << (vma.huge ? 1 : 0) << "\n";
+    }
+}
+
+/// A thread's VDR policy: " nas N perms[(vdom,perm)...]".
+void
+write_vdr(SnapshotWriter &out, const kernel::Task &task)
+{
+    out << " nas " << task.nas_limit() << " perms[";
+    task.vdr()->for_each([&](VdomId v, VPerm perm) {
+        out << "(" << v << "," << vperm_name(perm) << ")";
+    });
+    out << "]";
+}
+
 }  // namespace
 
 IntrospectSummary
@@ -117,27 +154,7 @@ snapshot_state(VdomSystem &sys)
     kernel::MmStruct &mm = proc.mm();
     SnapshotWriter out;
 
-    out << "init " << (sys.initialized() ? 1 : 0) << " api_region "
-        << sys.api_region() << "\n";
-
-    // Domain table: allocated ids, hints, and their VDT area chains.
-    auto high_water = static_cast<VdomId>(mm.vdm().high_water());
-    for (VdomId v = 0; v < high_water; ++v) {
-        if (!mm.vdm().is_allocated(v))
-            continue;
-        out << "vdom " << v << " freq " << (mm.vdm().is_frequent(v) ? 1 : 0)
-            << " areas[";
-        for (const kernel::VdtArea &a : mm.vdm().vdt().areas(v))
-            out << "(" << a.start << "," << a.pages << "," << (a.huge ? 1 : 0)
-                << ")";
-        out << "]\n";
-    }
-
-    // Address-space layout.
-    for (const auto &[start, vma] : mm.vmas()) {
-        out << "vma " << start << " " << vma.pages << " " << vma.vdom << " "
-            << (vma.huge ? 1 : 0) << "\n";
-    }
+    write_domains_and_layout(out, sys);
 
     // Per-VDS domain maps (Fig. 3) and residency; pdom order is the map's
     // index order, so iteration is deterministic.
@@ -158,11 +175,8 @@ snapshot_state(VdomSystem &sys)
             << (task->vds() ? static_cast<int>(task->vds()->id()) : -1)
             << " vdr " << (task->has_vdr() ? 1 : 0);
         if (task->has_vdr()) {
-            out << " nas " << task->nas_limit() << " perms[";
-            task->vdr()->for_each([&](VdomId v, VPerm perm) {
-                out << "(" << v << "," << vperm_name(perm) << ")";
-            });
-            out << "] refs[";
+            write_vdr(out, *task);
+            out << " refs[";
             task->for_each_ref_home([&](VdomId v, kernel::Vds *home) {
                 out << "(" << v << ","
                     << (home ? static_cast<int>(home->id()) : -1) << ")";
@@ -181,43 +195,17 @@ std::string
 snapshot_durable_state(VdomSystem &sys)
 {
     kernel::Process &proc = sys.process();
-    kernel::MmStruct &mm = proc.mm();
     SnapshotWriter out;
 
-    out << "init " << (sys.initialized() ? 1 : 0) << " api_region "
-        << sys.api_region() << "\n";
-
-    // Domain table: allocated ids, hints, and their VDT area chains.
-    auto high_water = static_cast<VdomId>(mm.vdm().high_water());
-    for (VdomId v = 0; v < high_water; ++v) {
-        if (!mm.vdm().is_allocated(v))
-            continue;
-        out << "vdom " << v << " freq " << (mm.vdm().is_frequent(v) ? 1 : 0)
-            << " areas[";
-        for (const kernel::VdtArea &a : mm.vdm().vdt().areas(v))
-            out << "(" << a.start << "," << a.pages << "," << (a.huge ? 1 : 0)
-                << ")";
-        out << "]\n";
-    }
-
-    // Address-space layout.
-    for (const auto &[start, vma] : mm.vmas()) {
-        out << "vma " << start << " " << vma.pages << " " << vma.vdom << " "
-            << (vma.huge ? 1 : 0) << "\n";
-    }
+    write_domains_and_layout(out, sys);
 
     // Per-thread VDR policy.  No VDS placement, reference homes or
     // ownership: those are volatile scheduling state rebuilt on demand.
     for (const auto &task : proc.tasks()) {
         out << "task " << task->tid() << " vdr "
             << (task->has_vdr() ? 1 : 0);
-        if (task->has_vdr()) {
-            out << " nas " << task->nas_limit() << " perms[";
-            task->vdr()->for_each([&](VdomId v, VPerm perm) {
-                out << "(" << v << "," << vperm_name(perm) << ")";
-            });
-            out << "]";
-        }
+        if (task->has_vdr())
+            write_vdr(out, *task);
         out << "\n";
     }
     return out.take();

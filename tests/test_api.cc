@@ -131,6 +131,13 @@ TEST_F(ApiTest, MprotectBytesRounding)
     EXPECT_EQ(world->proc.mm().vdom_of(vpn), v);
     EXPECT_EQ(world->proc.mm().vdom_of(vpn + 2), v);
     EXPECT_EQ(world->proc.mm().vdom_of(vpn + 3), kCommonVdom);
+    // A range whose last byte would wrap past the top of the address
+    // space is rejected, not folded onto low pages.
+    EXPECT_EQ(world->sys.vdom_mprotect_bytes(world->core(0), ~0ULL - 9, 11,
+                                             v),
+              VdomStatus::kInvalidRange);
+    EXPECT_EQ(world->sys.vdom_mprotect_bytes(world->core(0), 0, 0, v),
+              VdomStatus::kInvalidRange);
 }
 
 TEST_F(ApiTest, VdomFreeRevokesEverywhere)

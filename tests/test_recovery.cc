@@ -51,6 +51,19 @@ fresh_world(hw::ArchKind arch, std::size_t cores = 2)
                                       : World::arm(cores));
 }
 
+/// Fires kCrash at crossing \p k alone (arm it with FaultPlan::arm_crash).
+sim::FaultSpec
+crossing(std::uint64_t k)
+{
+    return {.every = 1, .skip = k - 1, .max_fires = 1};
+}
+
+/// What a power loss leaves: copies of the WAL and the PMO store.
+struct CrashImage {
+    Wal wal;
+    apps::PmoStore store;
+};
+
 // -- WAL record & transaction semantics -----------------------------------
 
 TEST(Wal, LogsBeginAndCommitWithResultPayloads)
@@ -232,17 +245,18 @@ TEST(Wal, ScanResolvesInterleavedOutcomes)
     wal.abort(core, t6);
     wal.commit(core, t6, 70, 71);
     wal.abort(core, t6);
-    // Torn tail: the next BEGIN is pushed but never sealed.
+    // Torn tail: power fails after the next BEGIN is pushed, before it
+    // is sealed.
+    Wal image;
     {
         FaultPlan plan(1);
-        plan.arm_exact(FaultSite::kCrash, 2);
+        plan.arm_crash(crossing(2), [&] { image = wal; });
         ScopedFaults armed(plan);
-        EXPECT_THROW(wal.begin(core, WalOp::kVdomAlloc, 0),
-                     sim::PowerLoss);
+        (void)wal.begin(core, WalOp::kVdomAlloc, 0);
     }
-    ASSERT_EQ(wal.size(), 17u);
+    ASSERT_EQ(image.size(), 17u);
 
-    WalScan scan = wal.scan();
+    WalScan scan = image.scan();
     EXPECT_EQ(scan.records, 16u);
     EXPECT_EQ(scan.torn, 1u);
     EXPECT_EQ(scan.aborted, 2u);  // t1 and t6.
@@ -278,28 +292,27 @@ TEST(Wal, CrashBetweenPushAndSealLeavesDetectablyTornTail)
     hw::Core &core = w->core();
 
     // First crossing: the record is lost before the push — empty log.
+    Wal image;
     {
         FaultPlan plan(1);
-        plan.arm_exact(FaultSite::kCrash, 1);
+        plan.arm_crash(crossing(1), [&] { image = wal; });
         ScopedFaults armed(plan);
-        EXPECT_THROW(wal.begin(core, WalOp::kVdomAlloc, 0),
-                     sim::PowerLoss);
+        (void)wal.begin(core, WalOp::kVdomAlloc, 0);
     }
-    EXPECT_EQ(wal.size(), 0u);
-    wal.reboot();
+    EXPECT_EQ(image.size(), 0u);
+    wal.reset();
 
     // Second crossing: pushed but unsealed — a torn tail record that the
     // scan truncates.
     {
         FaultPlan plan(1);
-        plan.arm_exact(FaultSite::kCrash, 2);
+        plan.arm_crash(crossing(2), [&] { image = wal; });
         ScopedFaults armed(plan);
-        EXPECT_THROW(wal.begin(core, WalOp::kVdomAlloc, 0),
-                     sim::PowerLoss);
+        (void)wal.begin(core, WalOp::kVdomAlloc, 0);
     }
-    ASSERT_EQ(wal.size(), 1u);
-    EXPECT_TRUE(wal.records()[0].torn());
-    WalScan scan = wal.scan();
+    ASSERT_EQ(image.size(), 1u);
+    EXPECT_TRUE(image.records()[0].torn());
+    WalScan scan = image.scan();
     EXPECT_EQ(scan.torn, 1u);
     EXPECT_EQ(scan.records, 0u);  // Nothing sealed survives the tear.
     EXPECT_EQ(scan.committed.size(), 0u);
@@ -410,17 +423,18 @@ TEST(Recovery, CrashInsideNestedOpLeavesOuterUncommitted)
         ASSERT_EQ(w->sys.vdom_init(core), VdomStatus::kOk);
         auto arena =
             std::make_unique<DomainAllocator>(w->sys, core, false, 2);
+        Wal image;
         FaultPlan plan(1);
-        plan.arm_exact(FaultSite::kCrash, k);
+        plan.arm_crash(crossing(k), [&] { image = wal; });
         {
             ScopedFaults armed(plan);
-            EXPECT_THROW((void)arena->allocate(core, 64),
-                         sim::PowerLoss);
+            (void)arena->allocate(core, 64);
         }
-        wal.reboot();
+        ASSERT_EQ(plan.fires(FaultSite::kCrash), 1u) << "k=" << k;
+        image.reboot();
         auto fresh = fresh_world(hw::ArchKind::kX86);
         RecoveryStats stats =
-            recover(fresh->sys, fresh->core(), wal, {});
+            recover(fresh->sys, fresh->core(), image, {});
         ASSERT_TRUE(stats.ok) << "k=" << k << ": " << stats.error;
         // Binary outcome: the growth either committed wholly or is
         // wholly invisible — never a half-grown pool.
@@ -433,37 +447,6 @@ TEST(Recovery, CrashInsideNestedOpLeavesOuterUncommitted)
 }
 
 // -- PMO attach/detach durability -----------------------------------------
-
-/// The crash-sweep recovery hook, reduced to its PMO store half.
-RecoveryHook
-pmo_hook(apps::PmoStore &store)
-{
-    return [&store](const kernel::WalCommitted &entry, bool committed) {
-        const WalRecord &b = entry.begin;
-        if (b.op == WalOp::kPmoAttach) {
-            auto pmo = static_cast<int>(b.a);
-            if (committed) {
-                auto pages = static_cast<std::size_t>(b.b);
-                if (!store.intact(pmo, b.c, pages)) {
-                    std::vector<std::uint64_t> &content =
-                        store.content[pmo];
-                    content.clear();
-                    for (std::size_t p = 0; p < pages; ++p)
-                        content.push_back(
-                            apps::PmoStore::pattern(pmo, b.c, p));
-                }
-                return true;
-            }
-            store.content.erase(pmo);
-            return true;
-        }
-        if (b.op == WalOp::kPmoDetach) {
-            store.content.erase(static_cast<int>(b.a));
-            return true;
-        }
-        return true;
-    };
-}
 
 TEST(Recovery, PmoAttachAtomicAcrossEveryCrashPointBothArches)
 {
@@ -496,26 +479,27 @@ TEST(Recovery, PmoAttachAtomicAcrossEveryCrashPointBothArches)
             auto w = fresh_world(arch);
             w->proc.mm().set_wal(&wal);
             ASSERT_EQ(w->sys.vdom_init(w->core()), VdomStatus::kOk);
+            CrashImage image;
             FaultPlan plan(1);
-            plan.arm_exact(FaultSite::kCrash, k);
+            plan.arm_crash(crossing(k), [&] { image = {wal, store}; });
             {
                 ScopedFaults armed(plan);
-                EXPECT_THROW((void)apps::pmo_attach(w->sys, w->core(),
-                                                    store, kPmo, kPages,
-                                                    kSeed),
-                             sim::PowerLoss);
+                (void)apps::pmo_attach(w->sys, w->core(), store, kPmo,
+                                       kPages, kSeed);
             }
-            wal.reboot();
+            ASSERT_EQ(plan.fires(FaultSite::kCrash), 1u) << "k=" << k;
+            image.wal.reboot();
             auto fresh = fresh_world(arch);
-            RecoveryStats stats = recover(fresh->sys, fresh->core(), wal,
-                                          pmo_hook(store));
+            RecoveryStats stats =
+                recover(fresh->sys, fresh->core(), image.wal,
+                        apps::pmo_recovery_hook(image.store));
             ASSERT_TRUE(stats.ok)
                 << hw::arch_name(arch) << " k=" << k << ": "
                 << stats.error;
             // Durability oracle: all-or-nothing content, never a torn
             // object.
-            if (store.has(kPmo)) {
-                EXPECT_TRUE(store.intact(kPmo, kSeed, kPages))
+            if (image.store.has(kPmo)) {
+                EXPECT_TRUE(image.store.intact(kPmo, kSeed, kPages))
                     << hw::arch_name(arch) << " k=" << k;
                 EXPECT_GT(stats.committed, 1u);
             } else {
@@ -562,22 +546,24 @@ TEST(Recovery, PmoDetachEraseIsRedoneAcrossEveryCrashPointBothArches)
             apps::PmoAttachResult r = apps::pmo_attach(
                 w->sys, w->core(), store, kPmo, kPages, kSeed);
             ASSERT_EQ(r.status, VdomStatus::kOk);
+            CrashImage image;
             FaultPlan plan(1);
-            plan.arm_exact(FaultSite::kCrash, k);
+            plan.arm_crash(crossing(k), [&] { image = {wal, store}; });
             {
                 ScopedFaults armed(plan);
-                EXPECT_THROW((void)apps::pmo_detach(w->sys, w->core(),
-                                                    store, kPmo, r.vdom),
-                             sim::PowerLoss);
+                (void)apps::pmo_detach(w->sys, w->core(), store, kPmo,
+                                       r.vdom);
             }
-            wal.reboot();
+            ASSERT_EQ(plan.fires(FaultSite::kCrash), 1u) << "k=" << k;
+            image.wal.reboot();
             auto fresh = fresh_world(arch);
-            RecoveryStats stats = recover(fresh->sys, fresh->core(), wal,
-                                          pmo_hook(store));
+            RecoveryStats stats =
+                recover(fresh->sys, fresh->core(), image.wal,
+                        apps::pmo_recovery_hook(image.store));
             ASSERT_TRUE(stats.ok)
                 << hw::arch_name(arch) << " k=" << k << ": "
                 << stats.error;
-            WalScan scan = wal.scan();
+            WalScan scan = image.wal.scan();
             bool detach_committed = false;
             for (const kernel::WalCommitted &entry : scan.committed)
                 if (entry.begin.op == WalOp::kPmoDetach)
@@ -585,11 +571,11 @@ TEST(Recovery, PmoDetachEraseIsRedoneAcrossEveryCrashPointBothArches)
             if (detach_committed) {
                 // Crash after COMMIT, before/within the erase: recovery
                 // finishes the erase idempotently.
-                EXPECT_FALSE(store.has(kPmo))
+                EXPECT_FALSE(image.store.has(kPmo))
                     << hw::arch_name(arch) << " k=" << k;
             } else {
                 // Uncommitted detach: the object must survive intact.
-                EXPECT_TRUE(store.intact(kPmo, kSeed, kPages))
+                EXPECT_TRUE(image.store.intact(kPmo, kSeed, kPages))
                     << hw::arch_name(arch) << " k=" << k;
             }
         }
@@ -682,33 +668,54 @@ replay_steps(hw::ArchKind arch, std::size_t i, Wal &wal,
     return run;
 }
 
-/// What a power loss leaves: the WAL's extent and the PMO store.
-struct CrashImage {
-    kernel::WalMark wal;
-    apps::PmoStore store;
-};
-
-/// Runs step \p i once with kCrash firing at each of its \p n crossings
-/// through a tap; \p full receives the log as the run left it.
-std::vector<CrashImage>
-tap_images(hw::ArchKind arch, std::size_t i, std::uint64_t n, Wal &full)
+/// Crossings of step \p i, counted by a probe run.
+std::uint64_t
+count_crossings(hw::ArchKind arch, std::size_t i)
 {
-    full.reset();
+    Wal wal;
     apps::PmoStore store;
-    auto run = replay_steps(arch, i, full, store);
+    auto run = replay_steps(arch, i, wal, store);
+    FaultPlan probe(1);
+    probe.arm_probe(FaultSite::kCrash);
+    ScopedFaults armed(probe);
+    kImageSteps[i](*run, store);
+    return probe.occurrences(FaultSite::kCrash);
+}
+
+/// Runs step \p i once with kCrash firing at each of its \p n crossings,
+/// tapping the image of every one.
+std::vector<CrashImage>
+tap_images(hw::ArchKind arch, std::size_t i, std::uint64_t n)
+{
+    Wal wal;
+    apps::PmoStore store;
+    auto run = replay_steps(arch, i, wal, store);
     std::vector<CrashImage> images;
     FaultPlan plan(1);
-    plan.arm(FaultSite::kCrash, sim::FaultSpec{.every = 1, .max_fires = n});
-    plan.set_crash_tap([&](const sim::PowerLoss &loss) {
-        EXPECT_EQ(loss.crossing, images.size() + 1);
-        images.push_back({full.mark(), store});
+    plan.arm_crash({.every = 1, .max_fires = n}, [&] {
+        EXPECT_EQ(plan.occurrences(FaultSite::kCrash), images.size() + 1);
+        images.push_back({wal, store});
     });
-    {
-        ScopedFaults armed(plan);
-        kImageSteps[i](*run, store);
-    }
-    EXPECT_EQ(plan.fires(FaultSite::kCrash), n);
+    ScopedFaults armed(plan);
+    kImageSteps[i](*run, store);
     return images;
+}
+
+/// The reference for tap_images: a run of step \p i that loses power at
+/// crossing \p k alone, with its own copy taken there.
+CrashImage
+image_at(hw::ArchKind arch, std::size_t i, std::uint64_t k)
+{
+    Wal wal;
+    apps::PmoStore store;
+    auto run = replay_steps(arch, i, wal, store);
+    CrashImage image;
+    FaultPlan plan(1);
+    plan.arm_crash(crossing(k), [&] { image = {wal, store}; });
+    ScopedFaults armed(plan);
+    kImageSteps[i](*run, store);
+    EXPECT_EQ(plan.fires(FaultSite::kCrash), 1u);
+    return image;
 }
 
 /// A recovered world's durable outcome.
@@ -718,16 +725,18 @@ struct Recovered {
     std::map<int, std::vector<std::uint64_t>> store;
 };
 
+/// Reboots a fresh world from (a copy of) \p image and recovers it.
 Recovered
-recover_into_fresh_world(hw::ArchKind arch, Wal &wal, apps::PmoStore store)
+recover_into_fresh_world(hw::ArchKind arch, CrashImage image)
 {
-    wal.reboot();
+    image.wal.reboot();
     auto fresh = fresh_world(arch);
     fresh->spawn();  // Replay finds the task by tid.
     Recovered out;
-    out.stats = recover(fresh->sys, fresh->core(), wal, pmo_hook(store));
+    out.stats = recover(fresh->sys, fresh->core(), image.wal,
+                        apps::pmo_recovery_hook(image.store));
     out.durable = snapshot_durable_state(fresh->sys);
-    out.store = std::move(store.content);
+    out.store = std::move(image.store.content);
     return out;
 }
 
@@ -739,56 +748,37 @@ same_record(const WalRecord &x, const WalRecord &y)
            x.c == y.c && x.d == y.d && x.checksum == y.checksum;
 }
 
-TEST(CrashImage, TappedImagesRecoverLikeThrownPowerLossBothArches)
+TEST(CrashImage, OneRunTapsTheSameImagesAsOneRunPerCrossing)
 {
+    // A fire returns false and the op runs on, so firing at crossings
+    // 1..k-1 must not change what crossing k leaves: image k of the run
+    // that taps every crossing equals the image of a run armed at k
+    // alone, record for record, and recovers identically.
     for (hw::ArchKind arch : {hw::ArchKind::kX86, hw::ArchKind::kArm}) {
         for (std::size_t i = 0; i < kImageSteps.size(); ++i) {
-            std::uint64_t n = 0;
-            {
-                Wal wal;
-                apps::PmoStore store;
-                auto run = replay_steps(arch, i, wal, store);
-                FaultPlan probe(1);
-                probe.arm_probe(FaultSite::kCrash);
-                ScopedFaults armed(probe);
-                kImageSteps[i](*run, store);
-                n = probe.occurrences(FaultSite::kCrash);
-            }
+            std::uint64_t n = count_crossings(arch, i);
             EXPECT_GT(n, 0u) << hw::arch_name(arch) << " step " << i;
-            Wal full;
-            std::vector<CrashImage> images = tap_images(arch, i, n, full);
+            std::vector<CrashImage> images = tap_images(arch, i, n);
             ASSERT_EQ(images.size(), n);
 
             for (std::uint64_t k = 1; k <= n; ++k) {
                 const std::string at = std::string(hw::arch_name(arch)) +
                                        " step " + std::to_string(i) +
                                        " k=" + std::to_string(k);
-                // Today's path: replay, throw at crossing k, unwind.
-                Wal thrown;
-                apps::PmoStore thrown_store;
-                {
-                    auto run = replay_steps(arch, i, thrown, thrown_store);
-                    FaultPlan plan(1);
-                    plan.arm_exact(FaultSite::kCrash, k);
-                    ScopedFaults armed(plan);
-                    EXPECT_THROW(kImageSteps[i](*run, thrown_store),
-                                 sim::PowerLoss)
-                        << at;
-                }
-                // The tapped path: the one run's log, rewound to image k.
-                Wal rewound = full;
-                rewound.rewind(images[k - 1].wal);
-                ASSERT_EQ(rewound.size(), thrown.size()) << at;
-                for (std::size_t r = 0; r < rewound.size(); ++r)
-                    EXPECT_TRUE(same_record(rewound.records()[r],
-                                            thrown.records()[r]))
+                const CrashImage &tapped = images[k - 1];
+                CrashImage single = image_at(arch, i, k);
+                ASSERT_EQ(tapped.wal.size(), single.wal.size()) << at;
+                for (std::size_t r = 0; r < tapped.wal.size(); ++r)
+                    EXPECT_TRUE(same_record(tapped.wal.records()[r],
+                                            single.wal.records()[r]))
                         << at << " lsn " << r + 1;
-                EXPECT_EQ(rewound.commits(), thrown.commits()) << at;
+                EXPECT_EQ(tapped.wal.commits(), single.wal.commits()) << at;
+                EXPECT_EQ(tapped.wal.aborts(), single.wal.aborts()) << at;
+                EXPECT_EQ(tapped.wal.in_txn(), single.wal.in_txn()) << at;
+                EXPECT_EQ(tapped.store.content, single.store.content) << at;
 
-                Recovered a = recover_into_fresh_world(
-                    arch, rewound, images[k - 1].store);
-                Recovered b =
-                    recover_into_fresh_world(arch, thrown, thrown_store);
+                Recovered a = recover_into_fresh_world(arch, tapped);
+                Recovered b = recover_into_fresh_world(arch, single);
                 ASSERT_TRUE(a.stats.ok) << at << ": " << a.stats.error;
                 ASSERT_TRUE(b.stats.ok) << at << ": " << b.stats.error;
                 EXPECT_EQ(a.durable, b.durable) << at;
@@ -809,21 +799,8 @@ TEST(CrashImage, CrossingMidPmoPersistLeavesPartialEntryThatRecoveryUndoes)
 {
     const std::size_t attach = 9;  // kImageSteps[9] is the pmo_attach.
     for (hw::ArchKind arch : {hw::ArchKind::kX86, hw::ArchKind::kArm}) {
-        std::uint64_t n = 0;
-        {
-            Wal wal;
-            apps::PmoStore store;
-            auto run = replay_steps(arch, attach, wal, store);
-            FaultPlan probe(1);
-            probe.arm_probe(FaultSite::kCrash);
-            ScopedFaults armed(probe);
-            kImageSteps[attach](*run, store);
-            ASSERT_TRUE(store.intact(kImagePmo, kImagePmoSeed,
-                                     kImagePmoPages));
-            n = probe.occurrences(FaultSite::kCrash);
-        }
-        Wal full;
-        std::vector<CrashImage> images = tap_images(arch, attach, n, full);
+        std::uint64_t n = count_crossings(arch, attach);
+        std::vector<CrashImage> images = tap_images(arch, attach, n);
         ASSERT_EQ(images.size(), n);
 
         // The crossings between the first page persist and the last one
@@ -844,28 +821,12 @@ TEST(CrashImage, CrossingMidPmoPersistLeavesPartialEntryThatRecoveryUndoes)
                                                   p))
                     << at;
 
-            Wal rewound = full;
-            rewound.rewind(image.wal);
-            std::uint64_t commits = rewound.commits();
-            Recovered rec =
-                recover_into_fresh_world(arch, rewound, image.store);
+            Recovered rec = recover_into_fresh_world(arch, image);
             ASSERT_TRUE(rec.stats.ok) << at << ": " << rec.stats.error;
-            EXPECT_EQ(rec.stats.committed, commits) << at;
+            EXPECT_EQ(rec.stats.committed, image.wal.commits()) << at;
             EXPECT_EQ(rec.stats.uncommitted, 1u) << at;
             EXPECT_EQ(rec.stats.undone, 1u) << at;
             EXPECT_EQ(rec.store.count(kImagePmo), 0u) << at;
-
-            // The thrown power loss never shows recovery this entry: the
-            // unwind runs pmo_attach's journal undo, which erases it.
-            Wal thrown;
-            apps::PmoStore thrown_store;
-            auto run = replay_steps(arch, attach, thrown, thrown_store);
-            FaultPlan plan(1);
-            plan.arm_exact(FaultSite::kCrash, k);
-            ScopedFaults armed(plan);
-            EXPECT_THROW(kImageSteps[attach](*run, thrown_store),
-                         sim::PowerLoss);
-            EXPECT_FALSE(thrown_store.has(kImagePmo)) << at;
         }
         for (std::size_t p = 1; p < kImagePmoPages; ++p)
             EXPECT_TRUE(seen[p]) << hw::arch_name(arch) << " " << p

@@ -149,25 +149,6 @@ TEST(Journal, OpTxnSealsWalOutcomeOnlyWhenGracefulAndOutermost)
     EXPECT_EQ(wal.aborts(), 1u);
     EXPECT_FALSE(wal.in_txn());
 
-    // Power loss inside the guard body: the journal still unwinds, but
-    // the medium takes no ABORT and the transaction stays open until the
-    // WAL reboots.
-    order.clear();
-    try {
-        OpTxn txn(mm, core, WalOp::kWrvdr, 7, 1, 2);
-        journal.record([&] { order += "p"; });
-        throw sim::PowerLoss{1, 1};
-    } catch (const sim::PowerLoss &) {
-    }
-    EXPECT_EQ(order, "p");
-    EXPECT_EQ(journal.depth(), 0u);
-    EXPECT_EQ(journal.entries(), 0u);
-    ASSERT_EQ(wal.size(), 3u);
-    EXPECT_EQ(wal.records()[2].type, WalRecType::kBegin);
-    EXPECT_EQ(wal.aborts(), 1u);
-    EXPECT_TRUE(wal.in_txn());
-    wal.reboot();
-
     // Nested guard: no WAL record of its own, and the entries it commits
     // are still unwound by the outer rollback, which seals the ABORT.
     order.clear();
@@ -184,9 +165,9 @@ TEST(Journal, OpTxnSealsWalOutcomeOnlyWhenGracefulAndOutermost)
         EXPECT_EQ(wal.commits(), 0u);
     }
     EXPECT_EQ(order, "io");
-    ASSERT_EQ(wal.size(), 5u);
-    EXPECT_EQ(wal.records()[3].op, WalOp::kSandboxMprotect);
-    EXPECT_EQ(wal.records()[4].type, WalRecType::kAbort);
+    ASSERT_EQ(wal.size(), 4u);
+    EXPECT_EQ(wal.records()[2].op, WalOp::kSandboxMprotect);
+    EXPECT_EQ(wal.records()[3].type, WalRecType::kAbort);
     EXPECT_EQ(wal.aborts(), 2u);
     mm.set_wal(nullptr);
 }
