@@ -178,9 +178,10 @@ run(std::size_t ops, BenchReport &report)
 int
 main(int argc, char **argv)
 {
+    if (!vdom::bench::args_ok("ablation_design", argc, argv))
+        return 2;
     vdom::bench::BenchReport report("ablation_design", argc, argv);
-    vdom::bench::run(vdom::bench::quick_mode(argc, argv) ? 5'000 : 30'000,
-                     report);
+    vdom::bench::run(30'000, report);
     report.write();
     return 0;
 }

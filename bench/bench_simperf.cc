@@ -512,8 +512,6 @@ main(int argc, char **argv)
             ++i;  // Skip the path operand too.
             continue;
         }
-        if (arg == "--quick")
-            continue;
         args.push_back(argv[i]);
     }
     int bench_argc = static_cast<int>(args.size());

@@ -4,11 +4,13 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -44,15 +46,50 @@ struct BenchWorld {
     }
 };
 
-/// Quick mode (--quick): scaled-down iteration counts.  The default sizes
-/// finish each bench in well under a minute.
+/// True when \p flag appears in argv.
 inline bool
-quick_mode(int argc, char **argv)
+flag_set(int argc, char **argv, const char *flag)
 {
     for (int i = 1; i < argc; ++i)
-        if (std::strcmp(argv[i], "--quick") == 0)
+        if (std::strcmp(argv[i], flag) == 0)
             return true;
     return false;
+}
+
+/// Strict command line: a typo, or a flag this bench does not take,
+/// must not silently run the default.  Every bench takes
+/// `--json out.json`; \p switches are its other bare flags and \p values
+/// its other flags that take a value, each written "--flag meta" for the
+/// usage line.  On anything else prints why and the usage line and
+/// returns false; the bench then exits 2.
+inline bool
+args_ok(const char *bench, int argc, char **argv,
+        std::vector<std::string_view> switches = {},
+        std::vector<std::string_view> values = {})
+{
+    values.insert(values.begin(), "--json out.json");
+    std::string usage = std::string("usage: ") + bench;
+    for (const auto *forms : {&switches, &values})
+        for (std::string_view form : *forms)
+            usage.append(" [").append(form).append("]");
+    for (int i = 1; i < argc; ++i) {
+        std::string_view arg = argv[i];
+        auto names_arg = [arg](std::string_view form) {
+            return form.substr(0, form.find(' ')) == arg;
+        };
+        if (std::any_of(switches.begin(), switches.end(), names_arg))
+            continue;
+        if (!std::any_of(values.begin(), values.end(), names_arg))
+            std::fprintf(stderr, "%s: unknown option '%s'\n", bench, argv[i]);
+        else if (++i < argc)
+            continue;
+        else
+            std::fprintf(stderr, "%s: %s requires a value\n", bench,
+                         argv[i - 1]);
+        std::fprintf(stderr, "%s\n", usage.c_str());
+        return false;
+    }
+    return true;
 }
 
 /// Formats "measured (paper X)" cells.

@@ -27,14 +27,11 @@
 /// log, and checks the durable-state, PMO-integrity and access-verdict
 /// oracles.  Its digest also lands in the JSON for double-run diffing.
 ///
-/// `--quick` shortens only the churn.  The sweeps have one size, as a
-/// full one takes a few milliseconds.
+/// Every mode has one size.  Unknown flags are rejected (exit 2) so a
+/// typo cannot silently run the default churn.
 ///
-/// Unknown flags are rejected (exit 2) so a typo cannot silently run the
-/// default churn.
-///
-/// Usage: chaos_stress [--quick] [--sweep] [--crash-sweep] [--seed N]
-///                     [--json out.json] [--postmortem bundle.json]
+/// Usage: chaos_stress [--sweep] [--crash-sweep] [--json out.json]
+///                     [--seed N] [--postmortem bundle.json]
 
 #include <cstdio>
 #include <cstdlib>
@@ -296,64 +293,18 @@ run_crash_sweep(BenchReport &report, hw::ArchKind arch, std::uint64_t seed,
     return 0;
 }
 
-bool
-flag_set(int argc, char **argv, const char *flag)
-{
-    for (int i = 1; i < argc; ++i)
-        if (std::string(argv[i]) == flag)
-            return true;
-    return false;
-}
-
-/// Strict CLI validation: a typo like `--swep` must not silently run the
-/// default churn.  Returns false (after printing usage) on any unknown
-/// flag or a value flag missing its argument.
-bool
-validate_args(int argc, char **argv)
-{
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--quick" || arg == "--sweep" || arg == "--crash-sweep")
-            continue;
-        if (arg == "--seed" || arg == "--json" || arg == "--postmortem") {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "chaos_stress: %s requires a value\n",
-                             arg.c_str());
-                return false;
-            }
-            ++i;
-            continue;
-        }
-        std::fprintf(stderr, "chaos_stress: unknown option '%s'\n",
-                     arg.c_str());
-        return false;
-    }
-    return true;
-}
-
-void
-usage()
-{
-    std::fprintf(stderr,
-                 "usage: chaos_stress [--quick] [--sweep] [--crash-sweep] "
-                 "[--seed N]\n"
-                 "                    [--json out.json] "
-                 "[--postmortem bundle.json]\n");
-}
-
 }  // namespace
 
 int
 main(int argc, char **argv)
 {
-    if (!validate_args(argc, argv)) {
-        usage();
+    if (!bench::args_ok("chaos_stress", argc, argv,
+                        {"--sweep", "--crash-sweep"},
+                        {"--seed N", "--postmortem bundle.json"}))
         return 2;
-    }
-    bool quick = bench::quick_mode(argc, argv);
-    bool sweep = flag_set(argc, argv, "--sweep");
-    bool crash_sweep = flag_set(argc, argv, "--crash-sweep");
-    int ops = quick ? 400 : 4000;
+    bool sweep = bench::flag_set(argc, argv, "--sweep");
+    bool crash_sweep = bench::flag_set(argc, argv, "--crash-sweep");
+    const int ops = 4000;
     std::string seed_arg = bench::arg_value(argc, argv, "--seed");
     std::uint64_t seed =
         seed_arg.empty() ? 42 : std::strtoull(seed_arg.c_str(), nullptr, 10);

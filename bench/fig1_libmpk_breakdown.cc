@@ -120,9 +120,10 @@ run(std::size_t requests, std::size_t cores, BenchReport &report)
 int
 main(int argc, char **argv)
 {
-    bool quick = vdom::bench::quick_mode(argc, argv);
+    if (!vdom::bench::args_ok("fig1_libmpk_breakdown", argc, argv))
+        return 2;
     vdom::bench::BenchReport report("fig1_libmpk_breakdown", argc, argv);
-    vdom::bench::run(quick ? 300 : 1500, quick ? 16 : 26, report);
+    vdom::bench::run(1500, 26, report);
     report.write();
     return 0;
 }

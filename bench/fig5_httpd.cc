@@ -104,7 +104,7 @@ export_trace(const std::string &path, std::size_t requests)
 }
 
 void
-run(std::size_t requests, bool quick, BenchReport &report)
+run(std::size_t requests, BenchReport &report)
 {
     struct Panel {
         hw::ArchKind arch;
@@ -113,13 +113,9 @@ run(std::size_t requests, bool quick, BenchReport &report)
         std::vector<std::size_t> clients;
     };
     std::vector<Panel> panels;
-    std::vector<std::size_t> x86_clients =
-        quick ? std::vector<std::size_t>{4, 16, 32, 48}
-              : std::vector<std::size_t>{4, 8, 12, 16, 20, 24, 28, 32, 36,
-                                         40, 44, 48};
-    std::vector<std::size_t> arm_clients =
-        quick ? std::vector<std::size_t>{4, 12, 24}
-              : std::vector<std::size_t>{4, 8, 12, 16, 20, 24};
+    const std::vector<std::size_t> x86_clients = {4,  8,  12, 16, 20, 24,
+                                                  28, 32, 36, 40, 44, 48};
+    const std::vector<std::size_t> arm_clients = {4, 8, 12, 16, 20, 24};
     for (std::size_t kb : {1u, 64u, 128u}) {
         panels.push_back({hw::ArchKind::kX86, 26, kb, x86_clients});
         panels.push_back({hw::ArchKind::kArm, 4, kb, arm_clients});
@@ -171,12 +167,14 @@ run(std::size_t requests, bool quick, BenchReport &report)
 int
 main(int argc, char **argv)
 {
-    bool quick = vdom::bench::quick_mode(argc, argv);
+    if (!vdom::bench::args_ok("fig5_httpd", argc, argv, {},
+                              {"--trace trace.json"}))
+        return 2;
     vdom::bench::BenchReport report("fig5_httpd", argc, argv);
-    vdom::bench::run(quick ? 800 : 4000, quick, report);
+    vdom::bench::run(4000, report);
     report.write();
     std::string trace = vdom::bench::arg_value(argc, argv, "--trace");
     if (!trace.empty())
-        vdom::bench::export_trace(trace, quick ? 200 : 1000);
+        vdom::bench::export_trace(trace, 1000);
     return 0;
 }

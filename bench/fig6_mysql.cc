@@ -70,7 +70,7 @@ run_one(hw::ArchKind arch, const std::string &kind, std::size_t cores,
 }
 
 void
-run(std::size_t queries, bool quick, BenchReport &report)
+run(std::size_t queries, BenchReport &report)
 {
     const std::vector<std::string> kinds = {"original", "VDom", "EPK",
                                             "libmpk"};
@@ -81,12 +81,8 @@ run(std::size_t queries, bool quick, BenchReport &report)
     };
     std::vector<Panel> panels = {
         {hw::ArchKind::kX86, 26,
-         quick ? std::vector<std::size_t>{4, 16, 32, 48}
-               : std::vector<std::size_t>{4, 8, 12, 16, 20, 24, 28, 32, 36,
-                                          40, 44, 48}},
-        {hw::ArchKind::kArm, 4,
-         quick ? std::vector<std::size_t>{4, 12, 24}
-               : std::vector<std::size_t>{4, 8, 12, 16, 20, 24}},
+         {4, 8, 12, 16, 20, 24, 28, 32, 36, 40, 44, 48}},
+        {hw::ArchKind::kArm, 4, {4, 8, 12, 16, 20, 24}},
     };
     for (const Panel &panel : panels) {
         bool x86 = panel.arch == hw::ArchKind::kX86;
@@ -143,9 +139,10 @@ run(std::size_t queries, bool quick, BenchReport &report)
 int
 main(int argc, char **argv)
 {
-    bool quick = vdom::bench::quick_mode(argc, argv);
+    if (!vdom::bench::args_ok("fig6_mysql", argc, argv))
+        return 2;
     vdom::bench::BenchReport report("fig6_mysql", argc, argv);
-    vdom::bench::run(quick ? 600 : 3000, quick, report);
+    vdom::bench::run(3000, report);
     report.write();
     return 0;
 }

@@ -86,9 +86,8 @@ log2_cell(double overhead_pct)
 }
 
 void
-run(std::size_t ops, bool quick, BenchReport &report)
+run(std::size_t ops, BenchReport &report)
 {
-    (void)quick;
     const std::vector<std::string> kinds = {
         "lowerbound", "EPK",        "libmpk 4KB",
         "libmpk 2MB", "VDS switch", "VDom evict"};
@@ -145,9 +144,10 @@ run(std::size_t ops, bool quick, BenchReport &report)
 int
 main(int argc, char **argv)
 {
-    bool quick = vdom::bench::quick_mode(argc, argv);
+    if (!vdom::bench::args_ok("fig7_string_replace", argc, argv))
+        return 2;
     vdom::bench::BenchReport report("fig7_string_replace", argc, argv);
-    vdom::bench::run(quick ? 6'000 : 40'000, quick, report);
+    vdom::bench::run(40'000, report);
     report.write();
     return 0;
 }

@@ -129,9 +129,10 @@ run(std::size_t ops, BenchReport &report)
 int
 main(int argc, char **argv)
 {
+    if (!vdom::bench::args_ok("kard_overhead", argc, argv))
+        return 2;
     vdom::bench::BenchReport report("kard_overhead", argc, argv);
-    vdom::bench::run(vdom::bench::quick_mode(argc, argv) ? 4'000 : 20'000,
-                     report);
+    vdom::bench::run(20'000, report);
     report.write();
     return 0;
 }

@@ -105,11 +105,9 @@ measure(std::size_t domains, BenchReport *report)
 }
 
 void
-run(bool quick, BenchReport &report)
+run(BenchReport &report)
 {
-    std::vector<std::size_t> counts = {100, 1'000, 10'000};
-    if (!quick)
-        counts.push_back(100'000);
+    const std::vector<std::size_t> counts = {100, 1'000, 10'000, 100'000};
     sim::Table table(
         "Scaling: costs vs live vdom count (all flat by design)");
     table.columns({"live vdoms", "vdom_alloc cy", "vdom_mprotect cy",
@@ -139,8 +137,10 @@ run(bool quick, BenchReport &report)
 int
 main(int argc, char **argv)
 {
+    if (!vdom::bench::args_ok("scaling_unlimited", argc, argv))
+        return 2;
     vdom::bench::BenchReport report("scaling_unlimited", argc, argv);
-    vdom::bench::run(vdom::bench::quick_mode(argc, argv), report);
+    vdom::bench::run(report);
     report.write();
     return 0;
 }

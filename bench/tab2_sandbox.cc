@@ -153,6 +153,8 @@ run(BenchReport &report)
 int
 main(int argc, char **argv)
 {
+    if (!vdom::bench::args_ok("tab2_sandbox", argc, argv))
+        return 2;
     vdom::bench::BenchReport report("tab2_sandbox", argc, argv);
     vdom::bench::run(report);
     report.write();

@@ -285,9 +285,10 @@ run(int rounds, BenchReport &report)
 int
 main(int argc, char **argv)
 {
-    int rounds = vdom::bench::quick_mode(argc, argv) ? 20 : 200;
+    if (!vdom::bench::args_ok("tab3_micro_ops", argc, argv))
+        return 2;
     vdom::bench::BenchReport report("tab3_micro_ops", argc, argv);
-    vdom::bench::run(rounds, report);
+    vdom::bench::run(200, report);
     report.write();
     return 0;
 }

@@ -270,9 +270,10 @@ run(int rounds, BenchReport &report)
 int
 main(int argc, char **argv)
 {
-    int rounds = vdom::bench::quick_mode(argc, argv) ? 3 : 12;
+    if (!vdom::bench::args_ok("tab4_domain_access", argc, argv))
+        return 2;
     vdom::bench::BenchReport report("tab4_domain_access", argc, argv);
-    vdom::bench::run(rounds, report);
+    vdom::bench::run(12, report);
     report.write();
     return 0;
 }

@@ -165,9 +165,10 @@ run(int pages, BenchReport &report)
 int
 main(int argc, char **argv)
 {
-    int pages = vdom::bench::quick_mode(argc, argv) ? 400 : 2000;
+    if (!vdom::bench::args_ok("tab5_memsync", argc, argv))
+        return 2;
     vdom::bench::BenchReport report("tab5_memsync", argc, argv);
-    vdom::bench::run(pages, report);
+    vdom::bench::run(2000, report);
     report.write();
     return 0;
 }

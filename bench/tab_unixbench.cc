@@ -167,8 +167,10 @@ run(int scale, BenchReport &report)
 int
 main(int argc, char **argv)
 {
+    if (!vdom::bench::args_ok("tab_unixbench", argc, argv))
+        return 2;
     vdom::bench::BenchReport report("tab_unixbench", argc, argv);
-    vdom::bench::run(vdom::bench::quick_mode(argc, argv) ? 1 : 4, report);
+    vdom::bench::run(4, report);
     report.write();
     return 0;
 }

@@ -2,8 +2,11 @@
 # Builds the project, runs the full test suite, and regenerates every
 # paper table/figure, mirroring the artifact-evaluation flow (§A.5).
 #
-# Usage: scripts/run_all.sh [--quick]
-#   --quick  scaled-down bench runs (seconds instead of minutes)
+# Usage: scripts/run_all.sh
+#
+# Every bench runs at the one, paper size, so the deterministic .txt
+# files it writes reproduce the checked-in ones, and EXPERIMENTS.md is
+# checked against them at the end.
 #
 # Results land in results/: test_output.txt, one .txt + .json file per
 # bench (schema-checked machine-readable records), the aggregated
@@ -15,13 +18,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-QUICK=""
-for arg in "$@"; do
-    case "$arg" in
-      --quick) QUICK="--quick" ;;
-      *) echo "unknown argument: $arg" >&2; exit 2 ;;
-    esac
-done
+if [ $# -ne 0 ]; then
+    echo "unknown argument: $1 (run_all.sh takes none)" >&2
+    exit 2
+fi
 
 cmake -B build
 cmake --build build
@@ -42,7 +42,7 @@ for b in build/bench/*; do
         "$b" --benchmark_min_time=0.1 --json "$json" 2>/dev/null \
             | tee "results/$name.txt"
     else
-        "$b" $QUICK --json "$json" $extra 2>/dev/null \
+        "$b" --json "$json" $extra 2>/dev/null \
             | tee "results/$name.txt"
     fi
     python3 scripts/check_bench_json.py "$json"
@@ -54,9 +54,9 @@ done
 # trips, forced terminal snapshot otherwise).  The rerun lands outside
 # results/json so it never pollutes the aggregation.
 echo "== chaos_stress determinism check =="
-./build/bench/chaos_stress $QUICK --json results/chaos_stress_rerun.json \
+./build/bench/chaos_stress --json results/chaos_stress_rerun.json \
     --postmortem results/chaos_postmortem.json > /dev/null 2>&1
-./build/bench/chaos_stress $QUICK --json results/chaos_stress_rerun2.json \
+./build/bench/chaos_stress --json results/chaos_stress_rerun2.json \
     --postmortem results/chaos_postmortem_rerun.json > /dev/null 2>&1
 cmp results/json/chaos_stress.json results/chaos_stress_rerun.json
 cmp results/chaos_postmortem.json results/chaos_postmortem_rerun.json
@@ -116,6 +116,11 @@ echo "vdom_inspect: corrupt-bundle handling ok"
 python3 scripts/test_bench_diff.py > /dev/null
 echo "bench_diff: empty-input refusal ok"
 
+# The EXPERIMENTS.md checker must fail on drift (a cell off by one, an
+# unsourced number, a missing results/ file, a broken shape claim).
+python3 scripts/test_check_experiments.py > /dev/null
+echo "check_experiments: drift detection ok"
+
 # Aggregate every bench's records into one summary document.
 python3 - <<'EOF'
 import json, pathlib
@@ -135,5 +140,9 @@ out = pathlib.Path("results/BENCH_summary.json")
 out.write_text(json.dumps({"benches": summary}, indent=2) + "\n")
 print(f"wrote {out} ({len(summary)} benches)")
 EOF
+
+# Every measured number and shape claim in EXPERIMENTS.md must match the
+# stdout just written to results/.
+python3 scripts/check_experiments.py
 
 echo "done: see results/"
