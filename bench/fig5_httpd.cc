@@ -23,13 +23,15 @@
 namespace vdom::bench {
 namespace {
 
+/// \param flight  recorder attached to the run's world, or nullptr.
 double
 run_one(hw::ArchKind arch, const std::string &kind, std::size_t cores,
         std::size_t clients, std::size_t file_kb, std::size_t requests,
-        BenchReport *report)
+        BenchReport *report, telemetry::FlightRecorder *flight = nullptr)
 {
     BenchWorld world(arch == hw::ArchKind::kX86 ? hw::ArchParams::x86(cores)
                                                 : hw::ArchParams::arm(cores));
+    world.machine.set_flight(flight);
     world.sys.vdom_init(world.core(0));
     std::unique_ptr<baselines::LibMpk> mpk;
     std::unique_ptr<baselines::Epk> epk;
@@ -89,9 +91,9 @@ export_trace(const std::string &path, std::size_t requests)
     telemetry::FlightRecorder flight(8, std::size_t{1} << 14);
     telemetry::MetricsRegistry registry;
     {
-        telemetry::ScopedFlightRecorder attach_flight(flight);
         telemetry::ScopedMetrics attach_metrics(registry);
-        run_one(hw::ArchKind::kX86, "VDom", 8, 16, 1, requests, nullptr);
+        run_one(hw::ArchKind::kX86, "VDom", 8, 16, 1, requests, nullptr,
+                &flight);
     }
     if (telemetry::export_flight_trace(path, flight, &registry)) {
         std::fprintf(stderr,

@@ -65,12 +65,9 @@ main()
     slow_sys.vdom_init(slow_machine.core(0));
 
     telemetry::FlightRecorder flight(1, kRecords);
-    double slow_cycles = 0;
-    {
-        telemetry::ScopedFlightRecorder attach(flight);
-        slow_cycles = churn(slow_sys, slow_proc, slow_machine.core(0),
-                            /*nas=*/1);
-    }
+    slow_machine.set_flight(&flight);
+    double slow_cycles = churn(slow_sys, slow_proc, slow_machine.core(0),
+                               /*nas=*/1);
     std::printf("nas=1 run: %.0f cycles\n", slow_cycles);
     std::printf("last evictions:\n");
     std::vector<telemetry::FlightRecord> evicts =
@@ -94,12 +91,9 @@ main()
     VdomSystem fast_sys(fast_proc);
     fast_sys.vdom_init(fast_machine.core(0));
     telemetry::FlightRecorder fixed_flight(1, kRecords);
-    double fast_cycles = 0;
-    {
-        telemetry::ScopedFlightRecorder attach(fixed_flight);
-        fast_cycles = churn(fast_sys, fast_proc, fast_machine.core(0),
-                            /*nas=*/4);
-    }
+    fast_machine.set_flight(&fixed_flight);
+    double fast_cycles = churn(fast_sys, fast_proc, fast_machine.core(0),
+                               /*nas=*/4);
     std::printf("nas=4 run: %.0f cycles (%.2fx faster)\n", fast_cycles,
                 slow_cycles / fast_cycles);
     std::printf("evictions: %zu, VDS switches: %zu (%llu records, %llu "

@@ -102,10 +102,7 @@ class HttpdWorker final : public sim::SimThread {
                 strat_->thread_init(core, *task());
                 init_done_ = true;
             }
-            telemetry::span_begin("request",
-                                  static_cast<std::uint64_t>(core.now()),
-                                  static_cast<std::uint32_t>(core.id()),
-                                  task()->tid());
+            telemetry::span_begin(core, "request", task()->tid());
             phase_ = Phase::kAccept;
             return true;
           }
@@ -204,10 +201,7 @@ class HttpdWorker final : public sim::SimThread {
             if (kb_sent_ >= cfg.file_kb) {
                 strat_->io(core, cfg.finish_io);
                 strat_->disable(core, *task(), keys_[0].obj);
-                telemetry::span_end("request",
-                                    static_cast<std::uint64_t>(core.now()),
-                                    static_cast<std::uint32_t>(core.id()),
-                                    task()->tid());
+                telemetry::span_end(core, "request", task()->tid());
                 ++shared_->completed;
                 // Closed loop: the client turns the response around.
                 shared_->ready[id_].push_back(core.now() +

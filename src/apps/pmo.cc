@@ -181,7 +181,7 @@ pmo_attach(VdomSystem &sys, hw::Core &core, PmoStore &store, int pmo,
     for (std::size_t i = 0; i < pages; ++i) {
         mm.fault_in(core, *mm.vds0(), base + i);
         // Each page persist is an ordering point (and a crash point).
-        (void)sim::fault_fires(sim::FaultSite::kCrash);
+        (void)sim::fault_fires(core.faults(), sim::FaultSite::kCrash);
         content.push_back(PmoStore::pattern(pmo, seed, i));
         core.charge(hw::CostKind::kWal, costs.wal_append);
     }
@@ -210,7 +210,7 @@ pmo_detach(VdomSystem &sys, hw::Core &core, PmoStore &store, int pmo,
     // right here is finished by recovery redoing the (idempotent) erase,
     // whereas erasing first could lose content of an op that never
     // committed.
-    (void)sim::fault_fires(sim::FaultSite::kCrash);
+    (void)sim::fault_fires(core.faults(), sim::FaultSite::kCrash);
     store.content.erase(pmo);
     core.charge(hw::CostKind::kWal, core.costs().wal_flush);
     return VdomStatus::kOk;

@@ -10,6 +10,10 @@
 #include "hw/perm_register.h"
 #include "hw/tlb.h"
 
+namespace vdom::telemetry {
+class FlightRecorder;
+}  // namespace vdom::telemetry
+
 namespace vdom::hw {
 
 class PageTable;
@@ -19,7 +23,10 @@ class PageTable;
 /// A core owns the per-core architectural state the paper's design depends
 /// on: the domain permission register (PKRU/DACR), an ASID-tagged TLB, the
 /// current page-table base (pgd) and ASID, and a local cycle clock.  All
-/// cycle charges name a CostKind so benches can report breakdowns.
+/// cycle charges name a CostKind so benches can report breakdowns.  It
+/// also carries its machine's fault plan and flight recorder (null unless
+/// Machine attaches them), so every injection and record site reaches its
+/// world's sinks in one load.
 class Core {
   public:
     Core(std::size_t id, const ArchParams &params)
@@ -83,6 +90,10 @@ class Core {
     const CycleBreakdown &breakdown() const { return breakdown_; }
     CycleBreakdown &breakdown() { return breakdown_; }
 
+    /// The machine's fault plan and flight recorder, or nullptr.
+    sim::FaultPlan *faults() const { return faults_; }
+    telemetry::FlightRecorder *flight() const { return flight_; }
+
     /// Resets clock, cycle breakdown and architectural state (benchmark
     /// setup).  Event counts live in the metrics registry, so the TLB
     /// flush here counts as one `tlb.flush` like any other.
@@ -98,6 +109,8 @@ class Core {
     }
 
   private:
+    friend class Machine;
+
     std::size_t id_;
     const ArchParams *params_;
     Cycles clock_ = 0;
@@ -106,6 +119,8 @@ class Core {
     const PageTable *pgd_ = nullptr;
     Asid asid_ = 0;
     CycleBreakdown breakdown_;
+    sim::FaultPlan *faults_ = nullptr;
+    telemetry::FlightRecorder *flight_ = nullptr;
 };
 
 }  // namespace vdom::hw

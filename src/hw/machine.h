@@ -13,7 +13,11 @@
 
 namespace vdom::hw {
 
-/// Owns the cores of one simulated platform and numbers its TLB tags.
+/// Owns the cores of one simulated platform, numbers its TLB tags and
+/// attaches the sinks its events go to: a fault plan and a flight
+/// recorder, which every core carries (null by default).  The caller owns
+/// them and keeps them alive while attached; events of another machine
+/// never reach them.
 class Machine {
   public:
     explicit Machine(const ArchParams &params) : params_(params)
@@ -43,6 +47,28 @@ class Machine {
             std::abort();
         }
         return ++last_asid_;
+    }
+
+    /// The attached fault plan, or nullptr (the default).
+    sim::FaultPlan *faults() const { return cores_.front()->faults(); }
+    void
+    set_faults(sim::FaultPlan *plan)
+    {
+        for (auto &c : cores_)
+            c->faults_ = plan;
+    }
+
+    /// The attached flight recorder, or nullptr (the default).
+    telemetry::FlightRecorder *
+    flight() const
+    {
+        return cores_.front()->flight();
+    }
+    void
+    set_flight(telemetry::FlightRecorder *recorder)
+    {
+        for (auto &c : cores_)
+            c->flight_ = recorder;
     }
 
     /// Aggregate cycle breakdown across all cores.

@@ -53,7 +53,7 @@ class Mmu {
 inline AccessResult
 Mmu::translate_only(Core &core, Vpn vpn)
 {
-    auto hit = core.tlb().lookup(core.asid(), vpn);
+    auto hit = core.tlb().lookup(core.asid(), vpn, core.faults());
     if (hit) {
         core.charge(CostKind::kTlbMiss, core.costs().tlb_hit);
         AccessResult res;

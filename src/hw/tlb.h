@@ -58,7 +58,11 @@ class Tlb {
     /// inline below: this is the single hottest simulator function (every
     /// modeled memory access lands here), and keeping it visible to the
     /// MMU lets the compiler fold the whole hit path into do_translate.
-    std::optional<TlbEntry> lookup(Asid asid, Vpn vpn);
+    /// \p faults is the plan of the world this TLB belongs to (the MMU
+    /// passes its core's): an injected kTlbEntryDrop turns a hit into a
+    /// miss.
+    std::optional<TlbEntry> lookup(Asid asid, Vpn vpn,
+                                   sim::FaultPlan *faults = nullptr);
 
     /// Installs a translation, evicting the LRU victim when the TLB is
     /// full.
@@ -216,11 +220,12 @@ class Tlb {
 };
 
 inline std::optional<TlbEntry>
-Tlb::lookup(Asid asid, Vpn vpn)
+Tlb::lookup(Asid asid, Vpn vpn, sim::FaultPlan *faults)
 {
     Key key = make_key(asid, vpn);
     std::uint32_t slot = index_find(key);
-    if (slot != kNil && sim::fault_fires(sim::FaultSite::kTlbEntryDrop)) {
+    if (slot != kNil &&
+        sim::fault_fires(faults, sim::FaultSite::kTlbEntryDrop)) {
         // Injected spurious invalidation: the entry vanishes and the
         // lookup misses; the subsequent page-table walk re-fills it.
         remove_slot(slot);

@@ -42,8 +42,8 @@ X86PcidAllocator::assign(std::size_t core, std::uint64_t ctx_id)
     // Injected PCID-cache thrash: the context's slot (if any) is treated
     // as lost, forcing the recycle path and its flush — the behaviour of
     // a cache too small for the working set.
-    bool forced =
-        sim::fault_fires(sim::FaultSite::kAsidExhaustion);
+    bool forced = sim::fault_fires(machine_->faults(),
+                                   sim::FaultSite::kAsidExhaustion);
     if (forced) {
         for (Slot &slot : core_slots) {
             if (slot.ctx_id == ctx_id)
@@ -78,14 +78,13 @@ X86PcidAllocator::assign(std::size_t core, std::uint64_t ctx_id)
             }
         }
         recycled = true;
-        ++flushes_;
         telemetry::metric_add(telemetry::Metric::kAsidRecycle);
     }
     victim->ctx_id = ctx_id;
     victim->asid = machine_->next_asid();
     victim->lru = tick_;
     return {victim->asid, recycled, false,
-            recycled ? telemetry::flight_new_flow() : 0};
+            recycled ? telemetry::flight_new_flow(machine_->flight()) : 0};
 }
 
 ArmAsidAllocator::ArmAsidAllocator(hw::Machine &machine,
@@ -100,8 +99,8 @@ ArmAsidAllocator::assign(std::size_t core, std::uint64_t ctx_id)
     (void)core;
     // Injected exhaustion: behave exactly as if the ASID space ran out,
     // taking the full rollover path below (generation bump + flush-all).
-    bool forced =
-        sim::fault_fires(sim::FaultSite::kAsidExhaustion);
+    bool forced = sim::fault_fires(machine_->faults(),
+                                   sim::FaultSite::kAsidExhaustion);
     auto it = active_.find(ctx_id);
     if (!forced && it != active_.end())
         return {it->second, false, false};
@@ -111,12 +110,12 @@ ArmAsidAllocator::assign(std::size_t core, std::uint64_t ctx_id)
         ++generation_;
         active_.clear();
         used_ = 0;
-        ++flushes_;
         telemetry::metric_add(telemetry::Metric::kAsidRollover);
         hw::Asid asid = machine_->next_asid();
         active_[ctx_id] = asid;
         ++used_;
-        return {asid, false, true, telemetry::flight_new_flow()};
+        return {asid, false, true,
+                telemetry::flight_new_flow(machine_->flight())};
     }
     hw::Asid asid = machine_->next_asid();
     active_[ctx_id] = asid;

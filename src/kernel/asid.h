@@ -52,9 +52,6 @@ class AsidAllocator {
 
     /// Returns the ASID to run \p ctx_id under on \p core.
     virtual AsidAssignment assign(std::size_t core, std::uint64_t ctx_id) = 0;
-
-    /// Number of hardware invalidations this policy has implied so far.
-    virtual std::uint64_t flush_count() const = 0;
 };
 
 /// X86 PCID-slot cache (Linux-style dynamic ASIDs + TLB generations).
@@ -64,7 +61,6 @@ class X86PcidAllocator final : public AsidAllocator {
     X86PcidAllocator(hw::Machine &machine, std::size_t slots_per_core);
 
     AsidAssignment assign(std::size_t core, std::uint64_t ctx_id) override;
-    std::uint64_t flush_count() const override { return flushes_; }
 
   private:
     struct Slot {
@@ -76,7 +72,6 @@ class X86PcidAllocator final : public AsidAllocator {
     hw::Machine *machine_;
     std::vector<std::vector<Slot>> slots_;  ///< [core][slot]
     std::uint64_t tick_ = 0;
-    std::uint64_t flushes_ = 0;
 };
 
 /// Does nothing (hw::Machine numbers its own tags); perfbench is its only
@@ -90,7 +85,6 @@ class ArmAsidAllocator final : public AsidAllocator {
                               std::size_t space_size = 256);
 
     AsidAssignment assign(std::size_t core, std::uint64_t ctx_id) override;
-    std::uint64_t flush_count() const override { return flushes_; }
 
     std::uint64_t generation() const { return generation_; }
 
@@ -100,7 +94,6 @@ class ArmAsidAllocator final : public AsidAllocator {
     std::size_t used_ = 0;
     std::uint64_t generation_ = 1;
     std::unordered_map<std::uint64_t, hw::Asid> active_;
-    std::uint64_t flushes_ = 0;
 };
 
 }  // namespace vdom::kernel

@@ -154,14 +154,12 @@ MmStruct::assign_vdom(hw::Core &core, hw::Vpn start, std::uint64_t pages,
         // failed.  Fired per area, before the area mutates anything, so a
         // multi-VMA range can fail mid-loop — the transaction restores the
         // areas already converted.
-        if (sim::fault_fires(sim::FaultSite::kVdtAllocFail)) {
+        if (sim::fault_fires(core.faults(),
+                             sim::FaultSite::kVdtAllocFail)) {
             telemetry::flight_record(
-                {telemetry::FlightEvent::kFaultInjected,
-                 static_cast<std::uint32_t>(core.id()), 0,
-                 static_cast<std::uint64_t>(core.now()), 0,
-                 static_cast<std::uint64_t>(sim::FaultSite::kVdtAllocFail),
-                 vdom,
-                 sim::fault_site_name(sim::FaultSite::kVdtAllocFail)});
+                core, telemetry::FlightEvent::kFaultInjected, 0, 0,
+                static_cast<std::uint64_t>(sim::FaultSite::kVdtAllocFail),
+                vdom, sim::fault_site_name(sim::FaultSite::kVdtAllocFail));
             return VdomStatus::kResourceExhausted;
         }
         vmas_.erase(v_start);
@@ -235,12 +233,10 @@ MmStruct::flush_everywhere(hw::Core &core)
     std::uint64_t cpus = union_cpu_bitmap();
     // Anchor the process-wide flush on the initiating core so the issue →
     // receipt arrows in the flight trace hang off a named cause.
-    std::uint64_t flow = telemetry::flight_new_flow();
+    std::uint64_t flow = telemetry::flight_new_flow(core.flight());
     if (flow) {
-        telemetry::flight_record(
-            {telemetry::FlightEvent::kFlushAll,
-             static_cast<std::uint32_t>(core.id()), 0,
-             static_cast<std::uint64_t>(core.now()), flow, cpus});
+        telemetry::flight_record(core, telemetry::FlightEvent::kFlushAll, 0,
+                                 flow, cpus);
     }
     shootdown_->shoot(core, cpus, FlushKind::kAll, 0, 0, 0, false, flow);
     shootdown_->local_flush(core, FlushKind::kAll);
@@ -353,13 +349,11 @@ MmStruct::install_vdom_in_vds(hw::Core &core, Vds &vds, VdomId vdom,
             : union_cpu_bitmap();
         others &= ~(1ULL << core.id());
         if (others) {
-            std::uint64_t flow = telemetry::flight_new_flow();
+            std::uint64_t flow = telemetry::flight_new_flow(core.flight());
             if (flow) {
                 telemetry::flight_record(
-                    {telemetry::FlightEvent::kVdomInstall,
-                     static_cast<std::uint32_t>(core.id()), 0,
-                     static_cast<std::uint64_t>(core.now()), flow, vdom,
-                     vds.id()});
+                    core, telemetry::FlightEvent::kVdomInstall, 0, flow, vdom,
+                    vds.id());
             }
             shootdown_->shoot(core, others, FlushKind::kAsid, 0, 0, 0,
                               /*target_current_asid=*/true, flow);
@@ -407,13 +401,11 @@ MmStruct::evict_vdom_from_vds(hw::Core &core, Vds &vds, VdomId vdom)
             : union_cpu_bitmap();
         others &= ~(1ULL << core.id());
         if (others) {
-            std::uint64_t flow = telemetry::flight_new_flow();
+            std::uint64_t flow = telemetry::flight_new_flow(core.flight());
             if (flow) {
                 telemetry::flight_record(
-                    {telemetry::FlightEvent::kVdomEvict,
-                     static_cast<std::uint32_t>(core.id()), 0,
-                     static_cast<std::uint64_t>(core.now()), flow, vdom,
-                     vds.id()});
+                    core, telemetry::FlightEvent::kVdomEvict, 0, flow, vdom,
+                    vds.id());
             }
             shootdown_->shoot(core, others, FlushKind::kAsid, 0, 0, 0,
                               /*target_current_asid=*/true, flow);
@@ -470,15 +462,13 @@ MmStruct::charge_pt_ops(hw::Core &core, const hw::PtOps &ops,
     // Injected PTE write delay: one write hit a stalled cacheline and was
     // re-issued — pure extra latency, no state change.
     if ((ops.pte_writes || ops.pmd_writes) &&
-        sim::fault_fires(sim::FaultSite::kPteWriteDelay)) {
+        sim::fault_fires(core.faults(), sim::FaultSite::kPteWriteDelay)) {
         cycles += costs.pte_update;
         telemetry::flight_record(
-            {telemetry::FlightEvent::kFaultInjected,
-             static_cast<std::uint32_t>(core.id()), 0,
-             static_cast<std::uint64_t>(core.now()), 0,
-             static_cast<std::uint64_t>(sim::FaultSite::kPteWriteDelay),
-             ops.pte_writes,
-             sim::fault_site_name(sim::FaultSite::kPteWriteDelay)});
+            core, telemetry::FlightEvent::kFaultInjected, 0, 0,
+            static_cast<std::uint64_t>(sim::FaultSite::kPteWriteDelay),
+            ops.pte_writes,
+            sim::fault_site_name(sim::FaultSite::kPteWriteDelay));
     }
     core.charge(kind, cycles);
 }

@@ -249,11 +249,9 @@ class OpTxn {
         telemetry::metric_add(telemetry::Metric::kTxnRollback);
         telemetry::metric_observe(telemetry::Metric::kTxnJournalDepth,
                                   undone);
-        telemetry::flight_record(
-            {telemetry::FlightEvent::kTxnRollback,
-             static_cast<std::uint32_t>(core_->id()), tid_,
-             static_cast<std::uint64_t>(core_->now()), 0,
-             static_cast<std::uint64_t>(undone), 0, wal_op_name(op_)});
+        telemetry::flight_record(*core_, telemetry::FlightEvent::kTxnRollback,
+                                 tid_, 0, static_cast<std::uint64_t>(undone),
+                                 0, wal_op_name(op_));
     }
 
     Journal *journal_;

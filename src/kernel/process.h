@@ -145,17 +145,13 @@ class Process {
         AsidAssignment a = asid_->assign(core.id(), vds.ctx_id());
         if (a.need_flush_all) {
             telemetry::flight_record(
-                {telemetry::FlightEvent::kAsidRollover,
-                 static_cast<std::uint32_t>(core.id()), 0,
-                 static_cast<std::uint64_t>(core.now()), a.flow, a.asid,
-                 vds.ctx_id()});
+                core, telemetry::FlightEvent::kAsidRollover, 0, a.flow, a.asid,
+                vds.ctx_id());
             shootdown_.broadcast_flush_all(core, a.flow);
         } else if (a.need_flush_asid) {
             telemetry::flight_record(
-                {telemetry::FlightEvent::kAsidRecycle,
-                 static_cast<std::uint32_t>(core.id()), 0,
-                 static_cast<std::uint64_t>(core.now()), a.flow, a.asid,
-                 vds.ctx_id()});
+                core, telemetry::FlightEvent::kAsidRecycle, 0, a.flow, a.asid,
+                vds.ctx_id());
             shootdown_.local_flush(core, FlushKind::kAsid, a.asid);
         }
         std::uint64_t seen = vds.core_seen_gen(core.id());

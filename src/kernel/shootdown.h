@@ -48,7 +48,8 @@ class ShootdownManager {
     /// \param vpn,count  page range (kRange).
     /// \param flow  causality id threading this shootdown into a larger
     ///        interaction (ASID rollover, eviction, flush-everywhere); 0
-    ///        allocates a fresh flow when a flight recorder is attached.
+    ///        allocates a fresh flow when the machine has a flight
+    ///        recorder attached.
     void
     shoot(hw::Core &initiator, std::uint64_t cpu_bitmap, FlushKind kind,
           hw::Asid asid = 0, hw::Vpn vpn = 0, std::uint64_t count = 0,
@@ -61,7 +62,7 @@ class ShootdownManager {
         // program order, so the fan-out is pre-counted off-path.  All of
         // this is skipped (one branch) when no recorder is attached, and
         // it never touches simulated time.
-        telemetry::FlightRecorder *flight = telemetry::flight_sink();
+        telemetry::FlightRecorder *flight = initiator.flight();
         std::uint64_t use_flow = 0;
         if (flight) {
             std::uint64_t fanout = 0;
@@ -70,11 +71,9 @@ class ShootdownManager {
                     ++fanout;
             if (fanout) {
                 use_flow = flow ? flow : flight->new_flow();
-                flight->record(
-                    {telemetry::FlightEvent::kShootdownIssue,
-                     static_cast<std::uint32_t>(initiator.id()), 0,
-                     static_cast<std::uint64_t>(start), use_flow, fanout,
-                     static_cast<std::uint64_t>(kind)});
+                telemetry::flight_record(
+                    initiator, telemetry::FlightEvent::kShootdownIssue, 0,
+                    use_flow, fanout, static_cast<std::uint64_t>(kind));
             }
         }
         hw::Cycles last_done = start;
@@ -91,7 +90,8 @@ class ShootdownManager {
             // last drop the re-post below goes through unconditionally.
             for (int attempt = 1;
                  attempt <= kMaxIpiRetries &&
-                 sim::fault_fires(sim::FaultSite::kIpiDrop);
+                 sim::fault_fires(initiator.faults(),
+                                  sim::FaultSite::kIpiDrop);
                  ++attempt) {
                 hw::Cycles backoff =
                     costs.ipi_wait *
@@ -104,32 +104,26 @@ class ShootdownManager {
                     static_cast<std::uint64_t>(backoff));
                 telemetry::metric_add(telemetry::Metric::kShootdownRetries);
                 telemetry::flight_record(
-                    {telemetry::FlightEvent::kIpiRetry,
-                     static_cast<std::uint32_t>(initiator.id()), 0,
-                     static_cast<std::uint64_t>(initiator.now()), use_flow,
-                     static_cast<std::uint64_t>(attempt), c});
+                    initiator, telemetry::FlightEvent::kIpiRetry, 0,
+                    use_flow, static_cast<std::uint64_t>(attempt), c);
             }
             target.charge(hw::CostKind::kShootdown, costs.ipi_handle);
             telemetry::flight_record(
-                {telemetry::FlightEvent::kIpiReceive,
-                 static_cast<std::uint32_t>(c), 0,
-                 static_cast<std::uint64_t>(target.now()), use_flow});
+                target, telemetry::FlightEvent::kIpiReceive, 0, use_flow);
             hw::Asid use = target_current_asid ? target.asid() : asid;
             apply_flush(target, kind, use, vpn, count);
             telemetry::flight_record(
-                {telemetry::FlightEvent::kRemoteFlush,
-                 static_cast<std::uint32_t>(c), 0,
-                 static_cast<std::uint64_t>(target.now()), use_flow, use,
-                 static_cast<std::uint64_t>(kind)});
+                target, telemetry::FlightEvent::kRemoteFlush, 0, use_flow,
+                use, static_cast<std::uint64_t>(kind));
             last_done = std::max(last_done, target.now());
             initiator.charge(hw::CostKind::kShootdown,
                              costs.ipi_post + costs.ipi_wait);
             ++ipis;
         }
         if (ipis) {
-            telemetry::flight_event(telemetry::FlightEvent::kShootdown,
-                                    static_cast<std::uint32_t>(initiator.id()),
-                                    0, initiator.now(), kInvalidVdom, 0, 0);
+            telemetry::flight_event(initiator,
+                                    telemetry::FlightEvent::kShootdown, 0,
+                                    kInvalidVdom, 0, 0);
             telemetry::metric_add(telemetry::Metric::kShootdowns);
             telemetry::metric_add(telemetry::Metric::kShootdownIpis, ipis);
             // Initiator-side latency: posting the IPIs and waiting for
@@ -146,9 +140,7 @@ class ShootdownManager {
             telemetry::metric_observe(
                 telemetry::Metric::kShootdownE2eLatency,
                 static_cast<std::uint64_t>(e2e_end - start));
-            telemetry::span_instant(
-                "shootdown", static_cast<std::uint64_t>(initiator.now()),
-                static_cast<std::uint32_t>(initiator.id()), 0);
+            telemetry::span_instant(initiator, "shootdown", 0);
         }
     }
 

@@ -12,13 +12,13 @@ Wal::append(hw::Core &core, WalRecord rec)
 {
     // Crossing 1: power loss before the record reaches the medium — the
     // record is lost entirely, the log tail stays clean.
-    (void)sim::fault_fires(sim::FaultSite::kCrash);
+    (void)sim::fault_fires(core.faults(), sim::FaultSite::kCrash);
     rec.lsn = static_cast<std::uint64_t>(log_.size()) + 1;
     rec.checksum = 0;  // Torn until sealed.
     log_.push_back(rec);
     // Crossing 2: power loss between the data write and the seal — the
     // tail record is present but torn, and scan() must truncate it.
-    (void)sim::fault_fires(sim::FaultSite::kCrash);
+    (void)sim::fault_fires(core.faults(), sim::FaultSite::kCrash);
     log_.back().checksum = log_.back().expected_checksum();
     const hw::CostTable &costs = core.costs();
     // Do not merge: Cycles is double, accumulation order is part of the

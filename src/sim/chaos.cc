@@ -92,8 +92,9 @@ ChaosHarness::ChaosHarness(const ChaosConfig &config)
 {
     for (const auto &[site, spec] : config_.faults)
         plan_.arm(site, spec);
-    // World bring-up runs fault-free (the plan is attached only inside
-    // run()): chaos targets steady-state behaviour, not construction.
+    // World bring-up runs fault-free (the plan is attached to the machine
+    // only inside run()): chaos targets steady-state behaviour, not
+    // construction.
     sys_->vdom_init(machine_->core(0));
     for (std::size_t t = 0; t < config_.threads; ++t) {
         std::size_t core_id = t % config_.cores;
@@ -133,11 +134,11 @@ ChaosHarness::run()
 {
     ChaosResult result;
     Rng rng(config_.seed + 0x9e3779b97f4a7c15ULL);
-    ScopedFaults armed(plan_);
+    machine_->set_faults(&plan_);
     // The flight recorder rides along for the whole churn (it observes,
     // never charges), so a violation bundle carries the causal timeline
     // that led to it.
-    telemetry::ScopedFlightRecorder recording(flight_);
+    machine_->set_flight(&flight_);
 
     for (int op = 0; op < config_.ops; ++op) {
         std::size_t ti = rng.below(tasks_.size());
@@ -262,6 +263,8 @@ ChaosHarness::run()
         ++result.ops;
         check_invariants(result, op);
     }
+    machine_->set_faults(nullptr);
+    machine_->set_flight(nullptr);
 
     result.faults_injected = plan_.total_fires();
     for (std::size_t s = 0; s < kNumFaultSites; ++s) {
@@ -879,11 +882,11 @@ FaultPointHarness<M>::run_injection(const std::vector<Op> &script,
     flight_.clear();
     bool verdict_ok = true;
     VdomStatus st = VdomStatus::kOk;
-    {
-        ScopedFaults armed(plan);
-        telemetry::ScopedFlightRecorder recording(flight_);
-        st = perform(*w, op, &verdict_ok);
-    }
+    w->machine->set_faults(&plan);
+    w->machine->set_flight(&flight_);
+    st = perform(*w, op, &verdict_ok);
+    w->machine->set_faults(nullptr);
+    w->machine->set_flight(nullptr);
     ++result.injected_runs;
 
     result.rollbacks += w->proc->mm().journal().rollbacks() - rollbacks_before;
@@ -954,11 +957,11 @@ FaultPointHarness<M>::run_power_losses(const std::vector<Op> &script,
     plan.arm_crash(FaultSpec{.every = 1, .max_fires = n},
                    [&] { images.push_back({wal_, store_}); });
     flight_.clear();
-    {
-        ScopedFaults armed(plan);
-        telemetry::ScopedFlightRecorder recording(flight_);
-        (void)perform(*w, op, nullptr);
-    }
+    w->machine->set_faults(&plan);
+    w->machine->set_flight(&flight_);
+    (void)perform(*w, op, nullptr);
+    w->machine->set_faults(nullptr);
+    w->machine->set_flight(nullptr);
 
     for (std::uint64_t k = 1; k <= n; ++k) {
         ++result.injected_runs;
@@ -973,16 +976,16 @@ FaultPointHarness<M>::run_power_losses(const std::vector<Op> &script,
         // Reboot from image k: the crashed world is gone wholesale; only
         // the WAL and the PMO store survive, and recovery works on them
         // in place.  The recovered world runs with no WAL attached (redo
-        // must not re-log) and no fault plan armed.
+        // must not re-log) and no fault plan; the harness recorder sees
+        // its replay.
         Image &image = images[k - 1];
         image.wal.reboot();
         auto fresh = build_world(nullptr);
-        RecoveryStats stats;
-        {
-            telemetry::ScopedFlightRecorder recording(flight_);
-            stats = recover(*fresh->sys, fresh->machine->core(0), image.wal,
-                            apps::pmo_recovery_hook(image.store));
-        }
+        fresh->machine->set_flight(&flight_);
+        RecoveryStats stats =
+            recover(*fresh->sys, fresh->machine->core(0), image.wal,
+                    apps::pmo_recovery_hook(image.store));
+        fresh->machine->set_flight(nullptr);
         result.replayed_ops += stats.replayed;
         result.torn_records += stats.torn;
         result.undone_ops += stats.undone;
@@ -1045,7 +1048,7 @@ FaultPointHarness<M>::run() -> Result
         FaultPlan probe(config_.seed);
         for (std::size_t s = first; s < last; ++s)
             probe.arm_probe(static_cast<FaultSite>(s));
-        ScopedFaults armed(probe);
+        w->machine->set_faults(&probe);
         if constexpr (!kGraceful) {
             golden[0].durable = snapshot_durable_state(*w->sys);
             golden[0].hash = snapshot_hash(golden[0].durable);
@@ -1148,41 +1151,37 @@ run_chaos_apps(const ChaosAppsConfig &config)
     for (const auto &[site, spec] : config.faults)
         plan.arm(site, spec);
     apps::VdomStrategy strat(sys, 2);
-    {
-        ScopedFaults armed(plan);
-        switch (config.workload) {
-          case ChaosAppsConfig::Workload::kHttpd: {
-            apps::HttpdConfig cfg =
-                apps::HttpdConfig::for_arch(config.arch, config.clients, 1);
-            cfg.total_requests = config.work_items;
-            apps::HttpdResult r =
-                apps::run_httpd(machine, proc, strat, cfg);
-            result.completed = r.completed;
-            result.elapsed = r.elapsed;
-            break;
-          }
-          case ChaosAppsConfig::Workload::kMysql: {
-            apps::MysqlConfig cfg =
-                apps::MysqlConfig::for_arch(config.arch, config.clients);
-            cfg.total_queries = config.work_items;
-            apps::MysqlResult r =
-                apps::run_mysql(machine, proc, strat, cfg);
-            result.completed = r.completed;
-            result.elapsed = r.elapsed;
-            break;
-          }
-          case ChaosAppsConfig::Workload::kPmo: {
-            apps::PmoConfig cfg =
-                apps::PmoConfig::for_arch(config.arch, config.clients);
-            cfg.ops_per_thread = config.work_items;
-            cfg.pmos = 16;
-            cfg.pmo_pages = 8;
-            apps::PmoResult r = apps::run_pmo(machine, proc, strat, cfg);
-            result.completed = r.completed;
-            result.elapsed = r.elapsed;
-            break;
-          }
-        }
+    machine.set_faults(&plan);
+    switch (config.workload) {
+      case ChaosAppsConfig::Workload::kHttpd: {
+        apps::HttpdConfig cfg =
+            apps::HttpdConfig::for_arch(config.arch, config.clients, 1);
+        cfg.total_requests = config.work_items;
+        apps::HttpdResult r = apps::run_httpd(machine, proc, strat, cfg);
+        result.completed = r.completed;
+        result.elapsed = r.elapsed;
+        break;
+      }
+      case ChaosAppsConfig::Workload::kMysql: {
+        apps::MysqlConfig cfg =
+            apps::MysqlConfig::for_arch(config.arch, config.clients);
+        cfg.total_queries = config.work_items;
+        apps::MysqlResult r = apps::run_mysql(machine, proc, strat, cfg);
+        result.completed = r.completed;
+        result.elapsed = r.elapsed;
+        break;
+      }
+      case ChaosAppsConfig::Workload::kPmo: {
+        apps::PmoConfig cfg =
+            apps::PmoConfig::for_arch(config.arch, config.clients);
+        cfg.ops_per_thread = config.work_items;
+        cfg.pmos = 16;
+        cfg.pmo_pages = 8;
+        apps::PmoResult r = apps::run_pmo(machine, proc, strat, cfg);
+        result.completed = r.completed;
+        result.elapsed = r.elapsed;
+        break;
+      }
     }
     result.faults_injected = plan.total_fires();
     std::string bad =

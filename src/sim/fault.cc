@@ -34,7 +34,6 @@ FaultPlan::should_fire(FaultSite site)
     if (!fire || st.fires >= st.spec.max_fires)
         return false;
     ++st.fires;
-    ++total_fires_;
     telemetry::metric_add(telemetry::Metric::kFaultsInjected);
     // Power loss: the tap copies the durable media once the fire is
     // booked, and the op runs on, which the crossing cannot observe:

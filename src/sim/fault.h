@@ -8,11 +8,13 @@
 /// and every decision flows through one seeded `sim::Rng`, so a failing
 /// run is replayed exactly by re-arming the same plan with the same seed.
 ///
-/// Wiring follows the telemetry null-hook pattern (telemetry/metrics.h):
-/// the hook is a thread-local pointer that is null by default, and
-/// `fault_fires` is a single predictable-branch pointer test when no plan
-/// is attached — an unarmed build stays cycle-identical (the
-/// cycle-identity test in tests/test_telemetry.cc pins this down).
+/// A plan belongs to one world: `hw::Machine::set_faults` attaches it,
+/// every core holds the pointer (null by default), and each injection
+/// site passes its core's plan to `fault_fires`, which is a single
+/// predictable-branch pointer test when none is attached — an unarmed
+/// world stays cycle-identical (the cycle-identity test in
+/// tests/test_telemetry.cc pins this down), and a plan never sees the
+/// crossings of a world it is not attached to.
 ///
 /// Contract for injection sites: a firing site may charge simulated
 /// cycles and change *recoverable* state, but must degrade gracefully —
@@ -176,7 +178,15 @@ class FaultPlan {
     /// Times the site actually fired.
     std::uint64_t fires(FaultSite site) const { return state(site).fires; }
 
-    std::uint64_t total_fires() const { return total_fires_; }
+    /// Fires across every site, kCrash included.
+    std::uint64_t
+    total_fires() const
+    {
+        std::uint64_t total = 0;
+        for (const SiteState &st : sites_)
+            total += st.fires;
+        return total;
+    }
 
     /// Zeroes every occurrence/fire counter (the RNG keeps its stream).
     void
@@ -186,7 +196,6 @@ class FaultPlan {
             st.occurrences = 0;
             st.fires = 0;
         }
-        total_fires_ = 0;
     }
 
   private:
@@ -220,56 +229,17 @@ class FaultPlan {
     // +1: slot for kCrash, which aliases kNumSites and deliberately sits
     // outside the kNumFaultSites range swept by graceful-fault loops.
     std::array<SiteState, kNumFaultSites + 1> sites_;
-    std::uint64_t total_fires_ = 0;
     CrashTap crash_tap_;
 };
 
-// -- Global hook (null by default, zero-cost when detached) ---------------
-
-namespace detail {
-/// Thread-local, so a host thread only sees the plan it attached.  Inline
-/// and constant-initialised, so every read is a plain TLS load.
-inline constinit thread_local FaultPlan *g_fault_sink = nullptr;
-}  // namespace detail
-
-/// The attached plan, or nullptr.
-inline FaultPlan *
-fault_sink()
-{
-    return detail::g_fault_sink;
-}
-
-inline void
-set_fault_sink(FaultPlan *plan)
-{
-    detail::g_fault_sink = plan;
-}
-
-/// True when the current occurrence of \p site must fail.  With no plan
-/// attached this is one load and a pointer test (no out-of-line call) and
-/// never touches simulated time or the RNG.
+/// True when the current occurrence of \p site must fail under \p plan,
+/// the plan attached to the crossing's world.  With none attached this is
+/// one pointer test (no out-of-line call) and never touches simulated
+/// time or the RNG.
 inline bool
-fault_fires(FaultSite site)
+fault_fires(FaultPlan *plan, FaultSite site)
 {
-    if (FaultPlan *p = fault_sink())
-        return p->should_fire(site);
-    return false;
+    return plan != nullptr && plan->should_fire(site);
 }
-
-/// RAII attachment of a plan (restores the previous sink).
-class ScopedFaults {
-  public:
-    explicit ScopedFaults(FaultPlan &plan) : previous_(fault_sink())
-    {
-        set_fault_sink(&plan);
-    }
-    ~ScopedFaults() { set_fault_sink(previous_); }
-
-    ScopedFaults(const ScopedFaults &) = delete;
-    ScopedFaults &operator=(const ScopedFaults &) = delete;
-
-  private:
-    FaultPlan *previous_;
-};
 
 }  // namespace vdom::sim

@@ -18,10 +18,13 @@
 ///
 /// Storage is one FlatRing per core at a fixed budget (the flat-layout
 /// convention): recording is an array store + index bump, never an
-/// allocation past warm-up.  The hook follows the telemetry null-sink
-/// contract: with no recorder attached, flight_record()/flight_new_flow()
-/// are a single predictable-branch pointer test, charge nothing, and the
-/// flow counter does not advance — the cycle-identity tests pin this down.
+/// allocation past warm-up.  A recorder belongs to one world:
+/// `hw::Machine::set_flight` attaches it and every core holds the pointer
+/// (null by default).  Each record site names the core its event happens
+/// on (flight_record()/flight_event() below, spans) and the record goes
+/// to that core's recorder.  With none attached a site is a single
+/// predictable-branch pointer test, charges nothing, and no flow id is
+/// handed out — the cycle-identity tests pin this down.
 
 #pragma once
 
@@ -162,78 +165,42 @@ class FlightRecorder {
     std::uint64_t dropped_ = 0;
 };
 
-// -- Global hook (null by default, zero-cost when detached) ---------------
-
-namespace detail {
-/// Thread-local, so a host thread only sees the recorder it attached.  Inline
-/// and constant-initialised, so every read is a plain TLS load.
-inline constinit thread_local FlightRecorder *g_flight_sink = nullptr;
-}  // namespace detail
-
-/// The attached recorder, or nullptr.  Inline so the common detached case
-/// is a single load + branch at every record site.
-inline FlightRecorder *
-flight_sink()
-{
-    return detail::g_flight_sink;
-}
-
+/// Records an event of \p kind that happened on \p core into the core's
+/// recorder, if one is attached, stamped with the core's id and clock
+/// (simulated cycles, truncated).  \p core is an hw::Core or anything
+/// with id()/now()/flight().
+template <class Core>
 inline void
-set_flight_sink(FlightRecorder *recorder)
+flight_record(const Core &core, FlightEvent kind, std::uint32_t tid,
+              std::uint64_t flow = 0, std::uint64_t a = 0,
+              std::uint64_t b = 0, const char *name = nullptr)
 {
-    detail::g_flight_sink = recorder;
-}
-
-/// Records \p rec if a recorder is attached.
-inline void
-flight_record(const FlightRecord &rec)
-{
-    if (FlightRecorder *sink = flight_sink())
-        sink->record(rec);
-}
-
-/// Records a typed simulator event if a recorder is attached.  The one
-/// place that packs the typed payload: a = \p vdom (0 for kInvalidVdom,
-/// which only kShootdown passes), b = vds_from << 32 | vds_to.  \p when
-/// is the core-local clock in simulated cycles.
-inline void
-flight_event(FlightEvent kind, std::uint32_t core, std::uint32_t tid,
-             double when, VdomId vdom, std::uint32_t vds_from,
-             std::uint32_t vds_to)
-{
-    if (FlightRecorder *sink = flight_sink()) {
-        sink->record({kind, core, tid, static_cast<std::uint64_t>(when), 0,
-                      vdom == kInvalidVdom ? 0 : vdom,
-                      (static_cast<std::uint64_t>(vds_from) << 32) | vds_to,
-                      nullptr});
+    if (FlightRecorder *sink = core.flight()) {
+        sink->record({kind, static_cast<std::uint32_t>(core.id()), tid,
+                      static_cast<std::uint64_t>(core.now()), flow, a, b,
+                      name});
     }
 }
 
-/// Allocates a causality id, or returns 0 when detached (a 0 flow id on a
-/// record means "standalone"; detached call sites stay branch-only).
+/// Records a typed simulator event on \p core.  The one place that packs
+/// the typed payload: a = \p vdom (0 for kInvalidVdom, which only
+/// kShootdown passes), b = vds_from << 32 | vds_to.
+template <class Core>
+inline void
+flight_event(const Core &core, FlightEvent kind, std::uint32_t tid,
+             VdomId vdom, std::uint32_t vds_from, std::uint32_t vds_to)
+{
+    flight_record(core, kind, tid, 0, vdom == kInvalidVdom ? 0 : vdom,
+                  (static_cast<std::uint64_t>(vds_from) << 32) | vds_to);
+}
+
+/// Allocates a causality id from \p sink, or returns 0 when detached (a 0
+/// flow id on a record means "standalone"; detached call sites stay
+/// branch-only).
 inline std::uint64_t
-flight_new_flow()
+flight_new_flow(FlightRecorder *sink)
 {
-    if (FlightRecorder *sink = flight_sink())
-        return sink->new_flow();
-    return 0;
+    return sink ? sink->new_flow() : 0;
 }
-
-/// RAII attachment of a recorder (restores the previous sink).
-class ScopedFlightRecorder {
-  public:
-    explicit ScopedFlightRecorder(FlightRecorder &recorder)
-        : previous_(flight_sink())
-    {
-        set_flight_sink(&recorder);
-    }
-    ~ScopedFlightRecorder() { set_flight_sink(previous_); }
-
-    ScopedFlightRecorder(const ScopedFlightRecorder &) = delete;
-    ScopedFlightRecorder &operator=(const ScopedFlightRecorder &) = delete;
-
-  private:
-    FlightRecorder *previous_;
-};
 
 }  // namespace vdom::telemetry

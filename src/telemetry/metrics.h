@@ -13,11 +13,14 @@
 ///    Histogram per histogram metric, at a constexpr slot derived from
 ///    `kMetricDefs`.  The engine runs on one host thread, so cells need
 ///    neither per-core copies nor atomics.
-///  - Emission goes through a global null-by-default hook, exactly like
-///    `flight_sink()`: with no registry attached, `metric_add()` is a
-///    single predictable-branch pointer test and *never* touches simulated
-///    time (the cycle-identity test in tests/test_telemetry.cc pins this
-///    down).
+///  - Emission goes through a global null-by-default hook: with no
+///    registry attached, `metric_add()` is a single predictable-branch
+///    pointer test and *never* touches simulated time (the cycle-identity
+///    test in tests/test_telemetry.cc pins this down).  It is the one
+///    ambient sink left: the fault plan and the flight recorder hang off
+///    the world (`hw::Machine::set_faults`/`set_flight`), but perfbench
+///    attaches a registry with `ScopedMetrics` around worlds it does not
+///    build, so the registry moves to the world once perfbench is ported.
 
 #pragma once
 

@@ -8,11 +8,11 @@
 /// flame-style timeline per core/thread, next to the typed events and the
 /// shootdown flow arrows.
 ///
-/// Same null-hook contract as the other telemetry sinks: with no recorder
-/// attached, span_begin/span_end are a pointer test and nothing else, and
-/// recording never advances simulated time.  Names must be string literals
-/// (or otherwise outlive the recorder): records store the pointer, not a
-/// copy, so the hot path never allocates.
+/// Same null-sink contract as the other flight records: with no recorder
+/// attached to the world, span_begin/span_end are a pointer test and
+/// nothing else, and recording never advances simulated time.  Names must
+/// be string literals (or otherwise outlive the recorder): records store
+/// the pointer, not a copy, so the hot path never allocates.
 
 #pragma once
 
@@ -22,52 +22,49 @@
 
 namespace vdom::telemetry {
 
+/// Span boundaries on \p core (an hw::Core or anything with
+/// id()/now()/flight()), stamped with its id and clock.
+template <class Core>
 inline void
-span_begin(const char *name, std::uint64_t ts, std::uint32_t core,
-           std::uint32_t tid)
+span_begin(const Core &core, const char *name, std::uint32_t tid)
 {
-    flight_record({FlightEvent::kSpanBegin, core, tid, ts, 0, 0, 0, name});
+    flight_record(core, FlightEvent::kSpanBegin, tid, 0, 0, 0, name);
 }
 
+template <class Core>
 inline void
-span_end(const char *name, std::uint64_t ts, std::uint32_t core,
-         std::uint32_t tid)
+span_end(const Core &core, const char *name, std::uint32_t tid)
 {
-    flight_record({FlightEvent::kSpanEnd, core, tid, ts, 0, 0, 0, name});
+    flight_record(core, FlightEvent::kSpanEnd, tid, 0, 0, 0, name);
 }
 
+template <class Core>
 inline void
-span_instant(const char *name, std::uint64_t ts, std::uint32_t core,
-             std::uint32_t tid)
+span_instant(const Core &core, const char *name, std::uint32_t tid)
 {
-    flight_record({FlightEvent::kSpanInstant, core, tid, ts, 0, 0, 0, name});
+    flight_record(core, FlightEvent::kSpanInstant, tid, 0, 0, 0, name);
 }
 
-/// RAII span over a clock-bearing context (hw::Core or anything with
-/// now()/id()); ends the span with the clock's value at destruction:
+/// RAII span on a core; ends the span with the core's clock at
+/// destruction:
 ///     telemetry::Span span("wrvdr", core, task.tid());
-template <class Clock>
+template <class Core>
 class Span {
   public:
-    Span(const char *name, const Clock &clock, std::uint32_t tid)
-        : name_(name), clock_(&clock), tid_(tid)
+    Span(const char *name, const Core &core, std::uint32_t tid)
+        : name_(name), core_(&core), tid_(tid)
     {
-        span_begin(name_, static_cast<std::uint64_t>(clock_->now()),
-                   static_cast<std::uint32_t>(clock_->id()), tid_);
+        span_begin(*core_, name_, tid_);
     }
 
-    ~Span()
-    {
-        span_end(name_, static_cast<std::uint64_t>(clock_->now()),
-                 static_cast<std::uint32_t>(clock_->id()), tid_);
-    }
+    ~Span() { span_end(*core_, name_, tid_); }
 
     Span(const Span &) = delete;
     Span &operator=(const Span &) = delete;
 
   private:
     const char *name_;
-    const Clock *clock_;
+    const Core *core_;
     std::uint32_t tid_;
 };
 

@@ -183,13 +183,11 @@ VdomSystem::vdr_alloc(hw::Core &core, kernel::Task &task, std::size_t nas)
     core.charge(hw::CostKind::kSyscall, core.costs().syscall);
     // Injected VDR slot exhaustion: the kernel entry was paid but no VDR
     // exists afterwards — the thread can retry once slots free up.
-    if (sim::fault_fires(sim::FaultSite::kVdrExhausted)) {
+    if (sim::fault_fires(core.faults(), sim::FaultSite::kVdrExhausted)) {
         tm::flight_record(
-            {tm::FlightEvent::kFaultInjected,
-             static_cast<std::uint32_t>(core.id()), task.tid(),
-             static_cast<std::uint64_t>(core.now()), 0,
-             static_cast<std::uint64_t>(sim::FaultSite::kVdrExhausted), 0,
-             sim::fault_site_name(sim::FaultSite::kVdrExhausted)});
+            core, tm::FlightEvent::kFaultInjected, task.tid(), 0,
+            static_cast<std::uint64_t>(sim::FaultSite::kVdrExhausted), 0,
+            sim::fault_site_name(sim::FaultSite::kVdrExhausted));
         return VdomStatus::kResourceExhausted;
     }
     kernel::OpTxn txn(proc_->mm(), core, kernel::WalOp::kVdrAlloc,
@@ -276,14 +274,12 @@ VdomSystem::wrvdr(hw::Core &core, kernel::Task &task, VdomId vdom,
     // before reading the VDR.  The aborted entry still costs a call, but
     // nothing is mutated — the caller may simply retry.
     if (mode == ApiMode::kSecure &&
-        sim::fault_fires(sim::FaultSite::kGateEntryDenied)) {
+        sim::fault_fires(core.faults(), sim::FaultSite::kGateEntryDenied)) {
         core.charge(hw::CostKind::kApi, costs.api_call);
         tm::flight_record(
-            {tm::FlightEvent::kFaultInjected,
-             static_cast<std::uint32_t>(core.id()), task.tid(),
-             static_cast<std::uint64_t>(core.now()), 0,
-             static_cast<std::uint64_t>(sim::FaultSite::kGateEntryDenied),
-             vdom, sim::fault_site_name(sim::FaultSite::kGateEntryDenied)});
+            core, tm::FlightEvent::kFaultInjected, task.tid(), 0,
+            static_cast<std::uint64_t>(sim::FaultSite::kGateEntryDenied), vdom,
+            sim::fault_site_name(sim::FaultSite::kGateEntryDenied));
         return VdomStatus::kTransientFault;
     }
     charge_api_entry(core, mode);
@@ -313,15 +309,14 @@ VdomSystem::wrvdr(hw::Core &core, kernel::Task &task, VdomId vdom,
     // landed but the register write keeps bouncing; each re-issue is
     // charged, and past the budget the call gives up — the rollback
     // restores the VDR, so no state diverges.
-    for (int retry = 1; sim::fault_fires(sim::FaultSite::kPermRegWriteFail);
+    for (int retry = 1;
+         sim::fault_fires(core.faults(), sim::FaultSite::kPermRegWriteFail);
          ++retry) {
         tm::flight_record(
-            {tm::FlightEvent::kFaultInjected,
-             static_cast<std::uint32_t>(core.id()), task.tid(),
-             static_cast<std::uint64_t>(core.now()), 0,
-             static_cast<std::uint64_t>(sim::FaultSite::kPermRegWriteFail),
-             static_cast<std::uint64_t>(retry),
-             sim::fault_site_name(sim::FaultSite::kPermRegWriteFail)});
+            core, tm::FlightEvent::kFaultInjected, task.tid(), 0,
+            static_cast<std::uint64_t>(sim::FaultSite::kPermRegWriteFail),
+            static_cast<std::uint64_t>(retry),
+            sim::fault_site_name(sim::FaultSite::kPermRegWriteFail));
         if (retry > kMaxPermRegRetries)
             return VdomStatus::kRetriesExhausted;
         core.charge(hw::CostKind::kPermReg, costs.perm_reg_write);
@@ -438,9 +433,8 @@ VdomSystem::access(hw::Core &core, kernel::Task &task, hw::Vpn vpn,
         LatencyProbe fault_latency(tm::Metric::kFaultLatency, core);
         core.charge(hw::CostKind::kFault, costs.fault_entry);
         VdomId vdom = mm.vdom_of(vpn);
-        tm::flight_event(tm::FlightEvent::kFault,
-                         static_cast<std::uint32_t>(core.id()), task.tid(),
-                         core.now(), vdom, task.vds()->id(), task.vds()->id());
+        tm::flight_event(core, tm::FlightEvent::kFault, task.tid(), vdom,
+                         task.vds()->id(), task.vds()->id());
 
         // §6.2: the kernel identifies the vdom via the VMA's extended
         // vm_flags and inspects the per-thread VDR; violations SIGSEGV.
@@ -461,10 +455,8 @@ VdomSystem::access(hw::Core &core, kernel::Task &task, hw::Vpn vpn,
         }
         if (!allowed) {
             tm::metric_add(tm::Metric::kSigsegv);
-            tm::flight_event(tm::FlightEvent::kSigsegv,
-                             static_cast<std::uint32_t>(core.id()), task.tid(),
-                             core.now(), vdom, task.vds()->id(),
-                             task.vds()->id());
+            tm::flight_event(core, tm::FlightEvent::kSigsegv, task.tid(), vdom,
+                             task.vds()->id(), task.vds()->id());
             return VAccess{false, true, 0};
         }
 

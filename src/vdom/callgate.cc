@@ -14,8 +14,7 @@ GateFrame
 CallGate::enter(hw::Core &core) const
 {
     tm::metric_add(tm::Metric::kGateEnter);
-    tm::span_begin("gate", static_cast<std::uint64_t>(core.now()),
-                   static_cast<std::uint32_t>(core.id()), 0);
+    tm::span_begin(core, "gate", 0);
     GateFrame frame;
     frame.saved_pkru = core.perm_reg().raw();
     // rdpkru; and $0xfffffff3, %eax; wrpkru  -> full access to pdom1.
@@ -40,8 +39,7 @@ CallGate::exit(hw::Core &core, GateFrame &frame,
     core.perm_reg().load_raw(eax);
     frame.on_secure_stack = false;
     tm::metric_add(tm::Metric::kGateExit);
-    tm::span_end("gate", static_cast<std::uint64_t>(core.now()),
-                 static_cast<std::uint32_t>(core.id()), 0);
+    tm::span_end(core, "gate", 0);
     // Lines 29-31: defend against a hijacked eax that would keep pdom1
     // open past the gate.
     bool legal = exit_value_legal(eax);

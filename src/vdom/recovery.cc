@@ -27,12 +27,9 @@ find_task(kernel::Process &proc, std::uint32_t tid)
 void
 record_replay(hw::Core &core, const kernel::WalRecord &begin)
 {
-    tm::flight_record(
-        {tm::FlightEvent::kRecoveryReplay,
-         static_cast<std::uint32_t>(core.id()), begin.tid,
-         static_cast<std::uint64_t>(core.now()), 0,
-         static_cast<std::uint64_t>(begin.op), begin.txn,
-         kernel::wal_op_name(begin.op)});
+    tm::flight_record(core, tm::FlightEvent::kRecoveryReplay, begin.tid, 0,
+                      static_cast<std::uint64_t>(begin.op), begin.txn,
+                      kernel::wal_op_name(begin.op));
 }
 
 void

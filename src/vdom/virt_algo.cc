@@ -32,9 +32,8 @@ DomainVirtualizer::ensure_mapped_slow(hw::Core &core, kernel::Task &task,
             proc_->switch_vds(core, task, *owned, hw::CostKind::kPgdSwitch);
             owned->touch(vdom, core.now());
             tm::metric_add(tm::Metric::kVdsSwitch);
-            tm::flight_event(tm::FlightEvent::kVdsSwitch,
-                             static_cast<std::uint32_t>(core.id()), task.tid(),
-                             core.now(), vdom, cur.id(), owned->id());
+            tm::flight_event(core, tm::FlightEvent::kVdsSwitch, task.tid(),
+                             vdom, cur.id(), owned->id());
             return owned->pdom_of(vdom);
         }
     }
@@ -45,9 +44,8 @@ DomainVirtualizer::ensure_mapped_slow(hw::Core &core, kernel::Task &task,
         map_into(core, cur, vdom, *free, hw::CostKind::kMemSync);
         cur.touch(vdom, core.now());
         tm::metric_add(tm::Metric::kDomainMapFree);
-        tm::flight_event(tm::FlightEvent::kMapFree,
-                         static_cast<std::uint32_t>(core.id()), task.tid(),
-                         core.now(), vdom, cur.id(), cur.id());
+        tm::flight_event(core, tm::FlightEvent::kMapFree, task.tid(), vdom,
+                         cur.id(), cur.id());
         return free;
     }
     // ❹ Thread alone in its VDS -> ❺ VDS switch or eviction.
@@ -63,7 +61,7 @@ DomainVirtualizer::ensure_mapped_slow(hw::Core &core, kernel::Task &task,
             return migrate(core, task, *vds, vdom);
     }
     // ❽ Allocate a new VDS and migrate there.
-    if (sim::fault_fires(sim::FaultSite::kVdsAllocFail)) {
+    if (sim::fault_fires(core.faults(), sim::FaultSite::kVdsAllocFail)) {
         // Injected allocation failure: degrade to eviction in the
         // current VDS rather than failing the request — displaced vdoms
         // fault back in later.
@@ -72,9 +70,8 @@ DomainVirtualizer::ensure_mapped_slow(hw::Core &core, kernel::Task &task,
     kernel::Vds *fresh = mm.create_vds();
     core.charge(hw::CostKind::kMigration, core.costs().vds_alloc);
     tm::metric_add(tm::Metric::kVdsAlloc);
-    tm::flight_event(tm::FlightEvent::kVdsCreate,
-                     static_cast<std::uint32_t>(core.id()), task.tid(),
-                     core.now(), vdom, cur.id(), fresh->id());
+    tm::flight_event(core, tm::FlightEvent::kVdsCreate, task.tid(), vdom,
+                     cur.id(), fresh->id());
     return migrate(core, task, *fresh, vdom);
 }
 
@@ -120,23 +117,20 @@ DomainVirtualizer::switch_or_evict(hw::Core &core, kernel::Task &task,
                                   hw::CostKind::kPgdSwitch);
                 owned->touch(vdom, core.now());
                 tm::metric_add(tm::Metric::kVdsSwitch);
-                tm::flight_event(tm::FlightEvent::kVdsSwitch,
-                                 static_cast<std::uint32_t>(core.id()),
-                                 task.tid(), core.now(), vdom, cur.id(),
-                                 owned->id());
+                tm::flight_event(core, tm::FlightEvent::kVdsSwitch, task.tid(),
+                                 vdom, cur.id(), owned->id());
                 return owned->pdom_of(vdom);
             }
         }
         // Make the most of additional page tables within the nas budget.
         // (An injected VDS allocation failure drops through to eviction.)
         if (task.owned_vdses().size() < task.nas_limit() &&
-            !sim::fault_fires(sim::FaultSite::kVdsAllocFail)) {
+            !sim::fault_fires(core.faults(), sim::FaultSite::kVdsAllocFail)) {
             kernel::Vds *fresh = mm.create_vds();
             core.charge(hw::CostKind::kPgdSwitch, core.costs().vds_alloc);
             tm::metric_add(tm::Metric::kVdsAlloc);
-            tm::flight_event(tm::FlightEvent::kVdsCreate,
-                             static_cast<std::uint32_t>(core.id()), task.tid(),
-                             core.now(), vdom, cur.id(), fresh->id());
+            tm::flight_event(core, tm::FlightEvent::kVdsCreate, task.tid(),
+                             vdom, cur.id(), fresh->id());
             task.add_owned(fresh);
             proc_->switch_vds(core, task, *fresh, hw::CostKind::kPgdSwitch);
             tm::metric_add(tm::Metric::kVdsSwitch);
@@ -159,9 +153,8 @@ DomainVirtualizer::migrate(hw::Core &core, kernel::Task &task,
     tm::Span span("migrate", core, task.tid());
     core.charge(hw::CostKind::kMigration, costs.migrate_fixed);
     tm::metric_add(tm::Metric::kMigration);
-    tm::flight_event(tm::FlightEvent::kMigration,
-                     static_cast<std::uint32_t>(core.id()), task.tid(),
-                     core.now(), vdom, cur.id(), target.id());
+    tm::flight_event(core, tm::FlightEvent::kMigration, task.tid(), vdom,
+                     cur.id(), target.id());
 
     // Map T's active set plus D into the target (Fig. 3 right: vdom4, 14,
     // D are mapped to pdom6, 7, 8 of VDS1).
@@ -231,9 +224,8 @@ DomainVirtualizer::evict_and_map(hw::Core &core, kernel::Task &task,
     tm::Span span("evict", core, task.tid());
     core.charge(hw::CostKind::kEviction, costs.evict_fixed);
     tm::metric_add(tm::Metric::kHlruEvict);
-    tm::flight_event(tm::FlightEvent::kEvict,
-                     static_cast<std::uint32_t>(core.id()), task.tid(),
-                     core.now(), victim, vds.id(), vds.id());
+    tm::flight_event(core, tm::FlightEvent::kEvict, task.tid(), victim,
+                     vds.id(), vds.id());
     // Disable the victim's pages (PMD fast path + minimal TLB flushes are
     // inside, §5.5) and release its pdom.
     mm.evict_vdom_from_vds(core, vds, victim);

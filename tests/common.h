@@ -7,9 +7,23 @@
 
 #include "hw/machine.h"
 #include "kernel/process.h"
+#include "telemetry/flightrec.h"
 #include "vdom/api.h"
 
 namespace vdom::testing {
+
+/// A stand-in core for driving the flight-record emitters by hand: a
+/// settable id and clock, and the recorder its events go to (none by
+/// default).
+struct FakeCore {
+    telemetry::FlightRecorder *recorder = nullptr;
+    std::size_t core_id = 0;
+    hw::Cycles clock = 0;
+
+    std::size_t id() const { return core_id; }
+    hw::Cycles now() const { return clock; }
+    telemetry::FlightRecorder *flight() const { return recorder; }
+};
 
 /// A machine + process + VDom instance, with helpers to spawn threads.
 struct World {

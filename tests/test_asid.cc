@@ -6,6 +6,7 @@
 #include "hw/arch.h"
 #include "hw/machine.h"
 #include "kernel/asid.h"
+#include "telemetry/metrics.h"
 
 namespace vdom::kernel {
 namespace {
@@ -34,6 +35,8 @@ TEST(X86Pcid, PerCoreSlots)
 
 TEST(X86Pcid, EvictionFlushesRecycledSlot)
 {
+    telemetry::MetricsRegistry registry;
+    telemetry::ScopedMetrics metrics(registry);
     hw::Machine machine(hw::ArchParams::x86(1));
     X86PcidAllocator alloc(machine, 2);
     alloc.assign(0, 1);
@@ -41,7 +44,7 @@ TEST(X86Pcid, EvictionFlushesRecycledSlot)
     // Third context overflows the 2-slot cache: recycled slot must flush.
     AsidAssignment c = alloc.assign(0, 3);
     EXPECT_TRUE(c.need_flush_asid);
-    EXPECT_EQ(alloc.flush_count(), 1u);
+    EXPECT_EQ(registry.value(telemetry::Metric::kAsidRecycle), 1u);
     // Returning to context 1 misses again (it was evicted).
     AsidAssignment again = alloc.assign(0, 1);
     EXPECT_TRUE(again.need_flush_asid);

@@ -26,7 +26,6 @@ using kernel::AsidAssignment;
 using kernel::X86PcidAllocator;
 using sim::FaultPlan;
 using sim::FaultSite;
-using sim::ScopedFaults;
 
 /// Tags 1..kFillTags cover every tag a small world hands out; each core's
 /// TLB holds kFillPages entries under each of them.
@@ -46,6 +45,8 @@ fill_tlbs(World &world)
 
 TEST(ArmAsidFaults, ForcedExhaustionTakesTheRolloverPath)
 {
+    telemetry::MetricsRegistry registry;
+    telemetry::ScopedMetrics metrics(registry);
     hw::Machine machine(hw::ArchParams::arm(1));
     ArmAsidAllocator alloc(machine, /*space_size=*/64);
     AsidAssignment first = alloc.assign(0, 1);
@@ -55,21 +56,20 @@ TEST(ArmAsidFaults, ForcedExhaustionTakesTheRolloverPath)
 
     FaultPlan plan(7);
     plan.arm(FaultSite::kAsidExhaustion, {.every = 1});
-    {
-        ScopedFaults armed(plan);
-        AsidAssignment forced = alloc.assign(0, 1);
-        // Exactly the rollover signature: flush-all, never flush-asid.
-        EXPECT_TRUE(forced.need_flush_all);
-        EXPECT_FALSE(forced.need_flush_asid);
-        EXPECT_EQ(alloc.generation(), gen + 1);
-        EXPECT_NE(forced.asid, first.asid);
-    }
+    machine.set_faults(&plan);
+    AsidAssignment forced = alloc.assign(0, 1);
+    // Exactly the rollover signature: flush-all, never flush-asid.
+    EXPECT_TRUE(forced.need_flush_all);
+    EXPECT_FALSE(forced.need_flush_asid);
+    EXPECT_EQ(alloc.generation(), gen + 1);
+    EXPECT_NE(forced.asid, first.asid);
+    machine.set_faults(nullptr);
     // The rollover re-registered the context in the new generation: the
     // next unarmed assignment is a plain hit with no flush at all.
     AsidAssignment after = alloc.assign(0, 1);
     EXPECT_FALSE(after.need_flush_all);
     EXPECT_FALSE(after.need_flush_asid);
-    EXPECT_EQ(alloc.flush_count(), 1u);
+    EXPECT_EQ(registry.value(telemetry::Metric::kAsidRollover), 1u);
 }
 
 TEST(ArmAsidFaults, NaturalExhaustionRollsOverAtTheSamePoint)
@@ -97,7 +97,7 @@ TEST(ArmAsidFaults, ForcedRolloverCountsTheRolloverMetric)
     alloc.assign(0, 1);
     FaultPlan plan(7);
     plan.arm(FaultSite::kAsidExhaustion, {.every = 1, .max_fires = 3});
-    ScopedFaults armed(plan);
+    machine.set_faults(&plan);
     for (int i = 0; i < 5; ++i)
         alloc.assign(0, 1);
     EXPECT_EQ(registry.value(telemetry::Metric::kAsidRollover), 3u);
@@ -114,10 +114,9 @@ TEST(ArmAsidFaults, RolloverBroadcastsFlushAllThroughTheProcess)
 
     FaultPlan plan(7);
     plan.arm(FaultSite::kAsidExhaustion, {.every = 1, .max_fires = 1});
-    {
-        ScopedFaults armed(plan);
-        world->proc.switch_to(world->core(0), *task, false);
-    }
+    world->machine.set_faults(&plan);
+    world->proc.switch_to(world->core(0), *task, false);
+    world->machine.set_faults(nullptr);
     // ARM rollover flushes every TLB in the machine, not just the
     // initiating core's: one remote and one local flush-all.
     EXPECT_EQ(world->core(0).tlb().size(), 0u);
@@ -136,6 +135,8 @@ TEST(ArmAsidFaults, RolloverBroadcastsFlushAllThroughTheProcess)
 
 TEST(X86PcidFaults, ForcedThrashTakesTheRecyclePath)
 {
+    telemetry::MetricsRegistry registry;
+    telemetry::ScopedMetrics metrics(registry);
     hw::Machine machine(hw::ArchParams::x86(1));
     X86PcidAllocator alloc(machine, /*slots_per_core=*/4);
     AsidAssignment first = alloc.assign(0, 1);
@@ -144,23 +145,24 @@ TEST(X86PcidFaults, ForcedThrashTakesTheRecyclePath)
 
     FaultPlan plan(7);
     plan.arm(FaultSite::kAsidExhaustion, {.every = 1});
-    {
-        ScopedFaults armed(plan);
-        AsidAssignment forced = alloc.assign(0, 1);
-        // Exactly the thrash signature: the slot is treated as lost, so
-        // the context pays a recycle flush — but never a flush-all (that
-        // is ARM's rollover signal, DESIGN.md invariant).
-        EXPECT_TRUE(forced.need_flush_asid);
-        EXPECT_FALSE(forced.need_flush_all);
-        EXPECT_NE(forced.asid, first.asid);
-    }
-    EXPECT_EQ(alloc.flush_count(), 1u);
+    machine.set_faults(&plan);
+    AsidAssignment forced = alloc.assign(0, 1);
+    // Exactly the thrash signature: the slot is treated as lost, so
+    // the context pays a recycle flush — but never a flush-all (that
+    // is ARM's rollover signal, DESIGN.md invariant).
+    EXPECT_TRUE(forced.need_flush_asid);
+    EXPECT_FALSE(forced.need_flush_all);
+    EXPECT_NE(forced.asid, first.asid);
+    machine.set_faults(nullptr);
+    EXPECT_EQ(registry.value(telemetry::Metric::kAsidRecycle), 1u);
     // Unarmed again: the refilled slot hits.
     EXPECT_FALSE(alloc.assign(0, 1).need_flush_asid);
 }
 
 TEST(X86PcidFaults, NaturalThrashWhenWorkingSetExceedsSlots)
 {
+    telemetry::MetricsRegistry registry;
+    telemetry::ScopedMetrics metrics(registry);
     hw::Machine machine(hw::ArchParams::x86(1));
     X86PcidAllocator alloc(machine, /*slots_per_core=*/2);
     EXPECT_FALSE(alloc.assign(0, 1).need_flush_asid);
@@ -169,7 +171,7 @@ TEST(X86PcidFaults, NaturalThrashWhenWorkingSetExceedsSlots)
     // then misses and recycles in turn.
     EXPECT_TRUE(alloc.assign(0, 3).need_flush_asid);
     EXPECT_TRUE(alloc.assign(0, 1).need_flush_asid);
-    EXPECT_EQ(alloc.flush_count(), 2u);
+    EXPECT_EQ(registry.value(telemetry::Metric::kAsidRecycle), 2u);
 }
 
 TEST(X86PcidFaults, ForcedThrashCountsTheRecycleMetric)
@@ -181,7 +183,7 @@ TEST(X86PcidFaults, ForcedThrashCountsTheRecycleMetric)
     alloc.assign(0, 1);
     FaultPlan plan(7);
     plan.arm(FaultSite::kAsidExhaustion, {.every = 1, .max_fires = 2});
-    ScopedFaults armed(plan);
+    machine.set_faults(&plan);
     for (int i = 0; i < 4; ++i)
         alloc.assign(0, 1);
     EXPECT_EQ(registry.value(telemetry::Metric::kAsidRecycle), 2u);
@@ -198,10 +200,9 @@ TEST(X86PcidFaults, ThrashFlushesOnlyTheLocalAsidThroughTheProcess)
 
     FaultPlan plan(7);
     plan.arm(FaultSite::kAsidExhaustion, {.every = 1, .max_fires = 1});
-    {
-        ScopedFaults armed(plan);
-        world->proc.switch_to(world->core(0), *task, false);
-    }
+    world->machine.set_faults(&plan);
+    world->proc.switch_to(world->core(0), *task, false);
+    world->machine.set_faults(nullptr);
     // The recycle costs one local flush of the recycled ASID; nobody
     // broadcasts anything.  Core 0 loses exactly that tag's entries and
     // core 1 keeps every entry.

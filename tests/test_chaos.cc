@@ -31,7 +31,6 @@ using sim::ChaosResult;
 using sim::FaultPlan;
 using sim::FaultSite;
 using sim::FaultSpec;
-using sim::ScopedFaults;
 
 // -- FaultPlan trigger semantics ------------------------------------------
 
@@ -98,18 +97,22 @@ TEST(FaultPlan, ProbabilityStreamIsSeedReproducible)
 
 TEST(FaultPlan, NullHookIsANoOp)
 {
-    sim::set_fault_sink(nullptr);
-    EXPECT_EQ(sim::fault_sink(), nullptr);
-    EXPECT_FALSE(sim::fault_fires(FaultSite::kTlbEntryDrop));
+    EXPECT_FALSE(sim::fault_fires(nullptr, FaultSite::kTlbEntryDrop));
 
+    auto world = std::unique_ptr<World>(World::x86(2));
+    EXPECT_EQ(world->machine.faults(), nullptr);
     FaultPlan plan(7);
     plan.arm(FaultSite::kTlbEntryDrop, {.every = 1});
-    {
-        ScopedFaults armed(plan);
-        EXPECT_TRUE(sim::fault_fires(FaultSite::kTlbEntryDrop));
-    }
+    world->machine.set_faults(&plan);
+    for (std::size_t c = 0; c < 2; ++c)
+        EXPECT_EQ(world->core(c).faults(), &plan);
+    EXPECT_TRUE(
+        sim::fault_fires(world->core(1).faults(), FaultSite::kTlbEntryDrop));
     // Detached again: no counting, no firing.
-    EXPECT_FALSE(sim::fault_fires(FaultSite::kTlbEntryDrop));
+    world->machine.set_faults(nullptr);
+    EXPECT_EQ(world->core(1).faults(), nullptr);
+    EXPECT_FALSE(
+        sim::fault_fires(world->core(1).faults(), FaultSite::kTlbEntryDrop));
     EXPECT_EQ(plan.occurrences(FaultSite::kTlbEntryDrop), 1u);
 }
 
@@ -145,12 +148,11 @@ TEST(FaultSiteBehavior, VdrExhaustedSurfacesResourceExhausted)
     kernel::Task *task = world->spawn();
     FaultPlan plan(7);
     plan.arm(FaultSite::kVdrExhausted, {.every = 1});
-    {
-        ScopedFaults armed(plan);
-        EXPECT_EQ(world->sys.vdr_alloc(world->core(0), *task, 2),
-                  VdomStatus::kResourceExhausted);
-        EXPECT_FALSE(task->has_vdr());
-    }
+    world->machine.set_faults(&plan);
+    EXPECT_EQ(world->sys.vdr_alloc(world->core(0), *task, 2),
+              VdomStatus::kResourceExhausted);
+    EXPECT_FALSE(task->has_vdr());
+    world->machine.set_faults(nullptr);
     // Unarmed retry succeeds: the failure was transient, not sticky.
     EXPECT_EQ(world->sys.vdr_alloc(world->core(0), *task, 2),
               VdomStatus::kOk);
@@ -164,11 +166,10 @@ TEST(FaultSiteBehavior, VdtAllocFailRejectsMprotectWithoutMutation)
     hw::Vpn vpn = world->proc.mm().mmap(2);
     FaultPlan plan(7);
     plan.arm(FaultSite::kVdtAllocFail, {.every = 1});
-    {
-        ScopedFaults armed(plan);
-        EXPECT_EQ(world->sys.vdom_mprotect(world->core(0), vpn, 2, v),
-                  VdomStatus::kResourceExhausted);
-    }
+    world->machine.set_faults(&plan);
+    EXPECT_EQ(world->sys.vdom_mprotect(world->core(0), vpn, 2, v),
+              VdomStatus::kResourceExhausted);
+    world->machine.set_faults(nullptr);
     EXPECT_TRUE(world->proc.mm().vdm().vdt().areas(v).empty());
     // The same call succeeds once the fault clears.
     EXPECT_EQ(world->sys.vdom_mprotect(world->core(0), vpn, 2, v),
@@ -183,12 +184,11 @@ TEST(FaultSiteBehavior, PermRegWriteFailExhaustsRetriesWithoutMutation)
     (void)vpn;
     FaultPlan plan(7);
     plan.arm(FaultSite::kPermRegWriteFail, {.probability = 1.0});
-    {
-        ScopedFaults armed(plan);
-        EXPECT_EQ(world->sys.wrvdr(world->core(0), *task, v,
-                                   VPerm::kFullAccess),
-                  VdomStatus::kRetriesExhausted);
-    }
+    world->machine.set_faults(&plan);
+    EXPECT_EQ(world->sys.wrvdr(world->core(0), *task, v,
+                               VPerm::kFullAccess),
+              VdomStatus::kRetriesExhausted);
+    world->machine.set_faults(nullptr);
     // The grant never landed: VDR still reports the default.
     EXPECT_EQ(world->sys.rdvdr(world->core(0), *task, v),
               VPerm::kAccessDisable);
@@ -204,7 +204,7 @@ TEST(FaultSiteBehavior, GateEntryDeniedIsRetryable)
     (void)vpn;
     FaultPlan plan(7);
     plan.arm(FaultSite::kGateEntryDenied, {.every = 1, .max_fires = 1});
-    ScopedFaults armed(plan);
+    world->machine.set_faults(&plan);
     EXPECT_EQ(world->sys.wrvdr(world->core(0), *task, v,
                                VPerm::kFullAccess),
               VdomStatus::kTransientFault);
@@ -226,7 +226,7 @@ TEST(FaultSiteBehavior, TlbEntryDropForcesRewalkNotCorruption)
 
     FaultPlan plan(7);
     plan.arm(FaultSite::kTlbEntryDrop, {.probability = 1.0});
-    ScopedFaults armed(plan);
+    world->machine.set_faults(&plan);
     telemetry::MetricsRegistry registry;
     telemetry::ScopedMetrics metrics(registry);
     VAccess res = world->sys.access(world->core(0), *task, vpn, true);

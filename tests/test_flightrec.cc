@@ -22,6 +22,7 @@
 namespace vdom::telemetry {
 namespace {
 
+using ::vdom::testing::FakeCore;
 using ::vdom::testing::World;
 
 TEST(FlatRing, FillsThenOverwritesOldest)
@@ -89,18 +90,13 @@ TEST(FlightRecorder, RingWrapCountsDrops)
     EXPECT_EQ(rec.last_flow(), 0u);
 }
 
-TEST(FlightHooks, DetachedSinkIsZeroAndScopedAttachRestores)
+TEST(FlightHooks, DetachedSinkIsZeroAndAttachedSinkRecords)
 {
-    set_flight_sink(nullptr);
-    flight_record({FlightEvent::kFault, 0});  // Must not crash.
-    EXPECT_EQ(flight_new_flow(), 0u);
+    flight_record(FakeCore{}, FlightEvent::kFault, 0);  // Must not crash.
+    EXPECT_EQ(flight_new_flow(nullptr), 0u);
     FlightRecorder rec(1);
-    {
-        ScopedFlightRecorder attach(rec);
-        EXPECT_EQ(flight_new_flow(), 1u);
-        flight_record({FlightEvent::kFault, 0});
-    }
-    EXPECT_EQ(flight_sink(), nullptr);
+    EXPECT_EQ(flight_new_flow(&rec), 1u);
+    flight_record(FakeCore{&rec}, FlightEvent::kFault, 0);
     EXPECT_EQ(rec.total(), 1u);
     EXPECT_EQ(rec.last_flow(), 1u);
 }
@@ -111,8 +107,8 @@ TEST(FlightHooks, DetachedSinkIsZeroAndScopedAttachRestores)
 TEST(FlightRecorder, TraceForwardsIntoUnifiedTimeline)
 {
     FlightRecorder rec(4);
-    ScopedFlightRecorder attach(rec);
-    flight_event(FlightEvent::kMigration, 3, 9, 123.0, 5, 1, 2);
+    flight_event(FakeCore{&rec, 3, 123.0}, FlightEvent::kMigration, 9, 5, 1,
+                 2);
     ASSERT_EQ(rec.total(), 1u);
     const FlightRecord &r = rec.ring(3).front();
     EXPECT_EQ(r.kind, FlightEvent::kMigration);
@@ -124,7 +120,8 @@ TEST(FlightRecorder, TraceForwardsIntoUnifiedTimeline)
     EXPECT_EQ(r.b, (1ull << 32) | 2u);          // vds_from << 32 | vds_to
     EXPECT_EQ(r.name, nullptr);
 
-    flight_event(FlightEvent::kShootdown, 0, 0, 7.9, kInvalidVdom, 0, 0);
+    flight_event(FakeCore{&rec, 0, 7.9}, FlightEvent::kShootdown, 0,
+                 kInvalidVdom, 0, 0);
     const FlightRecord &s = rec.ring(0).front();
     EXPECT_EQ(s.ts, 7u);
     EXPECT_EQ(s.a, 0u);
@@ -140,7 +137,7 @@ TEST(FlightRecorder, ShootdownFlowsAreMonotonicAndComplete)
     world->spawn(1);
     world->spawn(2);
     FlightRecorder rec(4);
-    ScopedFlightRecorder attach(rec);
+    world->machine.set_flight(&rec);
 
     kernel::ShootdownManager &sd = world->proc.shootdown();
     sd.shoot(world->core(0), 0b0110, kernel::FlushKind::kAll);
@@ -180,11 +177,9 @@ TEST(FlightTrace, ExportsFlowEvents)
     world->spawn(1);
     world->spawn(2);
     FlightRecorder rec(4);
-    {
-        ScopedFlightRecorder attach(rec);
-        world->proc.shootdown().shoot(world->core(0), 0b0110,
-                                      kernel::FlushKind::kAll);
-    }
+    world->machine.set_flight(&rec);
+    world->proc.shootdown().shoot(world->core(0), 0b0110,
+                                  kernel::FlushKind::kAll);
     std::string json = flight_trace_json(rec);
     EXPECT_NE(json.find("\"traceEvents\":["), std::string::npos);
     EXPECT_NE(json.find("\"name\":\"shootdown_issue\""), std::string::npos);

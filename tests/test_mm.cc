@@ -407,7 +407,7 @@ run_shadow_property(std::uint64_t seed, Coverage &cov)
         delay.probability = 0.2;
         plan.arm(sim::FaultSite::kPteWriteDelay, delay);
     }
-    sim::ScopedFaults armed(plan);
+    w->machine.set_faults(&plan);
 
     sim::Rng rng(seed);
     std::vector<Region> regions;

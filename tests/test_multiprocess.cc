@@ -6,7 +6,6 @@
 
 #include <limits>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -238,14 +237,13 @@ struct SwitchRun {
 /// \p with_faults, ASID exhaustion is forced every 97th assignment: on ARM
 /// each one is a generation rollover whose flush-all reaches the other
 /// processes' cores.  The world owns its flight recorder and fault plan
-/// and attaches them only while it runs, so several worlds can be alive
-/// and advanced in turn.
+/// and attaches them to its machine once built, so several worlds can be
+/// alive and advanced in turn, each seeing only its own events.
 class SwitchWorld {
   public:
     SwitchWorld(hw::ArchKind arch, bool with_faults)
         : machine_(arch == hw::ArchKind::kX86 ? hw::ArchParams::x86(8)
-                                              : hw::ArchParams::arm(8)),
-          with_faults_(with_faults)
+                                              : hw::ArchParams::arm(8))
     {
         if (with_faults)
             plan_.arm(sim::FaultSite::kAsidExhaustion,
@@ -263,21 +261,16 @@ class SwitchWorld {
                                    static_cast<int>(p * 2 + t));
             }
         }
+        machine_.set_flight(&flight_);
+        if (with_faults)
+            machine_.set_faults(&plan_);
     }
 
     bool done() const { return engine_.live_threads() == 0; }
 
     /// Runs until every core has reached \p deadline (or the workers are
-    /// done), with this world's flight recorder and fault plan attached.
-    void
-    advance(hw::Cycles deadline)
-    {
-        telemetry::ScopedFlightRecorder attach_flight(flight_);
-        std::optional<sim::ScopedFaults> armed;
-        if (with_faults_)
-            armed.emplace(plan_);
-        engine_.run_until(deadline);
-    }
+    /// done).
+    void advance(hw::Cycles deadline) { engine_.run_until(deadline); }
 
     SwitchRun
     result() const
@@ -295,7 +288,6 @@ class SwitchWorld {
 
   private:
     hw::Machine machine_;
-    bool with_faults_;
     telemetry::FlightRecorder flight_{8, 4096};
     sim::FaultPlan plan_{11};
     std::vector<std::unique_ptr<kernel::Process>> procs_;

@@ -39,7 +39,6 @@ using kernel::WalRecType;
 using kernel::WalScan;
 using sim::FaultPlan;
 using sim::FaultSite;
-using sim::ScopedFaults;
 
 /// A fresh world.  Same-arch worlds are identical, so replay reconverges
 /// on recorded ids.
@@ -132,10 +131,9 @@ TEST(Wal, GracefulFailureSealsAbort)
 
     FaultPlan plan(1);
     plan.arm_exact(FaultSite::kVdtAllocFail, 1);
-    {
-        ScopedFaults armed(plan);
-        EXPECT_EQ(w->sys.vdom_init(core), VdomStatus::kResourceExhausted);
-    }
+    w->machine.set_faults(&plan);
+    EXPECT_EQ(w->sys.vdom_init(core), VdomStatus::kResourceExhausted);
+    w->machine.set_faults(nullptr);
     ASSERT_EQ(wal.size(), 2u);
     EXPECT_EQ(wal.records()[1].type, WalRecType::kAbort);
     WalScan scan = wal.scan();
@@ -251,8 +249,9 @@ TEST(Wal, ScanResolvesInterleavedOutcomes)
     {
         FaultPlan plan(1);
         plan.arm_crash(crossing(2), [&] { image = wal; });
-        ScopedFaults armed(plan);
+        w->machine.set_faults(&plan);
         (void)wal.begin(core, WalOp::kVdomAlloc, 0);
+        w->machine.set_faults(nullptr);
     }
     ASSERT_EQ(image.size(), 17u);
 
@@ -296,8 +295,9 @@ TEST(Wal, CrashBetweenPushAndSealLeavesDetectablyTornTail)
     {
         FaultPlan plan(1);
         plan.arm_crash(crossing(1), [&] { image = wal; });
-        ScopedFaults armed(plan);
+        w->machine.set_faults(&plan);
         (void)wal.begin(core, WalOp::kVdomAlloc, 0);
+        w->machine.set_faults(nullptr);
     }
     EXPECT_EQ(image.size(), 0u);
     wal.reset();
@@ -307,8 +307,9 @@ TEST(Wal, CrashBetweenPushAndSealLeavesDetectablyTornTail)
     {
         FaultPlan plan(1);
         plan.arm_crash(crossing(2), [&] { image = wal; });
-        ScopedFaults armed(plan);
+        w->machine.set_faults(&plan);
         (void)wal.begin(core, WalOp::kVdomAlloc, 0);
+        w->machine.set_faults(nullptr);
     }
     ASSERT_EQ(image.size(), 1u);
     EXPECT_TRUE(image.records()[0].torn());
@@ -405,10 +406,9 @@ TEST(Recovery, CrashInsideNestedOpLeavesOuterUncommitted)
         before_grow = snapshot_durable_state(w->sys);
         FaultPlan probe(1);
         probe.arm_probe(FaultSite::kCrash);
-        {
-            ScopedFaults armed(probe);
-            ASSERT_TRUE(arena.allocate(core, 64).ok());
-        }
+        w->machine.set_faults(&probe);
+        ASSERT_TRUE(arena.allocate(core, 64).ok());
+        w->machine.set_faults(nullptr);
         crossings = probe.occurrences(FaultSite::kCrash);
         after_grow = snapshot_durable_state(w->sys);
     }
@@ -426,10 +426,9 @@ TEST(Recovery, CrashInsideNestedOpLeavesOuterUncommitted)
         Wal image;
         FaultPlan plan(1);
         plan.arm_crash(crossing(k), [&] { image = wal; });
-        {
-            ScopedFaults armed(plan);
-            (void)arena->allocate(core, 64);
-        }
+        w->machine.set_faults(&plan);
+        (void)arena->allocate(core, 64);
+        w->machine.set_faults(nullptr);
         ASSERT_EQ(plan.fires(FaultSite::kCrash), 1u) << "k=" << k;
         image.reboot();
         auto fresh = fresh_world(hw::ArchKind::kX86);
@@ -464,7 +463,7 @@ TEST(Recovery, PmoAttachAtomicAcrossEveryCrashPointBothArches)
             ASSERT_EQ(w->sys.vdom_init(w->core()), VdomStatus::kOk);
             FaultPlan probe(1);
             probe.arm_probe(FaultSite::kCrash);
-            ScopedFaults armed(probe);
+            w->machine.set_faults(&probe);
             apps::PmoAttachResult r = apps::pmo_attach(
                 w->sys, w->core(), store, kPmo, kPages, kSeed);
             ASSERT_EQ(r.status, VdomStatus::kOk);
@@ -482,11 +481,10 @@ TEST(Recovery, PmoAttachAtomicAcrossEveryCrashPointBothArches)
             CrashImage image;
             FaultPlan plan(1);
             plan.arm_crash(crossing(k), [&] { image = {wal, store}; });
-            {
-                ScopedFaults armed(plan);
-                (void)apps::pmo_attach(w->sys, w->core(), store, kPmo,
-                                       kPages, kSeed);
-            }
+            w->machine.set_faults(&plan);
+            (void)apps::pmo_attach(w->sys, w->core(), store, kPmo,
+                                   kPages, kSeed);
+            w->machine.set_faults(nullptr);
             ASSERT_EQ(plan.fires(FaultSite::kCrash), 1u) << "k=" << k;
             image.wal.reboot();
             auto fresh = fresh_world(arch);
@@ -528,7 +526,7 @@ TEST(Recovery, PmoDetachEraseIsRedoneAcrossEveryCrashPointBothArches)
             ASSERT_EQ(r.status, VdomStatus::kOk);
             FaultPlan probe(1);
             probe.arm_probe(FaultSite::kCrash);
-            ScopedFaults armed(probe);
+            w->machine.set_faults(&probe);
             ASSERT_EQ(apps::pmo_detach(w->sys, w->core(), store, kPmo,
                                        r.vdom),
                       VdomStatus::kOk);
@@ -549,11 +547,10 @@ TEST(Recovery, PmoDetachEraseIsRedoneAcrossEveryCrashPointBothArches)
             CrashImage image;
             FaultPlan plan(1);
             plan.arm_crash(crossing(k), [&] { image = {wal, store}; });
-            {
-                ScopedFaults armed(plan);
-                (void)apps::pmo_detach(w->sys, w->core(), store, kPmo,
-                                       r.vdom);
-            }
+            w->machine.set_faults(&plan);
+            (void)apps::pmo_detach(w->sys, w->core(), store, kPmo,
+                                   r.vdom);
+            w->machine.set_faults(nullptr);
             ASSERT_EQ(plan.fires(FaultSite::kCrash), 1u) << "k=" << k;
             image.wal.reboot();
             auto fresh = fresh_world(arch);
@@ -677,7 +674,7 @@ count_crossings(hw::ArchKind arch, std::size_t i)
     auto run = replay_steps(arch, i, wal, store);
     FaultPlan probe(1);
     probe.arm_probe(FaultSite::kCrash);
-    ScopedFaults armed(probe);
+    run->world->machine.set_faults(&probe);
     kImageSteps[i](*run, store);
     return probe.occurrences(FaultSite::kCrash);
 }
@@ -696,7 +693,7 @@ tap_images(hw::ArchKind arch, std::size_t i, std::uint64_t n)
         EXPECT_EQ(plan.occurrences(FaultSite::kCrash), images.size() + 1);
         images.push_back({wal, store});
     });
-    ScopedFaults armed(plan);
+    run->world->machine.set_faults(&plan);
     kImageSteps[i](*run, store);
     return images;
 }
@@ -712,7 +709,7 @@ image_at(hw::ArchKind arch, std::size_t i, std::uint64_t k)
     CrashImage image;
     FaultPlan plan(1);
     plan.arm_crash(crossing(k), [&] { image = {wal, store}; });
-    ScopedFaults armed(plan);
+    run->world->machine.set_faults(&plan);
     kImageSteps[i](*run, store);
     EXPECT_EQ(plan.fires(FaultSite::kCrash), 1u);
     return image;
@@ -903,11 +900,12 @@ TEST(Shootdown, ExponentialBackoffChargesCappedSchedule)
     // the post-retry delivery goes through unconditionally.
     FaultPlan plan(1);
     plan.arm_exact(FaultSite::kIpiDrop, 1, /*sticky=*/true);
+    machine.set_faults(&plan);
     {
-        ScopedFaults armed(plan);
         telemetry::ScopedMetrics attach(registry);
         sd.shoot(machine.core(0), 0b0010, kernel::FlushKind::kAll);
     }
+    machine.set_faults(nullptr);
     EXPECT_EQ(registry.value(telemetry::Metric::kShootdownRetries), 4u);
 
     // Deterministic capped doubling: waits of 1x, 2x, 4x, 8x ipi_wait

@@ -8,6 +8,7 @@
 #include <map>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -26,6 +27,7 @@ namespace vdom::telemetry {
 namespace {
 
 using kernel::Task;
+using ::vdom::testing::FakeCore;
 using ::vdom::testing::World;
 
 TEST(MetricsRegistry, CountersAccumulate)
@@ -166,12 +168,10 @@ TEST(SpanNesting, BalancedPerCoreTidTrackInHttpdRun)
     cfg.workers = 40;
     cfg.total_requests = 100;
     FlightRecorder flight(8, std::size_t{1} << 14);
-    {
-        ScopedFlightRecorder attach(flight);
-        apps::HttpdResult r =
-            apps::run_httpd(world->machine, world->proc, strategy, cfg);
-        ASSERT_EQ(r.completed, cfg.total_requests);
-    }
+    world->machine.set_flight(&flight);
+    apps::HttpdResult r =
+        apps::run_httpd(world->machine, world->proc, strategy, cfg);
+    ASSERT_EQ(r.completed, cfg.total_requests);
     ASSERT_EQ(flight.dropped(), 0u);
 
     std::map<std::pair<std::uint32_t, std::uint32_t>,
@@ -199,40 +199,31 @@ TEST(SpanNesting, BalancedPerCoreTidTrackInHttpdRun)
     EXPECT_GE(max_depth, 4u);
 }
 
-/// Span emitters write only into the attached flight recorder: detached
-/// they are a no-op, and the RAII Span brackets its scope with the
-/// clock's values at entry and exit.
-TEST(SpanHooks, NullSinkIsSafeAndScopedAttachRestores)
+/// Span emitters write only into the recorder of the core they are
+/// given: detached they are a no-op, and the RAII Span brackets its scope
+/// with the core's clock at entry and exit.
+TEST(SpanHooks, NullSinkIsSafeAndSpansGoToTheirSink)
 {
-    set_flight_sink(nullptr);
-    span_begin("x", 0, 0, 0);  // Must not crash.
-    span_end("x", 1, 0, 0);
+    span_begin(FakeCore{}, "x", 0);  // Must not crash.
+    span_end(FakeCore{nullptr, 0, 1}, "x", 0);
     FlightRecorder outer(1), inner(1);
-    {
-        ScopedFlightRecorder attach_outer(outer);
-        span_instant("o", 0, 0, 0);
-        {
-            ScopedFlightRecorder attach_inner(inner);
-            span_instant("i", 0, 0, 0);
-        }
-        span_instant("o", 1, 0, 0);
-    }
-    EXPECT_EQ(flight_sink(), nullptr);
+    span_instant(FakeCore{&outer}, "o", 0);
+    span_instant(FakeCore{&inner}, "i", 0);
+    span_instant(FakeCore{&outer, 0, 1}, "o", 0);
     EXPECT_EQ(outer.total(), 2u);
     EXPECT_EQ(inner.total(), 1u);
     EXPECT_EQ(inner.ring(0).front().kind, FlightEvent::kSpanInstant);
     EXPECT_STREQ(inner.ring(0).front().name, "i");
 
-    struct Clock {
-        std::uint64_t t = 10;
-        std::uint64_t now() const { return t; }
-        std::size_t id() const { return 2; }
-    } clock;
-    FlightRecorder rec(4);
+    FakeCore detached{nullptr, 2, 10};
     {
-        ScopedFlightRecorder attach(rec);
-        Span<Clock> span("scope", clock, 5);
-        clock.t = 25;
+        Span<FakeCore> span("none", detached, 5);  // Must not crash.
+    }
+    FlightRecorder rec(4);
+    FakeCore core{&rec, 2, 10};
+    {
+        Span<FakeCore> span("scope", core, 5);
+        core.clock = 25;
     }
     std::vector<FlightRecord> records = rec.merged();
     ASSERT_EQ(records.size(), 2u);
@@ -277,14 +268,11 @@ TEST(JsonWriter, EscapesAndNests)
 TEST(FlightTrace, ExportsSpansWithAttribution)
 {
     FlightRecorder rec(2);
-    {
-        ScopedFlightRecorder attach(rec);
-        span_begin("request", 100, 0, 7);
-        span_begin("wrvdr", 110, 0, 7);
-        span_end("wrvdr", 150, 0, 7);
-        span_instant("shootdown", 160, 1, 0);
-        span_end("request", 200, 0, 7);
-    }
+    span_begin(FakeCore{&rec, 0, 100}, "request", 7);
+    span_begin(FakeCore{&rec, 0, 110}, "wrvdr", 7);
+    span_end(FakeCore{&rec, 0, 150}, "wrvdr", 7);
+    span_instant(FakeCore{&rec, 1, 160}, "shootdown", 0);
+    span_end(FakeCore{&rec, 0, 200}, "request", 7);
 
     MetricsRegistry registry;
     registry.add(Metric::kWrvdrCalls, 1);
@@ -312,11 +300,8 @@ TEST(FlightTrace, ExportsSpansWithAttribution)
 TEST(FlightTrace, ReportsDrops)
 {
     FlightRecorder rec(1, 1);
-    {
-        ScopedFlightRecorder attach(rec);
-        span_instant("lost", 0, 0, 0);
-        span_instant("kept", 1, 0, 0);
-    }
+    span_instant(FakeCore{&rec}, "lost", 0);
+    span_instant(FakeCore{&rec, 0, 1}, "kept", 0);
     std::string json = flight_trace_json(rec);
     EXPECT_NE(json.find("\"droppedEvents\":1"), std::string::npos);
     EXPECT_NE(json.find("\"name\":\"kept\""), std::string::npos);
@@ -379,11 +364,12 @@ drive_workload(World &world)
 /// an uninstrumented run.
 TEST(CycleIdentity, SinksNeverChargeCycles)
 {
-    // Plain run, no sinks.
+    // Plain run, no sinks: a world is born with neither a plan nor a
+    // recorder.
     set_metrics_sink(nullptr);
-    set_flight_sink(nullptr);
-    sim::set_fault_sink(nullptr);
     auto plain = std::unique_ptr<World>(World::x86(4));
+    EXPECT_EQ(plain->machine.faults(), nullptr);
+    EXPECT_EQ(plain->machine.flight(), nullptr);
     drive_workload(*plain);
 
     // Instrumented run: metrics + flight recorder (spans and typed events)
@@ -393,10 +379,10 @@ TEST(CycleIdentity, SinksNeverChargeCycles)
     MetricsRegistry registry;
     sim::FaultPlan unarmed_plan(1);
     FlightRecorder flight(4);
+    traced->machine.set_faults(&unarmed_plan);
+    traced->machine.set_flight(&flight);
     {
         ScopedMetrics attach_metrics(registry);
-        sim::ScopedFaults attach_faults(unarmed_plan);
-        ScopedFlightRecorder attach_flight(flight);
         drive_workload(*traced);
     }
     EXPECT_EQ(unarmed_plan.total_fires(), 0u);
@@ -422,6 +408,98 @@ TEST(CycleIdentity, SinksNeverChargeCycles)
             << cost_kind_name(static_cast<hw::CostKind>(i));
 }
 
+/// What one world's run leaves behind: per-core clocks and its
+/// recorder's retained records, rendered with core and sequence.
+struct WorldRun {
+    std::vector<hw::Cycles> clocks;
+    std::vector<std::string> records;
+};
+
+WorldRun
+observe(World &world, const FlightRecorder &flight)
+{
+    WorldRun run;
+    for (std::size_t c = 0; c < world.machine.num_cores(); ++c)
+        run.clocks.push_back(world.core(c).now());
+    for (const FlightRecord &r : flight.merged())
+        run.records.push_back(FlightRecorder::format(r) + " core=" +
+                              std::to_string(r.core) +
+                              " seq=" + std::to_string(r.seq));
+    return run;
+}
+
+/// Probability-arms sites drive_workload crosses, so every crossing
+/// draws from the plan's RNG and fires change cycles.
+void
+arm_probabilistic(sim::FaultPlan &plan)
+{
+    plan.arm(sim::FaultSite::kTlbEntryDrop, {.probability = 0.3});
+    plan.arm(sim::FaultSite::kPteWriteDelay, {.probability = 0.25});
+    plan.arm(sim::FaultSite::kIpiDrop, {.probability = 0.5});
+}
+
+/// Two worlds alive in one scope keep their own sinks.  A plan attached
+/// to world A never sees world B's crossings: they do not fire, and they
+/// advance neither A's occurrence counts nor its RNG.  Each recorder
+/// holds only its own world's records.  So both worlds match the same
+/// world run alone.
+TEST(WorldSinks, TwoWorldsKeepTheirOwnPlanAndRecorder)
+{
+    constexpr std::size_t kRecords = std::size_t{1} << 14;
+    sim::FaultPlan solo_plan(5);
+    arm_probabilistic(solo_plan);
+    FlightRecorder solo_a_flight(4, kRecords), solo_b_flight(4, kRecords);
+    WorldRun want_a, want_b;
+    {
+        auto solo_a = std::unique_ptr<World>(World::x86(4));
+        solo_a->machine.set_faults(&solo_plan);
+        solo_a->machine.set_flight(&solo_a_flight);
+        drive_workload(*solo_a);
+        want_a = observe(*solo_a, solo_a_flight);
+        auto solo_b = std::unique_ptr<World>(World::x86(4));
+        solo_b->machine.set_flight(&solo_b_flight);
+        drive_workload(*solo_b);
+        want_b = observe(*solo_b, solo_b_flight);
+    }
+    // The plan really acts on A: it fires, and A's cycles move.
+    ASSERT_GT(solo_plan.total_fires(), 0u);
+    ASSERT_NE(want_a.clocks, want_b.clocks);
+
+    sim::FaultPlan plan(5);
+    arm_probabilistic(plan);
+    FlightRecorder flight_a(4, kRecords), flight_b(4, kRecords);
+    auto a = std::unique_ptr<World>(World::x86(4));
+    auto b = std::unique_ptr<World>(World::x86(4));
+    a->machine.set_faults(&plan);
+    a->machine.set_flight(&flight_a);
+    b->machine.set_flight(&flight_b);
+    EXPECT_EQ(b->machine.faults(), nullptr);
+
+    // B runs first, with A's plan armed and attached the whole time.
+    drive_workload(*b);
+    for (std::size_t s = 0; s <= sim::kNumFaultSites; ++s)
+        EXPECT_EQ(plan.occurrences(static_cast<sim::FaultSite>(s)), 0u)
+            << sim::fault_site_name(static_cast<sim::FaultSite>(s));
+    EXPECT_EQ(flight_a.total(), 0u);
+    drive_workload(*a);
+
+    for (std::size_t s = 0; s <= sim::kNumFaultSites; ++s) {
+        auto site = static_cast<sim::FaultSite>(s);
+        EXPECT_EQ(plan.occurrences(site), solo_plan.occurrences(site))
+            << sim::fault_site_name(site);
+        EXPECT_EQ(plan.fires(site), solo_plan.fires(site))
+            << sim::fault_site_name(site);
+    }
+    WorldRun got_a = observe(*a, flight_a);
+    WorldRun got_b = observe(*b, flight_b);
+    EXPECT_EQ(flight_a.dropped(), 0u);
+    EXPECT_EQ(flight_b.dropped(), 0u);
+    EXPECT_EQ(got_a.clocks, want_a.clocks);
+    EXPECT_EQ(got_a.records, want_a.records);
+    EXPECT_EQ(got_b.clocks, want_b.clocks);
+    EXPECT_EQ(got_b.records, want_b.records);
+}
+
 /// Telemetry counters line up with the flight record's typed events for
 /// the same run.
 TEST(Integration, MetricsAgreeWithEventTrace)
@@ -429,9 +507,9 @@ TEST(Integration, MetricsAgreeWithEventTrace)
     auto world = std::unique_ptr<World>(World::x86(2));
     MetricsRegistry registry;
     FlightRecorder events(2, 1 << 16);
+    world->machine.set_flight(&events);
     {
         ScopedMetrics attach_metrics(registry);
-        ScopedFlightRecorder attach_events(events);
         Task *task = world->ready_thread(/*nas=*/1);
         std::size_t usable = world->machine.params().usable_pdoms();
         for (std::size_t i = 0; i < usable + 2; ++i) {

@@ -296,10 +296,7 @@ class TlbIndexGrowth : public ::testing::TestWithParam<TlbShape> {
     lookup_armed(sim::FaultPlan &plan, Page page)
     {
         std::uint64_t drops = plan.fires(sim::FaultSite::kTlbEntryDrop);
-        {
-            sim::ScopedFaults faults(plan);
-            tlb_.lookup(page.asid, page.vpn);
-        }
+        tlb_.lookup(page.asid, page.vpn, &plan);
         auto it = find(page);
         if (it == lru_.end())
             return;

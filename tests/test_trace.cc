@@ -15,15 +15,15 @@ namespace vdom::telemetry {
 namespace {
 
 using kernel::Task;
+using ::vdom::testing::FakeCore;
 using ::vdom::testing::World;
 
 TEST(Tracer, RecordAndFilter)
 {
     FlightRecorder rec(2, 16);
-    ScopedFlightRecorder attach(rec);
-    flight_event(FlightEvent::kEvict, 1, 1, 100, 5, 0, 0);
-    flight_event(FlightEvent::kVdsSwitch, 0, 1, 200, 6, 0, 1);
-    flight_event(FlightEvent::kEvict, 0, 2, 300, 7, 1, 1);
+    flight_event(FakeCore{&rec, 1, 100}, FlightEvent::kEvict, 1, 5, 0, 0);
+    flight_event(FakeCore{&rec, 0, 200}, FlightEvent::kVdsSwitch, 1, 6, 0, 1);
+    flight_event(FakeCore{&rec, 0, 300}, FlightEvent::kEvict, 2, 7, 1, 1);
     EXPECT_EQ(rec.total(), 3u);
     EXPECT_EQ(rec.count(FlightEvent::kEvict), 2u);
     // Program order across cores: the core-1 record comes first.
@@ -38,9 +38,9 @@ TEST(Tracer, RecordAndFilter)
 TEST(Tracer, RingBounds)
 {
     FlightRecorder rec(1, 4);
-    ScopedFlightRecorder attach(rec);
     for (int i = 0; i < 10; ++i)
-        flight_event(FlightEvent::kFault, 0, 0, i, 0, 0, 0);
+        flight_event(FakeCore{&rec, 0, static_cast<hw::Cycles>(i)},
+                     FlightEvent::kFault, 0, 0, 0, 0);
     // Queries see only the retained window: the newest four records.
     EXPECT_EQ(rec.total(), 10u);
     EXPECT_EQ(rec.dropped(), 6u);
@@ -54,9 +54,9 @@ TEST(Tracer, RingBounds)
 TEST(Tracer, ZeroCapacityRetainsNothing)
 {
     FlightRecorder rec(1, 0);
-    ScopedFlightRecorder attach(rec);
     for (int i = 0; i < 5; ++i)
-        flight_event(FlightEvent::kFault, 0, 0, i, 0, 0, 0);
+        flight_event(FakeCore{&rec, 0, static_cast<hw::Cycles>(i)},
+                     FlightEvent::kFault, 0, 0, 0, 0);
     EXPECT_EQ(rec.total(), 5u);  // Drops are still counted.
     EXPECT_EQ(rec.dropped(), 5u);
     EXPECT_EQ(rec.count(FlightEvent::kFault), 0u);
@@ -91,15 +91,15 @@ TEST(Tracer, EventNameCoversEveryValue)
 TEST(Tracer, FormatAndDump)
 {
     FlightRecorder rec;
-    ScopedFlightRecorder attach(rec);
-    flight_event(FlightEvent::kMigration, 0, 7, 1234, 42, 0, 3);
+    flight_event(FakeCore{&rec, 0, 1234}, FlightEvent::kMigration, 7, 42, 0,
+                 3);
     std::string line = FlightRecorder::format(rec.ring(0).front());
     EXPECT_NE(line.find("[1234] migration"), std::string::npos);
     EXPECT_NE(line.find("tid=7"), std::string::npos);
     EXPECT_NE(line.find("vdom=42"), std::string::npos);
     EXPECT_NE(line.find("0->3"), std::string::npos);
     // Same VDS on both sides prints one id.
-    flight_event(FlightEvent::kEvict, 0, 7, 1300, 42, 2, 2);
+    flight_event(FakeCore{&rec, 0, 1300}, FlightEvent::kEvict, 7, 42, 2, 2);
     EXPECT_EQ(FlightRecorder::format(rec.filter(FlightEvent::kEvict)[0]),
               "[1300] evict tid=7 vdom=42 vds=2");
 }
@@ -109,9 +109,8 @@ TEST(Tracer, FormatAndDump)
 TEST(Tracer, DumpListsEveryRetainedRecord)
 {
     FlightRecorder rec(2);
-    ScopedFlightRecorder attach(rec);
-    flight_event(FlightEvent::kMapFree, 1, 1, 10, 2, 0, 0);
-    span_begin("wrvdr", 20, 0, 7);
+    flight_event(FakeCore{&rec, 1, 10}, FlightEvent::kMapFree, 1, 2, 0, 0);
+    span_begin(FakeCore{&rec, 0, 20}, "wrvdr", 7);
     rec.record({FlightEvent::kShootdownIssue, 0, 0, 30, /*flow=*/9, 2});
     std::ostringstream out;
     for (const FlightRecord &r : rec.merged())
@@ -123,27 +122,33 @@ TEST(Tracer, DumpListsEveryRetainedRecord)
 
 TEST(Tracer, NoSinkNoCost)
 {
-    set_flight_sink(nullptr);
-    flight_event(FlightEvent::kFault, 0, 0, 0, 0, 0, 0);  // Must not crash.
-    EXPECT_EQ(flight_sink(), nullptr);
+    // Must not crash, and hands out no flow id.
+    flight_event(FakeCore{}, FlightEvent::kFault, 0, 0, 0, 0);
+    EXPECT_EQ(flight_new_flow(nullptr), 0u);
 }
 
-TEST(Tracer, ScopedAttachment)
+/// A machine is born detached; set_flight reaches every core, and
+/// detaching leaves the recorder with what it saw.
+TEST(Tracer, MachineAttachmentReachesEveryCore)
 {
-    FlightRecorder outer, inner;
-    set_flight_sink(nullptr);
-    {
-        ScopedFlightRecorder attach_outer(outer);
-        flight_event(FlightEvent::kFault, 0, 0, 1, 0, 0, 0);
-        {
-            ScopedFlightRecorder attach_inner(inner);
-            flight_event(FlightEvent::kFault, 0, 0, 2, 0, 0, 0);
-        }
-        flight_event(FlightEvent::kFault, 0, 0, 3, 0, 0, 0);
-    }
-    EXPECT_EQ(flight_sink(), nullptr);
-    EXPECT_EQ(outer.total(), 2u);
-    EXPECT_EQ(inner.total(), 1u);
+    auto world = std::unique_ptr<World>(World::x86(2));
+    EXPECT_EQ(world->machine.flight(), nullptr);
+    FlightRecorder rec(2);
+    world->machine.set_flight(&rec);
+    for (std::size_t c = 0; c < 2; ++c)
+        EXPECT_EQ(world->core(c).flight(), &rec);
+    world->spawn(0);
+    world->spawn(1);
+    world->proc.shootdown().shoot(world->core(0), 0b0010,
+                                  kernel::FlushKind::kAll);
+    std::uint64_t seen = rec.total();
+    EXPECT_GT(seen, 0u);
+    world->machine.set_flight(nullptr);
+    for (std::size_t c = 0; c < 2; ++c)
+        EXPECT_EQ(world->core(c).flight(), nullptr);
+    world->proc.shootdown().shoot(world->core(0), 0b0010,
+                                  kernel::FlushKind::kAll);
+    EXPECT_EQ(rec.total(), seen);
 }
 
 TEST(Tracer, CapturesAlgorithmEvents)
@@ -151,7 +156,7 @@ TEST(Tracer, CapturesAlgorithmEvents)
     auto world = std::unique_ptr<World>(World::x86(2));
     Task *task = world->ready_thread(/*nas=*/1);
     FlightRecorder rec(2, 4096);
-    ScopedFlightRecorder attach(rec);
+    world->machine.set_flight(&rec);
     std::size_t usable = world->machine.params().usable_pdoms();
     for (std::size_t i = 0; i < usable + 2; ++i) {
         auto [v, vpn] = world->make_domain(1);
@@ -172,7 +177,7 @@ TEST(Tracer, CapturesSigsegv)
     auto [v, vpn] = world->make_domain(1);
     (void)v;
     FlightRecorder rec(2);
-    ScopedFlightRecorder attach(rec);
+    world->machine.set_flight(&rec);
     world->sys.access(world->core(0), *task, vpn, true);
     EXPECT_EQ(rec.count(FlightEvent::kSigsegv), 1u);
     EXPECT_GE(rec.count(FlightEvent::kFault), 1u);
@@ -184,7 +189,7 @@ TEST(Tracer, CapturesShootdowns)
     world->spawn(0);
     world->spawn(1);
     FlightRecorder rec(4);
-    ScopedFlightRecorder attach(rec);
+    world->machine.set_flight(&rec);
     world->proc.shootdown().shoot(world->core(0), 0b0010,
                                   kernel::FlushKind::kAll);
     ASSERT_EQ(rec.count(FlightEvent::kShootdown), 1u);

@@ -41,7 +41,6 @@ using kernel::WalOp;
 using kernel::WalRecType;
 using sim::FaultPlan;
 using sim::FaultSite;
-using sim::ScopedFaults;
 
 // -- Journal semantics ----------------------------------------------------
 
@@ -320,11 +319,10 @@ TEST(Txn, VdomInitRollsBackOnVdtFault)
 
     FaultPlan plan(1);
     plan.arm_exact(FaultSite::kVdtAllocFail, 1);
-    {
-        ScopedFaults armed(plan);
-        EXPECT_EQ(w->sys.vdom_init(w->core()),
-                  VdomStatus::kResourceExhausted);
-    }
+    w->machine.set_faults(&plan);
+    EXPECT_EQ(w->sys.vdom_init(w->core()),
+              VdomStatus::kResourceExhausted);
+    w->machine.set_faults(nullptr);
     // The API-region mmap and the partial assignment are unwound: the
     // failed init is architecturally invisible.
     EXPECT_FALSE(w->sys.initialized());
@@ -356,11 +354,10 @@ TEST(Txn, MprotectMidRangeRollsBackAcrossVmas)
         // already been split, retagged, and chained when the fault fires.
         plan.arm_exact(FaultSite::kVdtAllocFail, 2);
         std::uint64_t pages = r2 + 3 - r1;
-        {
-            ScopedFaults armed(plan);
-            EXPECT_EQ(w->sys.vdom_mprotect(core, r1, pages, vdom),
-                      VdomStatus::kResourceExhausted);
-        }
+        w->machine.set_faults(&plan);
+        EXPECT_EQ(w->sys.vdom_mprotect(core, r1, pages, vdom),
+                  VdomStatus::kResourceExhausted);
+        w->machine.set_faults(nullptr);
         EXPECT_EQ(plan.fires(FaultSite::kVdtAllocFail), 1u);
 
         // Snapshot oracle: VMA layout, VDT chains and domain maps are
@@ -397,9 +394,10 @@ TEST(Txn, MprotectRollbackFlushesOnlyWhenItRetaggedLivePages)
         VdomId vdom = w->sys.vdom_alloc(core);
         FaultPlan plan(1);
         plan.arm_exact(FaultSite::kVdtAllocFail, 2);
-        ScopedFaults armed(plan);
+        w->machine.set_faults(&plan);
         EXPECT_EQ(w->sys.vdom_mprotect(core, start, pages, vdom),
                   VdomStatus::kResourceExhausted);
+        w->machine.set_faults(nullptr);
     };
 
     // Fresh pages: nothing was retagged, so the rollback flushes nothing.
@@ -432,11 +430,10 @@ TEST(Txn, WrvdrStickyPermRegFailureRestoresVdr)
     // Sticky: the register write keeps bouncing until the retry budget
     // is spent — the only way wrvdr surfaces kRetriesExhausted.
     plan.arm_exact(FaultSite::kPermRegWriteFail, 1, /*sticky=*/true);
-    {
-        ScopedFaults armed(plan);
-        EXPECT_EQ(w->sys.wrvdr(core, *task, vdom, VPerm::kFullAccess),
-                  VdomStatus::kRetriesExhausted);
-    }
+    w->machine.set_faults(&plan);
+    EXPECT_EQ(w->sys.wrvdr(core, *task, vdom, VPerm::kFullAccess),
+              VdomStatus::kRetriesExhausted);
+    w->machine.set_faults(nullptr);
     // The VDR array write that landed before the register failure is
     // rolled back along with any mapping bookkeeping.
     EXPECT_EQ(w->sys.rdvdr(core, *task, vdom), VPerm::kAccessDisable);
@@ -460,11 +457,9 @@ TEST(Txn, SecureAllocGrowFaultLeavesPoolUnchanged)
 
     FaultPlan plan(1);
     plan.arm_exact(FaultSite::kVdtAllocFail, 1);
-    {
-        ScopedFaults armed(plan);
-        SecureAllocation alloc = arena.allocate(core, 64);
-        EXPECT_FALSE(alloc.ok());
-    }
+    w->machine.set_faults(&plan);
+    EXPECT_FALSE(arena.allocate(core, 64).ok());
+    w->machine.set_faults(nullptr);
     // The rejected growth leaked nothing: no chunk, no unprotected
     // mapping, and the reason is reported.
     EXPECT_EQ(arena.last_status(), VdomStatus::kResourceExhausted);
@@ -501,11 +496,10 @@ TEST(Txn, SandboxMprotectGuardsApiRegionAndRollsBack)
     const std::string before = snapshot_state(w->sys);
     FaultPlan plan(1);
     plan.arm_exact(FaultSite::kVdtAllocFail, 1);
-    {
-        ScopedFaults armed(plan);
-        EXPECT_EQ(sandbox.sandbox_mprotect(core, vpn, 2, vdom),
-                  VdomStatus::kResourceExhausted);
-    }
+    w->machine.set_faults(&plan);
+    EXPECT_EQ(sandbox.sandbox_mprotect(core, vpn, 2, vdom),
+              VdomStatus::kResourceExhausted);
+    w->machine.set_faults(nullptr);
     EXPECT_EQ(snapshot_state(w->sys), before);
     EXPECT_EQ(sandbox.sandbox_mprotect(core, vpn, 2, vdom),
               VdomStatus::kOk);
@@ -526,10 +520,10 @@ TEST(Txn, RollbackEmitsFlightRecordAndMetrics)
     telemetry::FlightRecorder flight(2, 64);
     FaultPlan plan(1);
     plan.arm_exact(FaultSite::kPermRegWriteFail, 1, /*sticky=*/true);
+    w->machine.set_flight(&flight);
+    w->machine.set_faults(&plan);
     {
         telemetry::ScopedMetrics metrics(registry);
-        telemetry::ScopedFlightRecorder recording(flight);
-        ScopedFaults armed(plan);
         ASSERT_EQ(w->sys.wrvdr(core, *task, vdom, VPerm::kFullAccess),
                   VdomStatus::kRetriesExhausted);
     }
