@@ -226,14 +226,8 @@ run_mysql(hw::Machine &machine, kernel::Process &proc, Strategy &strategy,
     hw::Core &core0 = machine.core(0);
     proc.switch_to(core0, *init_task, false);
     strategy.thread_init(core0, *init_task);
-    hw::Vpn first_table = 0;
-    for (std::size_t t = 0; t < config.tables; ++t) {
-        hw::Vpn pages = proc.mm().mmap(config.table_pages);
-        shared.table_pages.push_back(pages);
-        if (t == 0)
-            first_table = pages;
-    }
-    (void)first_table;
+    for (std::size_t t = 0; t < config.tables; ++t)
+        shared.table_pages.push_back(proc.mm().mmap(config.table_pages));
     // Register table 0's pages to create the shared domain, then attach
     // the rest of the tables to the same object where the strategy
     // supports it (lowerbound/libmpk/VDom all key by object handle; for

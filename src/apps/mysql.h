@@ -34,7 +34,6 @@ struct MysqlConfig {
                                      ///  (steady-state throughput, no
                                      ///  straggler tail) instead of a
                                      ///  fixed query count.
-    std::size_t queries_per_txn = 20;
     std::size_t tables = 10;         ///< MEMORY tables (10 x 100k rows).
     std::size_t table_pages = 64;    ///< Modelled pages per table.
     std::size_t stack_pages = 16;    ///< Connection-handler stack.

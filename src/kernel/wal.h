@@ -198,7 +198,6 @@ class Wal {
         rec.type = WalRecType::kAbort;
         append(core, rec);
         open_ = false;
-        ++aborts_;
         telemetry::metric_add(telemetry::Metric::kWalAbort);
     }
 
@@ -208,7 +207,6 @@ class Wal {
     bool in_txn() const { return open_; }
 
     std::uint64_t commits() const { return commits_; }
-    std::uint64_t aborts() const { return aborts_; }
     std::size_t size() const { return log_.size(); }
     const std::vector<WalRecord> &records() const { return log_; }
 
@@ -231,7 +229,6 @@ class Wal {
         log_.clear();
         next_txn_ = 0;
         commits_ = 0;
-        aborts_ = 0;
         open_ = false;
     }
 
@@ -242,7 +239,6 @@ class Wal {
     std::vector<WalRecord> log_;
     std::uint64_t next_txn_ = 0;
     std::uint64_t commits_ = 0;
-    std::uint64_t aborts_ = 0;
     bool open_ = false;
 };
 

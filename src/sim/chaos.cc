@@ -1,9 +1,10 @@
 /// \file
-/// Chaos harness implementation.
+/// The chaos op interpreter and the three harnesses that drive it.
 
 #include "sim/chaos.h"
 
 #include <algorithm>
+#include <functional>
 #include <map>
 
 #include "apps/httpd.h"
@@ -19,353 +20,15 @@
 
 namespace vdom::sim {
 
-namespace {
+// --- the op interpreter ---------------------------------------------------
 
-/// The graceful-degradation statuses an armed run is allowed to surface.
-bool
-is_fault_status(VdomStatus st)
-{
-    return st == VdomStatus::kTransientFault ||
-           st == VdomStatus::kRetriesExhausted ||
-           st == VdomStatus::kResourceExhausted;
-}
-
-/// The DESIGN.md structural invariants both harnesses enforce after every
-/// op: each VDS domain map internally consistent (invariant 3), reserved
-/// pdoms and the API vdom never mapped (invariant 7), freed vdoms gone
-/// from every map.  Returns the first breach, empty when all hold;
-/// \p checks counts one check per VDS examined.
-std::string
-check_design_invariants(kernel::Process &proc, const hw::ArchParams &params,
-                        std::uint64_t *checks)
-{
-    const kernel::MmStruct &mm = proc.mm();
-    for (const auto &vds : mm.vdses()) {
-        if (checks)
-            ++*checks;
-        if (!vds->check_consistency())
-            return "vds " + std::to_string(vds->id()) +
-                   " domain map inconsistent";
-        std::string breach;
-        vds->for_each_mapped([&](hw::Pdom pdom, VdomId vdomid) {
-            if (pdom < params.num_reserved_pdoms || vdomid == kApiVdom)
-                breach = "reserved domain mapped";
-            else if (!mm.vdm().is_allocated(vdomid))
-                breach = "freed vdom " + std::to_string(vdomid) +
-                         " still mapped";
-            return breach.empty();
-        });
-        if (!breach.empty())
-            return breach;
-    }
-    return {};
-}
-
-/// Flight-recorder budget per core ring: the chaos churn keeps a long
-/// timeline, a sweep run needs only the one op it fires into.
-constexpr std::size_t kChaosFlightPerCore = 1024;
-constexpr std::size_t kSweepFlightPerCore = 256;
-
-/// Sites worth replaying in sticky mode.  The two pure-delay sites are
-/// exempt: kPteWriteDelay only adds latency, and a sticky kTlbEntryDrop
-/// would drop every re-filled entry — unbounded re-walks with no new
-/// architectural outcome.
-bool
-sticky_swept(FaultSite site)
-{
-    return site != FaultSite::kTlbEntryDrop &&
-           site != FaultSite::kPteWriteDelay;
-}
-
-}  // namespace
-
-ChaosHarness::ChaosHarness(const ChaosConfig &config)
-    : config_(config),
-      params_(config.arch == hw::ArchKind::kX86
-                  ? hw::ArchParams::x86(config.cores)
-                  : hw::ArchParams::arm(config.cores)),
-      machine_(std::make_unique<hw::Machine>(params_)),
-      proc_(std::make_unique<kernel::Process>(*machine_)),
-      sys_(std::make_unique<VdomSystem>(*proc_)),
-      plan_(config.seed),
-      flight_(config.cores, kChaosFlightPerCore)
-{
-    for (const auto &[site, spec] : config_.faults)
-        plan_.arm(site, spec);
-    // World bring-up runs fault-free (the plan is attached to the machine
-    // only inside run()): chaos targets steady-state behaviour, not
-    // construction.
-    sys_->vdom_init(machine_->core(0));
-    for (std::size_t t = 0; t < config_.threads; ++t) {
-        std::size_t core_id = t % config_.cores;
-        kernel::Task *task = proc_->create_task();
-        proc_->switch_to(machine_->core(core_id), *task, false);
-        sys_->vdr_alloc(machine_->core(core_id), *task, 1 + t % 3);
-        tasks_.push_back(task);
-    }
-    for (std::size_t d = 0; d < config_.domains; ++d)
-        make_domain(1 + d % 3, d % 5 == 0, 0, nullptr);
-}
-
-ChaosHarness::~ChaosHarness() = default;
-
-bool
-ChaosHarness::make_domain(std::uint64_t pages, bool frequent,
-                          std::size_t core_id, VdomStatus *status)
-{
-    hw::Core &core = machine_->core(core_id);
-    VdomId vdom = sys_->vdom_alloc(core, frequent);
-    if (vdom == kInvalidVdom)
-        return false;
-    hw::Vpn vpn = proc_->mm().mmap(pages);
-    VdomStatus st = sys_->vdom_mprotect(core, vpn, pages, vdom);
-    if (status)
-        *status = st;
-    if (st != VdomStatus::kOk) {
-        sys_->vdom_free(core, vdom);
-        return false;
-    }
-    doms_.emplace_back(vdom, vpn);
-    return true;
-}
-
-ChaosResult
-ChaosHarness::run()
-{
-    ChaosResult result;
-    Rng rng(config_.seed + 0x9e3779b97f4a7c15ULL);
-    machine_->set_faults(&plan_);
-    // The flight recorder rides along for the whole churn (it observes,
-    // never charges), so a violation bundle carries the causal timeline
-    // that led to it.
-    machine_->set_flight(&flight_);
-
-    for (int op = 0; op < config_.ops; ++op) {
-        std::size_t ti = rng.below(tasks_.size());
-        std::size_t core_id = ti % config_.cores;
-        kernel::Task &task = *tasks_[ti];
-        hw::Core &core = machine_->core(core_id);
-        // Keep the acting thread installed on its core (the switch runs
-        // the ASID path, where kAsidExhaustion fires).
-        proc_->switch_to(core, task, false);
-
-        switch (rng.below(8)) {
-          case 0:
-          case 1:
-          case 2: {
-            // Weighted toward grants: mapping pressure is what drives the
-            // interesting paths (eviction, VDS allocation, migration).
-            static constexpr VPerm kPerms[4] = {VPerm::kFullAccess,
-                                                VPerm::kFullAccess,
-                                                VPerm::kAccessDisable,
-                                                VPerm::kPinned};
-            VPerm perm = kPerms[rng.below(4)];
-            VdomId vdom = doms_[rng.below(doms_.size())].first;
-            VdomStatus st = sys_->wrvdr(core, task, vdom, perm);
-            if (is_fault_status(st)) {
-                ++result.transient_failures;
-            } else if (st != VdomStatus::kOk &&
-                       st != VdomStatus::kNoVdr) {
-                record_violation(result, op,
-                                 std::string("unexpected wrvdr status ") +
-                                     status_name(st));
-            }
-            break;
-          }
-          case 3:
-          case 4:
-          case 5: {
-            auto [vdom, vpn] = doms_[rng.below(doms_.size())];
-            bool write = rng.below(2) != 0;
-            const Vdr *vdr = task.vdr();
-            VPerm held = vdr ? vdr->get(vdom) : VPerm::kAccessDisable;
-            VAccess res = sys_->access(core, task, vpn, write);
-            // DESIGN.md invariant 1: outcome == VDR policy, always —
-            // injected faults may slow an access down, never change its
-            // verdict.
-            bool allowed = write ? held == VPerm::kFullAccess
-                                 : vperm_active(held);
-            if (res.ok != allowed) {
-                record_violation(
-                    result, op,
-                    "access outcome diverged from VDR policy (vdom " +
-                        std::to_string(vdom) + ", held " +
-                        vperm_name(held) + ")");
-            }
-            if (res.ok)
-                ++result.ok_accesses;
-            else
-                ++result.denied_accesses;
-            // Touch the page again: a successful first access filled the
-            // TLB, so this one exercises the hit path (where
-            // kTlbEntryDrop lives) and must reach the same verdict.
-            VAccess again = sys_->access(core, task, vpn, write);
-            if (again.ok != res.ok) {
-                record_violation(result, op,
-                                 "repeated access changed verdict (vdom " +
-                                     std::to_string(vdom) + ")");
-            }
-            break;
-          }
-          case 6: {
-            if (doms_.size() < 2 * config_.domains) {
-                VdomStatus st = VdomStatus::kOk;
-                if (!make_domain(1 + rng.below(3), rng.below(5) == 0,
-                                 core_id, &st)) {
-                    if (is_fault_status(st)) {
-                        ++result.transient_failures;
-                    } else {
-                        record_violation(
-                            result, op,
-                            std::string("unexpected mprotect status ") +
-                                status_name(st));
-                    }
-                }
-            } else if (doms_.size() > 4) {
-                std::size_t di = rng.below(doms_.size());
-                VdomStatus st =
-                    sys_->vdom_free(core, doms_[di].first);
-                if (st != VdomStatus::kOk) {
-                    record_violation(
-                        result, op,
-                        std::string("unexpected vdom_free status ") +
-                            status_name(st));
-                }
-                doms_.erase(doms_.begin() +
-                            static_cast<std::ptrdiff_t>(di));
-            }
-            break;
-          }
-          case 7: {
-            if (doms_.size() > 4 && rng.below(2) == 0) {
-                std::size_t di = rng.below(doms_.size());
-                VdomStatus st =
-                    sys_->vdom_free(core, doms_[di].first);
-                if (st != VdomStatus::kOk) {
-                    record_violation(
-                        result, op,
-                        std::string("unexpected vdom_free status ") +
-                            status_name(st));
-                }
-                doms_.erase(doms_.begin() +
-                            static_cast<std::ptrdiff_t>(di));
-            } else if (!task.has_vdr()) {
-                VdomStatus st =
-                    sys_->vdr_alloc(core, task, 1 + ti % 3);
-                if (is_fault_status(st))
-                    ++result.transient_failures;
-            } else if (rng.below(4) == 0) {
-                sys_->vdr_free(core, task);
-            }
-            break;
-          }
-        }
-        ++result.ops;
-        check_invariants(result, op);
-    }
-    machine_->set_faults(nullptr);
-    machine_->set_flight(nullptr);
-
-    result.faults_injected = plan_.total_fires();
-    for (std::size_t s = 0; s < kNumFaultSites; ++s) {
-        auto site = static_cast<FaultSite>(s);
-        result.occurrences_by_site[s] = plan_.occurrences(site);
-        result.fires_by_site[s] = plan_.fires(site);
-    }
-    result.breakdown = machine_->total_breakdown();
-    for (std::size_t c = 0; c < machine_->num_cores(); ++c)
-        result.max_clock = std::max(result.max_clock,
-                                    machine_->core(c).now());
-    result.flight_records = flight_.total();
-    result.flows = flight_.last_flow();
-    return result;
-}
-
-bool
-ChaosHarness::export_postmortem(const std::string &path,
-                                const std::string &reason, int op) const
-{
-    telemetry::PostmortemInfo info;
-    info.reason = reason;
-    info.context.emplace_back("arch", hw::arch_name(config_.arch));
-    info.context.emplace_back("seed", std::to_string(config_.seed));
-    info.context.emplace_back("cores", std::to_string(config_.cores));
-    info.context.emplace_back("ops", std::to_string(config_.ops));
-    if (op >= 0)
-        info.context.emplace_back("op", std::to_string(op));
-    info.flight = &flight_;
-    info.metrics = telemetry::metrics_sink();
-    info.plan = &plan_;
-    info.system = sys_.get();
-    return telemetry::export_postmortem(path, info);
-}
-
-void
-ChaosHarness::check_invariants(ChaosResult &result, int op)
-{
-    std::string bad = check_design_invariants(*proc_, params_,
-                                              &result.invariant_checks);
-    if (!bad.empty())
-        record_violation(result, op, bad);
-}
-
-void
-ChaosHarness::record_violation(ChaosResult &result, int op,
-                               const std::string &what)
-{
-    ++result.violations;
-    if (result.first_violation.empty()) {
-        result.first_violation = "op " + std::to_string(op) + " (seed " +
-                                 std::to_string(config_.seed) + ", " +
-                                 hw::arch_name(config_.arch) + "): " + what;
-        // First violation wins the bundle: the flight ring still holds the
-        // records leading up to it, and later violations are usually
-        // knock-on effects of the same root cause.
-        if (!config_.postmortem_path.empty()) {
-            result.postmortem_written = export_postmortem(
-                config_.postmortem_path,
-                "invariant violation: " + what, op);
-        }
-    }
-}
-
-// --- scripted fault-point sweep ------------------------------------------
-
-namespace {
-
-/// DESIGN.md invariant 1: the verdict an access to \p vpn must reach under
-/// \p task's VDR.  Injected faults may slow an access down, never change
-/// its verdict, and the common vdom is open to every thread.
-bool
-vdr_allows(kernel::Process &proc, const kernel::Task &task, hw::Vpn vpn,
-           bool write)
-{
-    VdomId vd = proc.mm().vdom_of(vpn);
-    const Vdr *vdr = task.vdr();
-    VPerm held = vdr ? vdr->get(vd) : VPerm::kAccessDisable;
-    return vd == kCommonVdom ||
-           (write ? held == VPerm::kFullAccess : vperm_active(held));
-}
-
-/// Order-dependent digest chain: xor in the line hash, then smear with the
-/// FNV prime, so reordered runs cannot collide to the same digest.
-void
-fold(FaultPointTally &result, const std::string &line)
-{
-    result.digest ^= snapshot_hash(line);
-    result.digest *= 1099511628211ULL;
-}
-
-}  // namespace
-
-/// One scripted public-API operation.  Domain/region fields index the
-/// World's append-only `doms`/`regions` vectors, which replay identically
-/// in every fresh world.  Every op commits at most one WAL transaction,
-/// which is what keeps the power-loss oracle binary (the durable state is
-/// golden[i] when op i committed, golden[i-1] otherwise — never anything
-/// in between).
-template <FaultMode M>
-struct FaultPointHarness<M>::Op {
+/// One public-API operation.  Domain/region fields index the World's
+/// append-only `doms`/`regions` vectors, which replay identically in every
+/// fresh world.  Every op commits at most one WAL transaction, which is
+/// what keeps the power-loss oracle binary (the durable state is golden[i]
+/// when op i committed, golden[i-1] otherwise — never anything in
+/// between).
+struct Op {
     enum class Kind : std::uint8_t {
         kInit,            ///< vdom_init
         kVdrAlloc,        ///< vdr_alloc(nas = pages)
@@ -384,12 +47,23 @@ struct FaultPointHarness<M>::Op {
     };
 
     Kind kind = Kind::kInit;
-    std::size_t task = 0;    ///< Acting thread (thread-scoped ops).
+    /// Acting thread of thread-scoped ops, which run on its core
+    /// (task % cores).
+    std::size_t task = 0;
+    /// Acting core of kAlloc, kMprotect and kFreeDom: the sweeps charge
+    /// them to core 0, the churn to the acting thread's core.
+    std::size_t core = 0;
     std::size_t dom = 0;     ///< Index into World::doms.
     std::size_t region = 0;  ///< Index into World::regions.
     std::uint64_t pages = 0; ///< Page count / nas budget / PMO size.
     VPerm perm = VPerm::kFullAccess;
     bool write = false;
+    /// kAccess: the churn's access to doms[dom]'s own region.  The verdict
+    /// reads doms[dom]'s permission straight from the VDR (no VMA lookup,
+    /// so the VMA cache sees only the accesses), and the page is touched
+    /// twice: the second touch takes the TLB-hit path, where
+    /// kTlbEntryDrop fires, and must reach the same verdict.
+    bool repeat = false;
     bool frequent = false;
     /// kMprotect: one call covering regions[region] through
     /// regions[region+1] — the multi-VMA range whose mid-loop fault point
@@ -401,12 +75,10 @@ struct FaultPointHarness<M>::Op {
     static const char *name(Kind kind);
 };
 
-/// A fresh simulated world, rebuilt for every injected run (and every
-/// reboot) so earlier faults cannot leak state between runs.  The durable
-/// media (WAL, PmoStore) live in the harness, not here.
-template <FaultMode M>
-struct FaultPointHarness<M>::World {
-    hw::ArchParams params;
+/// A simulated world.  The sweeps rebuild one for every injected run (and
+/// every reboot) so earlier faults cannot leak state between runs.  The
+/// durable media (WAL, PmoStore) live in the harness, not here.
+struct World {
     std::unique_ptr<hw::Machine> machine;
     std::unique_ptr<kernel::Process> proc;
     std::unique_ptr<VdomSystem> sys;
@@ -416,24 +88,11 @@ struct FaultPointHarness<M>::World {
     std::unique_ptr<DomainAllocator> arena;
     std::unique_ptr<Sandbox> sandbox;
     std::map<int, VdomId> pmos;  ///< Attached PMO -> protecting vdom.
+    apps::PmoStore *store = nullptr;  ///< What the PMO ops write through.
 };
 
-/// Power-loss probe state after each script op: the durable snapshot a
-/// recovered world must reproduce (and its hash, which the verdict folds),
-/// the WAL commit count that selects it, and the PMO objects the store
-/// must hold intact.
-template <FaultMode M>
-struct FaultPointHarness<M>::Golden {
-    std::string durable;
-    std::uint64_t hash = 0;  ///< snapshot_hash(durable).
-    std::uint64_t commits = 0;
-    /// pmo -> (pages, seed) expected durable at this boundary.
-    std::map<int, std::pair<std::uint64_t, std::uint64_t>> pmos;
-};
-
-template <FaultMode M>
 const char *
-FaultPointHarness<M>::Op::name(Kind kind)
+Op::name(Kind kind)
 {
     switch (kind) {
       case Kind::kInit: return "vdom_init";
@@ -454,6 +113,509 @@ FaultPointHarness<M>::Op::name(Kind kind)
     return "?";
 }
 
+namespace {
+
+/// The graceful-degradation statuses an armed run is allowed to surface.
+bool
+is_fault_status(VdomStatus st)
+{
+    return st == VdomStatus::kTransientFault ||
+           st == VdomStatus::kRetriesExhausted ||
+           st == VdomStatus::kResourceExhausted;
+}
+
+/// A world of \p threads tasks on \p cores cores of \p arch, not yet
+/// initialised (kInit does that).  \p wal is attached to its mm, and the
+/// PMO ops write through \p store.
+std::unique_ptr<World>
+build_world(hw::ArchKind arch, std::size_t cores, std::size_t threads,
+            kernel::Wal *wal = nullptr, apps::PmoStore *store = nullptr)
+{
+    auto w = std::make_unique<World>();
+    w->machine = std::make_unique<hw::Machine>(
+        arch == hw::ArchKind::kX86 ? hw::ArchParams::x86(cores)
+                                   : hw::ArchParams::arm(cores));
+    w->proc = std::make_unique<kernel::Process>(*w->machine);
+    w->sys = std::make_unique<VdomSystem>(*w->proc);
+    for (std::size_t t = 0; t < threads; ++t)
+        w->tasks.push_back(w->proc->create_task());
+    w->proc->mm().set_wal(wal);
+    w->store = store;
+    return w;
+}
+
+/// The core thread \p t runs on.
+hw::Core &
+core_of(World &w, std::size_t t)
+{
+    return w.machine->core(t % w.machine->num_cores());
+}
+
+/// Places thread \p t on its core (an uncharged context switch).
+void
+install(World &w, std::size_t t)
+{
+    w.proc->switch_to(core_of(w, t), *w.tasks[t], false);
+}
+
+/// Installs a thread-scoped op's thread.  The sweeps call this outside
+/// the armed window: they target the API op, not the scheduler.
+void
+prepare(World &w, const Op &op)
+{
+    switch (op.kind) {
+      case Op::Kind::kVdrAlloc:
+      case Op::Kind::kVdrFree:
+      case Op::Kind::kWrvdr:
+      case Op::Kind::kAccess:
+        install(w, op.task);
+        break;
+      default:
+        break;
+    }
+}
+
+/// DESIGN.md invariant 1: the verdict an access to a page of \p vdom must
+/// reach under \p task's VDR.  Injected faults may slow an access down,
+/// never change its verdict, and the common vdom is open to every thread.
+bool
+vdr_allows(const kernel::Task &task, VdomId vdom, bool write)
+{
+    const Vdr *vdr = task.vdr();
+    VPerm held = vdr ? vdr->get(vdom) : VPerm::kAccessDisable;
+    return vdom == kCommonVdom ||
+           (write ? held == VPerm::kFullAccess : vperm_active(held));
+}
+
+/// What a kAccess op saw.
+struct Verdict {
+    bool granted = false;     ///< The (first) touch succeeded.
+    bool policy_held = true;  ///< It matched vdr_allows, and so did a repeat.
+};
+
+/// Performs \p op on \p w and returns its status; a kAccess op reports
+/// its verdict through \p verdict.
+VdomStatus
+perform(World &w, const Op &op, Verdict *verdict = nullptr)
+{
+    hw::Core &core0 = w.machine->core(0);
+    hw::Core &acting = w.machine->core(op.core);
+    switch (op.kind) {
+      case Op::Kind::kInit:
+        return w.sys->vdom_init(core0);
+      case Op::Kind::kVdrAlloc:
+        return w.sys->vdr_alloc(core_of(w, op.task), *w.tasks[op.task],
+                                op.pages);
+      case Op::Kind::kVdrFree:
+        return w.sys->vdr_free(core_of(w, op.task), *w.tasks[op.task]);
+      case Op::Kind::kMmap: {
+        // MmStruct::mmap has no core to charge through, so the script
+        // logs the mapping intent itself — the shape an allocating
+        // runtime would use.  Without a WAL the intent is a no-op.
+        kernel::OpTxn txn(w.proc->mm(), core0, kernel::WalOp::kMmap, 0,
+                          op.pages, 0);
+        hw::Vpn vpn = w.proc->mm().mmap(op.pages);
+        w.regions.emplace_back(vpn, op.pages);
+        txn.commit(vpn);
+        return VdomStatus::kOk;
+      }
+      case Op::Kind::kAlloc: {
+        VdomId v = w.sys->vdom_alloc(acting, op.frequent);
+        w.doms.push_back(v);
+        return v == kInvalidVdom ? VdomStatus::kResourceExhausted
+                                 : VdomStatus::kOk;
+      }
+      case Op::Kind::kMprotect: {
+        auto [vpn, pages] = w.regions[op.region];
+        if (op.span) {
+            auto [v2, p2] = w.regions[op.region + 1];
+            pages = v2 + p2 - vpn;
+        }
+        return w.sys->vdom_mprotect(acting, vpn, pages, w.doms[op.dom]);
+      }
+      case Op::Kind::kWrvdr:
+        return w.sys->wrvdr(core_of(w, op.task), *w.tasks[op.task],
+                            w.doms[op.dom], op.perm);
+      case Op::Kind::kAccess: {
+        kernel::Task &task = *w.tasks[op.task];
+        hw::Core &core = core_of(w, op.task);
+        hw::Vpn vpn = w.regions[op.region].first;
+        VdomId vdom =
+            op.repeat ? w.doms[op.dom] : w.proc->mm().vdom_of(vpn);
+        bool allowed = vdr_allows(task, vdom, op.write);
+        VAccess res = w.sys->access(core, task, vpn, op.write);
+        bool held = res.ok == allowed;
+        if (op.repeat &&
+            w.sys->access(core, task, vpn, op.write).ok != res.ok)
+            held = false;
+        if (verdict)
+            *verdict = {res.ok, held};
+        return VdomStatus::kOk;
+      }
+      case Op::Kind::kFreeDom:
+        return w.sys->vdom_free(acting, w.doms[op.dom]);
+      case Op::Kind::kArena: {
+        w.arena =
+            std::make_unique<DomainAllocator>(*w.sys, core0, false, 2);
+        return w.arena->domain() == kInvalidVdom
+                   ? VdomStatus::kResourceExhausted
+                   : VdomStatus::kOk;
+      }
+      case Op::Kind::kSecureAlloc: {
+        // First allocation after the ctor: the pool is empty, so this
+        // always takes exactly one kSecureGrow transaction.
+        SecureAllocation a = w.arena->allocate(core0, 64);
+        return a.ok() ? VdomStatus::kOk : w.arena->last_status();
+      }
+      case Op::Kind::kSandboxMprotect: {
+        if (!w.sandbox)
+            w.sandbox = std::make_unique<Sandbox>(*w.sys);
+        auto [vpn, pages] = w.regions[op.region];
+        return w.sandbox->sandbox_mprotect(core0, vpn, pages,
+                                           w.doms[op.dom]);
+      }
+      case Op::Kind::kPmoAttach: {
+        apps::PmoAttachResult r = apps::pmo_attach(
+            *w.sys, core0, *w.store, op.pmo, op.pages, op.seed);
+        if (r.status == VdomStatus::kOk)
+            w.pmos[op.pmo] = r.vdom;
+        return r.status;
+      }
+      case Op::Kind::kPmoDetach: {
+        auto it = w.pmos.find(op.pmo);
+        if (it == w.pmos.end())
+            return VdomStatus::kInvalidRange;
+        VdomStatus st =
+            apps::pmo_detach(*w.sys, core0, *w.store, op.pmo, it->second);
+        if (st == VdomStatus::kOk)
+            w.pmos.erase(it);
+        return st;
+      }
+    }
+    return VdomStatus::kOk;
+}
+
+/// The DESIGN.md structural invariants every harness enforces after every
+/// op: each VDS domain map internally consistent (invariant 3), reserved
+/// pdoms and the API vdom never mapped (invariant 7), freed vdoms gone
+/// from every map.  Returns the first breach, empty when all hold;
+/// \p tally counts one check per VDS examined.
+std::string
+check_design_invariants(World &w, CheckTally &tally)
+{
+    const kernel::MmStruct &mm = w.proc->mm();
+    const hw::ArchParams &params = w.machine->params();
+    for (const auto &vds : mm.vdses()) {
+        ++tally.invariant_checks;
+        if (!vds->check_consistency())
+            return "vds " + std::to_string(vds->id()) +
+                   " domain map inconsistent";
+        std::string breach;
+        vds->for_each_mapped([&](hw::Pdom pdom, VdomId vdomid) {
+            if (pdom < params.num_reserved_pdoms || vdomid == kApiVdom)
+                breach = "reserved domain mapped";
+            else if (!mm.vdm().is_allocated(vdomid))
+                breach = "freed vdom " + std::to_string(vdomid) +
+                         " still mapped";
+            return breach.empty();
+        });
+        if (!breach.empty())
+            return breach;
+    }
+    return {};
+}
+
+/// The one post-mortem writer: dumps the bundle of world \p w — its
+/// introspect snapshot, the flight ring, the attached metrics and \p plan
+/// — to \p path, headed by \p reason, the run's arch, seed and cores, and
+/// then \p extra.
+bool
+write_postmortem(const std::string &path, World &w, const std::string &reason,
+                 std::uint64_t seed, const FaultPlan *plan,
+                 const telemetry::FlightRecorder &flight,
+                 const std::vector<std::pair<std::string, std::string>>
+                     &extra = {})
+{
+    const hw::ArchParams &params = w.machine->params();
+    telemetry::PostmortemInfo info;
+    info.reason = reason;
+    info.context = {{"arch", hw::arch_name(params.kind)},
+                    {"seed", std::to_string(seed)},
+                    {"cores", std::to_string(params.num_cores)}};
+    info.context.insert(info.context.end(), extra.begin(), extra.end());
+    info.flight = &flight;
+    info.metrics = telemetry::metrics_sink();
+    info.plan = plan;
+    info.system = w.sys.get();
+    return telemetry::export_postmortem(path, info);
+}
+
+/// The one violation path.  Counts a violation in \p tally; the first one
+/// is kept as \p what and, when \p path is set, \p dump writes the
+/// post-mortem bundle there (later violations are usually knock-on
+/// effects of the same root cause).
+void
+record_violation(CheckTally &tally, const std::string &what,
+                 const std::string &path,
+                 const std::function<bool(const std::string &)> &dump)
+{
+    ++tally.violations;
+    if (!tally.first_violation.empty())
+        return;
+    tally.first_violation = what;
+    if (!path.empty())
+        tally.postmortem_written = dump(path);
+}
+
+/// Flight-recorder budget per core ring: the chaos churn keeps a long
+/// timeline, a sweep run needs only the one op it fires into.
+constexpr std::size_t kChaosFlightPerCore = 1024;
+constexpr std::size_t kSweepFlightPerCore = 256;
+
+/// Sites worth replaying in sticky mode.  The two pure-delay sites are
+/// exempt: kPteWriteDelay only adds latency, and a sticky kTlbEntryDrop
+/// would drop every re-filled entry — unbounded re-walks with no new
+/// architectural outcome.
+bool
+sticky_swept(FaultSite site)
+{
+    return site != FaultSite::kTlbEntryDrop &&
+           site != FaultSite::kPteWriteDelay;
+}
+
+/// Order-dependent digest chain: xor in the line hash, then smear with the
+/// FNV prime, so reordered runs cannot collide to the same digest.
+void
+fold(FaultPointTally &result, const std::string &line)
+{
+    result.digest ^= snapshot_hash(line);
+    result.digest *= 1099511628211ULL;
+}
+
+}  // namespace
+
+// --- randomized churn -----------------------------------------------------
+
+ChaosHarness::ChaosHarness(const ChaosConfig &config)
+    : config_(config),
+      world_(build_world(config.arch, config.cores, config.threads)),
+      plan_(config.seed),
+      flight_(config.cores, kChaosFlightPerCore)
+{
+    for (const auto &[site, spec] : config_.faults)
+        plan_.arm(site, spec);
+    // World bring-up runs fault-free (the plan is attached to the machine
+    // only inside run()): chaos targets steady-state behaviour, not
+    // construction.
+    World &w = *world_;
+    perform(w, {.kind = Op::Kind::kInit});
+    for (std::size_t t = 0; t < config_.threads; ++t) {
+        install(w, t);
+        perform(w, {.kind = Op::Kind::kVdrAlloc, .task = t,
+                    .pages = 1 + t % 3});
+    }
+    for (std::size_t d = 0; d < config_.domains; ++d)
+        create_domain(0, 1 + d % 3, d % 5 == 0);
+}
+
+ChaosHarness::~ChaosHarness() = default;
+
+hw::Machine &ChaosHarness::machine() { return *world_->machine; }
+kernel::Process &ChaosHarness::process() { return *world_->proc; }
+VdomSystem &ChaosHarness::system() { return *world_->sys; }
+
+VdomStatus
+ChaosHarness::create_domain(std::size_t core, std::uint64_t pages,
+                            bool frequent)
+{
+    World &w = *world_;
+    std::size_t dom = w.doms.size();
+    if (perform(w, {.kind = Op::Kind::kAlloc, .core = core,
+                    .frequent = frequent}) != VdomStatus::kOk)
+        return VdomStatus::kInvalidVdom;  // No id to protect.
+    std::size_t region = w.regions.size();
+    perform(w, {.kind = Op::Kind::kMmap, .pages = pages});
+    VdomStatus st = perform(w, {.kind = Op::Kind::kMprotect, .core = core,
+                                .dom = dom, .region = region});
+    if (st == VdomStatus::kOk)
+        live_.emplace_back(dom, region);
+    else
+        perform(w, {.kind = Op::Kind::kFreeDom, .core = core, .dom = dom});
+    return st;
+}
+
+void
+ChaosHarness::free_domain(ChaosResult &result, int op, std::size_t core,
+                          std::size_t live)
+{
+    VdomStatus st = perform(*world_, {.kind = Op::Kind::kFreeDom,
+                                      .core = core,
+                                      .dom = live_[live].first});
+    if (st != VdomStatus::kOk)
+        report(result, op,
+               std::string("unexpected vdom_free status ") + status_name(st));
+    live_.erase(live_.begin() + static_cast<std::ptrdiff_t>(live));
+}
+
+ChaosResult
+ChaosHarness::run()
+{
+    ChaosResult result;
+    World &w = *world_;
+    Rng rng(config_.seed + 0x9e3779b97f4a7c15ULL);
+    w.machine->set_faults(&plan_);
+    // The flight recorder rides along for the whole churn (it observes,
+    // never charges), so a violation bundle carries the causal timeline
+    // that led to it.
+    w.machine->set_flight(&flight_);
+
+    for (int op = 0; op < config_.ops; ++op) {
+        std::size_t ti = rng.below(w.tasks.size());
+        std::size_t core = ti % config_.cores;
+        // Keep the acting thread installed on its core (the switch runs
+        // the ASID path, where kAsidExhaustion fires).
+        install(w, ti);
+
+        // Status rules: a graceful fault status is a transient failure;
+        // anything else but kOk (and wrvdr's kNoVdr) is a violation,
+        // except in VDR churn, where only fault statuses are counted.
+        switch (rng.below(8)) {
+          case 0:
+          case 1:
+          case 2: {
+            // Weighted toward grants: mapping pressure is what drives the
+            // interesting paths (eviction, VDS allocation, migration).
+            static constexpr VPerm kPerms[4] = {VPerm::kFullAccess,
+                                                VPerm::kFullAccess,
+                                                VPerm::kAccessDisable,
+                                                VPerm::kPinned};
+            VPerm perm = kPerms[rng.below(4)];
+            std::size_t dom = live_[rng.below(live_.size())].first;
+            VdomStatus st = perform(w, {.kind = Op::Kind::kWrvdr, .task = ti,
+                                        .dom = dom, .perm = perm});
+            if (is_fault_status(st)) {
+                ++result.transient_failures;
+            } else if (st != VdomStatus::kOk &&
+                       st != VdomStatus::kNoVdr) {
+                report(result, op,
+                       std::string("unexpected wrvdr status ") +
+                           status_name(st));
+            }
+            break;
+          }
+          case 3:
+          case 4:
+          case 5: {
+            auto [dom, region] = live_[rng.below(live_.size())];
+            Verdict v;
+            perform(w,
+                    {.kind = Op::Kind::kAccess, .task = ti, .dom = dom,
+                     .region = region, .write = rng.below(2) != 0,
+                     .repeat = true},
+                    &v);
+            if (!v.policy_held) {
+                report(result, op,
+                       "access verdict diverged from VDR policy (vdom " +
+                           std::to_string(w.doms[dom]) + ")");
+            }
+            ++(v.granted ? result.ok_accesses : result.denied_accesses);
+            break;
+          }
+          case 6: {
+            if (live_.size() < 2 * config_.domains) {
+                // Drawn frequent-first: the seeded schedule, and every
+                // pinned output, depends on the order.
+                bool frequent = rng.below(5) == 0;
+                std::uint64_t pages = 1 + rng.below(3);
+                VdomStatus st = create_domain(core, pages, frequent);
+                if (is_fault_status(st)) {
+                    ++result.transient_failures;
+                } else if (st != VdomStatus::kOk) {
+                    report(result, op,
+                           std::string("unexpected mprotect status ") +
+                               status_name(st));
+                }
+            } else if (live_.size() > 4) {
+                free_domain(result, op, core, rng.below(live_.size()));
+            }
+            break;
+          }
+          case 7: {
+            if (live_.size() > 4 && rng.below(2) == 0) {
+                free_domain(result, op, core, rng.below(live_.size()));
+            } else if (!w.tasks[ti]->has_vdr()) {
+                VdomStatus st = perform(w, {.kind = Op::Kind::kVdrAlloc,
+                                            .task = ti, .pages = 1 + ti % 3});
+                if (is_fault_status(st))
+                    ++result.transient_failures;
+            } else if (rng.below(4) == 0) {
+                perform(w, {.kind = Op::Kind::kVdrFree, .task = ti});
+            }
+            break;
+          }
+        }
+        ++result.ops;
+        std::string bad = check_design_invariants(w, result);
+        if (!bad.empty())
+            report(result, op, bad);
+    }
+    w.machine->set_faults(nullptr);
+    w.machine->set_flight(nullptr);
+
+    result.faults_injected = plan_.total_fires();
+    for (std::size_t s = 0; s < kNumFaultSites; ++s) {
+        auto site = static_cast<FaultSite>(s);
+        result.occurrences_by_site[s] = plan_.occurrences(site);
+        result.fires_by_site[s] = plan_.fires(site);
+    }
+    result.breakdown = w.machine->total_breakdown();
+    for (std::size_t c = 0; c < w.machine->num_cores(); ++c)
+        result.max_clock = std::max(result.max_clock,
+                                    w.machine->core(c).now());
+    result.flight_records = flight_.total();
+    result.flows = flight_.last_flow();
+    return result;
+}
+
+bool
+ChaosHarness::export_postmortem(const std::string &path,
+                                const std::string &reason, int op) const
+{
+    std::vector<std::pair<std::string, std::string>> extra = {
+        {"ops", std::to_string(config_.ops)}};
+    if (op >= 0)
+        extra.emplace_back("op", std::to_string(op));
+    return write_postmortem(path, *world_, reason, config_.seed, &plan_,
+                            flight_, extra);
+}
+
+void
+ChaosHarness::report(ChaosResult &result, int op, const std::string &what)
+{
+    record_violation(
+        result,
+        "op " + std::to_string(op) + " (seed " + std::to_string(config_.seed) +
+            ", " + hw::arch_name(config_.arch) + "): " + what,
+        config_.postmortem_path, [&](const std::string &path) {
+            return export_postmortem(path, "invariant violation: " + what, op);
+        });
+}
+
+// --- scripted fault-point sweep ------------------------------------------
+
+/// Power-loss probe state after each script op: the durable snapshot a
+/// recovered world must reproduce (and its hash, which the verdict folds),
+/// the WAL commit count that selects it, and the PMO objects the store
+/// must hold intact.
+template <FaultMode M>
+struct FaultPointHarness<M>::Golden {
+    std::string durable;
+    std::uint64_t hash = 0;  ///< snapshot_hash(durable).
+    std::uint64_t commits = 0;
+    /// pmo -> (pages, seed) expected durable at this boundary.
+    std::map<int, std::pair<std::uint64_t, std::uint64_t>> pmos;
+};
+
 template <FaultMode M>
 FaultPointHarness<M>::FaultPointHarness(const Config &config)
     : config_(config), flight_(config.cores, kSweepFlightPerCore)
@@ -465,27 +627,9 @@ FaultPointHarness<M>::~FaultPointHarness() = default;
 
 template <FaultMode M>
 auto
-FaultPointHarness<M>::build_world(kernel::Wal *wal) const
-    -> std::unique_ptr<World>
-{
-    auto w = std::make_unique<World>();
-    w->params = config_.arch == hw::ArchKind::kX86
-                    ? hw::ArchParams::x86(config_.cores)
-                    : hw::ArchParams::arm(config_.cores);
-    w->machine = std::make_unique<hw::Machine>(w->params);
-    w->proc = std::make_unique<kernel::Process>(*w->machine);
-    w->sys = std::make_unique<VdomSystem>(*w->proc);
-    for (std::size_t t = 0; t < config_.threads; ++t)
-        w->tasks.push_back(w->proc->create_task());
-    w->proc->mm().set_wal(wal);
-    return w;
-}
-
-template <FaultMode M>
-auto
 FaultPointHarness<M>::make_script() const -> std::vector<Op>
 {
-    using Kind = typename Op::Kind;
+    using Kind = Op::Kind;
     std::vector<Op> ops;
     const std::size_t d = config_.domains;
 
@@ -609,145 +753,16 @@ FaultPointHarness<M>::make_script() const -> std::vector<Op>
 
 template <FaultMode M>
 void
-FaultPointHarness<M>::prepare(World &w, const Op &op) const
+FaultPointHarness<M>::report(FaultPointTally &result, World &w,
+                             const FaultPlan *plan, const std::string &what)
 {
-    // Thread-scoped ops act from their task's core; the switch itself is
-    // outside the armed window (the sweep targets the API op, not the
-    // scheduler).
-    switch (op.kind) {
-      case Op::Kind::kVdrAlloc:
-      case Op::Kind::kVdrFree:
-      case Op::Kind::kWrvdr:
-      case Op::Kind::kAccess: {
-        hw::Core &core = w.machine->core(op.task % config_.cores);
-        w.proc->switch_to(core, *w.tasks[op.task], false);
-        break;
-      }
-      default:
-        break;
-    }
-}
-
-template <FaultMode M>
-VdomStatus
-FaultPointHarness<M>::perform(World &w, const Op &op, bool *verdict_ok)
-{
-    hw::Core &core0 = w.machine->core(0);
-    switch (op.kind) {
-      case Op::Kind::kInit:
-        return w.sys->vdom_init(core0);
-      case Op::Kind::kVdrAlloc:
-        return w.sys->vdr_alloc(w.machine->core(op.task % config_.cores),
-                                *w.tasks[op.task], op.pages);
-      case Op::Kind::kVdrFree:
-        return w.sys->vdr_free(w.machine->core(op.task % config_.cores),
-                               *w.tasks[op.task]);
-      case Op::Kind::kMmap: {
-        // MmStruct::mmap has no core to charge through, so the script
-        // logs the mapping intent itself — the shape an allocating
-        // runtime would use.  Without a WAL the intent is a no-op.
-        kernel::OpTxn txn(w.proc->mm(), core0, kernel::WalOp::kMmap, 0,
-                          op.pages, 0);
-        hw::Vpn vpn = w.proc->mm().mmap(op.pages);
-        w.regions.emplace_back(vpn, op.pages);
-        txn.commit(vpn);
-        return VdomStatus::kOk;
-      }
-      case Op::Kind::kAlloc: {
-        VdomId v = w.sys->vdom_alloc(core0, op.frequent);
-        w.doms.push_back(v);
-        return v == kInvalidVdom ? VdomStatus::kResourceExhausted
-                                 : VdomStatus::kOk;
-      }
-      case Op::Kind::kMprotect: {
-        auto [vpn, pages] = w.regions[op.region];
-        if (op.span) {
-            auto [v2, p2] = w.regions[op.region + 1];
-            pages = v2 + p2 - vpn;
-        }
-        return w.sys->vdom_mprotect(core0, vpn, pages, w.doms[op.dom]);
-      }
-      case Op::Kind::kWrvdr:
-        return w.sys->wrvdr(w.machine->core(op.task % config_.cores),
-                            *w.tasks[op.task], w.doms[op.dom], op.perm);
-      case Op::Kind::kAccess: {
-        kernel::Task &task = *w.tasks[op.task];
-        hw::Core &core = w.machine->core(op.task % config_.cores);
-        hw::Vpn vpn = w.regions[op.region].first;
-        bool allowed = vdr_allows(*w.proc, task, vpn, op.write);
-        VAccess res = w.sys->access(core, task, vpn, op.write);
-        if (verdict_ok)
-            *verdict_ok = res.ok == allowed;
-        return VdomStatus::kOk;
-      }
-      case Op::Kind::kFreeDom:
-        return w.sys->vdom_free(core0, w.doms[op.dom]);
-      case Op::Kind::kArena: {
-        w.arena =
-            std::make_unique<DomainAllocator>(*w.sys, core0, false, 2);
-        return w.arena->domain() == kInvalidVdom
-                   ? VdomStatus::kResourceExhausted
-                   : VdomStatus::kOk;
-      }
-      case Op::Kind::kSecureAlloc: {
-        // First allocation after the ctor: the pool is empty, so this
-        // always takes exactly one kSecureGrow transaction.
-        SecureAllocation a = w.arena->allocate(core0, 64);
-        return a.ok() ? VdomStatus::kOk : w.arena->last_status();
-      }
-      case Op::Kind::kSandboxMprotect: {
-        if (!w.sandbox)
-            w.sandbox = std::make_unique<Sandbox>(*w.sys);
-        auto [vpn, pages] = w.regions[op.region];
-        return w.sandbox->sandbox_mprotect(core0, vpn, pages,
-                                           w.doms[op.dom]);
-      }
-      case Op::Kind::kPmoAttach: {
-        apps::PmoAttachResult r = apps::pmo_attach(
-            *w.sys, core0, store_, op.pmo, op.pages, op.seed);
-        if (r.status == VdomStatus::kOk)
-            w.pmos[op.pmo] = r.vdom;
-        return r.status;
-      }
-      case Op::Kind::kPmoDetach: {
-        auto it = w.pmos.find(op.pmo);
-        if (it == w.pmos.end())
-            return VdomStatus::kInvalidRange;
-        VdomStatus st =
-            apps::pmo_detach(*w.sys, core0, store_, op.pmo, it->second);
-        if (st == VdomStatus::kOk)
-            w.pmos.erase(it);
-        return st;
-      }
-    }
-    return VdomStatus::kOk;
-}
-
-template <FaultMode M>
-void
-FaultPointHarness<M>::record_violation(FaultPointTally &result,
-                                       World *world, const FaultPlan *plan,
-                                       const std::string &what)
-{
-    ++result.violations;
-    if (!result.first_violation.empty())
-        return;
-    result.first_violation = what;
-    if (config_.postmortem_path.empty() || world == nullptr)
-        return;
-    telemetry::PostmortemInfo info;
-    info.reason = (M == FaultMode::kGraceful ? "sweep violation: "
-                                             : "crash sweep violation: ") +
-                  what;
-    info.context.emplace_back("arch", hw::arch_name(config_.arch));
-    info.context.emplace_back("seed", std::to_string(config_.seed));
-    info.context.emplace_back("cores", std::to_string(config_.cores));
-    info.flight = &flight_;
-    info.metrics = telemetry::metrics_sink();
-    info.plan = plan;
-    info.system = world->sys.get();
-    result.postmortem_written =
-        telemetry::export_postmortem(config_.postmortem_path, info);
+    const char *kind = M == FaultMode::kGraceful ? "sweep violation: "
+                                                 : "crash sweep violation: ";
+    record_violation(result, what, config_.postmortem_path,
+                     [&](const std::string &path) {
+                         return write_postmortem(path, w, kind + what,
+                                                 config_.seed, plan, flight_);
+                     });
 }
 
 template <FaultMode M>
@@ -760,14 +775,15 @@ FaultPointHarness<M>::replay_prefix(const std::vector<Op> &script,
     // power-loss mode only); the prefix replays fault-free.
     wal_.reset();
     store_.content.clear();
-    auto w = build_world(M == FaultMode::kCrash ? &wal_ : nullptr);
+    auto w = build_world(config_.arch, config_.cores, config_.threads,
+                         M == FaultMode::kCrash ? &wal_ : nullptr, &store_);
     for (std::size_t j = 0; j < i; ++j) {
         prepare(*w, script[j]);
-        VdomStatus st = perform(*w, script[j], nullptr);
+        VdomStatus st = perform(*w, script[j]);
         if (st != VdomStatus::kOk) {
-            record_violation(result, w.get(), nullptr,
-                             "prefix op " + std::to_string(j) +
-                                 " failed: " + status_name(st));
+            report(result, *w, nullptr,
+                   "prefix op " + std::to_string(j) + " failed: " +
+                       status_name(st));
             return nullptr;
         }
     }
@@ -787,15 +803,14 @@ FaultPointHarness<M>::verify_recovered(World &w,
     ++result.snapshot_checks;
     const std::string after = snapshot_durable_state(*w.sys);
     if (after != expect.durable) {
-        record_violation(result, &w, nullptr,
-                         label + ": recovered durable state diverged");
+        report(result, w, nullptr,
+               label + ": recovered durable state diverged");
         return;
     }
 
-    std::string bad = check_design_invariants(*w.proc, w.params,
-                                              &result.invariant_checks);
+    std::string bad = check_design_invariants(w, result);
     if (!bad.empty()) {
-        record_violation(result, &w, nullptr, label + ": " + bad);
+        report(result, w, nullptr, label + ": " + bad);
         return;
     }
 
@@ -804,15 +819,14 @@ FaultPointHarness<M>::verify_recovered(World &w,
     // interrupted detach erase redone).
     ++result.pmo_checks;
     if (store.content.size() != expect.pmos.size()) {
-        record_violation(result, &w, nullptr,
-                         label + ": PMO store object set diverged");
+        report(result, w, nullptr, label + ": PMO store object set diverged");
         return;
     }
     for (const auto &[pmo, shape] : expect.pmos) {
         if (!store.intact(pmo, shape.second, shape.first)) {
-            record_violation(result, &w, nullptr,
-                             label + ": PMO " + std::to_string(pmo) +
-                                 " content not intact");
+            report(result, w, nullptr,
+                   label + ": PMO " + std::to_string(pmo) +
+                       " content not intact");
             return;
         }
     }
@@ -826,15 +840,15 @@ FaultPointHarness<M>::verify_recovered(World &w,
     }
     for (std::size_t t = 0; t < w.tasks.size(); ++t) {
         kernel::Task &task = *w.tasks[t];
-        hw::Core &core = w.machine->core(t % config_.cores);
-        w.proc->switch_to(core, task, false);
+        install(w, t);
         for (hw::Vpn vpn : starts) {
-            bool allowed = vdr_allows(*w.proc, task, vpn, false);
-            if (w.sys->access(core, task, vpn, false).ok != allowed) {
-                record_violation(
-                    result, &w, nullptr,
-                    label + ": recovered access verdict diverged (vpn " +
-                        std::to_string(vpn) + ")");
+            bool allowed =
+                vdr_allows(task, w.proc->mm().vdom_of(vpn), false);
+            if (w.sys->access(core_of(w, t), task, vpn, false).ok !=
+                allowed) {
+                report(result, w, nullptr,
+                       label + ": recovered access verdict diverged (vpn " +
+                           std::to_string(vpn) + ")");
                 return;
             }
         }
@@ -880,11 +894,10 @@ FaultPointHarness<M>::run_injection(const std::vector<Op> &script,
     FaultPlan plan(config_.seed);
     plan.arm_exact(site, k, sticky);
     flight_.clear();
-    bool verdict_ok = true;
-    VdomStatus st = VdomStatus::kOk;
+    Verdict verdict;
     w->machine->set_faults(&plan);
     w->machine->set_flight(&flight_);
-    st = perform(*w, op, &verdict_ok);
+    VdomStatus st = perform(*w, op, &verdict);
     w->machine->set_faults(nullptr);
     w->machine->set_flight(nullptr);
     ++result.injected_runs;
@@ -896,33 +909,30 @@ FaultPointHarness<M>::run_injection(const std::vector<Op> &script,
         ++result.failed_ops;
         ++result.snapshot_checks;
         if (after != before)
-            record_violation(result, w.get(), &plan,
-                             label + ": failed op mutated state");
+            report(result, *w, &plan, label + ": failed op mutated state");
     } else if (st == VdomStatus::kOk) {
         if (plan.total_fires() > 0)
             ++result.degraded_ops;
-        if (!verdict_ok)
-            record_violation(
-                result, w.get(), &plan,
-                label + ": access verdict diverged from VDR policy");
+        if (!verdict.policy_held)
+            report(result, *w, &plan,
+                   label + ": access verdict diverged from VDR policy");
     } else {
-        record_violation(result, w.get(), &plan,
-                         label + ": unexpected status " + status_name(st));
+        report(result, *w, &plan,
+               label + ": unexpected status " + status_name(st));
     }
 
-    std::string bad = check_design_invariants(*w->proc, w->params,
-                                              &result.invariant_checks);
+    std::string bad = check_design_invariants(*w, result);
     if (!bad.empty())
-        record_violation(result, w.get(), &plan, label + ": " + bad);
+        report(result, *w, &plan, label + ": " + bad);
 
     // Rolled-back ops must be cleanly retryable once the fault clears.
     if (is_fault_status(st)) {
-        bool retry_ok = true;
-        VdomStatus retry = perform(*w, op, &retry_ok);
-        if (retry != VdomStatus::kOk || !retry_ok)
-            record_violation(result, w.get(), &plan,
-                             label + ": retry after rollback failed: " +
-                                 status_name(retry));
+        Verdict retried;
+        VdomStatus retry = perform(*w, op, &retried);
+        if (retry != VdomStatus::kOk || !retried.policy_held)
+            report(result, *w, &plan,
+                   label + ": retry after rollback failed: " +
+                       status_name(retry));
     }
 
     fold(result, label + " -> " + status_name(st) + " " +
@@ -959,7 +969,7 @@ FaultPointHarness<M>::run_power_losses(const std::vector<Op> &script,
     flight_.clear();
     w->machine->set_faults(&plan);
     w->machine->set_flight(&flight_);
-    (void)perform(*w, op, nullptr);
+    (void)perform(*w, op);
     w->machine->set_faults(nullptr);
     w->machine->set_flight(nullptr);
 
@@ -968,8 +978,7 @@ FaultPointHarness<M>::run_power_losses(const std::vector<Op> &script,
         const std::string label =
             injection_label(i, op, FaultSite::kCrash, k, false);
         if (k > images.size()) {
-            record_violation(result, w.get(), &plan,
-                             label + ": armed crash never fired");
+            report(result, *w, &plan, label + ": armed crash never fired");
             continue;
         }
 
@@ -980,7 +989,7 @@ FaultPointHarness<M>::run_power_losses(const std::vector<Op> &script,
         // its replay.
         Image &image = images[k - 1];
         image.wal.reboot();
-        auto fresh = build_world(nullptr);
+        auto fresh = build_world(config_.arch, config_.cores, config_.threads);
         fresh->machine->set_flight(&flight_);
         RecoveryStats stats =
             recover(*fresh->sys, fresh->machine->core(0), image.wal,
@@ -990,8 +999,8 @@ FaultPointHarness<M>::run_power_losses(const std::vector<Op> &script,
         result.torn_records += stats.torn;
         result.undone_ops += stats.undone;
         if (!stats.ok) {
-            record_violation(result, fresh.get(), &plan,
-                             label + ": recovery failed: " + stats.error);
+            report(result, *fresh, &plan,
+                   label + ": recovery failed: " + stats.error);
             continue;
         }
         ++result.recoveries;
@@ -1006,10 +1015,10 @@ FaultPointHarness<M>::run_power_losses(const std::vector<Op> &script,
         else if (stats.committed == golden[i].commits)
             expect = &golden[i];
         if (expect == nullptr) {
-            record_violation(result, fresh.get(), &plan,
-                             label + ": committed count " +
-                                 std::to_string(stats.committed) +
-                                 " matches no op boundary");
+            report(result, *fresh, &plan,
+                   label + ": committed count " +
+                       std::to_string(stats.committed) +
+                       " matches no op boundary");
             continue;
         }
 
@@ -1060,24 +1069,22 @@ FaultPointHarness<M>::run() -> Result
             std::array<std::uint64_t, kNumFaultSites + 1> before{};
             for (std::size_t s = first; s < last; ++s)
                 before[s] = probe.occurrences(static_cast<FaultSite>(s));
-            bool verdict_ok = true;
-            VdomStatus st = perform(*w, op, &verdict_ok);
+            Verdict verdict;
+            VdomStatus st = perform(*w, op, &verdict);
             for (std::size_t s = first; s < last; ++s)
                 crossings[i][s] =
                     probe.occurrences(static_cast<FaultSite>(s)) -
                     before[s];
             std::string label = "clean op " + std::to_string(i) + " (" +
                                 Op::name(op.kind) + ")";
-            if (st != VdomStatus::kOk || !verdict_ok) {
-                record_violation(result, w.get(), &probe,
-                                 label + " failed: " + status_name(st));
+            if (st != VdomStatus::kOk || !verdict.policy_held) {
+                report(result, *w, &probe,
+                       label + " failed: " + status_name(st));
                 return result;
             }
-            std::string bad = check_design_invariants(
-                *w->proc, w->params, &result.invariant_checks);
+            std::string bad = check_design_invariants(*w, result);
             if (!bad.empty()) {
-                record_violation(result, w.get(), &probe,
-                                 label + ": " + bad);
+                report(result, *w, &probe, label + ": " + bad);
                 return result;
             }
             if constexpr (kGraceful) {
@@ -1137,20 +1144,18 @@ ChaosAppsResult
 run_chaos_apps(const ChaosAppsConfig &config)
 {
     ChaosAppsResult result;
-    hw::ArchParams params = config.arch == hw::ArchKind::kX86
-                                ? hw::ArchParams::x86(config.cores)
-                                : hw::ArchParams::arm(config.cores);
-    hw::Machine machine(params);
-    kernel::Process proc(machine);
-    VdomSystem sys(proc);
+    // The app models create their own threads.
+    auto w = build_world(config.arch, config.cores, 0);
+    hw::Machine &machine = *w->machine;
+    kernel::Process &proc = *w->proc;
     // Bring-up runs fault-free (mirrors ChaosHarness): chaos targets the
     // workload's steady state, not construction.
-    sys.vdom_init(machine.core(0));
+    perform(*w, {.kind = Op::Kind::kInit});
 
     FaultPlan plan(config.seed);
     for (const auto &[site, spec] : config.faults)
         plan.arm(site, spec);
-    apps::VdomStrategy strat(sys, 2);
+    apps::VdomStrategy strat(*w->sys, 2);
     machine.set_faults(&plan);
     switch (config.workload) {
       case ChaosAppsConfig::Workload::kHttpd: {
@@ -1184,13 +1189,13 @@ run_chaos_apps(const ChaosAppsConfig &config)
       }
     }
     result.faults_injected = plan.total_fires();
-    std::string bad =
-        check_design_invariants(proc, params, &result.invariant_checks);
+    std::string bad = check_design_invariants(*w, result);
     if (!bad.empty()) {
-        ++result.violations;
-        result.first_violation = hw::arch_name(config.arch) +
-                                 std::string(" (seed ") +
-                                 std::to_string(config.seed) + "): " + bad;
+        // No bundle: the config names no post-mortem path.
+        record_violation(result,
+                         hw::arch_name(config.arch) + std::string(" (seed ") +
+                             std::to_string(config.seed) + "): " + bad,
+                         {}, nullptr);
     }
     return result;
 }

@@ -1,26 +1,18 @@
 /// \file
-/// Chaos harness: randomized churn with an armed FaultPlan, checking the
-/// DESIGN.md invariants after every operation.
+/// Chaos harnesses: the DESIGN.md invariants, and the Table 1 promise that
+/// a failed call mutates nothing, checked under armed fault plans.
 ///
-/// The harness owns a full simulated world (machine + process + VdomSystem,
-/// the same shape as tests/test_invariants.cc's World) and drives the op
-/// mix of the invariant sweep — grant/revoke/pin/access plus domain
-/// create/free and VDR churn — while injection sites fire underneath it.
-/// It is gtest-free so both tests/test_chaos.cc and bench/chaos_stress.cc
-/// can link it; violations are reported as data, not assertions.
-///
-/// Alongside the randomized harness lives its systematic sibling, the
-/// scripted fault-point harness (FaultPointHarness): a deterministic
-/// script of public API ops is probed once to count every fault-point
-/// crossing, then every (op, site, k-th crossing) fails exactly there.
-/// It has two fault modes.  In graceful mode (SweepHarness) each
-/// crossing is replayed in a fresh world, and a failed op must leave the
-/// architectural snapshot (vdom/introspect.h) byte-identical — the
-/// atomicity oracle for the undo journal (kernel/journal.h).  In
-/// power-loss mode (CrashSweepHarness) each op runs once, capturing the
-/// durable image at every crossing; each image reboots and recovers
-/// from the WAL (kernel/wal.h), and the recovered durable state must sit
-/// exactly on an op boundary.
+/// Three harnesses drive one op interpreter (chaos.cc), which builds the
+/// world (machine + process + VdomSystem), performs each public-API op on
+/// it, judges every access against the VDR policy and reports violations,
+/// the first of which dumps a post-mortem bundle (telemetry/postmortem.h).
+/// They differ only in the ops they emit and in what they check:
+/// randomized churn with sites firing underneath (ChaosHarness), a
+/// scripted sweep that fails every fault-point crossing of every op,
+/// gracefully (SweepHarness) or by power loss (CrashSweepHarness), and a
+/// whole application model under armed sites (run_chaos_apps).  All of it
+/// is gtest-free so tests and bench/chaos_stress.cc can link it;
+/// violations are reported as data, not assertions.
 
 #pragma once
 
@@ -42,6 +34,20 @@
 
 namespace vdom::sim {
 
+/// The op interpreter's public-API op and world (defined in chaos.cc).
+struct Op;
+struct World;
+
+/// The checks every chaos harness counts, and the violations they found.
+struct CheckTally {
+    std::uint64_t invariant_checks = 0;
+    std::uint64_t violations = 0;
+    std::string first_violation;      ///< Empty when every check held.
+    bool postmortem_written = false;  ///< A violation bundle was dumped.
+
+    bool ok() const { return violations == 0; }
+};
+
 /// One chaos run's shape.  Everything is seeded: two runs with the same
 /// config produce bit-identical clocks, breakdowns and fault sequences.
 struct ChaosConfig {
@@ -59,7 +65,7 @@ struct ChaosConfig {
 };
 
 /// Outcome of one chaos run.
-struct ChaosResult {
+struct ChaosResult : CheckTally {
     std::uint64_t ops = 0;
     std::uint64_t faults_injected = 0;
     std::array<std::uint64_t, kNumFaultSites> occurrences_by_site{};
@@ -67,19 +73,15 @@ struct ChaosResult {
     std::uint64_t ok_accesses = 0;
     std::uint64_t denied_accesses = 0;
     std::uint64_t transient_failures = 0;  ///< Graceful fault statuses seen.
-    std::uint64_t invariant_checks = 0;
-    std::uint64_t violations = 0;
-    std::string first_violation;  ///< Empty when every check held.
     std::uint64_t flight_records = 0;  ///< Flight records seen by the run.
     std::uint64_t flows = 0;           ///< Causality ids handed out.
-    bool postmortem_written = false;   ///< A violation bundle was dumped.
     hw::CycleBreakdown breakdown;
     hw::Cycles max_clock = 0;
-
-    bool ok() const { return violations == 0; }
 };
 
-/// Builds the world fault-free, then runs the churn with faults armed.
+/// Builds the world fault-free, then runs the churn with faults armed.  The
+/// churn draws its ops from a seeded generator and hands each one to the
+/// op interpreter.
 class ChaosHarness {
   public:
     explicit ChaosHarness(const ChaosConfig &config);
@@ -92,9 +94,9 @@ class ChaosHarness {
     /// per harness (the world is consumed by the churn).
     ChaosResult run();
 
-    hw::Machine &machine() { return *machine_; }
-    kernel::Process &process() { return *proc_; }
-    VdomSystem &system() { return *sys_; }
+    hw::Machine &machine();
+    kernel::Process &process();
+    VdomSystem &system();
     const FaultPlan &plan() const { return plan_; }
     const telemetry::FlightRecorder &flight() const { return flight_; }
 
@@ -105,24 +107,22 @@ class ChaosHarness {
                            int op = -1) const;
 
   private:
-    /// vdom_alloc + mmap + vdom_mprotect; false when the assignment was
-    /// rejected (e.g. an injected VDT allocation failure).
-    bool make_domain(std::uint64_t pages, bool frequent,
-                     std::size_t core_id, VdomStatus *status);
-
-    void check_invariants(ChaosResult &result, int op);
-    void record_violation(ChaosResult &result, int op,
-                          const std::string &what);
+    /// vdom_alloc + mmap + vdom_mprotect on \p core; a rejected mprotect
+    /// frees the domain again.  Returns the mprotect status, or
+    /// kInvalidVdom when vdom_alloc failed.
+    VdomStatus create_domain(std::size_t core, std::uint64_t pages,
+                             bool frequent);
+    void free_domain(ChaosResult &result, int op, std::size_t core,
+                     std::size_t live);
+    /// A violation at churn op \p op, with this run's bundle.
+    void report(ChaosResult &result, int op, const std::string &what);
 
     ChaosConfig config_;
-    hw::ArchParams params_;
-    std::unique_ptr<hw::Machine> machine_;
-    std::unique_ptr<kernel::Process> proc_;
-    std::unique_ptr<VdomSystem> sys_;
+    std::unique_ptr<World> world_;
     FaultPlan plan_;
     telemetry::FlightRecorder flight_;
-    std::vector<kernel::Task *> tasks_;
-    std::vector<std::pair<VdomId, hw::Vpn>> doms_;
+    /// Live domains: (index into World::doms, index into World::regions).
+    std::vector<std::pair<std::size_t, std::size_t>> live_;
 };
 
 // --- scripted fault-point sweep ------------------------------------------
@@ -154,17 +154,11 @@ struct FaultPointConfig {
 };
 
 /// The counters both fault modes keep.
-struct FaultPointTally {
+struct FaultPointTally : CheckTally {
     std::uint64_t script_ops = 0;      ///< Ops in the deterministic script.
     std::uint64_t injected_runs = 0;   ///< Fresh worlds fired into.
     std::uint64_t snapshot_checks = 0; ///< Snapshot-oracle diffs.
-    std::uint64_t invariant_checks = 0;
-    std::uint64_t violations = 0;
-    std::string first_violation;       ///< Empty when every check held.
     std::uint64_t digest = 0;          ///< Run fingerprint (determinism gate).
-    bool postmortem_written = false;
-
-    bool ok() const { return violations == 0; }
 };
 
 /// Outcome of one graceful sweep.
@@ -240,18 +234,14 @@ class FaultPointHarness {
     const telemetry::FlightRecorder &flight() const { return flight_; }
 
   private:
-    struct Op;
-    struct World;
     struct Golden;
 
     std::vector<Op> make_script() const;
-    std::unique_ptr<World> build_world(kernel::Wal *wal) const;
+    /// A fresh world with the script's ops [0, i) performed fault-free on
+    /// fresh durable media; null, after a violation, when one fails.
     std::unique_ptr<World> replay_prefix(const std::vector<Op> &script,
                                          std::size_t i,
                                          FaultPointTally &result);
-    void prepare(World &w, const Op &op) const;
-    /// Non-const: PMO ops write through the harness-owned durable store.
-    VdomStatus perform(World &w, const Op &op, bool *verdict_ok);
     /// The digest label of crossing \p k of \p site in op \p i.
     std::string injection_label(std::size_t i, const Op &op, FaultSite site,
                                 std::uint64_t k, bool sticky) const;
@@ -269,8 +259,9 @@ class FaultPointHarness {
     void verify_recovered(World &w, const apps::PmoStore &store,
                           const Golden &expect, const std::string &label,
                           CrashSweepResult &result);
-    void record_violation(FaultPointTally &result, World *world,
-                          const FaultPlan *plan, const std::string &what);
+    /// A violation in world \p w under \p plan, with this sweep's bundle.
+    void report(FaultPointTally &result, World &w, const FaultPlan *plan,
+                const std::string &what);
 
     Config config_;
     telemetry::FlightRecorder flight_;
@@ -310,15 +301,10 @@ struct ChaosAppsConfig {
 };
 
 /// Outcome of one apps-under-chaos run.
-struct ChaosAppsResult {
+struct ChaosAppsResult : CheckTally {
     std::uint64_t completed = 0;        ///< Work items finished.
     std::uint64_t faults_injected = 0;  ///< Fault-site fires underneath.
-    std::uint64_t invariant_checks = 0;
-    std::uint64_t violations = 0;
-    std::string first_violation;        ///< Empty when every check held.
     hw::Cycles elapsed = 0;
-
-    bool ok() const { return violations == 0; }
 };
 
 /// Runs \p config's workload with the configured fault plan armed and

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <iomanip>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -458,6 +459,103 @@ TEST(ChaosDeterminism, RetriesChargeCyclesButEmitOneSpanPerShootdown)
     EXPECT_EQ(shootdowns_a, shootdowns_b);
     EXPECT_GT(retries_b, 0u);
     EXPECT_GT(b.result.max_clock, a.result.max_clock);
+}
+
+// -- Pinned outputs --------------------------------------------------------
+//
+// The determinism tests above compare two runs of the same build.  These
+// pin one small run of each harness per architecture to fixed values, so a
+// change that moves any count, clock, cycle or digest fails here and not
+// only in the checked-in results/.
+
+/// One small armed churn run, printed as every count it reports.
+std::string
+chaos_pin(hw::ArchKind arch)
+{
+    ChaosConfig config;
+    config.arch = arch;
+    config.ops = 200;
+    config.seed = 11;
+    for (std::size_t s = 0; s < sim::kNumFaultSites; ++s) {
+        config.faults.emplace_back(static_cast<FaultSite>(s),
+                                   FaultSpec{.probability = 0.2});
+    }
+    ChaosHarness harness(config);
+    ChaosResult r = harness.run();
+    EXPECT_TRUE(r.ok()) << r.first_violation;
+    // Cycles are doubles: 17 digits print every bit.
+    std::ostringstream out;
+    out << std::setprecision(17) << "ops=" << r.ops
+        << " faults=" << r.faults_injected
+        << " transient=" << r.transient_failures << " ok=" << r.ok_accesses
+        << " denied=" << r.denied_accesses
+        << " checks=" << r.invariant_checks << " clock=" << r.max_clock;
+    for (std::size_t k = 0; k < hw::kNumCostKinds; ++k) {
+        if (r.breakdown.by_kind[k] != 0) {
+            out << " " << hw::cost_kind_name(static_cast<hw::CostKind>(k))
+                << "=" << r.breakdown.by_kind[k];
+        }
+    }
+    return out.str();
+}
+
+TEST(ChaosPins, ArmedChurnX86)
+{
+    EXPECT_EQ(chaos_pin(hw::ArchKind::kX86),
+              "ops=200 faults=79 transient=18 ok=6 denied=83 "
+              "checks=200 clock=73698.299999999945 api=1448 "
+              "perm_reg=2217.6000000000004 "
+              "syscall=35832.400000000023 tlb_miss=14167 "
+              "tlb_flush=4185 tlb_shootdown=107700 eviction=56 "
+              "mem_sync=616 fault=43644 context_switch=24480");
+}
+
+TEST(ChaosPins, ArmedChurnArm)
+{
+    EXPECT_EQ(chaos_pin(hw::ArchKind::kArm),
+              "ops=200 faults=102 transient=16 ok=5 denied=84 "
+              "checks=273 clock=226767.29999999987 api=792 "
+              "perm_reg=4889.699999999998 "
+              "syscall=63601.200000000012 tlb_miss=24229 "
+              "tlb_flush=113060 tlb_shootdown=465600 eviction=120 "
+              "migration=2597 mem_sync=1200 fault=78660 "
+              "context_switch=26520");
+}
+
+std::uint64_t
+sweep_pin(hw::ArchKind arch)
+{
+    sim::SweepConfig config;
+    config.arch = arch;
+    config.domains = 3;
+    config.churn_ops = 6;
+    sim::SweepResult r = sim::SweepHarness(config).run();
+    EXPECT_TRUE(r.ok()) << r.first_violation;
+    return r.digest;
+}
+
+std::uint64_t
+crash_sweep_pin(hw::ArchKind arch)
+{
+    sim::CrashSweepConfig config;
+    config.arch = arch;
+    config.domains = 2;
+    config.churn_ops = 4;
+    sim::CrashSweepResult r = sim::CrashSweepHarness(config).run();
+    EXPECT_TRUE(r.ok()) << r.first_violation;
+    return r.digest;
+}
+
+TEST(ChaosPins, SweepDigests)
+{
+    EXPECT_EQ(sweep_pin(hw::ArchKind::kX86), 8373097713263232068u);
+    EXPECT_EQ(sweep_pin(hw::ArchKind::kArm), 13928129430651937944u);
+}
+
+TEST(ChaosPins, CrashSweepDigests)
+{
+    EXPECT_EQ(crash_sweep_pin(hw::ArchKind::kX86), 3477118032067169126u);
+    EXPECT_EQ(crash_sweep_pin(hw::ArchKind::kArm), 9962002743846802910u);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <string>
@@ -745,6 +746,15 @@ same_record(const WalRecord &x, const WalRecord &y)
            x.c == y.c && x.d == y.d && x.checksum == y.checksum;
 }
 
+/// The ABORT records in \p wal's log.
+std::ptrdiff_t
+abort_records(const Wal &wal)
+{
+    return std::count_if(
+        wal.records().begin(), wal.records().end(),
+        [](const WalRecord &r) { return r.type == WalRecType::kAbort; });
+}
+
 TEST(CrashImage, OneRunTapsTheSameImagesAsOneRunPerCrossing)
 {
     // A fire returns false and the op runs on, so firing at crossings
@@ -770,7 +780,9 @@ TEST(CrashImage, OneRunTapsTheSameImagesAsOneRunPerCrossing)
                                             single.wal.records()[r]))
                         << at << " lsn " << r + 1;
                 EXPECT_EQ(tapped.wal.commits(), single.wal.commits()) << at;
-                EXPECT_EQ(tapped.wal.aborts(), single.wal.aborts()) << at;
+                EXPECT_EQ(abort_records(tapped.wal),
+                          abort_records(single.wal))
+                    << at;
                 EXPECT_EQ(tapped.wal.in_txn(), single.wal.in_txn()) << at;
                 EXPECT_EQ(tapped.store.content, single.store.content) << at;
 

@@ -124,6 +124,8 @@ TEST(Journal, UndoClosuresDoNotSelfJournal)
 
 TEST(Journal, OpTxnSealsWalOutcomeOnlyWhenGracefulAndOutermost)
 {
+    telemetry::MetricsRegistry registry;
+    telemetry::ScopedMetrics metrics(registry);
     auto w = std::unique_ptr<World>(World::x86(1));
     kernel::MmStruct &mm = w->proc.mm();
     Journal &journal = mm.journal();
@@ -145,7 +147,7 @@ TEST(Journal, OpTxnSealsWalOutcomeOnlyWhenGracefulAndOutermost)
     EXPECT_EQ(wal.records()[0].type, WalRecType::kBegin);
     EXPECT_EQ(wal.records()[0].op, WalOp::kMprotect);
     EXPECT_EQ(wal.records()[1].type, WalRecType::kAbort);
-    EXPECT_EQ(wal.aborts(), 1u);
+    EXPECT_EQ(registry.value(telemetry::Metric::kWalAbort), 1u);
     EXPECT_FALSE(wal.in_txn());
 
     // Nested guard: no WAL record of its own, and the entries it commits
@@ -167,7 +169,7 @@ TEST(Journal, OpTxnSealsWalOutcomeOnlyWhenGracefulAndOutermost)
     ASSERT_EQ(wal.size(), 4u);
     EXPECT_EQ(wal.records()[2].op, WalOp::kSandboxMprotect);
     EXPECT_EQ(wal.records()[3].type, WalRecType::kAbort);
-    EXPECT_EQ(wal.aborts(), 2u);
+    EXPECT_EQ(registry.value(telemetry::Metric::kWalAbort), 2u);
     mm.set_wal(nullptr);
 }
 
