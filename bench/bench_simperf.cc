@@ -344,7 +344,9 @@ BM_WorldBuild(benchmark::State &state)
     // process, VdomSystem, vdom_init), the way perfbench's app workloads
     // and the sweep harnesses do before every run.  The machine builds
     // one TLB per core, so this trips the perf-smoke gate if building a
-    // TLB goes back to costing O(capacity).
+    // TLB goes back to writing its full capacity.  A TLB starts with an
+    // empty slot array that grows as entries arrive; reserving every
+    // slot up front costs about 1.3-1.6x this case on a 26-core world.
     for (auto _ : state) {
         BenchWorld world(hw::ArchParams::x86(26));
         VdomStatus init = world.sys.vdom_init(world.core(0));
@@ -359,7 +361,11 @@ BM_SweepWorldLifecycle(benchmark::State &state)
     // The world one fault-point injection builds and tears down: x86 with
     // 2 cores and 2 tasks, then vdom_init, whose API region is the VDT's
     // first area.  A VDT leaf that built all of its 1024 chains up front
-    // again would cost about 2.1x this case's perf-smoke reference.
+    // again would cost about 2.1x this case's perf-smoke reference.  It
+    // allocates 37 blocks, 6.1 KB in all: the TLBs allocate no slot until
+    // a translation is cached, and vdom_init's undo steps live inline in
+    // the journal's log.  Full-capacity TLB slot arrays and one heap
+    // closure per undo step would make it 43 blocks, 78 KB.
     for (auto _ : state) {
         BenchWorld world(hw::ArchParams::x86(2));
         for (int t = 0; t < 2; ++t)

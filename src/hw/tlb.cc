@@ -5,6 +5,7 @@
 
 #include "hw/tlb.h"
 
+#include <algorithm>
 #include <bit>
 
 #include "sim/fault.h"
@@ -17,8 +18,6 @@ namespace tm = ::vdom::telemetry;
 Tlb::Tlb(std::size_t capacity)
     : capacity_(capacity), slot_count_(capacity == 0 ? 1 : capacity)
 {
-    // Reserved, not filled: `insert` hands out slots by a bump pointer.
-    slots_.reserve(slot_count_);
     resize_index(kMinIndex);
 }
 
@@ -109,6 +108,9 @@ Tlb::insert(Asid asid, Vpn vpn, const TlbEntry &entry)
         free_head_ = slots_[fresh].next;
     } else {
         fresh = static_cast<std::uint32_t>(slots_.size());
+        // Grows geometrically, capped so a full TLB holds `slot_count_`.
+        if (slots_.size() == slots_.capacity())
+            slots_.reserve(std::min(slot_count_, 2 * slots_.size() + 4));
         slots_.emplace_back();
     }
     if (2 * (size_ + 1) > index_.size())

@@ -31,14 +31,15 @@ struct TlbEntry {
 ///
 /// Storage is flat (no per-entry allocation): a slot array threaded with
 /// one intrusive LRU list, indexed by an open-addressing hash table.
-/// Construction is O(1): the slot array is reserved at full capacity
-/// but filled by a bump pointer (removed slots are reused first, LIFO),
-/// and the index starts at 8 cells and doubles whenever an insert would
-/// push its load above ½, up to 2× capacity.  A world builds one TLB per
-/// core and most never fill, so writing every slot and cell up front
-/// dominated world construction.  The eviction order is bit-identical to
-/// the previous `unordered_map` + `list` global-LRU implementation —
-/// proven by the golden-replay test in tests/test_tlb_replay.cc.
+/// Construction allocates only the 8-cell index: the slot array grows
+/// geometrically up to capacity as a bump pointer hands out slots
+/// (removed slots are reused first, LIFO), and the index doubles whenever
+/// an insert would push its load above ½, up to 2× capacity.  A world
+/// builds one TLB per core and most never fill, so sizing slots and cells
+/// for capacity up front dominated world construction.  The eviction
+/// order is bit-identical to the previous `unordered_map` + `list`
+/// global-LRU implementation — proven by the golden-replay test in
+/// tests/test_tlb_replay.cc.
 ///
 /// Flush cost is what the flush removes, not O(capacity): `flush_all`
 /// walks the LRU list and removes only the entries present, and
@@ -205,8 +206,8 @@ class Tlb {
     std::size_t slot_count_;  ///< Effective capacity: max(capacity_, 1).
     std::size_t size_ = 0;
 
-    /// Reserved at `slot_count_`, so it never reallocates; grows by one
-    /// slot only when the free list is empty.
+    /// Grows by one slot only when the free list is empty; its storage
+    /// grows from n to 2n + 4 slots, capped at `slot_count_`.
     std::vector<Slot> slots_;
     std::uint32_t free_head_ = kNil;  ///< Removed slots chained via `next`.
     std::uint32_t head_ = kNil;  ///< MRU.

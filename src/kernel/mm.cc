@@ -131,10 +131,10 @@ MmStruct::assign_vdom(hw::Core &core, hw::Vpn start, std::uint64_t pages,
     // allocation failure mid-range unwinds the areas already assigned.
     OpTxn txn(*this, core, WalOp::kMprotect, 0, start, pages, vdom);
     // Rollback must re-invalidate any translation range whose PTEs it
-    // rewrites — recorded first so it runs *after* every retag undo.
-    auto reflush = std::make_shared<bool>(false);
-    journal_.record([this, &core, reflush] {
-        if (*reflush)
+    // rewrites — recorded first so it runs *after* every retag undo, and
+    // takes the journal's reflush mark that those undos set.
+    journal_.record([this, &core] {
+        if (journal_.take_reflush())
             flush_everywhere(core);
     });
     // vdom_mprotect protects "pages containing any part within
@@ -204,12 +204,12 @@ MmStruct::assign_vdom(hw::Core &core, hw::Vpn start, std::uint64_t pages,
                     v_vdom == kCommonVdom ? params_->default_pdom : tag;
                 Vds *vp = vds.get();
                 std::uint64_t n = hi - lo;
-                journal_.record([this, &core, vp, lo, n, old_tag, reflush] {
+                journal_.record([this, &core, vp, lo, n, old_tag] {
                     hw::PtOps undo =
                         vp->pgd().set_pdom_range(lo, n, old_tag, false);
                     charge_pt_ops(core, undo, hw::CostKind::kMemSync);
                     if (undo.pte_writes + undo.pmd_writes > 0)
-                        *reflush = true;
+                        journal_.mark_reflush();
                 });
             }
         }

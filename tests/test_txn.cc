@@ -420,6 +420,43 @@ TEST(Txn, MprotectRollbackFlushesOnlyWhenItRetaggedLivePages)
     EXPECT_EQ(mm.vds0()->tlb_gen(), gen + 1);
 }
 
+TEST(Txn, NestedAssignScopesEachFlushOnlyForTheirOwnRetags)
+{
+    auto w = std::unique_ptr<World>(World::x86(2));
+    kernel::Task *task = w->ready_thread();
+    hw::Core &core = w->core();
+    kernel::MmStruct &mm = w->proc.mm();
+    VdomId v1 = w->sys.vdom_alloc(core);
+    VdomId v2 = w->sys.vdom_alloc(core);
+    hw::Vpn fresh = mm.mmap(2);
+    hw::Vpn live1 = mm.mmap(2);
+    hw::Vpn live2 = mm.mmap(2);
+    for (hw::Vpn vpn : {live1, live2})
+        ASSERT_TRUE(w->sys.access(core, *task, vpn, true).ok);
+
+    // Two assign_vdom scopes under one outer guard that rolls back; the
+    // returned count is the flushes that rollback alone issued.  Each
+    // rollback restores the common vdom, so the ranges can be reused.
+    auto rollback_flushes = [&](hw::Vpn first, hw::Vpn second) {
+        std::uint64_t gen = 0;
+        {
+            OpTxn outer(mm, core, WalOp::kNone, 0);
+            EXPECT_EQ(mm.assign_vdom(core, first, 2, v1), VdomStatus::kOk);
+            EXPECT_EQ(mm.assign_vdom(core, second, 2, v2), VdomStatus::kOk);
+            gen = mm.vds0()->tlb_gen();
+        }
+        return mm.vds0()->tlb_gen() - gen;
+    };
+
+    // Only the scope that retagged live pages flushes, whichever ran
+    // first: a reflush mark must neither leak into the fresh scope's
+    // flush step nor be lost to it.
+    EXPECT_EQ(rollback_flushes(live1, fresh), 1u);
+    EXPECT_EQ(rollback_flushes(fresh, live1), 1u);
+    // Two live scopes flush once each.
+    EXPECT_EQ(rollback_flushes(live1, live2), 2u);
+}
+
 TEST(Txn, WrvdrStickyPermRegFailureRestoresVdr)
 {
     auto w = std::unique_ptr<World>(World::x86(2));
